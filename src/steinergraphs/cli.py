@@ -402,6 +402,11 @@ def _cmd_search_support(args, cert: _Cert) -> None:
     if args.resume:
         with open(args.resume) as fh:
             prev = json.load(fh)
+        keys = ("space", "n", "q", "theta", "size", "mode")
+        if prev["command"] != cert.command or any(
+            prev["parameters"].get(k) != cert.parameters.get(k) for k in keys
+        ):
+            raise _UsageError(f"{args.resume} is a checkpoint of a different search")
         prev_result = prev["result"]
         resume = {"done": [tuple(p) for p in prev_result["checkpoint"]["done"]]}
         prior_functions = prev_result["functions"]
@@ -423,7 +428,13 @@ def _cmd_search_support(args, cert: _Cert) -> None:
         checkpoint = ex.checkpoint
         res = ex.partial
     fn_entries = list(prior_functions)
-    verified = True
+    verified = all(
+        eigenfunctions.verify_eigenfunction(
+            graph,
+            eigenfunctions.Eigenfunction(graph, args.theta, {u: Fraction(x) for u, x in e["values"]}),
+        )
+        for e in prior_functions
+    )
     for f in res.functions:
         structure = eigenfunctions.support_structure(graph, f)
         verified = verified and bool(eigenfunctions.verify_eigenfunction(graph, f))

@@ -10,8 +10,11 @@ Conventions:
   * vertices of a block graph are block indices, which coincide with
     line indices of the underlying space;
   * the support search screens candidate supports by rank modulo the
-    prime 2**31 - 1 and re-checks every screened-in support with exact
-    rational arithmetic, so results never depend on the screen;
+    prime 2**31 - 1 and re-checks every screened-in support with an exact
+    integer kernel, so results never depend on the screen;
+  * values are Fractions at the API; the hot checks (the eigenvalue
+    equation and the kernel of a support) run in exact scaled-integer
+    arithmetic;
   * sign parts of a function are listed positive part first.
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from multiprocessing import get_context
 from typing import Iterable, Mapping
 
@@ -88,14 +92,9 @@ class Eigenfunction:
     def canonical(self) -> Eigenfunction:
         """Primitive integer representative of the ray, first nonzero
         value positive."""
-        lcm = 1
-        for x in self.values.values():
-            d = x.denominator
-            lcm = lcm // _gcd(lcm, d) * d
-        ints = {u: int(x * lcm) for u, x in self.values.items()}
-        g = 0
-        for n in ints.values():
-            g = _gcd(g, abs(n))
+        scale = lcm(*(x.denominator for x in self.values.values()))
+        ints = {u: int(x * scale) for u, x in self.values.items()}
+        g = gcd(*ints.values())
         if ints[self.support[0]] < 0:
             g = -g
         return Eigenfunction(self.graph, self.theta, {u: n // g for u, n in ints.items()})
@@ -140,12 +139,6 @@ class Eigenfunction:
         return f"Eigenfunction(theta={self.theta}, values={vals})"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def inner_product(f: Eigenfunction, g: Eigenfunction) -> Fraction:
     """Exact standard inner product of two vertex functions."""
     if f.graph is not g.graph:
@@ -166,17 +159,32 @@ class VerifyResult:
 
 
 def verify_eigenfunction(graph: Graph, f: Eigenfunction) -> VerifyResult:
-    """Check theta * f(u) = sum of f over neighbours of u at every vertex."""
+    """Check theta * f(u) = sum of f over neighbours of u at every vertex.
+
+    f is scaled to integers by the lcm of its denominators, and each
+    neighbour sum is taken per distinct value c as c times the popcount
+    of the neighbours carrying c.  Only the closed neighbourhood of the
+    support is scanned: elsewhere both sides are 0."""
     if not f.values:
         raise ZeroFunctionError("the zero function is not an eigenfunction")
-    items = list(f.values.items())
-    theta = Fraction(f.theta)
-    for u in range(graph.v):
-        row = graph.adj[u]
-        rhs = sum((x for w, x in items if row >> w & 1), Fraction(0))
-        lhs = theta * f.value(u)
+    scale = lcm(*(x.denominator for x in f.values.values()))
+    adj = graph.adj
+    scaled: dict[int, int] = {}
+    masks: dict[int, int] = {}
+    closed = 0
+    for w, x in f.values.items():
+        c = x.numerator * (scale // x.denominator)
+        scaled[w] = c
+        masks[c] = masks.get(c, 0) | 1 << w
+        closed |= adj[w] | 1 << w
+    classes = tuple(masks.items())
+    theta = f.theta
+    for u in bit_indices(closed):
+        row = adj[u]
+        lhs = theta * scaled.get(u, 0)
+        rhs = sum(c * (row & m).bit_count() for c, m in classes)
         if lhs != rhs:
-            return VerifyResult(False, (u, lhs, rhs))
+            return VerifyResult(False, (u, Fraction(lhs, scale), Fraction(rhs, scale)))
     return VerifyResult(True)
 
 
@@ -203,6 +211,12 @@ def from_bipartite_pair(graph: Graph, t0: Iterable[int], t1: Iterable[int], thet
 # -- constructions from geometric data -----------------------------------------
 
 
+def _require_support_size(f: Eigenfunction, size: int) -> Eigenfunction:
+    if len(f.support) != size:
+        raise NotOptimalError(f"support size {len(f.support)}, expected {size}")
+    return f
+
+
 def _line_graph_for(space, graph: Graph | None) -> Graph:
     if graph is None:
         if isinstance(space, ProjSpace):
@@ -223,9 +237,7 @@ def optimal_from_regulus(pair: RegulusPair, graph: Graph | None = None) -> Eigen
     q = space.field.q
     t0 = sorted(space.index_of(l) for l in pair.r_lines)
     t1 = sorted(space.index_of(l) for l in pair.opp_lines)
-    f = from_bipartite_pair(graph, t0, t1, -(q + 1))
-    assert len(f.support) == 2 * (q + 1)
-    return f
+    return _require_support_size(from_bipartite_pair(graph, t0, t1, -(q + 1)), 2 * (q + 1))
 
 
 def optimal_from_parallel_classes(plane: AffPlane, class1, class2, graph: Graph | None = None) -> Eigenfunction:
@@ -242,9 +254,7 @@ def optimal_from_parallel_classes(plane: AffPlane, class1, class2, graph: Graph 
     q = space.field.q
     t0 = sorted(space.index_of(l) for l in class1)
     t1 = sorted(space.index_of(l) for l in class2)
-    f = from_bipartite_pair(graph, t0, t1, -q)
-    assert len(f.support) == 2 * q
-    return f
+    return _require_support_size(from_bipartite_pair(graph, t0, t1, -q), 2 * q)
 
 
 def optimal_from_affine_regulus(pair: AffineRegulusPair, graph: Graph | None = None) -> Eigenfunction:
@@ -255,9 +265,7 @@ def optimal_from_affine_regulus(pair: AffineRegulusPair, graph: Graph | None = N
     q = space.field.q
     t0 = sorted(space.index_of(l) for l in pair.s_lines)
     t1 = sorted(space.index_of(l) for l in pair.opp_lines)
-    f = from_bipartite_pair(graph, t0, t1, -q)
-    assert len(f.support) == 2 * q
-    return f
+    return _require_support_size(from_bipartite_pair(graph, t0, t1, -q), 2 * q)
 
 
 def wdbplus2_function(pair: RegulusPair, hyperplane, graph: Graph | None = None) -> Eigenfunction:
@@ -276,9 +284,9 @@ def wdbplus2_function(pair: RegulusPair, hyperplane, graph: Graph | None = None)
     q = space.field.q
     t0 = sorted(space.index_of(l) for l in config.r_lines)
     t1 = sorted(space.index_of(l) for l in config.opp_lines)
-    f = from_bipartite_pair(graph, t0, t1, -q)
-    assert len(f.support) == 2 * (q + 1)
-    assert support_structure(graph, f).kind == "BipartiteMinusMatching"
+    f = _require_support_size(from_bipartite_pair(graph, t0, t1, -q), 2 * (q + 1))
+    if support_structure(graph, f).kind != "BipartiteMinusMatching":
+        raise NotOptimalError("support does not induce a complete bipartite graph minus a matching")
     return f
 
 

@@ -111,7 +111,8 @@ class NotAnEigenfunctionError(SteinerError):
 
 class NotOptimalError(SteinerError):
     """An eigenfunction whose support is not of the minimum size, where
-    minimum-support structure was required."""
+    minimum-support structure was required, or whose support lacks the
+    size or shape that its construction promises."""
 
 
 class NotEquitableError(SteinerError):

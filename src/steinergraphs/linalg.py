@@ -10,7 +10,6 @@ their ``row_basis`` tuples are equal.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionMismatchError, MixedFieldsError
@@ -245,19 +244,22 @@ def rational_kernel(rows) -> tuple[tuple[int, ...], ...]:
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
+        # x carries an implicit common denominator: solving pivot row i
+        # for x[c] rescales the whole vector instead of dividing
+        x = [0] * ncols
+        x[f] = 1
         for i in range(len(pivots) - 1, -1, -1):
             c = pivots[i]
             row = ech[i]
-            acc = Fraction(0)
+            acc = 0
             for j in range(c + 1, ncols):
                 if row[j] and x[j]:
                     acc += row[j] * x[j]
-            x[c] = -acc / row[c]
-        lcm = 1
-        for xi in x:
-            d = xi.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        basis.append(_primitive([int(xi * lcm) for xi in x]))
+            if acc:
+                g = gcd(acc, row[c])
+                m = row[c] // g
+                if m != 1:
+                    x = [xi * m for xi in x]
+                x[c] = -acc // g
+        basis.append(_primitive(x))
     return tuple(basis)

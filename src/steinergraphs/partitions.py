@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .designs import Graph, cached_block_graph, projective_design, srg_params_formula
@@ -26,6 +27,7 @@ from .errors import (
     BadDecompositionError,
     EigenvalueClashError,
     InconsistentQuotientError,
+    NotAnEigenfunctionError,
     NotEquitableError,
     NotSignFunctionError,
     NotTwoValuedError,
@@ -144,16 +146,18 @@ def partition_to_eigenfunction(graph: Graph, part: Partition2) -> Eigenfunction:
         raise NotTwoValuedError(
             "principal partition: p12 = p21 = 0 gives the zero vector, not two values"
         )
-    g = _gcd(q.p12, q.p21)
+    g = gcd(q.p12, q.p21)
     x1, x2 = q.p12 // g, -(q.p21 // g)
-    # eigenvector check against the quotient matrix itself
-    assert q.p11 * x1 + q.p12 * x2 == theta * x1
-    assert q.p21 * x1 + q.p22 * x2 == theta * x2
+    if q.p11 * x1 + q.p12 * x2 != theta * x1 or q.p21 * x1 + q.p22 * x2 != theta * x2:
+        raise InconsistentQuotientError(f"({x1}, {x2}) is not a {theta}-eigenvector of {q.rows()}")
     vals = {u: x1 for u in part.v1}
     vals.update({u: x2 for u in part.v2})
     f = Eigenfunction(graph, theta, vals)
     res = verify_eigenfunction(graph, f)
-    assert res, res.witness
+    if not res:
+        raise NotAnEigenfunctionError(
+            f"partition function fails at vertex {res.witness[0]}", witness=res.witness
+        )
     return f
 
 
@@ -168,13 +172,6 @@ def eigenfunction_to_partition(graph: Graph, f: Eigenfunction) -> tuple[Partitio
     v2 = [u for u in range(graph.v) if f.value(u) == lo]
     part = Partition2(v1, v2)
     return part, quotient_matrix(graph, part)
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- the balance condition -------------------------------------------------------

@@ -274,6 +274,39 @@ def test_search_limit_and_resume(tmp_path, capsys):
     assert resumed["result"]["census"] == fresh["result"]["census"]
 
 
+def test_search_resume_rejects_other_search(tmp_path, capsys):
+    part_file = tmp_path / "partial.json"
+    code = cli.main(["search-support", "--space", "aff", "--n", "3", "--q", "2",
+                     "--theta", "-2", "--size", "6", "--limit", "20000",
+                     "--out", str(part_file), "--format", "json"])
+    capsys.readouterr()
+    assert code == 3
+    assert json.loads(part_file.read_text())["result"]["functions"]
+    code = cli.main(["search-support", "--space", "aff", "--n", "3", "--q", "2",
+                     "--theta", "4", "--size", "10", "--resume", str(part_file),
+                     "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "different search" in captured.err
+
+
+def test_search_resume_reverifies_prior_functions(tmp_path, capsys):
+    part_file = tmp_path / "partial.json"
+    cli.main(["search-support", "--space", "aff", "--n", "3", "--q", "2",
+              "--theta", "-2", "--size", "4", "--limit", "2000",
+              "--out", str(part_file), "--format", "json"])
+    capsys.readouterr()
+    partial = json.loads(part_file.read_text())
+    partial["result"]["functions"][0]["values"][0][1] = "2"
+    part_file.write_text(json.dumps(partial))
+    code, cert = _run(capsys, "search-support", "--space", "aff", "--n", "3", "--q", "2",
+                      "--theta", "-2", "--size", "4", "--resume", str(part_file))
+    assert code == 1
+    verify = next(c for c in cert["checks"] if c["name"] == "all_new_functions_verify")
+    assert verify["passed"] is False
+
+
 def test_search_exhaustive_mode_agrees(capsys):
     _, a = _run(capsys, "search-support", "--space", "aff", "--n", "3", "--q", "2",
                 "--theta", "-2", "--size", "4", "--mode", "exhaustive")

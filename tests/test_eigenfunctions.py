@@ -14,10 +14,12 @@ from fractions import Fraction
 
 import pytest
 
+from steinergraphs import eigenfunctions
 from steinergraphs.designs import Graph, srg_params_brute
 from steinergraphs.eigenfunctions import (
     Eigenfunction,
     GrassmannRegulus,
+    SupportStructure,
     Type1,
     Type2,
     classify_optimal,
@@ -248,6 +250,50 @@ def test_wdbplus2_function_q3():
         if done == 3:
             break
     assert done == 3
+
+
+def _first_wdbplus2_hyperplane(pair):
+    return next(h for h in pair.space.hyperplanes if regulus_restriction(pair, h).kind == "wdbplus2")
+
+
+def _build_from_regulus(g_j2, g_x2):
+    return optimal_from_regulus(_standard_regulus(), g_j2)
+
+
+def _build_from_parallel_classes(g_j2, g_x2):
+    plane = enumerate_planes(g_x2.design.space)[0]
+    return optimal_from_parallel_classes(plane, *parallel_classes(plane)[:2], g_x2)
+
+
+def _build_from_affine_regulus(g_j2, g_x2):
+    return optimal_from_affine_regulus(enumerate_affine_reguli(g_x2.design.space)[0], g_x2)
+
+
+def _build_wdbplus2(g_j2, g_x2):
+    pair = _standard_regulus()
+    return wdbplus2_function(pair, _first_wdbplus2_hyperplane(pair))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_build_from_regulus, _build_from_parallel_classes, _build_from_affine_regulus, _build_wdbplus2],
+    ids=lambda b: b.__name__[len("_build_"):],
+)
+def test_construction_support_size_checked(g_j2, g_x2, monkeypatch, build):
+    """A construction whose function has the wrong support size raises,
+    also under python -O."""
+    shrunk = lambda graph, t0, t1, theta: Eigenfunction(graph, theta, {t0[0]: 1})
+    monkeypatch.setattr(eigenfunctions, "from_bipartite_pair", shrunk)
+    with pytest.raises(NotOptimalError, match="support size 1"):
+        build(g_j2, g_x2)
+
+
+def test_wdbplus2_structure_checked(monkeypatch):
+    pair = _standard_regulus()
+    hyp = _first_wdbplus2_hyperplane(pair)
+    monkeypatch.setattr(eigenfunctions, "support_structure", lambda g, f: SupportStructure("Other", (), ()))
+    with pytest.raises(NotOptimalError, match="matching"):
+        wdbplus2_function(pair, hyp)
 
 
 # -- support structure ---------------------------------------------------------------------

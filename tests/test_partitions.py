@@ -13,12 +13,14 @@ from fractions import Fraction
 
 import pytest
 
+from steinergraphs import partitions
 from steinergraphs.designs import Graph, srg_params_brute
-from steinergraphs.eigenfunctions import Eigenfunction, optimal_from_regulus, verify_eigenfunction
+from steinergraphs.eigenfunctions import Eigenfunction, VerifyResult, optimal_from_regulus, verify_eigenfunction
 from steinergraphs.errors import (
     BadDecompositionError,
     EigenvalueClashError,
     InconsistentQuotientError,
+    NotAnEigenfunctionError,
     NotEquitableError,
     NotSignFunctionError,
     NotTwoValuedError,
@@ -127,6 +129,30 @@ def test_partition_to_eigenfunction_direction(g_x2):
     assert f.theta == -2
     assert f.value(part.v1[0]) == 6
     assert f.value(part.v2[0]) == -1
+
+
+@pytest.mark.parametrize(
+    "quotient,theta",
+    [(QuotientMatrix(6, 12, 3, 15), 4), (QuotientMatrix(6, 12, 3, 16), 3)],
+    ids=["first_row", "second_row"],
+)
+def test_partition_to_eigenfunction_checks_quotient_eigenvector(g_j2, monkeypatch, quotient, theta):
+    """Each row of the quotient eigenvector equation is checked, also
+    under python -O."""
+    monkeypatch.setattr(partitions, "quotient_matrix", lambda g, p: quotient)
+    monkeypatch.setattr(partitions, "partition_eigenvalue", lambda q: theta)
+    part = Partition2.from_part(g_j2, star_line_set(g_j2.design.space, 0))
+    with pytest.raises(InconsistentQuotientError):
+        partition_to_eigenfunction(g_j2, part)
+
+
+def test_partition_to_eigenfunction_checks_eigenvalue_equation(g_j2, monkeypatch):
+    witness = (0, Fraction(12), Fraction(11))
+    monkeypatch.setattr(partitions, "verify_eigenfunction", lambda g, f: VerifyResult(False, witness))
+    part = Partition2.from_part(g_j2, star_line_set(g_j2.design.space, 0))
+    with pytest.raises(NotAnEigenfunctionError) as exc:
+        partition_to_eigenfunction(g_j2, part)
+    assert exc.value.witness == witness
 
 
 def test_eigenfunction_to_partition_roundtrip(g_j2):

@@ -7,25 +7,36 @@ states one global invariant of the library:
   * 2-design uniqueness: every point pair lies on exactly one block;
   * eigenfunction linearity and orthogonality across eigenvalues;
   * composing projective closure with the matching restriction is the
-    identity on lines.
+    identity on lines;
+  * the integer eigenvalue check agrees with the all-vertex Fraction
+    definition, witness included;
+  * rational kernels agree with sympy's nullspace, basis vector by
+    basis vector.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from steinergraphs.designs import affine_design, cached_block_graph, projective_design
 from steinergraphs.eigenfunctions import (
+    Eigenfunction,
+    enumerate_complete_bipartite,
+    from_bipartite_pair,
     inner_product,
     optimal_from_regulus,
     verify_eigenfunction,
 )
 from steinergraphs.geometry import Hyperplane, aff_space, normalize_point, affine_restriction, projective_closure
 from steinergraphs.gf import field_make
-from steinergraphs.linalg import rref
+from steinergraphs.linalg import rational_kernel, rref
 from steinergraphs.partitions import Partition2, partition_to_eigenfunction, star_line_set
 from steinergraphs.reguli import enumerate_reguli
 
@@ -136,3 +147,107 @@ def test_closure_restriction_identity(q):
         assert rm.line_to_aff(cm.line_to_proj(line)) == line
     for line in asp.lines:
         assert cm.line_to_aff(rm.line_to_proj(line)) == line
+
+
+# -- the exact hot checks against plain references ------------------------------------------
+
+G_PG32 = cached_block_graph(projective_design(3, 2))
+G_AG32 = cached_block_graph(affine_design(3, 2))
+
+
+def _stars(g):
+    sp = g.design.space
+    return [partition_to_eigenfunction(g, Partition2.from_part(g, star_line_set(sp, p))) for p in range(8)]
+
+
+# eigenfunctions at both non-principal eigenvalues of each graph
+EIGEN_POOLS = {
+    G_PG32: [[optimal_from_regulus(p, G_PG32) for p in enumerate_reguli(G_PG32.design.space)[:12]], _stars(G_PG32)],
+    G_AG32: [[from_bipartite_pair(G_AG32, *p, -2) for p in enumerate_complete_bipartite(G_AG32, 2)[::20]], _stars(G_AG32)],
+}
+VALUES = st.fractions(min_value=-6, max_value=6, max_denominator=7).filter(bool)
+
+
+def _reference_verify(graph, f):
+    """The definition at every vertex, in Fraction arithmetic."""
+    theta = Fraction(f.theta)
+    for u in range(graph.v):
+        lhs = theta * f.value(u)
+        rhs = sum((f.value(w) for w in range(graph.v) if graph.adj[u] >> w & 1), Fraction(0))
+        if lhs != rhs:
+            return False, (u, lhs, rhs)
+    return True, None
+
+
+@st.composite
+def vertex_functions(draw):
+    """(kind, f): a random rational function, a rational combination of
+    true eigenfunctions, or such a combination perturbed at one vertex."""
+    graph = draw(st.sampled_from([G_PG32, G_AG32]))
+    kind = draw(st.sampled_from(["random", "eigen", "perturbed"]))
+    if kind == "random":
+        theta = draw(st.integers(-graph.k, graph.k))
+        support = draw(st.lists(st.integers(0, graph.v - 1), min_size=1, max_size=8, unique=True))
+        return kind, Eigenfunction(graph, theta, {u: draw(VALUES) for u in support})
+    pool = draw(st.sampled_from(EIGEN_POOLS[graph]))
+    members = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    values: dict[int, Fraction] = {}
+    for g in members:
+        c = draw(VALUES)
+        for u, x in g.values.items():
+            values[u] = values.get(u, Fraction(0)) + c * x
+    if kind == "perturbed":
+        w = draw(st.integers(0, graph.v - 1))
+        values[w] = values.get(w, Fraction(0)) + draw(VALUES)
+    if not any(values.values()):
+        values = dict(members[0].values)
+        kind = "eigen"
+    return kind, Eigenfunction(graph, members[0].theta, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_functions())
+@example(("random", Eigenfunction(G_PG32, 3, {34: Fraction(1, 2)})))  # fails first outside the support
+@example(("random", Eigenfunction(G_AG32, -2, {0: Fraction(-5, 3), 27: Fraction(2, 7)})))
+def test_verify_matches_fraction_reference(case):
+    kind, f = case
+    res = verify_eigenfunction(f.graph, f)
+    assert (res.ok, res.witness) == _reference_verify(f.graph, f)
+    if kind == "eigen":
+        assert res.ok
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Integer matrices up to 6 x 8 with entries in -9..9 whose columns
+    are dependent: some columns copy, negate or zero an earlier one."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cols = [draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m)) for _ in range(n)]
+    for j in range(n):
+        how = draw(st.sampled_from(["keep", "keep", "copy", "negate", "zero"]))
+        if n <= m and j == n - 1 and how == "keep":
+            how = "zero" if j == 0 else "copy"
+        if how == "zero" or (how != "keep" and j == 0):
+            cols[j] = [0] * m
+        elif how != "keep":
+            src = cols[draw(st.integers(0, j - 1))]
+            cols[j] = list(src) if how == "copy" else [-x for x in src]
+    return [list(r) for r in zip(*cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_deficient_matrices())
+def test_rational_kernel_matches_sympy(rows):
+    ours = rational_kernel(rows)
+    theirs = sympy.Matrix(rows).nullspace()
+    assert 0 < len(ours) == len(theirs)
+    for vec, col in zip(ours, theirs):
+        # sympy's vector for a free column is 1 there and 0 at the other
+        # free columns; scaled to its primitive form it must equal ours
+        den = lcm(*(int(x.q) for x in col))
+        ints = [int(x * den) for x in col]
+        g = gcd(*ints)
+        lead = next(x for x in ints if x)
+        assert vec == tuple(x // g if lead > 0 else -x // g for x in ints)
+        assert gcd(*vec) == 1 and next(x for x in vec if x) > 0
+        assert all(sum(a * b for a, b in zip(r, vec)) == 0 for r in rows)
