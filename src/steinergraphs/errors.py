@@ -53,6 +53,12 @@ class NotCoplanarError(SteinerError):
     """Three lines that do not span a common 3-dimensional flat."""
 
 
+class NotARegulusError(SteinerError):
+    """A line family that breaks a regulus axiom: a transversal that
+    misses a line it must meet, or a line missing from the family that
+    its transversals generate."""
+
+
 class LineInHyperplaneError(SteinerError):
     """A line that lies entirely inside the hyperplane being removed."""
 

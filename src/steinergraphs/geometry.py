@@ -36,32 +36,19 @@ Vec = tuple[int, ...]
 
 def normalize_point(field: Field, vec) -> Vec:
     """Scale a nonzero vector so its first nonzero coordinate is 1."""
-    lead = next((x for x in vec if x), None)
-    if lead is None:
-        raise ValueError("cannot normalise the zero vector")
-    if lead == 1:
-        return tuple(vec)
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, x) for x in vec)
+    return field.normalize_row(field.check_row(vec))
 
 
 def vec_add(field: Field, a, b) -> Vec:
-    return tuple(field.add(x, y) for x, y in zip(a, b))
-
-
-def vec_sub(field: Field, a, b) -> Vec:
-    return tuple(field.sub(x, y) for x, y in zip(a, b))
+    return field.add_rows(field.check_row(a), field.check_row(b))
 
 
 def vec_scale(field: Field, c: int, a) -> Vec:
-    return tuple(field.mul(c, x) for x in a)
+    return field.scale_row(field.check(c), field.check_row(a))
 
 
 def dot(field: Field, a, b) -> int:
-    acc = 0
-    for x, y in zip(a, b):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
+    return field.dot(field.check_row(a), field.check_row(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +105,8 @@ class Hyperplane:
         return dot(field, self.normal, p) == 0
 
     def contains_line(self, field: Field, line: ProjLine) -> bool:
-        return all(dot(field, self.normal, row) == 0 for row in line.basis)
+        normal = field.check_row(self.normal)
+        return all(field.dot(normal, row) == 0 for row in line.basis)
 
 
 @dataclass(frozen=True)
@@ -182,7 +170,7 @@ class ProjSpace:
             pts = set()
             for vec in product(range(q), repeat=n + 1):
                 if any(vec):
-                    pts.add(normalize_point(f, vec))
+                    pts.add(f.normalize_row(vec))
             assert len(pts) == count
             self._points = tuple(sorted(pts))
             self._point_index = {p: i for i, p in enumerate(self._points)}
@@ -214,10 +202,10 @@ class ProjSpace:
                 line_pts = []
                 # points of the line: a*row0 + b*row1 over normalised (a:b)
                 r0, r1 = basis
-                line_pts.append(idx[normalize_point(f, r1)])
+                line_pts.append(idx[f.normalize_row(r1)])
                 for c in range(q):
-                    v = vec_add(f, r0, vec_scale(f, c, r1))
-                    line_pts.append(idx[normalize_point(f, v)])
+                    v = f.add_rows(r0, f.scale_row(c, r1))
+                    line_pts.append(idx[f.normalize_row(v)])
                 line_pts = tuple(sorted(line_pts))
                 mask = 0
                 for p in line_pts:
@@ -352,8 +340,8 @@ class AffSpace:
 
     def _line_key(self, p1: Vec, p2: Vec) -> tuple[Vec, tuple[Vec, ...]]:
         f = self.field
-        d = normalize_point(f, vec_sub(f, p2, p1))
-        pts = tuple(sorted(vec_add(f, p1, vec_scale(f, c, d)) for c in range(f.q)))
+        d = f.normalize_row(f.sub_scaled_row(p2, 1, p1))
+        pts = tuple(sorted(f.add_rows(p1, f.scale_row(c, d)) for c in range(f.q)))
         return d, pts
 
     def _build_lines(self):
@@ -442,14 +430,6 @@ class AffSpace:
 # -- basic incidence operations ----------------------------------------------
 
 
-def enumerate_points(space) -> tuple[Vec, ...]:
-    return space.points
-
-
-def enumerate_lines(space):
-    return space.lines
-
-
 def line_through(space, p1, p2):
     return space.line_through(p1, p2)
 
@@ -483,7 +463,7 @@ def span_of_lines(space, lines) -> Flat:
         return Flat(dim=len(basis) - 1, basis=basis)
     base0 = lines[0].base
     rows = [ln.dir for ln in lines]
-    rows.extend(vec_sub(f, ln.base, base0) for ln in lines[1:])
+    rows.extend(f.sub_scaled_row(ln.base, 1, base0) for ln in lines[1:])
     basis = linalg.row_basis(f, rows)
     return Flat(dim=len(basis), basis=basis, base=_coset_rep(f, basis, base0))
 
@@ -491,14 +471,12 @@ def span_of_lines(space, lines) -> Flat:
 def _coset_rep(field: Field, basis, point: Vec) -> Vec:
     """Canonical representative of point + rowspace(basis): reduce the
     point to have zeros in all pivot coordinates."""
-    rep = list(point)
+    rep = tuple(point)
     for row in basis:
         pivot = next(i for i, x in enumerate(row) if x)
-        c = rep[pivot]
-        if c:
-            for i, x in enumerate(row):
-                rep[i] = field.sub(rep[i], field.mul(c, x))
-    return tuple(rep)
+        if rep[pivot]:
+            rep = field.sub_scaled_row(rep, rep[pivot], row)
+    return rep
 
 
 # -- affine planes and parallel classes ---------------------------------------
@@ -530,7 +508,7 @@ def _direction_planes(space: AffSpace) -> list[tuple[Vec, Vec]]:
     f = space.field
     n, q = space.n, f.q
     reps = sorted(
-        {normalize_point(f, v) for v in product(range(q), repeat=n) if any(v)}
+        {f.normalize_row(v) for v in product(range(q), repeat=n) if any(v)}
     )
     seen = set()
     for i in range(len(reps)):
@@ -551,16 +529,14 @@ def enumerate_planes(space: AffSpace) -> tuple[AffPlane, ...]:
         span = set()
         for a in range(q):
             for b in range(q):
-                span.add(
-                    vec_add(f, vec_scale(f, a, dirbasis[0]), vec_scale(f, b, dirbasis[1]))
-                )
+                span.add(f.add_rows(f.scale_row(a, dirbasis[0]), f.scale_row(b, dirbasis[1])))
         seen = set()
         for pt in space.points:
             rep = _coset_rep(f, dirbasis, pt)
             if rep in seen:
                 continue
             seen.add(rep)
-            pts = tuple(sorted(idx[vec_add(f, rep, d)] for d in span))
+            pts = tuple(sorted(idx[f.add_rows(rep, d)] for d in span))
             mask = 0
             for p in pts:
                 mask |= 1 << p
@@ -578,9 +554,8 @@ def parallel_classes(plane: AffPlane) -> tuple[tuple[AffLine, ...], ...]:
     q = f.q
     dirs = sorted(
         {
-            normalize_point(
-                f,
-                vec_add(f, vec_scale(f, a, plane.dirbasis[0]), vec_scale(f, b, plane.dirbasis[1])),
+            f.normalize_row(
+                f.add_rows(f.scale_row(a, plane.dirbasis[0]), f.scale_row(b, plane.dirbasis[1]))
             )
             for a in range(q)
             for b in range(q)
@@ -590,7 +565,7 @@ def parallel_classes(plane: AffPlane) -> tuple[tuple[AffLine, ...], ...]:
     pts = [space.points[i] for i in plane.points]
     classes = []
     for d in dirs:
-        cls = {space.line_through(p, vec_add(f, p, d)) for p in pts}
+        cls = {space.line_through(p, f.add_rows(p, d)) for p in pts}
         assert len(cls) == q and all(ln.mask & plane.mask == ln.mask for ln in cls)
         classes.append(tuple(sorted(cls, key=lambda ln: ln.base)))
     return tuple(classes)
@@ -613,13 +588,12 @@ class ClosureMap:
 
     def point_to_aff(self, pp) -> Vec:
         f = self.aspace.field
-        if pp[0] == 0:
+        if f.check_row(pp)[0] == 0:
             raise ValueError(f"{pp} lies on the hyperplane at infinity")
-        inv = f.inv(pp[0])
-        return tuple(f.mul(inv, x) for x in pp[1:])
+        return f.normalize_row(pp)[1:]
 
     def infinite_point(self, line: AffLine) -> Vec:
-        return normalize_point(self.pspace.field, (0,) + line.dir)
+        return self.pspace.field.normalize_row((0,) + line.dir)
 
     def line_to_proj(self, line: AffLine) -> ProjLine:
         return self.pspace.line_from_basis(((1,) + line.base, (0,) + line.dir))
@@ -666,15 +640,12 @@ class RestrictionMap:
         coords = linalg.mat_vec(f, linalg.transpose(self.inverse), pp)
         if coords[0] == 0:
             raise ValueError(f"{pp} lies on the removed hyperplane")
-        inv = f.inv(coords[0])
-        return tuple(f.mul(inv, x) for x in coords[1:])
+        return f.normalize_row(coords)[1:]
 
     def point_to_proj(self, ap) -> Vec:
         f = self.pspace.field
         coords = (1,) + tuple(ap)
-        return normalize_point(
-            f, linalg.mat_vec(f, linalg.transpose(self.matrix), coords)
-        )
+        return f.normalize_row(linalg.mat_vec(f, linalg.transpose(self.matrix), coords))
 
     def line_to_aff(self, pline: ProjLine) -> AffLine:
         f = self.pspace.field
@@ -683,7 +654,7 @@ class RestrictionMap:
         affine_pts = [
             self.point_to_aff(p)
             for p in pline.point_coords()
-            if dot(f, self.hyperplane.normal, p) != 0
+            if f.dot(self.hyperplane.normal, p) != 0
         ]
         assert len(affine_pts) == f.q
         out = self.aspace.line_through(affine_pts[0], affine_pts[1])
@@ -693,7 +664,7 @@ class RestrictionMap:
     def line_to_proj(self, aline: AffLine) -> ProjLine:
         basis = (
             self.point_to_proj(aline.base),
-            self.point_to_proj(vec_add(self.pspace.field, aline.base, aline.dir)),
+            self.point_to_proj(self.pspace.field.add_rows(aline.base, aline.dir)),
         )
         return self.pspace.line_from_basis(basis)
 

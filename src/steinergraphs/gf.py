@@ -17,6 +17,15 @@ Moduli produced for the first few extension fields:
     GF(16) : x^4 + x + 1
     GF(25) : x^2 + 2
     GF(27) : x^3 + 2x + 1
+
+Elements are validated where they enter: the scalar operations check
+every operand, and ``check_row`` checks a whole row in one pass.  The
+row operations (``scale_row``, ``normalize_row``, ``add_rows``,
+``sub_scaled_row``, ``dot``) trust their input and, for fields of order
+at most ``_TABLE_LIMIT`` only index addition, negation, multiplication
+and inverse tables built once per field; above that they compute with
+base-p digits and polynomial products.  Callers never branch on field
+size.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 from .errors import LimitExceededError, MixedFieldsError, NonPrimeError
 
 DEFAULT_ORDER_LIMIT = 1 << 20
-# below this order, full q x q multiplication/addition tables are kept
+# up to this order, full q x q addition/multiplication tables are kept
 _TABLE_LIMIT = 256
 
 
@@ -116,7 +125,9 @@ class Field:
 
     All operations take and return integer element indices.  Instances
     are immutable after construction and safe to share between threads
-    and worker processes.
+    and worker processes.  The scalar operations raise
+    :class:`MixedFieldsError` on an operand that is not an element index;
+    the row operations trust their input (see the module docstring).
     """
 
     def __init__(self, p: int, k: int = 1, order_limit: int = DEFAULT_ORDER_LIMIT):
@@ -131,28 +142,21 @@ class Field:
         self.k = k
         self.q = q
         self.modulus = _smallest_irreducible(p, k)
-        self._mul_table = None
-        self._inv_table = None
-        if q <= _TABLE_LIMIT and k > 1:
+        self._add_table = self._neg_table = self._mul_table = self._inv_table = None
+        if q <= _TABLE_LIMIT:
             self._build_tables()
 
     def _build_tables(self):
-        q, p, k, m = self.q, self.p, self.k, self.modulus
-        polys = [_poly_trim(_digits(i, p, k)) for i in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
+        q = self.q
+        els = range(q)
+        self._add_table = tuple(tuple(self._add(a, b) for b in els) for a in els)
+        self._neg_table = tuple(self._neg(a) for a in els)
+        mul = [[0] * q for _ in els]
+        for a in els:
             for b in range(a, q):
-                v = _index(_poly_mod(_poly_mul(polys[a], polys[b], p), m, p), p)
-                mul[a][b] = v
-                mul[b][a] = v
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._mul_table = mul
-        self._inv_table = inv
+                mul[a][b] = mul[b][a] = self._mul(a, b)
+        self._mul_table = tuple(tuple(row) for row in mul)
+        self._inv_table = (0,) + tuple(mul[a].index(1) for a in range(1, q))
 
     # -- identity ---------------------------------------------------------
 
@@ -179,14 +183,20 @@ class Field:
             raise MixedFieldsError(f"{a!r} is not an element index of {self!r}")
         return a
 
-    # -- arithmetic ---------------------------------------------------------
+    def check_row(self, row):
+        """Validate every entry of a row in one pass; returns the row."""
+        q = self.q
+        for a in row:
+            if type(a) is not int or not 0 <= a < q:
+                self.check(a)  # raises, unless a is an in-range int subclass
+        return row
 
-    def add(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        if self.k == 1:
-            return (a + b) % self.p
+    # -- unchecked arithmetic without tables: base-p digits, polynomials ----
+
+    def _add(self, a: int, b: int) -> int:
         p = self.p
+        if self.k == 1:
+            return (a + b) % p
         out = 0
         weight = 1
         for _ in range(self.k):
@@ -196,11 +206,10 @@ class Field:
             weight *= p
         return out
 
-    def neg(self, a: int) -> int:
-        self.check(a)
-        if self.k == 1:
-            return (-a) % self.p
+    def _neg(self, a: int) -> int:
         p = self.p
+        if self.k == 1:
+            return (-a) % p
         out = 0
         weight = 1
         for _ in range(self.k):
@@ -209,30 +218,55 @@ class Field:
             weight *= p
         return out
 
+    def _mul(self, a: int, b: int) -> int:
+        p = self.p
+        if self.k == 1:
+            return (a * b) % p
+        pa = _poly_trim(_digits(a, p, self.k))
+        pb = _poly_trim(_digits(b, p, self.k))
+        return _index(_poly_mod(_poly_mul(pa, pb, p), self.modulus, p), p)
+
+    def _pow(self, a: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul(out, a)
+            a = self._mul(a, a)
+            e >>= 1
+        return out
+
+    # -- checked scalar arithmetic -------------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        self.check(a)
+        self.check(b)
+        if self._add_table is not None:
+            return self._add_table[a][b]
+        return self._add(a, b)
+
+    def neg(self, a: int) -> int:
+        self.check(a)
+        if self._neg_table is not None:
+            return self._neg_table[a]
+        return self._neg(a)
+
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         self.check(a)
         self.check(b)
-        if self.k == 1:
-            return (a * b) % self.p
         if self._mul_table is not None:
             return self._mul_table[a][b]
-        p, m = self.p, self.modulus
-        pa = _poly_trim(_digits(a, p, self.k))
-        pb = _poly_trim(_digits(b, p, self.k))
-        return _index(_poly_mod(_poly_mul(pa, pb, p), m, p), p)
+        return self._mul(a, b)
 
     def inv(self, a: int) -> int:
         self.check(a)
         if a == 0:
             raise ZeroDivisionError("finite field inverse of zero")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
         if self._inv_table is not None:
             return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        return self._pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -242,30 +276,63 @@ class Field:
         if e < 0:
             a = self.inv(a)
             e = -e
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return self._pow(a, e)
 
+    # -- unchecked row arithmetic ----------------------------------------------
+    #
+    # Rows are sequences of element indices that the caller has already
+    # validated; results are tuples.
 
-def arith(field: Field, kind: str, a: int, b: int | None = None) -> int:
-    """Dispatch a named field operation; ``b`` is the second operand or,
-    for ``pow``, the integer exponent."""
-    if kind in ("neg", "inv"):
-        if b is not None:
-            raise ValueError(f"{kind} takes one operand")
-        return getattr(field, kind)(a)
-    if kind in ("add", "sub", "mul", "div"):
-        return getattr(field, kind)(a, field.check(b))
-    if kind == "pow":
-        if not isinstance(b, int) or isinstance(b, bool):
-            raise ValueError("pow exponent must be an integer")
-        return field.pow(a, b)
-    raise ValueError(f"unknown operation {kind!r}")
+    def scale_row(self, c: int, row) -> tuple[int, ...]:
+        """c * row."""
+        if self._mul_table is not None:
+            mc = self._mul_table[c]
+            return tuple([mc[x] for x in row])
+        mul = self._mul
+        return tuple([mul(c, x) for x in row])
+
+    def normalize_row(self, row) -> tuple[int, ...]:
+        """The row scaled so its first nonzero entry is 1."""
+        for lead in row:
+            if lead:
+                break
+        else:
+            raise ValueError("cannot normalise the zero vector")
+        if lead == 1:
+            return tuple(row)
+        if self._inv_table is not None:
+            return self.scale_row(self._inv_table[lead], row)
+        return self.scale_row(self._pow(lead, self.q - 2), row)
+
+    def add_rows(self, a, b) -> tuple[int, ...]:
+        """a + b, entry by entry."""
+        if self._add_table is not None:
+            add = self._add_table
+            return tuple([add[x][y] for x, y in zip(a, b)])
+        _add = self._add
+        return tuple([_add(x, y) for x, y in zip(a, b)])
+
+    def sub_scaled_row(self, a, c: int, b) -> tuple[int, ...]:
+        """a - c * b, entry by entry."""
+        if self._add_table is not None:
+            add = self._add_table
+            mc = self._mul_table[self._neg_table[c]]
+            return tuple([add[x][mc[y]] for x, y in zip(a, b)])
+        _add, _mul, nc = self._add, self._mul, self._neg(c)
+        return tuple([_add(x, _mul(nc, y)) for x, y in zip(a, b)])
+
+    def dot(self, a, b) -> int:
+        """sum_i a_i * b_i."""
+        acc = 0
+        if self._add_table is not None:
+            add, mul = self._add_table, self._mul_table
+            for x, y in zip(a, b):
+                acc = add[acc][mul[x][y]]
+            return acc
+        _add, _mul = self._add, self._mul
+        for x, y in zip(a, b):
+            acc = _add(acc, _mul(x, y))
+        return acc
 
 
 _FIELD_CACHE: dict[tuple[int, int], Field] = {}

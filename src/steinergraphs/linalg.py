@@ -6,13 +6,17 @@ over the rationals they are Python ints (with kernels returned as
 primitive integer vectors).  Reduced row echelon form is the canonical
 representative of a row space, so two subspaces are equal exactly when
 their ``row_basis`` tuples are equal.
+
+Finite-field entries are validated once, when a matrix enters ``rref``
+(or ``mat_vec``); elimination then runs on the field's unchecked row
+operations, which index its arithmetic tables.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .errors import DimensionMismatchError, MixedFieldsError
+from .errors import DimensionMismatchError
 from .gf import Field
 
 Row = tuple[int, ...]
@@ -30,11 +34,8 @@ def _check_rect(rows) -> int:
 
 
 def _check_entries(field: Field, rows) -> None:
-    q = field.q
     for r in rows:
-        for x in r:
-            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < q:
-                raise MixedFieldsError(f"entry {x!r} is not in GF({q})")
+        field.check_row(r)
 
 
 def rref(field: Field, rows) -> tuple[Rows, int, Row]:
@@ -47,27 +48,28 @@ def rref(field: Field, rows) -> tuple[Rows, int, Row]:
     """
     ncols = _check_rect(rows)
     _check_entries(field, rows)
-    m = [list(r) for r in rows]
+    m = [tuple(r) for r in rows]
     nrows = len(m)
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if m[pr][c]:
+                break
+        else:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        if inv != 1:
-            m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        # every entry of row pr left of column c is zero, so c is its lead
+        top = field.normalize_row(m[pr])
+        m[pr] = m[r]
+        m[r] = top
+        for i, row in enumerate(m):
+            if row[c] and i != r:
+                m[i] = field.sub_scaled_row(row, row[c], top)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in m), r, tuple(pivots)
+    return tuple(m), r, tuple(pivots)
 
 
 def row_basis(field: Field, rows) -> Rows:
@@ -91,12 +93,14 @@ def kernel(field: Field, rows) -> Rows:
     m, _, pivots = rref(field, rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
+    minus_one = field.neg(1)
     basis = []
     for f in free:
         vec = [0] * ncols
         vec[f] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = field.neg(m[i][f])
+        negated = field.scale_row(minus_one, [row[f] for row in m[: len(pivots)]])
+        for c, x in zip(pivots, negated):
+            vec[c] = x
         basis.append(tuple(vec))
     if not basis:
         return ()
@@ -122,13 +126,9 @@ def mat_vec(field: Field, rows, vec) -> Row:
     ncols = _check_rect(rows)
     if len(vec) != ncols:
         raise DimensionMismatchError("vector length mismatch")
-    out = []
-    for r in rows:
-        acc = 0
-        for a, b in zip(r, vec):
-            acc = field.add(acc, field.mul(a, b))
-        out.append(acc)
-    return tuple(out)
+    _check_entries(field, rows)
+    field.check_row(vec)
+    return tuple(field.dot(r, vec) for r in rows)
 
 
 def inverse(field: Field, rows) -> Rows:
@@ -179,7 +179,7 @@ def rowspace_intersect(field: Field, a, b) -> Rows:
         v = [0] * len(ab[0])
         for coeff, arow in zip(rel[: len(ab)], ab):
             if coeff:
-                v = [field.add(x, field.mul(coeff, y)) for x, y in zip(v, arow)]
+                v = field.add_rows(v, field.scale_row(coeff, arow))
         if any(v):
             vecs.append(tuple(v))
     if not vecs:

@@ -20,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
+from .designs import bit_indices
 from .errors import (
     DependentVectorsError,
     LimitExceededError,
     LinesNotSkewError,
+    NotARegulusError,
     NotCoplanarError,
     PointOnLineError,
     WrongCountError,
@@ -36,6 +38,7 @@ from .geometry import (
     ProjLine,
     ProjSpace,
     RestrictionMap,
+    _coset_rep,
     affine_restriction,
     normalize_point,
     projective_closure,
@@ -163,10 +166,11 @@ def transversal_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, t) -> Proj
     inter = linalg.rowspace_intersect(f, plane1, plane2)
     if len(inter) < 2:
         return None
-    assert len(inter) == 2, "distinct planes meet in at most a line"
+    if len(inter) != 2:
+        raise LinesNotSkewError(f"{l1} and {l2} lie in one plane with {t}")
     out = space.line_from_basis(inter)
-    assert out.mask & l1.mask and out.mask & l2.mask
-    assert t in out.point_coords()
+    if not (out.mask & l1.mask and out.mask & l2.mask) or t not in out.point_coords():
+        raise NotARegulusError(f"transversal {out} misses {t} or one of the lines")
     return out
 
 
@@ -192,7 +196,10 @@ def common_transversals(space: ProjSpace, lines) -> tuple[ProjLine, ...]:
 
 def _check_regulus_pair(space: ProjSpace, r_lines, opp_lines) -> None:
     q = space.field.q
-    assert len(r_lines) == q + 1 and len(opp_lines) == q + 1
+    if len(r_lines) != q + 1 or len(opp_lines) != q + 1:
+        raise WrongCountError(
+            f"regulus families need {q + 1} lines each, got {len(r_lines)} and {len(opp_lines)}"
+        )
     _require_skew(space, r_lines)
     _require_skew(space, opp_lines)
     grid = set()
@@ -204,7 +211,8 @@ def _check_regulus_pair(space: ProjSpace, r_lines, opp_lines) -> None:
                     f"regulus lines {a} and opposite {b} do not meet in one point"
                 )
             grid.add(common)
-    assert len(grid) == (q + 1) ** 2, "transversal grid points must be distinct"
+    if len(grid) != (q + 1) ** 2:
+        raise LinesNotSkewError("transversal grid points must be distinct")
     rows = [row for ln in (*r_lines, *opp_lines) for row in ln.basis]
     if len(linalg.row_basis(space.field, rows)) != 4:
         raise NotCoplanarError("regulus pair does not span a 3-dimensional flat")
@@ -228,12 +236,13 @@ def regulus_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, l3: ProjLine) 
             pair_line[(p, p2) if p < p2 else (p2, p)] for p2 in l2.points
         }
         hits = [i for i in cands if all_lines[i].mask & l3.mask]
-        assert len(hits) == 1, "exactly one transversal through each point"
+        if len(hits) != 1:
+            raise WrongCountError(f"{len(hits)} transversals through a point, expected one")
         opp.append(all_lines[hits[0]])
     opp.sort(key=_proj_key)
     fam = list(common_transversals(space, opp[:3]))
-    for ln in (l1, l2, l3):
-        assert ln in fam
+    if not all(ln in fam for ln in (l1, l2, l3)):
+        raise NotARegulusError("a given line is missing from the regulus of its transversals")
     fam.sort(key=_proj_key)
     pair = RegulusPair(tuple(fam), tuple(opp), space)
     _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
@@ -277,12 +286,12 @@ def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
     by_family: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i in range(nl):
         si = skew[i]
-        for j in bit_iter(si):
+        for j in bit_indices(si):
             if j <= i:
                 continue
             sij = si & skew[j]
             tij = transversal_ids(i, j)
-            for k in bit_iter(sij):
+            for k in bit_indices(sij):
                 if k <= j:
                     continue
                 opp = tuple(sorted(t for t in tij if pmask[t] & pmask[k]))
@@ -292,7 +301,8 @@ def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
                 fam = tuple(
                     sorted(t for t in fam_all if pmask[t] & pmask[opp[2]])
                 )
-                assert i in fam and j in fam and k in fam
+                if not (i in fam and j in fam and k in fam):
+                    raise NotARegulusError(f"lines {i}, {j}, {k} are not in their regulus")
                 by_family[fam] = opp
                 by_family[opp] = fam
     out = []
@@ -306,19 +316,15 @@ def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
     return tuple(out)
 
 
-def bit_iter(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # -- affine constructions ------------------------------------------------------
 
 
 def _check_affine_pair(space: AffSpace, s_lines, opp_lines) -> None:
     q = space.field.q
-    assert len(s_lines) == q and len(opp_lines) == q
+    if len(s_lines) != q or len(opp_lines) != q:
+        raise WrongCountError(
+            f"affine regulus families need {q} lines each, got {len(s_lines)} and {len(opp_lines)}"
+        )
     _require_skew(space, s_lines)
     _require_skew(space, opp_lines)
     grid = set()
@@ -330,7 +336,8 @@ def _check_affine_pair(space: AffSpace, s_lines, opp_lines) -> None:
                     f"affine regulus lines {a} and {b} do not meet in one point"
                 )
             grid.add(common)
-    assert len(grid) == q * q, "transversal grid points must be distinct"
+    if len(grid) != q * q:
+        raise LinesNotSkewError("transversal grid points must be distinct")
     flat = span_of_lines(space, tuple(s_lines) + tuple(opp_lines))
     if flat.dim != 3:
         raise NotCoplanarError("affine regulus pair does not span a 3-flat")
@@ -349,8 +356,11 @@ def lift_to_projective(pair: AffineRegulusPair) -> tuple[RegulusPair, ClosureMap
     inf_o = [cm.infinite_point(l) for l in pair.opp_lines]
     line_inf_of_s = ps.line_through(inf_s[0], inf_s[1])
     line_inf_of_o = ps.line_through(inf_o[0], inf_o[1])
-    assert all(p in line_inf_of_s.point_coords() for p in inf_s)
-    assert all(p in line_inf_of_o.point_coords() for p in inf_o)
+    if not (
+        all(p in line_inf_of_s.point_coords() for p in inf_s)
+        and all(p in line_inf_of_o.point_coords() for p in inf_o)
+    ):
+        raise NotARegulusError("the infinite points of a family are not collinear")
     r_lines = sorted(
         [cm.line_to_proj(l) for l in pair.s_lines] + [line_inf_of_o],
         key=_proj_key,
@@ -363,7 +373,8 @@ def lift_to_projective(pair: AffineRegulusPair) -> tuple[RegulusPair, ClosureMap
     _check_regulus_pair(ps, lifted.r_lines, lifted.opp_lines)
     at_inf_r = [l for l in lifted.r_lines if cm.infinity.contains_line(f, l)]
     at_inf_o = [l for l in lifted.opp_lines if cm.infinity.contains_line(f, l)]
-    assert len(at_inf_r) == 1 and len(at_inf_o) == 1
+    if len(at_inf_r) != 1 or len(at_inf_o) != 1:
+        raise WrongCountError("the lift needs exactly one line of each family at infinity")
     return lifted, cm
 
 
@@ -391,23 +402,15 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> AffineRegulusPair:
         dbasis = linalg.row_basis(f, dplane)
         cosets = set()
         for ln in fam:
-            assert linalg.in_rowspace(f, dbasis, ln.dir), "direction outside plane class"
-            cosets.add(_coset_of(f, dbasis, ln.base))
-        assert len(cosets) == f.q, "family lines must lie in distinct parallel planes"
+            if not linalg.in_rowspace(f, dbasis, ln.dir):
+                raise NotARegulusError(f"direction {ln.dir} lies outside the plane class")
+            cosets.add(_coset_rep(f, dbasis, ln.base))
+        if len(cosets) != f.q:
+            raise WrongCountError("family lines must lie in distinct parallel planes")
     flat = span_of_lines(space, pair.s_lines + pair.opp_lines)
-    assert flat.basis == linalg.row_basis(f, (v1, v2, v3))
+    if flat.basis != linalg.row_basis(f, (v1, v2, v3)):
+        raise NotCoplanarError("the pair does not span the flat of v1, v2, v3")
     return pair
-
-
-def _coset_of(field, basis, point):
-    rep = list(point)
-    for row in basis:
-        pivot = next(i for i, x in enumerate(row) if x)
-        c = rep[pivot]
-        if c:
-            for i, x in enumerate(row):
-                rep[i] = field.sub(rep[i], field.mul(c, x))
-    return tuple(rep)
 
 
 def _affine_transversals(space: AffSpace, lines) -> list[AffLine]:
@@ -443,7 +446,8 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
     dir_rank = len(linalg.row_basis(f, tuple(l.dir for l in lines)))
     if q == 2:
         trans = _affine_transversals(space, lines)
-        assert len(trans) == 4
+        if len(trans) != 4:
+            raise WrongCountError(f"{len(trans)} transversals of a skew pair, expected 4")
         pairs = []
         for i in range(4):
             for j in range(i + 1, 4):
@@ -452,7 +456,8 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
                 pair = AffineRegulusPair(tuple(lines), (trans[i], trans[j]), space)
                 _check_affine_pair(space, pair.s_lines, pair.opp_lines)
                 pairs.append(pair)
-        assert len(pairs) == 2, "a skew pair over GF(2) has two opposites"
+        if len(pairs) != 2:
+            raise WrongCountError(f"{len(pairs)} opposites of a skew pair over GF(2), expected 2")
         pairs.sort(key=lambda pr: tuple(_aff_key(l) for l in pr.opp_lines))
         return SkewFamilyClass(1, tuple(pairs))
     if dir_rank > 2:
@@ -463,14 +468,16 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
     pf = cm.pspace.field
     r_inf = [l for l in lifted.r_lines if cm.infinity.contains_line(pf, l)]
     o_inf = [l for l in lifted.opp_lines if cm.infinity.contains_line(pf, l)]
-    assert len(r_inf) == 1 and len(o_inf) == 1, "one line of each family at infinity"
+    if len(r_inf) != 1 or len(o_inf) != 1:
+        raise WrongCountError("the lift needs exactly one line of each family at infinity")
     s_lines = sorted(
         (cm.line_to_aff(l) for l in lifted.r_lines if l not in r_inf), key=_aff_key
     )
     opp_lines = sorted(
         (cm.line_to_aff(l) for l in lifted.opp_lines if l not in o_inf), key=_aff_key
     )
-    assert all(l in s_lines for l in lines)
+    if not all(l in s_lines for l in lines):
+        raise NotARegulusError("a given line is missing from its affine regulus")
     pair = AffineRegulusPair(tuple(s_lines), tuple(opp_lines), space)
     _check_affine_pair(space, pair.s_lines, pair.opp_lines)
     return SkewFamilyClass(1, (pair,))
@@ -499,7 +506,7 @@ def enumerate_affine_reguli(space: AffSpace, verify_lift: bool = True) -> tuple[
     out = []
     if q == 2:
         for i in range(nl):
-            for j in bit_iter(skew[i]):
+            for j in bit_indices(skew[i]):
                 if j <= i:
                     continue
                 fam = classify_skew_family(space, (lines[i], lines[j]))
@@ -521,18 +528,19 @@ def enumerate_affine_reguli(space: AffSpace, verify_lift: bool = True) -> tuple[
         seen: set[tuple[int, ...]] = set()
         for i in range(nl):
             si = skew[i]
-            for j in bit_iter(si):
+            for j in bit_indices(si):
                 if j <= i:
                     continue
                 da, db = sorted((line_dir[i], line_dir[j]))
                 plane_dirs = span_sets[(da, db)]
-                for k in bit_iter(si & skew[j]):
+                for k in bit_indices(si & skew[j]):
                     if k <= j or line_dir[k] not in plane_dirs:
                         continue
                     triple = (lines[i], lines[j], lines[k])
                     if q == 3:
                         opp = _affine_transversals(space, triple)
-                        assert len(opp) == q
+                        if len(opp) != q:
+                            raise WrongCountError(f"{len(opp)} transversals, expected {q}")
                         pair = AffineRegulusPair(tuple(triple), tuple(opp), space)
                         _check_affine_pair(space, pair.s_lines, pair.opp_lines)
                         out.append(pair)

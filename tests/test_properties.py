@@ -11,7 +11,12 @@ states one global invariant of the library:
   * the integer eigenvalue check agrees with the all-vertex Fraction
     definition, witness included;
   * rational kernels agree with sympy's nullspace, basis vector by
-    basis vector.
+    basis vector;
+  * the unchecked row operations of a field agree with its checked
+    scalar operations, with and without tables, and RREF agrees with a
+    plain Gauss-Jordan reference written with the scalar operations;
+  * RREF and point normalisation reject entries that are not field
+    elements.
 """
 
 from __future__ import annotations
@@ -34,11 +39,13 @@ from steinergraphs.eigenfunctions import (
     optimal_from_regulus,
     verify_eigenfunction,
 )
+from steinergraphs.errors import MixedFieldsError
 from steinergraphs.geometry import Hyperplane, aff_space, normalize_point, affine_restriction, projective_closure
-from steinergraphs.gf import field_make
+from steinergraphs.gf import _TABLE_LIMIT, field_make
 from steinergraphs.linalg import rational_kernel, rref
 from steinergraphs.partitions import Partition2, partition_to_eigenfunction, star_line_set
 from steinergraphs.reguli import enumerate_reguli
+from test_gf import PRIME_POWERS, _field
 
 ALL_SMALL_FIELDS = [
     field_make(2),
@@ -251,3 +258,93 @@ def test_rational_kernel_matches_sympy(rows):
         assert vec == tuple(x // g if lead > 0 else -x // g for x in ints)
         assert gcd(*vec) == 1 and next(x for x in vec if x) > 0
         assert all(sum(a * b for a, b in zip(r, vec)) == 0 for r in rows)
+
+
+# -- row arithmetic and RREF against the checked scalar operations --------------------------
+
+# every small order, plus a prime and a prime power above the table limit
+ROW_FIELDS = [_field(q) for q in PRIME_POWERS] + [field_make(257), field_make(2, 9)]
+
+
+def test_row_fields_cover_both_branches():
+    assert all(f._mul_table is not None for f in ROW_FIELDS if f.q <= _TABLE_LIMIT)
+    big = [f for f in ROW_FIELDS if f.q > _TABLE_LIMIT]
+    assert {f.k > 1 for f in big} == {False, True}
+    assert all(f._add_table is None and f._mul_table is None for f in big)
+
+
+@pytest.mark.parametrize("f", ROW_FIELDS, ids=lambda f: f"q{f.q}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_ops_match_scalar_ops(f, data):
+    n = data.draw(st.integers(1, 6))
+    el = st.integers(0, f.q - 1)
+    a = tuple(data.draw(st.lists(el, min_size=n, max_size=n)))
+    b = tuple(data.draw(st.lists(el, min_size=n, max_size=n)))
+    c = data.draw(el)
+    assert f.check_row(a) is a
+    assert f.scale_row(c, a) == tuple(f.mul(c, x) for x in a)
+    assert f.add_rows(a, b) == tuple(f.add(x, y) for x, y in zip(a, b))
+    assert f.sub_scaled_row(a, c, b) == tuple(f.sub(x, f.mul(c, y)) for x, y in zip(a, b))
+    acc = 0
+    for x, y in zip(a, b):
+        acc = f.add(acc, f.mul(x, y))
+    assert f.dot(a, b) == acc
+    if any(a):
+        lead = next(x for x in a if x)
+        assert f.normalize_row(a) == tuple(f.mul(f.inv(lead), x) for x in a)
+    else:
+        with pytest.raises(ValueError):
+            f.normalize_row(a)
+
+
+def _reference_rref(f, rows):
+    """Forward elimination to echelon form, then back-substitution,
+    entry by entry with the checked scalar operations."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = f.inv(m[r][c])
+        m[r] = [f.mul(inv, x) for x in m[r]]
+        for i in range(r + 1, len(m)):
+            factor = m[i][c]
+            m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        for i in range(r):
+            factor = m[i][c]
+            m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
+    return tuple(tuple(r) for r in m), len(pivots), tuple(pivots)
+
+
+@pytest.mark.parametrize("f", ROW_FIELDS, ids=lambda f: f"q{f.q}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rref_matches_gauss_jordan_reference(f, data):
+    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    # small entries and repeated rows make rank deficiency common
+    el = st.sampled_from([0, 0, 1, f.q - 1]) | st.integers(0, f.q - 1)
+    rows = data.draw(st.lists(st.lists(el, min_size=ncols, max_size=ncols), min_size=1, max_size=nrows))
+    if data.draw(st.booleans()):
+        rows.append(list(rows[0]))
+    assert rref(f, rows) == _reference_rref(f, rows)
+
+
+@pytest.mark.parametrize("f", [field_make(2), field_make(2, 2), field_make(257)], ids=lambda f: f"q{f.q}")
+@pytest.mark.parametrize("bad", ["q", -1, True, False, 1.0])
+def test_rref_and_normalize_reject_non_elements(f, bad):
+    bad = f.q if bad == "q" else bad
+    # the bad entry comes after a leading 1, so normalising needs no arithmetic on it
+    for rows in ([(1, 0, bad)], [(1, 0, 0), (0, bad, 1)]):
+        with pytest.raises(MixedFieldsError):
+            rref(f, rows)
+    with pytest.raises(MixedFieldsError):
+        normalize_point(f, (1, 0, bad))
+    with pytest.raises(MixedFieldsError):
+        normalize_point(f, (bad, 1, 0))

@@ -29,6 +29,8 @@ from steinergraphs.geometry import (
 from steinergraphs.gf import field_make
 from steinergraphs.linalg import row_basis
 from steinergraphs.reguli import (
+    _check_affine_pair,
+    _check_regulus_pair,
     affine_regulus_construct,
     classify_skew_family,
     common_transversals,
@@ -103,6 +105,45 @@ def test_regulus_through_rejects_meeting_lines():
     l3 = _proj_lines(sp)[1]
     with pytest.raises(LinesNotSkewError):
         regulus_through(sp, l1, l2, l3)
+
+
+# -- malformed families raise named errors ------------------------------------------------
+
+
+def _malformed_cases():
+    """(checker, space, family, opposite) for a valid projective and a
+    valid affine regulus pair over GF(3)."""
+    psp = proj_space(3, field_make(3))
+    ppair = regulus_through(psp, *_proj_lines(psp))
+    asp = aff_space(3, field_make(3))
+    apair = affine_regulus_construct(asp, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return [
+        (_check_regulus_pair, psp, ppair.r_lines, ppair.opp_lines),
+        (_check_affine_pair, asp, apair.s_lines, apair.opp_lines),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["projective", "affine"])
+def test_pair_check_rejects_wrong_size(case):
+    check, sp, fam, opp = _malformed_cases()[case]
+    check(sp, fam, opp)
+    with pytest.raises(WrongCountError):
+        check(sp, fam[:-1], opp)
+    with pytest.raises(WrongCountError):
+        check(sp, fam, opp + opp[:1])
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["projective", "affine"])
+def test_pair_check_rejects_repeated_grid_point(case, monkeypatch):
+    check, sp, fam, opp = _malformed_cases()[case]
+    # a repeated line repeats its whole row of grid points
+    bad = fam[:1] + fam[:-1]
+    with pytest.raises(LinesNotSkewError):
+        check(sp, bad, opp)
+    # the grid count catches it even without the pairwise skewness check
+    monkeypatch.setattr("steinergraphs.reguli._require_skew", lambda space, lines: None)
+    with pytest.raises(LinesNotSkewError, match="grid points must be distinct"):
+        check(sp, bad, opp)
 
 
 def test_enumerate_reguli_q2():
