@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import (
+    InconsistentParametersError,
     IrrationalEigenvaluesError,
     NonIntegralError,
     NotAnEigenvalueError,
@@ -217,8 +218,14 @@ def srg_spectrum(v: int, k: int, lmbda: int, mu: int) -> SrgParams:
         (m_s, s, -1 - s),
     )
     params = SrgParams(v, k, lmbda, mu, r, s, delta, m_r, m_s, modified)
-    assert r + s == lmbda - mu and r * s == mu - k
-    assert 1 + m_r + m_s == v and k + m_r * r + m_s * s == 0
+    if params.r + params.s != lmbda - mu or params.r * params.s != mu - k:
+        raise InconsistentParametersError(
+            f"eigenvalues {params.r}, {params.s} do not solve the SRG quadratic"
+        )
+    if 1 + params.m_r + params.m_s != v or k + params.m_r * params.r + params.m_s * params.s != 0:
+        raise InconsistentParametersError(
+            f"multiplicities {params.m_r}, {params.m_s} break v = 1 + m_r + m_s or trace 0"
+        )
     return params
 
 
@@ -243,7 +250,10 @@ def srg_params_formula(N: int, M: int) -> SrgParams:
     lmbda = (M - 1) ** 2 + (N - 1) // (M - 1) - 2
     mu = M * M
     params = srg_spectrum(v, k, lmbda, mu)
-    assert params.s == -M, "smallest eigenvalue of a block graph is -M"
+    if params.s != -M:
+        raise InconsistentParametersError(
+            f"smallest eigenvalue {params.s} of a block graph is not -M = {-M}"
+        )
     return params
 
 
@@ -300,7 +310,8 @@ def wdb(params: SrgParams, theta: int) -> int:
         raise NonIntegralError("weight-distribution bound is not integral")
     bound = 1 + abs(theta) + abs(num // params.mu)
     closed = -2 * params.s if theta == params.s else 2 * (params.r + 1)
-    assert bound == closed, "bound formula and closed form disagree"
+    if bound != closed:
+        raise InconsistentParametersError(f"bound formula gives {bound} but the closed form {closed}")
     return bound
 
 

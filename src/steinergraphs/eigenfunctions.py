@@ -499,12 +499,58 @@ class _BudgetExceeded(Exception):
 
 
 # worker state: (adjacency, row basis of A - theta*I, its per-vertex
-# columns mod p, vertex count, target, mode, per-task node budget)
+# columns mod p, vertex count, target, mode, per-task node budget, theta,
+# and per vertex w the vertices that can still gain a support neighbour
+# once every vertex up to w is decided: those above w and those with a
+# neighbour above w)
 _W: dict[str, object] = {}
 
 
-def _search_init(adj, rows_int, cols_mod, v, target, mode, budget):
-    _W.update(adj=adj, rows_int=rows_int, cols_mod=cols_mod, v=v, target=target, mode=mode, budget=budget)
+def _search_init(adj, rows_int, cols_mod, v, target, mode, budget, theta):
+    top = [0] * v
+    for u in range(v):
+        if adj[u]:
+            top[adj[u].bit_length() - 1] |= 1 << u
+    ahead = [0] * v
+    later = 0
+    for w in range(v - 1, -1, -1):
+        ahead[w] = later | ((1 << v) - 1) & (-1 << (w + 1))
+        later |= top[w]
+    _W.update(
+        adj=adj, rows_int=rows_int, cols_mod=cols_mod, v=v, target=target,
+        mode=mode, budget=budget, theta=theta, ahead=tuple(ahead),
+    )
+
+
+def _admit(w: int, state: tuple[int, int, int], leaf: bool) -> tuple[int, int, int] | None:
+    """Add w to the support.  ``state`` is (support, vertices with at
+    least one support neighbour, vertices with at least two).  Returns
+    the new state, or None when every support extending it fails the
+    local rules: a vertex outside the support has exactly one support
+    neighbour, or (theta != 0) a support vertex has none.  Above the
+    leaves a vertex is spared while it can still gain a support
+    neighbour."""
+    mask, one, two = state
+    aw = _W["adj"][w]
+    mask |= 1 << w
+    two |= one & aw
+    one |= aw
+    bad = one & ~two & ~mask
+    if _W["theta"]:
+        bad |= mask & ~one
+    if bad and (leaf or bad & ~_W["ahead"][w]):
+        return None
+    return mask, one, two
+
+
+def _pivot(vec) -> tuple[int, tuple[int, ...]] | None:
+    """The first nonzero position of a column mod p and the column scaled
+    to 1 there, or None for the zero column."""
+    pi = next((i for i, x in enumerate(vec) if x), -1)
+    if pi < 0:
+        return None
+    inv = pow(vec[pi], -1, _SCREEN_PRIME)
+    return pi, tuple(x * inv % _SCREEN_PRIME for x in vec)
 
 
 def _leaf_check(chosen: list[int], found: list, fams: list, counters: dict) -> None:
@@ -525,55 +571,44 @@ def _leaf_check(chosen: list[int], found: list, fams: list, counters: dict) -> N
         fams.append((tuple(chosen), basis))
 
 
-def _extend(chosen, mask, lonely, pivots, deps, found, fams, counters) -> None:
+def _extend(chosen, state, pivots, deps, ws, found, fams, counters) -> None:
+    """Try each w of ``ws`` as the next support vertex after ``chosen``.
+    ``pivots`` is the normalised modular row basis of the chosen columns
+    and ``deps`` counts the chosen columns it found dependent; a leaf
+    without a dependency has no kernel and skips the exact check."""
     v = _W["v"]
     target = _W["target"]
-    adj = _W["adj"]
     cols_mod = _W["cols_mod"]
     prune = _W["mode"] == "branch-and-prune"
     budget = _W["budget"]
-    d = len(chosen)
-    if d == target:
-        if deps:
-            _leaf_check(chosen, found, fams, counters)
-        return
-    last = chosen[-1]
-    for w in range(last + 1, v - (target - d) + 1):
+    d = len(chosen) + 1
+    leaf = d == target
+    for w in ws:
         counters["nodes"] += 1
         if budget is not None and counters["nodes"] > budget:
             raise _BudgetExceeded
-        if prune:
-            aw = adj[w]
-            new_lonely = lonely & ~aw
-            if not aw & mask:
-                new_lonely |= 1 << w
-            if new_lonely:
-                if d + 1 == target:
-                    continue
-                gt = -1 << (w + 1)
-                tmp, dead = new_lonely, False
-                while tmp:
-                    u = (tmp & -tmp).bit_length() - 1
-                    tmp &= tmp - 1
-                    if not adj[u] & gt:
-                        dead = True
-                        break
-                if dead:
-                    continue
-        else:
-            new_lonely = 0
-        vec = list(cols_mod[w])
+        nxt = _admit(w, state, leaf) if prune else state
+        if nxt is None:
+            continue
+        if leaf and deps:
+            _leaf_check(chosen + [w], found, fams, counters)
+            continue
+        vec = cols_mod[w]
         for pi, pv in pivots:
             c = vec[pi]
             if c:
                 vec = [(x - c * y) % _SCREEN_PRIME for x, y in zip(vec, pv)]
-        pi = next((i for i, x in enumerate(vec) if x), -1)
-        if pi < 0:
-            _extend(chosen + [w], mask | 1 << w, new_lonely, pivots, deps + 1, found, fams, counters)
+        if leaf:
+            if not any(vec):
+                _leaf_check(chosen + [w], found, fams, counters)
+            continue
+        kids = range(w + 1, v - (target - d) + 1)
+        piv = _pivot(vec)
+        if piv is None:
+            _extend(chosen + [w], nxt, pivots, deps + 1, kids, found, fams, counters)
         else:
-            inv = pow(vec[pi], _SCREEN_PRIME - 2, _SCREEN_PRIME)
-            pivots.append((pi, tuple(x * inv % _SCREEN_PRIME for x in vec)))
-            _extend(chosen + [w], mask | 1 << w, new_lonely, pivots, deps, found, fams, counters)
+            pivots.append(piv)
+            _extend(chosen + [w], nxt, pivots, deps, kids, found, fams, counters)
             pivots.pop()
 
 
@@ -582,52 +617,27 @@ def _run_shard(task):
     Results of a prefix are kept only when its subtree completes, so an
     exhausted budget leaves a clean resumable checkpoint."""
     v0, v1_list = task
-    cols_mod = _W["cols_mod"]
-    adj = _W["adj"]
-    target = _W["target"]
     found: list = []
     fams: list = []
     done: list[tuple[int, ...]] = []
     counters = {"nodes": 1, "kernel_calls": 0}
     exhausted = False
-    vec0 = list(cols_mod[v0])
-    pi0 = next(i for i, x in enumerate(vec0) if x)
-    inv0 = pow(vec0[pi0], _SCREEN_PRIME - 2, _SCREEN_PRIME)
-    base_pivots = [(pi0, tuple(x * inv0 % _SCREEN_PRIME for x in vec0))]
-    if target == 1:
+    if _W["target"] == 1:
         done.append((v0,))
         return found, fams, done, counters, exhausted
+    state = (0, 0, 0)
+    if _W["mode"] == "branch-and-prune":
+        state = _admit(v0, state, False)
+    if state is None:
+        done.extend((v0, v1) for v1 in v1_list)
+        return found, fams, done, counters, exhausted
+    piv = _pivot(_W["cols_mod"][v0])
+    pivots, deps = ([], 1) if piv is None else ([piv], 0)
     for v1 in v1_list:
         pf_found: list = []
         pf_fams: list = []
-        mask = (1 << v0) | (1 << v1)
-        lonely = 0
-        if _W["mode"] == "branch-and-prune":
-            if not adj[v0] & (1 << v1):
-                lonely = mask
-            gt = -1 << (v1 + 1)
-            if (lonely & (1 << v0)) and not adj[v0] & gt:
-                done.append((v0, v1))
-                continue
-            if (lonely & (1 << v1)) and not adj[v1] & gt and target > 2:
-                done.append((v0, v1))
-                continue
-        vec = list(cols_mod[v1])
-        c = vec[pi0]
-        if c:
-            pv = base_pivots[0][1]
-            vec = [(x - c * y) % _SCREEN_PRIME for x, y in zip(vec, pv)]
-        pi = next((i for i, x in enumerate(vec) if x), -1)
-        deps = 0
-        pivots = list(base_pivots)
-        if pi < 0:
-            deps = 1
-        else:
-            inv = pow(vec[pi], _SCREEN_PRIME - 2, _SCREEN_PRIME)
-            pivots.append((pi, tuple(x * inv % _SCREEN_PRIME for x in vec)))
         try:
-            counters["nodes"] += 1
-            _extend([v0, v1], mask, lonely, pivots, deps, pf_found, pf_fams, counters)
+            _extend([v0], state, pivots, deps, (v1,), pf_found, pf_fams, counters)
         except _BudgetExceeded:
             exhausted = True
             break
@@ -653,13 +663,18 @@ def search_min_support(
 
     A candidate support survives iff the kernel of the columns of
     A - theta*I indexed by it contains a vector with no zero entry.  The
-    search runs over ascending supports; branch-and-prune mode cuts
-    branches in which some chosen vertex can never obtain a support
-    neighbour, which a nonzero eigenvalue forbids.  ``limit`` bounds the
-    visited nodes; exceeding it raises LimitExceededError whose
-    ``checkpoint`` lists completed depth-2 prefixes and whose ``partial``
-    holds their results.  ``resume`` accepts such a checkpoint and skips
-    the completed prefixes.
+    search runs over ascending supports.  Branch-and-prune mode applies
+    two local rules before any modular work: a vertex outside the support
+    cannot have exactly one support neighbour (its equation would read
+    0 = f(s) for that neighbour s), and, when theta != 0, a support
+    vertex cannot have none.  A leaf breaking either rule is skipped; an
+    interior node is cut when a decided vertex breaks one and has no
+    neighbour left to choose.  Exhaustive mode applies neither.
+
+    ``limit`` bounds the visited nodes, counted before pruning; exceeding
+    it raises LimitExceededError whose ``checkpoint`` lists completed
+    depth-2 prefixes and whose ``partial`` holds their results.
+    ``resume`` accepts such a checkpoint and skips the completed prefixes.
     """
     if mode not in ("exhaustive", "branch-and-prune"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -711,7 +726,7 @@ def search_min_support(
 
     if jobs > 1 and len(tasks) > 1:
         ctx = get_context("fork")
-        init_args = (graph.adj, rows_int, cols_mod, v, target, mode, budget)
+        init_args = (graph.adj, rows_int, cols_mod, v, target, mode, budget, theta)
         with ctx.Pool(processes=jobs, initializer=_search_init, initargs=init_args) as pool:
             for found, fams, shard_done, counters, ex in pool.imap(_run_shard, tasks):
                 raw_found.extend(found)
@@ -721,7 +736,7 @@ def search_min_support(
                 kernel_calls += counters["kernel_calls"]
                 exhausted = exhausted or ex
     else:
-        _search_init(graph.adj, rows_int, cols_mod, v, target, mode, budget)
+        _search_init(graph.adj, rows_int, cols_mod, v, target, mode, budget, theta)
         shared = {"nodes": 0, "kernel_calls": 0}
         for task in tasks:
             found, fams, shard_done, counters, ex = _run_shard(task)

@@ -89,6 +89,17 @@ class IrrationalEigenvaluesError(SteinerError):
     style discriminant that is not a perfect square)."""
 
 
+class InconsistentParametersError(SteinerError):
+    """Strongly regular parameters, a spectrum or a support bound that
+    break an identity they must satisfy."""
+
+
+class IncidenceError(SteinerError):
+    """Point and line tables that break an incidence axiom: two lines
+    sharing two points, a parallel class that is not q lines of its
+    plane, or a coordinate change that does not map a line onto a line."""
+
+
 class NotStronglyRegularError(SteinerError):
     """The graph is not strongly regular; ``witness`` names the offending
     vertex pair and counts."""

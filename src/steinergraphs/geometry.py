@@ -23,8 +23,10 @@ from . import linalg
 from .errors import (
     DimensionMismatchError,
     EqualPointsError,
+    IncidenceError,
     LimitExceededError,
     LineInHyperplaneError,
+    WrongCountError,
 )
 from .gf import Field
 
@@ -171,7 +173,8 @@ class ProjSpace:
             for vec in product(range(q), repeat=n + 1):
                 if any(vec):
                     pts.add(f.normalize_row(vec))
-            assert len(pts) == count
+            if len(pts) != count:
+                raise WrongCountError(f"{len(pts)} points, expected {count}")
             self._points = tuple(sorted(pts))
             self._point_index = {p: i for i, p in enumerate(self._points)}
         return self._points
@@ -234,8 +237,8 @@ class ProjSpace:
             for p in ln.points:
                 lines_at[p].append(i)
         self._lines_at = tuple(tuple(x) for x in lines_at)
-        if n_lines_expected is not None:
-            assert len(self._lines) == n_lines_expected
+        if n_lines_expected is not None and len(self._lines) != n_lines_expected:
+            raise WrongCountError(f"{len(self._lines)} lines, expected {n_lines_expected}")
 
     @property
     def lines(self) -> tuple[ProjLine, ...]:
@@ -376,7 +379,8 @@ class AffSpace:
             for p in ids:
                 mask |= 1 << p
             lines.append(AffLine(dir=d, base=base, points=ids, mask=mask, space=self))
-        assert len(lines) == expected
+        if len(lines) != expected:
+            raise WrongCountError(f"{len(lines)} lines, expected {expected}")
         self._lines = tuple(lines)
         self._line_index = {(ln.dir, ln.base): i for i, ln in enumerate(self._lines)}
         self._pair_line = {
@@ -444,7 +448,8 @@ def relation(space, l1, l2) -> Relation:
     common = l1.mask & l2.mask
     if common:
         p = common.bit_length() - 1
-        assert common == 1 << p, "distinct lines share at most one point"
+        if common != 1 << p:
+            raise IncidenceError("two distinct lines share more than one point")
         return Relation("meet", space.points[p])
     if isinstance(l1, AffLine) and l1.dir == l2.dir:
         return Relation("parallel")
@@ -566,12 +571,25 @@ def parallel_classes(plane: AffPlane) -> tuple[tuple[AffLine, ...], ...]:
     classes = []
     for d in dirs:
         cls = {space.line_through(p, f.add_rows(p, d)) for p in pts}
-        assert len(cls) == q and all(ln.mask & plane.mask == ln.mask for ln in cls)
+        if len(cls) != q or any(ln.mask & plane.mask != ln.mask for ln in cls):
+            raise IncidenceError(f"parallel class of direction {d} is not {q} lines of the plane")
         classes.append(tuple(sorted(cls, key=lambda ln: ln.base)))
     return tuple(classes)
 
 
 # -- projective closure and hyperplane restriction ----------------------------
+
+
+def _line_onto(aspace: AffSpace, pts) -> AffLine:
+    """The affine line whose points are exactly ``pts``: the image of a
+    projective line under a coordinate change, checked to be one."""
+    q = aspace.field.q
+    if len(pts) != q:
+        raise IncidenceError(f"line has {len(pts)} affine points, expected {q}")
+    out = aspace.line_through(pts[0], pts[1])
+    if set(out.point_coords()) != set(pts):
+        raise IncidenceError("affine points of the line are not collinear")
+    return out
 
 
 class ClosureMap:
@@ -604,10 +622,7 @@ class ClosureMap:
         affine_pts = [
             self.point_to_aff(p) for p in pline.point_coords() if p[0] != 0
         ]
-        assert len(affine_pts) == self.aspace.field.q
-        out = self.aspace.line_through(affine_pts[0], affine_pts[1])
-        assert set(out.point_coords()) == set(affine_pts)
-        return out
+        return _line_onto(self.aspace, affine_pts)
 
 
 def projective_closure(aspace: AffSpace) -> ClosureMap:
@@ -656,10 +671,7 @@ class RestrictionMap:
             for p in pline.point_coords()
             if f.dot(self.hyperplane.normal, p) != 0
         ]
-        assert len(affine_pts) == f.q
-        out = self.aspace.line_through(affine_pts[0], affine_pts[1])
-        assert set(out.point_coords()) == set(affine_pts)
-        return out
+        return _line_onto(self.aspace, affine_pts)
 
     def line_to_proj(self, aline: AffLine) -> ProjLine:
         basis = (

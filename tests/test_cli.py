@@ -114,6 +114,17 @@ def test_enumerate_commands(capsys):
     assert cert["result"]["pairs"] == []
 
 
+def test_enumerate_reguli_swap_check_covers_every_pair(capsys, monkeypatch):
+    """Dropping one ordered pair far down the listing leaves its swap
+    without a partner, and the swap_closed check must notice."""
+    real = cli.reguli.enumerate_reguli
+    monkeypatch.setattr(cli.reguli, "enumerate_reguli", lambda space: real(space)[:-1])
+    code, cert = _run(capsys, "enumerate-reguli", "--q", "2", "--limit", "0")
+    assert cert["result"]["count_ordered"] == 559
+    assert {c["name"]: c["passed"] for c in cert["checks"]}["swap_closed"] is False
+    assert code == 1
+
+
 def test_enumerate_optimal_census(capsys):
     code, cert = _run(capsys, "enumerate-optimal", "--space", "aff", "--n", "3", "--q", "2")
     assert code == 0

@@ -9,8 +9,11 @@ The strongly regular parameters of the four working graphs are pinned:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from steinergraphs import designs
 from steinergraphs.designs import (
     SrgParams,
     affine_design,
@@ -26,6 +29,7 @@ from steinergraphs.designs import (
     wdb,
 )
 from steinergraphs.errors import (
+    InconsistentParametersError,
     IrrationalEigenvaluesError,
     NotAnEigenvalueError,
     NotStronglyRegularError,
@@ -135,6 +139,32 @@ def test_srg_spectrum_rejects_non_integral():
         srg_spectrum(5, 2, 0, 1)  # 5-cycle: irrational eigenvalues
 
 
+@pytest.mark.parametrize(
+    "field, match", [("r", "quadratic"), ("m_r", "multiplicities")], ids=["eigenvalues", "multiplicities"]
+)
+def test_srg_spectrum_identities_checked(monkeypatch, field, match):
+    """The returned spectrum is checked against the SRG identities, also
+    under python -O."""
+    real = designs.SrgParams
+
+    def skewed(*args):
+        params = real(*args)
+        return dataclasses.replace(params, **{field: getattr(params, field) + 1})
+
+    monkeypatch.setattr(designs, "SrgParams", skewed)
+    with pytest.raises(InconsistentParametersError, match=match):
+        srg_spectrum(28, 12, 6, 4)
+
+
+def test_block_graph_smallest_eigenvalue_checked(monkeypatch):
+    real = designs.srg_spectrum
+    monkeypatch.setattr(
+        designs, "srg_spectrum", lambda *a: dataclasses.replace(real(*a), s=real(*a).s - 1)
+    )
+    with pytest.raises(InconsistentParametersError, match="-M"):
+        srg_params_formula(8, 2)
+
+
 def test_not_strongly_regular_detected():
     from steinergraphs.designs import Graph
 
@@ -171,6 +201,13 @@ def test_wdb_closed_forms(g_j2, g_j3, g_x2, g_x3):
         p = srg_params_brute(g)
         assert wdb(p, p.s) == -2 * p.s
         assert wdb(p, p.r) == 2 * (p.r + 1)
+
+
+def test_wdb_closed_form_checked(g_x2):
+    """Parameters whose bound formula and closed form disagree raise."""
+    skewed = dataclasses.replace(srg_params_brute(g_x2), k=16)
+    with pytest.raises(InconsistentParametersError, match="closed form"):
+        wdb(skewed, -2)
 
 
 def test_wdb_rejects_non_eigenvalue(g_j2):

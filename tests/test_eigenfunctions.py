@@ -448,3 +448,69 @@ def test_search_parallel_matches_serial(g_x2):
     serial = search_min_support(g_x2, -2, 4)
     parallel = search_min_support(g_x2, -2, 4, jobs=2)
     assert [f.values for f in serial.functions] == [f.values for f in parallel.functions]
+
+
+# -- search modes on small strongly regular graphs without a design --------------------------
+
+
+def _graph_from(vertices, adjacent) -> Graph:
+    adj = [0] * len(vertices)
+    for i, a in enumerate(vertices):
+        for j, b in enumerate(vertices):
+            if i != j and adjacent(a, b):
+                adj[i] |= 1 << j
+    return Graph(adj)
+
+
+def _pairs(n):
+    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+SMALL_SRGS = {
+    "petersen": lambda: _graph_from(_pairs(5), lambda a, b: not set(a) & set(b)),
+    "T5": lambda: _graph_from(_pairs(5), lambda a, b: bool(set(a) & set(b))),
+    "L3": lambda: _graph_from(
+        [(i, j) for i in range(3) for j in range(3)], lambda a, b: (a[0] == b[0]) != (a[1] == b[1])
+    ),
+    "T6": lambda: _graph_from(_pairs(6), lambda a, b: bool(set(a) & set(b))),
+    "K333": lambda: _graph_from(range(9), lambda a, b: a // 3 != b // 3),
+}
+
+
+def _outcome(res):
+    rays = [sorted(f.values.items()) for f in res.functions]
+    fams = [(fam.support, [sorted(g.values.items()) for g in fam.basis]) for fam in res.families]
+    return rays, fams
+
+
+@pytest.mark.parametrize("name", SMALL_SRGS)
+def test_search_modes_agree_on_small_srgs(name):
+    """Pruning, exhaustive search and the worker pool give the same rays
+    and families at every non-principal eigenvalue, theta = 0 included,
+    and pruning never makes more exact kernel calls."""
+    g = SMALL_SRGS[name]()
+    params = srg_params_brute(g)
+    for theta in (params.r, params.s):
+        for size in range(1, 7):
+            ref = search_min_support(g, theta, size, "exhaustive")
+            res = search_min_support(g, theta, size)
+            assert _outcome(res) == _outcome(ref), (theta, size)
+            assert res.kernel_calls <= ref.kernel_calls, (theta, size)
+            par = search_min_support(g, theta, size, jobs=2)
+            assert _outcome(par) == _outcome(res), (theta, size)
+
+
+def test_search_theta_zero_keeps_isolated_support_vertices():
+    """On K_{3,3,3} the 0-eigenfunctions sum to zero on each part: a
+    support inside one part has no support edges at all."""
+    g = SMALL_SRGS["K333"]()
+    assert srg_params_brute(g).r == 0
+    pairs = search_min_support(g, 0, 2)
+    assert [f.support for f in pairs.functions] == [
+        (a, b) for p in range(0, 9, 3) for a in range(p, p + 3) for b in range(a + 1, p + 3)
+    ]
+    parts = search_min_support(g, 0, 3)
+    assert parts.functions == ()
+    assert [(fam.support, fam.dimension) for fam in parts.families] == [
+        ((0, 1, 2), 2), ((3, 4, 5), 2), ((6, 7, 8), 2)
+    ]

@@ -7,9 +7,12 @@ restriction maps must be mutually inverse on points and lines.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from steinergraphs.errors import EqualPointsError, LineInHyperplaneError
+from steinergraphs import geometry
+from steinergraphs.errors import EqualPointsError, IncidenceError, LineInHyperplaneError, WrongCountError
 from steinergraphs.geometry import (
     AffLine,
     Hyperplane,
@@ -155,6 +158,31 @@ def test_affine_relation_kinds():
     for other in sp.lines[1:]:
         counts[relation(sp, l0, other).kind] += 1
     assert counts == {"meet": 12, "parallel": 3, "skew": 12}
+
+
+def test_relation_rejects_lines_sharing_two_points():
+    sp = proj_space(3, _field(2))
+    l0 = sp.lines[0]
+    twin = dataclasses.replace(sp.lines[1], mask=l0.mask)
+    with pytest.raises(IncidenceError):
+        relation(sp, l0, twin)
+
+
+def test_point_table_count_checked(monkeypatch):
+    """Unnormalised points overfill the table, also under python -O."""
+    f = _field(3)
+    monkeypatch.setattr(f, "normalize_row", tuple)
+    with pytest.raises(WrongCountError, match="points"):
+        geometry.ProjSpace(2, f).points
+
+
+def test_line_image_checked():
+    asp = aff_space(2, _field(3))
+    with pytest.raises(IncidenceError, match="affine points"):
+        geometry._line_onto(asp, [(0, 0), (1, 0)])
+    with pytest.raises(IncidenceError, match="collinear"):
+        geometry._line_onto(asp, [(0, 0), (1, 0), (0, 1)])
+    assert geometry._line_onto(asp, [(0, 0), (1, 0), (2, 0)]).dir == (1, 0)
 
 
 # -- planes ---------------------------------------------------------------------------
