@@ -8,29 +8,30 @@ Conventions:
   * results go to stdout, progress notes to stderr;
   * exit codes: 0 success, 1 a check failed, 2 usage error, 3 resource
     limit reached;
+  * bad input fails at this boundary with exit code 2: malformed JSON,
+    a --function that is not an object, a negative --limit or a --jobs
+    below 1;
+  * every named check recomputes what its name claims, and a failed
+    check carries a witness;
   * lines are encoded as integer arrays via their canonical forms: a
     projective line by its reduced two-row basis, an affine line by
     (direction, least point); payloads that refer to vertex indices
     embed the index -> line decoding table;
-  * the graph cache directory comes from --cache or the STEINER_CACHE
-    environment variable; cached graphs carry a sha256 checksum that is
-    re-verified on load.
+  * block graphs come from the deterministic builder, once per process
+    (designs.cached_block_graph).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
 from . import designs, eigenfunctions, geometry, partitions, reguli
 from .designs import _field_of, cached_block_graph, srg_params_brute, srg_params_formula, wdb
-from .errors import LimitExceededError, SteinerError
-from .gf import field_make
+from .errors import LimitExceededError, NotAnEigenfunctionError, NotEquitableError, SteinerError
 
 SCHEMA_VERSION = "sv1"
 
@@ -45,49 +46,10 @@ def _space_of(kind: str, n: int, q: int):
     return geometry.aff_space(n, field)
 
 
-def _design_of(kind: str, n: int, q: int):
+def _graph_of(kind: str, n: int, q: int):
     if kind == "proj":
-        return designs.projective_design(n, q)
-    return designs.affine_design(n, q)
-
-
-def _graph_of(kind: str, n: int, q: int, cache_dir: str | None):
-    if cache_dir:
-        return _cached_graph(kind, n, q, cache_dir)
-    return cached_block_graph(_design_of(kind, n, q))
-
-
-def _adj_checksum(kind: str, n: int, q: int, adj) -> str:
-    blob = json.dumps(
-        {"space": kind, "n": n, "q": q, "adj": list(adj)}, sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _cached_graph(kind: str, n: int, q: int, cache_dir: str):
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"blockgraph-{kind}-n{n}-q{q}.json")
-    design = _design_of(kind, n, q)
-    if os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-        adj = tuple(int(x) for x in data["adj"])
-        if _adj_checksum(kind, n, q, adj) != data["checksum"]:
-            raise SteinerError(f"cache checksum mismatch in {path}")
-        print(f"loaded block graph from {path}", file=sys.stderr)
-        return designs.Graph(adj, design=design)
-    graph = cached_block_graph(design)
-    data = {
-        "space": kind,
-        "n": n,
-        "q": q,
-        "adj": list(graph.adj),
-        "checksum": _adj_checksum(kind, n, q, graph.adj),
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-    print(f"saved block graph to {path}", file=sys.stderr)
-    return graph
+        return cached_block_graph(designs.projective_design(n, q))
+    return cached_block_graph(designs.affine_design(n, q))
 
 
 def _line_json(line):
@@ -117,6 +79,15 @@ def _line_from_json(space, data):
     if not (isinstance(data, list) and len(data) == 2):
         raise _UsageError("an affine line is [direction, base]")
     return space.line_from_key(tuple(data[0]), tuple(data[1]))
+
+
+def _validator_witness(check, *args) -> str | None:
+    """None when the validator accepts its input, else why it does not."""
+    try:
+        check(*args)
+    except SteinerError as ex:
+        return str(ex)
+    return None
 
 
 def _frac_str(x: Fraction) -> str:
@@ -199,23 +170,8 @@ def _cmd_geometry(args, cert: _Cert) -> None:
         cert.check("plane_count_formula", len(planes) == nplanes, {"expected": nplanes})
 
 
-def _cmd_blockgraph(args, cert: _Cert) -> None:
-    graph = _graph_of(args.space, args.n, args.q, args.cache)
-    design = graph.design
-    formula = srg_params_formula(design.N, design.M)
-    brute = srg_params_brute(graph)
-    cert.result = {
-        "v": graph.v,
-        "k": graph.k,
-        "srg": {"v": brute.v, "k": brute.k, "lambda": brute.lmbda, "mu": brute.mu,
-                "r": brute.r, "s": brute.s, "m_r": brute.m_r, "m_s": brute.m_s},
-        "checksum": _adj_checksum(args.space, args.n, args.q, graph.adj),
-    }
-    cert.check("srg_formula_matches_brute", formula == brute)
-
-
 def _cmd_srg(args, cert: _Cert) -> None:
-    graph = _graph_of(args.space, args.n, args.q, args.cache)
+    graph = _graph_of(args.space, args.n, args.q)
     design = graph.design
     formula = srg_params_formula(design.N, design.M)
     brute = srg_params_brute(graph)
@@ -226,7 +182,7 @@ def _cmd_srg(args, cert: _Cert) -> None:
 
 
 def _cmd_wdb(args, cert: _Cert) -> None:
-    graph = _graph_of(args.space, args.n, args.q, args.cache)
+    graph = _graph_of(args.space, args.n, args.q)
     design = graph.design
     params = srg_params_formula(design.N, design.M)
     thetas = [args.theta] if args.theta is not None else [params.s, params.r]
@@ -254,7 +210,8 @@ def _cmd_regulus(args, cert: _Cert) -> None:
         "r_indices": [space.index_of(l) for l in pair.r_lines],
         "opp_indices": [space.index_of(l) for l in pair.opp_lines],
     }
-    cert.check("regulus_axioms", True)
+    witness = _validator_witness(reguli._check_regulus_pair, space, pair.r_lines, pair.opp_lines)
+    cert.check("regulus_axioms", witness is None, witness)
 
 
 def _cmd_affine_regulus(args, cert: _Cert) -> None:
@@ -272,8 +229,10 @@ def _cmd_affine_regulus(args, cert: _Cert) -> None:
             "opp_lines": [_line_json(l) for l in rp.opp_lines],
         },
     }
-    cert.check("affine_regulus_axioms", True)
-    cert.check("projective_lift", True)
+    witness = _validator_witness(reguli._check_affine_pair, space, pair.s_lines, pair.opp_lines)
+    cert.check("affine_regulus_axioms", witness is None, witness)
+    witness = _validator_witness(reguli._check_lift, pair, rp, closure)
+    cert.check("projective_lift", witness is None, witness)
 
 
 def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
@@ -325,7 +284,7 @@ def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
 
 
 def _cmd_enumerate_optimal(args, cert: _Cert) -> None:
-    graph = _graph_of(args.space, args.n, args.q, args.cache)
+    graph = _graph_of(args.space, args.n, args.q)
     design = graph.design
     params = srg_params_formula(design.N, design.M)
     a = -params.s
@@ -335,11 +294,15 @@ def _cmd_enumerate_optimal(args, cert: _Cert) -> None:
     all_verify = True
     listing = []
     for t0, t1 in pairs:
-        f = eigenfunctions.from_bipartite_pair(graph, t0, t1, params.s)
-        cls = eigenfunctions.classify_optimal(graph, f)
+        # classify_optimal verifies the eigenvalue equation, once
+        values = dict.fromkeys(t0, 1) | dict.fromkeys(t1, -1)
+        try:
+            cls = eigenfunctions.classify_optimal(graph, eigenfunctions.Eigenfunction(graph, params.s, values))
+        except NotAnEigenfunctionError:
+            all_verify = False
+            continue
         kind = type(cls).__name__
         counts[kind] += 1
-        all_verify = all_verify and bool(eigenfunctions.verify_eigenfunction(graph, f))
         listing.append({"t0": list(t0), "t1": list(t1), "kind": kind})
     if args.limit is not None:
         listing = listing[: args.limit]
@@ -357,8 +320,10 @@ def _cmd_enumerate_optimal(args, cert: _Cert) -> None:
 
 
 def _cmd_verify_eigenfunction(args, cert: _Cert) -> None:
-    graph = _graph_of(args.space, args.n, args.q, args.cache)
+    graph = _graph_of(args.space, args.n, args.q)
     data = _parse_json_arg(args.function, "--function")
+    if not isinstance(data, dict):
+        raise _UsageError('--function must be a JSON object {"vertex": value, ...}')
     values = {int(u): Fraction(str(x)) for u, x in data.items()}
     f = eigenfunctions.Eigenfunction(graph, args.theta, values)
     res = eigenfunctions.verify_eigenfunction(graph, f)
@@ -396,7 +361,7 @@ def _cmd_wdbplus2(args, cert: _Cert) -> None:
 
 
 def _cmd_search_support(args, cert: _Cert) -> None:
-    graph = _graph_of(args.space, args.n, args.q, args.cache)
+    graph = _graph_of(args.space, args.n, args.q)
     resume = None
     prior_functions: list[dict] = []
     prior_families: list[dict] = []
@@ -475,11 +440,16 @@ def _cmd_search_support(args, cert: _Cert) -> None:
 
 
 def _cmd_equitable(args, cert: _Cert) -> None:
-    graph = _graph_of(args.space, args.n, args.q, args.cache)
+    graph = _graph_of(args.space, args.n, args.q)
     space = graph.design.space
     part_indices = _named_line_set(args, space)
     part = partitions.Partition2.from_part(graph, part_indices)
-    quotient = partitions.quotient_matrix(graph, part)
+    try:
+        quotient = partitions.quotient_matrix(graph, part)
+    except NotEquitableError as ex:
+        cert.result = {"part": list(part.v1), "lines": _line_table(space)}
+        cert.check("equitable", False, ex.witness)
+        return
     theta = partitions.partition_eigenvalue(quotient)
     cert.result = {
         "part": list(part.v1),
@@ -493,7 +463,7 @@ def _cmd_equitable(args, cert: _Cert) -> None:
         cert.result["eigenfunction_values"] = [
             _frac_str(f.value(part.v1[0])), _frac_str(f.value(part.v2[0]))
         ]
-    cert.check("equitable", True)
+    cert.check("equitable", True)  # quotient_matrix found constant counts
 
 
 def _cmd_balance(args, cert: _Cert) -> None:
@@ -501,7 +471,7 @@ def _cmd_balance(args, cert: _Cert) -> None:
     data = _parse_json_arg(args.lines, "--lines")
     l1, l2, l3 = (_line_from_json(space, d) for d in data)
     pair = reguli.regulus_through(space, l1, l2, l3)
-    graph = _graph_of("proj", args.n, args.q, args.cache)
+    graph = _graph_of("proj", args.n, args.q)
     f1 = eigenfunctions.optimal_from_regulus(pair, graph)
     part_indices = _named_line_set(args, space)
     part = partitions.Partition2.from_part(graph, part_indices)
@@ -573,7 +543,6 @@ class _LimitSignal(Exception):
 
 _COMMANDS = {
     "geometry": _cmd_geometry,
-    "blockgraph": _cmd_blockgraph,
     "srg": _cmd_srg,
     "wdb": _cmd_wdb,
     "regulus": _cmd_regulus,
@@ -603,14 +572,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if space_default is not None:
             p.add_argument("--space", choices=("proj", "aff"), default=space_default)
         p.add_argument("--out", metavar="FILE", help="write the JSON certificate here")
-        p.add_argument("--cache", default=os.environ.get("STEINER_CACHE"),
-                       help="graph cache directory (or env STEINER_CACHE)")
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
         p.add_argument("--limit", type=int, default=None, help="resource or listing limit")
         p.add_argument("--format", choices=("json", "text"), default="text")
 
     common(sub.add_parser("geometry", help="enumerate points, lines, planes"), "proj")
-    common(sub.add_parser("blockgraph", help="build the line block graph"), "proj")
     common(sub.add_parser("srg", help="strongly regular parameters, formula vs brute force"), "proj")
     p = sub.add_parser("wdb", help="weight-distribution bounds")
     common(p, "proj")
@@ -668,12 +634,16 @@ def main(argv=None) -> int:
     parameters = {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in ("command", "out", "format", "cache") and value is not None
+        if key not in ("command", "out", "format") and value is not None
     }
     cert = _Cert(args.command, parameters)
     start = time.monotonic()
     exit_code = 0
     try:
+        if args.limit is not None and args.limit < 0:
+            raise _UsageError(f"--limit must be >= 0, got {args.limit}")
+        if args.jobs < 1:
+            raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
         _COMMANDS[args.command](args, cert)
     except _LimitSignal:
         exit_code = 3

@@ -43,46 +43,44 @@ class Design:
     """A 2-(N, M, 1) design whose blocks are the lines of a space.
 
     Blocks are point-index tuples in canonical line order, so block i of
-    the design is line i of the underlying space.
+    the design is line i of the underlying space.  The design keeps its
+    block graph once cached_block_graph has built it.
     """
 
     def __init__(self, space):
         self.space = space
         self.points = space.points
-        lines = space.lines
-        self.blocks = tuple(ln.points for ln in lines)
+        self.blocks = tuple(ln.points for ln in space.lines)
         self.N = len(self.points)
         self.M = len(self.blocks[0])
-        self.pair_block = space.pair_line
         self.blocks_at = space.lines_at
+        self._graph = None
 
     def __repr__(self):
         return f"Design(N={self.N}, M={self.M}, blocks={len(self.blocks)}, space={self.space!r})"
 
 
-_DESIGN_CACHE: dict[tuple[str, int, int], Design] = {}
+def _design_on(space) -> Design:
+    """The one design of a shared space, kept on the space."""
+    if space._design is None:
+        space._design = Design(space)
+    return space._design
 
 
 def projective_design(n: int, q_or_field) -> Design:
     """Steiner system of the lines of PG(n, q)."""
+    if n < 2:
+        raise ValueError("projective design needs n >= 2")
     field = q_or_field if hasattr(q_or_field, "q") else _field_of(q_or_field)
-    key = ("proj", n, field.q)
-    if key not in _DESIGN_CACHE:
-        if n < 2:
-            raise ValueError("projective design needs n >= 2")
-        _DESIGN_CACHE[key] = Design(proj_space(n, field))
-    return _DESIGN_CACHE[key]
+    return _design_on(proj_space(n, field))
 
 
 def affine_design(n: int, q_or_field) -> Design:
     """Steiner system of the lines of AG(n, q)."""
+    if n < 3:
+        raise ValueError("affine design needs n >= 3")
     field = q_or_field if hasattr(q_or_field, "q") else _field_of(q_or_field)
-    key = ("aff", n, field.q)
-    if key not in _DESIGN_CACHE:
-        if n < 3:
-            raise ValueError("affine design needs n >= 3")
-        _DESIGN_CACHE[key] = Design(aff_space(n, field))
-    return _DESIGN_CACHE[key]
+    return _design_on(aff_space(n, field))
 
 
 def _field_of(q: int):
@@ -159,14 +157,11 @@ def block_graph(design: Design) -> Graph:
     return Graph(adj, design=design)
 
 
-_GRAPH_CACHE: dict[int, Graph] = {}
-
-
 def cached_block_graph(design: Design) -> Graph:
-    key = id(design)
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = block_graph(design)
-    return _GRAPH_CACHE[key]
+    """The block graph of a design, built once and kept on the design."""
+    if design._graph is None:
+        design._graph = block_graph(design)
+    return design._graph
 
 
 def complement(g: Graph) -> Graph:

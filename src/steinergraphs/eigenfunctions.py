@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 from multiprocessing import get_context
 from typing import Iterable, Mapping
@@ -37,7 +36,7 @@ from .errors import (
     WrongCountError,
     ZeroFunctionError,
 )
-from .geometry import AffPlane, AffSpace, ProjSpace, parallel_classes, relation, span_of_lines, vec_add, vec_scale
+from .geometry import AffPlane, ProjSpace, _plane, parallel_classes, relation, span_of_lines
 from .linalg import bareiss_echelon, rational_kernel
 from .reguli import (
     AffineRegulusPair,
@@ -81,13 +80,6 @@ class Eigenfunction:
 
     def value(self, u: int) -> Fraction:
         return self.values.get(u, Fraction(0))
-
-    @property
-    def support_mask(self) -> int:
-        m = 0
-        for u in self.support:
-            m |= 1 << u
-        return m
 
     def canonical(self) -> Eigenfunction:
         """Primitive integer representative of the ray, first nonzero
@@ -211,12 +203,6 @@ def from_bipartite_pair(graph: Graph, t0: Iterable[int], t1: Iterable[int], thet
 # -- constructions from geometric data -----------------------------------------
 
 
-def _require_support_size(f: Eigenfunction, size: int) -> Eigenfunction:
-    if len(f.support) != size:
-        raise NotOptimalError(f"support size {len(f.support)}, expected {size}")
-    return f
-
-
 def _line_graph_for(space, graph: Graph | None) -> Graph:
     if graph is None:
         if isinstance(space, ProjSpace):
@@ -229,15 +215,23 @@ def _line_graph_for(space, graph: Graph | None) -> Graph:
     return graph
 
 
+def _line_sign_function(space, graph: Graph | None, pos, neg, theta: int, size: int) -> Eigenfunction:
+    """+1 on the lines ``pos``, -1 on the lines ``neg`` of the block graph
+    of ``space``, verified by from_bipartite_pair, with support ``size``."""
+    graph = _line_graph_for(space, graph)
+    t0 = sorted(space.index_of(l) for l in pos)
+    t1 = sorted(space.index_of(l) for l in neg)
+    f = from_bipartite_pair(graph, t0, t1, theta)
+    if len(f.support) != size:
+        raise NotOptimalError(f"support size {len(f.support)}, expected {size}")
+    return f
+
+
 def optimal_from_regulus(pair: RegulusPair, graph: Graph | None = None) -> Eigenfunction:
     """+1 on the regulus, -1 on its opposite: a -(q+1)-eigenfunction of
     the line block graph with support of minimum size 2(q+1)."""
-    space = pair.space
-    graph = _line_graph_for(space, graph)
-    q = space.field.q
-    t0 = sorted(space.index_of(l) for l in pair.r_lines)
-    t1 = sorted(space.index_of(l) for l in pair.opp_lines)
-    return _require_support_size(from_bipartite_pair(graph, t0, t1, -(q + 1)), 2 * (q + 1))
+    q = pair.space.field.q
+    return _line_sign_function(pair.space, graph, pair.r_lines, pair.opp_lines, -(q + 1), 2 * (q + 1))
 
 
 def optimal_from_parallel_classes(plane: AffPlane, class1, class2, graph: Graph | None = None) -> Eigenfunction:
@@ -252,20 +246,14 @@ def optimal_from_parallel_classes(plane: AffPlane, class1, class2, graph: Graph 
     if k1 not in classes or k2 not in classes:
         raise ValueError("inputs are not parallel classes of the plane")
     q = space.field.q
-    t0 = sorted(space.index_of(l) for l in class1)
-    t1 = sorted(space.index_of(l) for l in class2)
-    return _require_support_size(from_bipartite_pair(graph, t0, t1, -q), 2 * q)
+    return _line_sign_function(space, graph, class1, class2, -q, 2 * q)
 
 
 def optimal_from_affine_regulus(pair: AffineRegulusPair, graph: Graph | None = None) -> Eigenfunction:
     """+1 on an affine regulus, -1 on its opposite: a -q-eigenfunction
     of the affine line block graph with support of minimum size 2q."""
-    space = pair.space
-    graph = _line_graph_for(space, graph)
-    q = space.field.q
-    t0 = sorted(space.index_of(l) for l in pair.s_lines)
-    t1 = sorted(space.index_of(l) for l in pair.opp_lines)
-    return _require_support_size(from_bipartite_pair(graph, t0, t1, -q), 2 * q)
+    q = pair.space.field.q
+    return _line_sign_function(pair.space, graph, pair.s_lines, pair.opp_lines, -q, 2 * q)
 
 
 def wdbplus2_function(pair: RegulusPair, hyperplane, graph: Graph | None = None) -> Eigenfunction:
@@ -279,13 +267,9 @@ def wdbplus2_function(pair: RegulusPair, hyperplane, graph: Graph | None = None)
             f"hyperplane does not avoid the regulus pair: {outcome.reason or outcome.kind}"
         )
     config = outcome.config
-    space = config.space
-    graph = _line_graph_for(space, graph)
-    q = space.field.q
-    t0 = sorted(space.index_of(l) for l in config.r_lines)
-    t1 = sorted(space.index_of(l) for l in config.opp_lines)
-    f = _require_support_size(from_bipartite_pair(graph, t0, t1, -q), 2 * (q + 1))
-    if support_structure(graph, f).kind != "BipartiteMinusMatching":
+    q = config.space.field.q
+    f = _line_sign_function(config.space, graph, config.r_lines, config.opp_lines, -q, 2 * (q + 1))
+    if support_structure(f.graph, f).kind != "BipartiteMinusMatching":
         raise NotOptimalError("support does not induce a complete bipartite graph minus a matching")
     return f
 
@@ -403,21 +387,6 @@ class GrassmannRegulus:
     pair: RegulusPair
 
 
-def _plane_from_span(space: AffSpace, flat) -> AffPlane:
-    f = space.field
-    q = f.q
-    span = {
-        vec_add(f, vec_scale(f, c0, flat.basis[0]), vec_scale(f, c1, flat.basis[1]))
-        for c0, c1 in product(range(q), repeat=2)
-    }
-    idx = space.point_index
-    pts = tuple(sorted(idx[vec_add(f, flat.base, d)] for d in span))
-    mask = 0
-    for p in pts:
-        mask |= 1 << p
-    return AffPlane(dirbasis=(flat.basis[0], flat.basis[1]), base=flat.base, points=pts, mask=mask, space=space)
-
-
 def classify_optimal(graph: Graph, f: Eigenfunction):
     """Decode a minimum-support eigenfunction back to the geometry that
     carries it: two parallel classes of a plane (Type1), an affine
@@ -450,7 +419,7 @@ def classify_optimal(graph: Graph, f: Eigenfunction):
         flat = span_of_lines(space, pos + neg)
         if flat.dim != 2:
             raise NotOptimalError("parallel sign classes do not span a plane")
-        plane = _plane_from_span(space, flat)
+        plane = _plane(space, flat.basis, flat.base)
         classes = {frozenset(c): c for c in parallel_classes(plane)}
         c0 = classes.get(frozenset(pos))
         c1 = classes.get(frozenset(neg))

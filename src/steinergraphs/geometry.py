@@ -8,16 +8,21 @@ lexicographically smallest point.  Canonical forms make every identity
 check a plain tuple comparison, and all enumerations are returned in a
 fixed deterministic order.
 
-Spaces precompute their point and line tables lazily, along with the
-pair-to-line dictionary (the 2-design property: every point pair lies on
-one line) and per-line point bitmasks used heavily by the regulus and
-eigenfunction modules.
+ProjSpace and AffSpace share one table builder: each supplies its point
+table, its closed-form line count (checked against the built table for
+every n) and the canonical key of the line through two points, and the
+shared pair loop builds the line table in key order, the pair-to-line
+dictionary (the 2-design property: every point pair lies on one line),
+the lines through each point and per-line point bitmasks, all lazily and
+once.  proj_space and aff_space share one instance per (n, q), which
+also keeps the space's design and block graph (see designs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
+from functools import cached_property
+from itertools import combinations, product
 
 from . import linalg
 from .errors import (
@@ -53,21 +58,15 @@ def dot(field: Field, a, b) -> int:
     return field.dot(field.check_row(a), field.check_row(b))
 
 
-@dataclass(frozen=True, eq=False)
-class ProjLine:
-    """A line of PG(n, q): canonical 2-row RREF basis plus the indices and
-    bitmask of its q+1 points in the ambient space's point table."""
-
-    basis: tuple[Vec, Vec]
-    points: tuple[int, ...]
-    mask: int
-    space: "ProjSpace" = dc_field(repr=False)
+class _Line:
+    """Identity of a line is its canonical ``key``; ``points`` are indices
+    into the ambient space's point table and ``mask`` their bitmask."""
 
     def __eq__(self, other):
-        return isinstance(other, ProjLine) and self.basis == other.basis
+        return type(other) is type(self) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.basis)
+        return hash(self.key)
 
     def point_coords(self) -> tuple[Vec, ...]:
         pts = self.space.points
@@ -75,7 +74,22 @@ class ProjLine:
 
 
 @dataclass(frozen=True, eq=False)
-class AffLine:
+class ProjLine(_Line):
+    """A line of PG(n, q): canonical 2-row RREF basis plus the indices and
+    bitmask of its q+1 points."""
+
+    basis: tuple[Vec, Vec]
+    points: tuple[int, ...]
+    mask: int
+    space: "ProjSpace" = dc_field(repr=False)
+
+    @property
+    def key(self) -> tuple[Vec, Vec]:
+        return self.basis
+
+
+@dataclass(frozen=True, eq=False)
+class AffLine(_Line):
     """A line of AG(n, q): normalised direction, lexicographically
     smallest point, plus point indices and bitmask."""
 
@@ -85,15 +99,9 @@ class AffLine:
     mask: int
     space: "AffSpace" = dc_field(repr=False)
 
-    def __eq__(self, other):
-        return isinstance(other, AffLine) and self.dir == other.dir and self.base == other.base
-
-    def __hash__(self):
-        return hash((self.dir, self.base))
-
-    def point_coords(self) -> tuple[Vec, ...]:
-        pts = self.space.points
-        return tuple(pts[i] for i in self.points)
+    @property
+    def key(self) -> tuple[Vec, Vec]:
+        return (self.dir, self.base)
 
 
 @dataclass(frozen=True)
@@ -132,292 +140,161 @@ class Flat:
     base: Vec | None = None
 
 
-class ProjSpace:
-    """PG(n, q) with lazily built canonical point/line tables."""
+class _Space:
+    """Point and line tables of a space, built lazily and once.
 
-    def __init__(self, n: int, field: Field, max_lines: int = MAX_LINES):
+    A subclass supplies its point table, its closed-form line count, the
+    canonical key and sorted point ids of the line through two points,
+    and its line object.  The pair loop here builds ``lines`` in key
+    order and checks their number against the closed form; ``line_index``
+    (key to index), ``pair_line`` and ``lines_at`` are read off them.
+    """
+
+    def __init__(self, n: int, field: Field):
         if n < 2:
-            raise ValueError(f"projective dimension must be >= 2, got {n}")
+            raise ValueError(f"{self.KIND} dimension must be >= 2, got {n}")
         self.n = n
         self.field = field
-        self.max_lines = max_lines
-        self._points = None
-        self._point_index = None
-        self._lines = None
-        self._line_index = None
-        self._pair_line = None
-        self._lines_at = None
-        self._hyperplanes = None
+        self._design = None  # the Steiner system of the lines, kept here by designs
 
     def __repr__(self):
-        return f"ProjSpace(n={self.n}, q={self.field.q})"
+        return f"{type(self).__name__}(n={self.n}, q={self.field.q})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ProjSpace)
-            and self.n == other.n
-            and self.field == other.field
-        )
+        return type(other) is type(self) and self.n == other.n and self.field == other.field
 
     def __hash__(self):
-        return hash((ProjSpace, self.n, self.field))
+        return hash((type(self), self.n, self.field))
 
-    @property
+    @cached_property
     def points(self) -> tuple[Vec, ...]:
-        if self._points is None:
-            q, n, f = self.field.q, self.n, self.field
-            count = (q ** (n + 1) - 1) // (q - 1)
-            if count > MAX_POINTS:
-                raise LimitExceededError(f"{count} points exceeds limit {MAX_POINTS}")
-            pts = set()
-            for vec in product(range(q), repeat=n + 1):
-                if any(vec):
-                    pts.add(f.normalize_row(vec))
-            if len(pts) != count:
-                raise WrongCountError(f"{len(pts)} points, expected {count}")
-            self._points = tuple(sorted(pts))
-            self._point_index = {p: i for i, p in enumerate(self._points)}
-        return self._points
+        return self._point_table()
 
-    @property
+    @cached_property
     def point_index(self) -> dict[Vec, int]:
-        self.points
-        return self._point_index
+        return {p: i for i, p in enumerate(self.points)}
 
-    def _build_lines(self):
+    @cached_property
+    def lines(self) -> tuple:
         pts = self.points
-        idx = self.point_index
-        f = self.field
-        q = f.q
-        n_lines_expected = None
-        if self.n == 3:
-            n_lines_expected = (q**2 + 1) * (q**2 + q + 1)
-        by_basis = {}
-        pair_line = {}
-        npts = len(pts)
-        if npts * (npts - 1) // 2 > 40 * self.max_lines:
-            raise LimitExceededError("line enumeration too large")
-        for i in range(npts):
-            for j in range(i + 1, npts):
-                if (i, j) in pair_line:
-                    continue
-                basis = linalg.row_basis(f, (pts[i], pts[j]))
-                line_pts = []
-                # points of the line: a*row0 + b*row1 over normalised (a:b)
-                r0, r1 = basis
-                line_pts.append(idx[f.normalize_row(r1)])
-                for c in range(q):
-                    v = f.add_rows(r0, f.scale_row(c, r1))
-                    line_pts.append(idx[f.normalize_row(v)])
-                line_pts = tuple(sorted(line_pts))
-                mask = 0
-                for p in line_pts:
-                    mask |= 1 << p
-                key = (basis[0], basis[1])
-                if key not in by_basis:
-                    by_basis[key] = (line_pts, mask)
-                    if len(by_basis) > self.max_lines:
-                        raise LimitExceededError(
-                            f"more than {self.max_lines} lines"
-                        )
-                for a in range(len(line_pts)):
-                    for b in range(a + 1, len(line_pts)):
-                        pair_line[(line_pts[a], line_pts[b])] = key
-        lines = []
-        for key in sorted(by_basis):
-            lp, mask = by_basis[key]
-            lines.append(ProjLine(basis=key, points=lp, mask=mask, space=self))
-        self._lines = tuple(lines)
-        self._line_index = {ln.basis: i for i, ln in enumerate(self._lines)}
-        self._pair_line = {
-            pair: self._line_index[key] for pair, key in pair_line.items()
-        }
-        lines_at = [[] for _ in range(len(pts))]
-        for i, ln in enumerate(self._lines):
-            for p in ln.points:
-                lines_at[p].append(i)
-        self._lines_at = tuple(tuple(x) for x in lines_at)
-        if n_lines_expected is not None and len(self._lines) != n_lines_expected:
-            raise WrongCountError(f"{len(self._lines)} lines, expected {n_lines_expected}")
+        expected = self._line_count()
+        if expected > MAX_LINES:
+            raise LimitExceededError(f"{expected} lines exceeds limit {MAX_LINES}")
+        ids_of = {}
+        covered = set()
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                if (i, j) not in covered:
+                    key, ids = self._line_key(pts[i], pts[j])
+                    ids_of[key] = ids
+                    covered.update(combinations(ids, 2))
+        if len(ids_of) != expected:
+            raise WrongCountError(f"{len(ids_of)} lines, expected {expected}")
+        return tuple(self._line(key, ids, sum(1 << p for p in ids)) for key, ids in sorted(ids_of.items()))
 
-    @property
-    def lines(self) -> tuple[ProjLine, ...]:
-        if self._lines is None:
-            self._build_lines()
-        return self._lines
-
-    @property
+    @cached_property
     def line_index(self) -> dict[tuple[Vec, Vec], int]:
-        self.lines
-        return self._line_index
+        """Map from a line key to the index of the line."""
+        return {ln.key: i for i, ln in enumerate(self.lines)}
 
-    @property
+    @cached_property
     def pair_line(self) -> dict[tuple[int, int], int]:
         """Map from a sorted point-index pair to the index of its line."""
-        self.lines
-        return self._pair_line
+        return {pair: i for i, ln in enumerate(self.lines) for pair in combinations(ln.points, 2)}
 
-    @property
+    @cached_property
     def lines_at(self) -> tuple[tuple[int, ...], ...]:
         """For each point index, the indices of the lines through it."""
-        self.lines
-        return self._lines_at
+        at = [[] for _ in self.points]
+        for i, ln in enumerate(self.lines):
+            for p in ln.points:
+                at[p].append(i)
+        return tuple(tuple(x) for x in at)
 
-    @property
+    def line_through(self, p1, p2):
+        p1, p2 = self._point(p1), self._point(p2)
+        if p1 == p2:
+            raise EqualPointsError(f"points coincide: {p1}")
+        i, j = sorted((self.point_index[p1], self.point_index[p2]))
+        return self.lines[self.pair_line[(i, j)]]
+
+    def index_of(self, line) -> int:
+        return self.line_index[line.key]
+
+
+class ProjSpace(_Space):
+    """PG(n, q): points are normalised nonzero vectors of length n + 1."""
+
+    KIND = "projective"
+
+    def _point_table(self) -> tuple[Vec, ...]:
+        q, n, f = self.field.q, self.n, self.field
+        count = (q ** (n + 1) - 1) // (q - 1)
+        if count > MAX_POINTS:
+            raise LimitExceededError(f"{count} points exceeds limit {MAX_POINTS}")
+        pts = {f.normalize_row(vec) for vec in product(range(q), repeat=n + 1) if any(vec)}
+        if len(pts) != count:
+            raise WrongCountError(f"{len(pts)} points, expected {count}")
+        return tuple(sorted(pts))
+
+    def _line_count(self) -> int:
+        q, n = self.field.q, self.n
+        return (q ** (n + 1) - 1) * (q ** n - 1) // ((q ** 2 - 1) * (q - 1))
+
+    def _line_key(self, p1: Vec, p2: Vec) -> tuple[tuple[Vec, Vec], tuple[int, ...]]:
+        # the points of the line are r1 and r0 + c*r1 over c, normalised
+        f, idx = self.field, self.point_index
+        r0, r1 = linalg.row_basis(f, (p1, p2))
+        ids = [idx[f.normalize_row(r1)]]
+        ids.extend(idx[f.normalize_row(f.add_rows(r0, f.scale_row(c, r1)))] for c in range(f.q))
+        return (r0, r1), tuple(sorted(ids))
+
+    def _line(self, key, ids, mask) -> ProjLine:
+        return ProjLine(basis=key, points=ids, mask=mask, space=self)
+
+    def _point(self, p) -> Vec:
+        return normalize_point(self.field, p)
+
+    @cached_property
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
-        if self._hyperplanes is None:
-            self._hyperplanes = tuple(Hyperplane(p) for p in self.points)
-        return self._hyperplanes
+        return tuple(Hyperplane(p) for p in self.points)
 
     def line_from_basis(self, rows) -> ProjLine:
-        f = self.field
-        basis = linalg.row_basis(f, rows)
+        basis = linalg.row_basis(self.field, rows)
         if len(basis) != 2:
             raise DimensionMismatchError("line basis must have rank 2")
-        key = (basis[0], basis[1])
-        i = self.line_index.get(key)
+        i = self.line_index.get((basis[0], basis[1]))
         if i is None:
             raise ValueError("basis does not span a line of this space")
         return self.lines[i]
 
-    def line_through(self, p1, p2) -> ProjLine:
-        f = self.field
-        p1 = normalize_point(f, p1)
-        p2 = normalize_point(f, p2)
-        if p1 == p2:
-            raise EqualPointsError(f"points coincide: {p1}")
-        return self.lines[self.pair_line[_ordered(self.point_index[p1], self.point_index[p2])]]
 
-    def index_of(self, line: ProjLine) -> int:
-        return self.line_index[line.basis]
+class AffSpace(_Space):
+    """AG(n, q): points are all vectors of length n, in lexicographic order."""
 
+    KIND = "affine"
 
-def _ordered(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
+    def _point_table(self) -> tuple[Vec, ...]:
+        q, n = self.field.q, self.n
+        if q**n > MAX_POINTS:
+            raise LimitExceededError(f"{q ** n} points exceeds limit {MAX_POINTS}")
+        return tuple(product(range(q), repeat=n))
 
+    def _line_count(self) -> int:
+        q, n = self.field.q, self.n
+        return q ** (n - 1) * (q**n - 1) // (q - 1)
 
-class AffSpace:
-    """AG(n, q) with lazily built canonical point/line tables."""
-
-    def __init__(self, n: int, field: Field, max_lines: int = MAX_LINES):
-        if n < 2:
-            raise ValueError(f"affine dimension must be >= 2, got {n}")
-        self.n = n
-        self.field = field
-        self.max_lines = max_lines
-        self._points = None
-        self._point_index = None
-        self._lines = None
-        self._line_index = None
-        self._pair_line = None
-        self._lines_at = None
-        self._planes = None
-
-    def __repr__(self):
-        return f"AffSpace(n={self.n}, q={self.field.q})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffSpace)
-            and self.n == other.n
-            and self.field == other.field
-        )
-
-    def __hash__(self):
-        return hash((AffSpace, self.n, self.field))
-
-    @property
-    def points(self) -> tuple[Vec, ...]:
-        if self._points is None:
-            q, n = self.field.q, self.n
-            if q**n > MAX_POINTS:
-                raise LimitExceededError(f"{q ** n} points exceeds limit {MAX_POINTS}")
-            self._points = tuple(product(range(q), repeat=n))
-            self._point_index = {p: i for i, p in enumerate(self._points)}
-        return self._points
-
-    @property
-    def point_index(self) -> dict[Vec, int]:
-        self.points
-        return self._point_index
-
-    def _line_key(self, p1: Vec, p2: Vec) -> tuple[Vec, tuple[Vec, ...]]:
-        f = self.field
+    def _line_key(self, p1: Vec, p2: Vec) -> tuple[tuple[Vec, Vec], tuple[int, ...]]:
+        f, idx = self.field, self.point_index
         d = f.normalize_row(f.sub_scaled_row(p2, 1, p1))
-        pts = tuple(sorted(f.add_rows(p1, f.scale_row(c, d)) for c in range(f.q)))
-        return d, pts
+        pts = sorted(f.add_rows(p1, f.scale_row(c, d)) for c in range(f.q))
+        return (d, pts[0]), tuple(sorted(idx[p] for p in pts))
 
-    def _build_lines(self):
-        pts = self.points
-        idx = self.point_index
-        f = self.field
-        q = f.q
-        expected = q ** (self.n - 1) * (q**self.n - 1) // (q - 1)
-        if expected > self.max_lines:
-            raise LimitExceededError(f"{expected} lines exceeds limit {self.max_lines}")
-        by_key = {}
-        pair_line = {}
-        npts = len(pts)
-        for i in range(npts):
-            for j in range(i + 1, npts):
-                if (i, j) in pair_line:
-                    continue
-                d, line_pts = self._line_key(pts[i], pts[j])
-                key = (d, line_pts[0])
-                if key not in by_key:
-                    by_key[key] = line_pts
-                ids = sorted(idx[p] for p in line_pts)
-                for a in range(len(ids)):
-                    for b in range(a + 1, len(ids)):
-                        pair_line[(ids[a], ids[b])] = key
-        lines = []
-        for key in sorted(by_key):
-            d, base = key
-            line_pts = by_key[key]
-            ids = tuple(sorted(idx[p] for p in line_pts))
-            mask = 0
-            for p in ids:
-                mask |= 1 << p
-            lines.append(AffLine(dir=d, base=base, points=ids, mask=mask, space=self))
-        if len(lines) != expected:
-            raise WrongCountError(f"{len(lines)} lines, expected {expected}")
-        self._lines = tuple(lines)
-        self._line_index = {(ln.dir, ln.base): i for i, ln in enumerate(self._lines)}
-        self._pair_line = {
-            pair: self._line_index[key] for pair, key in pair_line.items()
-        }
-        lines_at = [[] for _ in range(npts)]
-        for i, ln in enumerate(self._lines):
-            for p in ln.points:
-                lines_at[p].append(i)
-        self._lines_at = tuple(tuple(x) for x in lines_at)
+    def _line(self, key, ids, mask) -> AffLine:
+        return AffLine(dir=key[0], base=key[1], points=ids, mask=mask, space=self)
 
-    @property
-    def lines(self) -> tuple[AffLine, ...]:
-        if self._lines is None:
-            self._build_lines()
-        return self._lines
-
-    @property
-    def line_index(self) -> dict[tuple[Vec, Vec], int]:
-        self.lines
-        return self._line_index
-
-    @property
-    def pair_line(self) -> dict[tuple[int, int], int]:
-        self.lines
-        return self._pair_line
-
-    @property
-    def lines_at(self) -> tuple[tuple[int, ...], ...]:
-        self.lines
-        return self._lines_at
-
-    def line_through(self, p1, p2) -> AffLine:
-        p1, p2 = tuple(p1), tuple(p2)
-        if p1 == p2:
-            raise EqualPointsError(f"points coincide: {p1}")
-        return self.lines[self.pair_line[_ordered(self.point_index[p1], self.point_index[p2])]]
+    def _point(self, p) -> Vec:
+        return tuple(p)
 
     def line_from_key(self, direction, base) -> AffLine:
         d = normalize_point(self.field, direction)
@@ -427,15 +304,8 @@ class AffSpace:
             return self.line_through(tuple(base), vec_add(self.field, tuple(base), d))
         return self.lines[i]
 
-    def index_of(self, line: AffLine) -> int:
-        return self.line_index[(line.dir, line.base)]
-
 
 # -- basic incidence operations ----------------------------------------------
-
-
-def line_through(space, p1, p2):
-    return space.line_through(p1, p2)
 
 
 def relation(space, l1, l2) -> Relation:
@@ -487,26 +357,16 @@ def _coset_rep(field: Field, basis, point: Vec) -> Vec:
 # -- affine planes and parallel classes ---------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AffPlane:
     """A 2-flat of AG(n, q): canonical (direction-plane RREF, coset
     representative) pair with its point indices."""
 
     dirbasis: tuple[Vec, Vec]
     base: Vec
-    points: tuple[int, ...]
-    mask: int
-    space: AffSpace = dc_field(repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffPlane)
-            and self.dirbasis == other.dirbasis
-            and self.base == other.base
-        )
-
-    def __hash__(self):
-        return hash((self.dirbasis, self.base))
+    points: tuple[int, ...] = dc_field(compare=False)
+    mask: int = dc_field(compare=False)
+    space: AffSpace = dc_field(repr=False, compare=False)
 
 
 def _direction_planes(space: AffSpace) -> list[tuple[Vec, Vec]]:
@@ -524,31 +384,25 @@ def _direction_planes(space: AffSpace) -> list[tuple[Vec, Vec]]:
     return sorted(seen)
 
 
+def _plane(space: AffSpace, dirbasis, base: Vec) -> AffPlane:
+    """The 2-flat base + span(dirbasis), from its canonical direction
+    basis and coset representative."""
+    f, idx = space.field, space.point_index
+    d0, d1 = dirbasis
+    pts = tuple(sorted({
+        idx[f.add_rows(base, f.add_rows(f.scale_row(a, d0), f.scale_row(b, d1)))]
+        for a in range(f.q)
+        for b in range(f.q)
+    }))
+    return AffPlane(dirbasis=(d0, d1), base=base, points=pts, mask=sum(1 << p for p in pts), space=space)
+
+
 def enumerate_planes(space: AffSpace) -> tuple[AffPlane, ...]:
     """All 2-flats, grouped per direction plane into its q^(n-2) cosets."""
-    f = space.field
-    q = f.q
-    idx = space.point_index
     planes = []
     for dirbasis in _direction_planes(space):
-        span = set()
-        for a in range(q):
-            for b in range(q):
-                span.add(f.add_rows(f.scale_row(a, dirbasis[0]), f.scale_row(b, dirbasis[1])))
-        seen = set()
-        for pt in space.points:
-            rep = _coset_rep(f, dirbasis, pt)
-            if rep in seen:
-                continue
-            seen.add(rep)
-            pts = tuple(sorted(idx[f.add_rows(rep, d)] for d in span))
-            mask = 0
-            for p in pts:
-                mask |= 1 << p
-            planes.append(
-                AffPlane(dirbasis=dirbasis, base=rep, points=pts, mask=mask, space=space)
-            )
-    planes.sort(key=lambda pl: (pl.dirbasis, pl.base))
+        reps = sorted({_coset_rep(space.field, dirbasis, pt) for pt in space.points})
+        planes.extend(_plane(space, dirbasis, rep) for rep in reps)
     return tuple(planes)
 
 
@@ -685,20 +539,21 @@ def affine_restriction(pspace: ProjSpace, hyperplane: Hyperplane) -> Restriction
     return RestrictionMap(pspace, hyperplane)
 
 
-_SPACE_CACHE: dict[tuple, object] = {}
+_SPACE_CACHE: dict[tuple, _Space] = {}
+
+
+def _shared(cls, n: int, field: Field):
+    key = (cls, n, field.p, field.k)
+    if key not in _SPACE_CACHE:
+        _SPACE_CACHE[key] = cls(n, field)
+    return _SPACE_CACHE[key]
 
 
 def proj_space(n: int, field: Field) -> ProjSpace:
-    """Shared ProjSpace(n, q) instance, so lazily built tables are reused."""
-    key = ("proj", n, field.p, field.k)
-    if key not in _SPACE_CACHE:
-        _SPACE_CACHE[key] = ProjSpace(n, field)
-    return _SPACE_CACHE[key]
+    """Shared ProjSpace(n, q) instance, so its tables and design are built once."""
+    return _shared(ProjSpace, n, field)
 
 
 def aff_space(n: int, field: Field) -> AffSpace:
-    """Shared AffSpace(n, q) instance, so lazily built tables are reused."""
-    key = ("aff", n, field.p, field.k)
-    if key not in _SPACE_CACHE:
-        _SPACE_CACHE[key] = AffSpace(n, field)
-    return _SPACE_CACHE[key]
+    """Shared AffSpace(n, q) instance, so its tables and design are built once."""
+    return _shared(AffSpace, n, field)

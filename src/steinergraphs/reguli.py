@@ -42,7 +42,6 @@ from .geometry import (
     affine_restriction,
     normalize_point,
     projective_closure,
-    relation,
     span_of_lines,
     vec_add,
     vec_scale,
@@ -51,47 +50,27 @@ from .geometry import (
 MAX_ENUM_Q = 4
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RegulusPair:
     """Ordered pair (R, R_opp) of mutually transversal projective line
     families, each sorted by canonical line basis."""
 
     r_lines: tuple[ProjLine, ...]
     opp_lines: tuple[ProjLine, ...]
-    space: ProjSpace = dc_field(repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RegulusPair)
-            and self.r_lines == other.r_lines
-            and self.opp_lines == other.opp_lines
-        )
-
-    def __hash__(self):
-        return hash((self.r_lines, self.opp_lines))
+    space: ProjSpace = dc_field(repr=False, compare=False)
 
     def swap(self) -> "RegulusPair":
         return RegulusPair(self.opp_lines, self.r_lines, self.space)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AffineRegulusPair:
     """Ordered pair (S, S_opp) of mutually transversal affine line
     families of size q each, sorted canonically within each family."""
 
     s_lines: tuple[AffLine, ...]
     opp_lines: tuple[AffLine, ...]
-    space: AffSpace = dc_field(repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineRegulusPair)
-            and self.s_lines == other.s_lines
-            and self.opp_lines == other.opp_lines
-        )
-
-    def __hash__(self):
-        return hash((self.s_lines, self.opp_lines))
+    space: AffSpace = dc_field(repr=False, compare=False)
 
     def swap(self) -> "AffineRegulusPair":
         return AffineRegulusPair(self.opp_lines, self.s_lines, self.space)
@@ -139,11 +118,14 @@ def _aff_key(line: AffLine):
 
 
 def _require_skew(space, lines) -> None:
+    """Disjoint point masks, and in an affine space different directions."""
+    affine = isinstance(space, AffSpace)
     for i, a in enumerate(lines):
         for b in lines[i + 1 :]:
-            rel = relation(space, a, b)
-            if rel.kind != "skew":
-                raise LinesNotSkewError(f"lines are {rel.kind}, not skew: {a}, {b}")
+            if a.mask & b.mask:
+                raise LinesNotSkewError(f"lines meet, not skew: {a}, {b}")
+            if affine and a.dir == b.dir:
+                raise LinesNotSkewError(f"lines are parallel, not skew: {a}, {b}")
 
 
 # -- projective constructions --------------------------------------------------
@@ -174,8 +156,9 @@ def transversal_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, t) -> Proj
     return out
 
 
-def common_transversals(space: ProjSpace, lines) -> tuple[ProjLine, ...]:
-    """All lines meeting every line of a pairwise-skew family exactly once."""
+def common_transversals(space, lines) -> tuple:
+    """All lines meeting every line of a pairwise-skew family exactly once,
+    in a projective or an affine space."""
     lines = list(lines)
     if len(lines) < 2:
         raise WrongCountError("need at least two lines")
@@ -378,6 +361,26 @@ def lift_to_projective(pair: AffineRegulusPair) -> tuple[RegulusPair, ClosureMap
     return lifted, cm
 
 
+def _finite_parts(lifted: RegulusPair, cm: ClosureMap) -> tuple[tuple[AffLine, ...], tuple[AffLine, ...]]:
+    """Each family of a lifted pair without its one line at infinity,
+    mapped back to affine lines in canonical order."""
+    pf = cm.pspace.field
+    parts = []
+    for fam in (lifted.r_lines, lifted.opp_lines):
+        finite = [l for l in fam if not cm.infinity.contains_line(pf, l)]
+        if len(finite) != len(fam) - 1:
+            raise WrongCountError("the lift needs exactly one line of each family at infinity")
+        parts.append(tuple(sorted((cm.line_to_aff(l) for l in finite), key=_aff_key)))
+    return parts[0], parts[1]
+
+
+def _check_lift(pair: AffineRegulusPair, lifted: RegulusPair, cm: ClosureMap) -> None:
+    """Removing the line at infinity from each lifted family must give
+    back the affine pair."""
+    if _finite_parts(lifted, cm) != (pair.s_lines, pair.opp_lines):
+        raise NotARegulusError("the lift without its lines at infinity is not the affine pair")
+
+
 def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> AffineRegulusPair:
     """The pair S1 = {line with direction c.v3 + v1 through c.v2} and
     S2 = {direction c.v3 + v2 through c.v1}, c over the field, for
@@ -413,22 +416,6 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> AffineRegulusPair:
     return pair
 
 
-def _affine_transversals(space: AffSpace, lines) -> list[AffLine]:
-    """All affine lines meeting every member of a skew family."""
-    pair_line = space.pair_line
-    all_lines = space.lines
-    l0, l1 = lines[0], lines[1]
-    rest = lines[2:]
-    found = set()
-    for p in l0.points:
-        for p2 in l1.points:
-            idx = pair_line[(p, p2) if p < p2 else (p2, p)]
-            cand = all_lines[idx]
-            if all(cand.mask & ln.mask for ln in rest):
-                found.add(idx)
-    return [all_lines[i] for i in sorted(found)]
-
-
 def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
     """Case 1 when the infinite points of the closures are collinear
     (equivalently the direction vectors span only a plane): the family
@@ -445,7 +432,7 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
     f = space.field
     dir_rank = len(linalg.row_basis(f, tuple(l.dir for l in lines)))
     if q == 2:
-        trans = _affine_transversals(space, lines)
+        trans = common_transversals(space, lines)
         if len(trans) != 4:
             raise WrongCountError(f"{len(trans)} transversals of a skew pair, expected 4")
         pairs = []
@@ -463,22 +450,11 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
     if dir_rank > 2:
         return SkewFamilyClass(2, ())
     cm = projective_closure(space)
-    closures = [cm.line_to_proj(l) for l in lines]
-    lifted = regulus_through(cm.pspace, *closures)
-    pf = cm.pspace.field
-    r_inf = [l for l in lifted.r_lines if cm.infinity.contains_line(pf, l)]
-    o_inf = [l for l in lifted.opp_lines if cm.infinity.contains_line(pf, l)]
-    if len(r_inf) != 1 or len(o_inf) != 1:
-        raise WrongCountError("the lift needs exactly one line of each family at infinity")
-    s_lines = sorted(
-        (cm.line_to_aff(l) for l in lifted.r_lines if l not in r_inf), key=_aff_key
-    )
-    opp_lines = sorted(
-        (cm.line_to_aff(l) for l in lifted.opp_lines if l not in o_inf), key=_aff_key
-    )
+    lifted = regulus_through(cm.pspace, *(cm.line_to_proj(l) for l in lines))
+    s_lines, opp_lines = _finite_parts(lifted, cm)
     if not all(l in s_lines for l in lines):
         raise NotARegulusError("a given line is missing from its affine regulus")
-    pair = AffineRegulusPair(tuple(s_lines), tuple(opp_lines), space)
+    pair = AffineRegulusPair(s_lines, opp_lines, space)
     _check_affine_pair(space, pair.s_lines, pair.opp_lines)
     return SkewFamilyClass(1, (pair,))
 
@@ -538,7 +514,7 @@ def enumerate_affine_reguli(space: AffSpace, verify_lift: bool = True) -> tuple[
                         continue
                     triple = (lines[i], lines[j], lines[k])
                     if q == 3:
-                        opp = _affine_transversals(space, triple)
+                        opp = common_transversals(space, triple)
                         if len(opp) != q:
                             raise WrongCountError(f"{len(opp)} transversals, expected {q}")
                         pair = AffineRegulusPair(tuple(triple), tuple(opp), space)
@@ -574,8 +550,9 @@ def regulus_restriction(pair: RegulusPair, hyperplane: Hyperplane) -> Restrictio
     """
     space = pair.space
     f = space.field
-    in_r = [l for l in pair.r_lines if Hyperplane(normalize_point(f, hyperplane.normal)).contains_line(f, l)]
-    in_o = [l for l in pair.opp_lines if Hyperplane(normalize_point(f, hyperplane.normal)).contains_line(f, l)]
+    h = Hyperplane(normalize_point(f, hyperplane.normal))
+    in_r = [l for l in pair.r_lines if h.contains_line(f, l)]
+    in_o = [l for l in pair.opp_lines if h.contains_line(f, l)]
     if len(in_r) + len(in_o) == 2 * len(pair.r_lines):
         return RestrictionOutcome(
             kind="not_restrictable", reason="hyperplane contains the whole 3-flat"

@@ -1,6 +1,6 @@
 """Shared fixtures: the four block graphs used across the suite.
 
-Session scope matters: graphs are cached by design identity, and several
+Session scope matters: each design keeps its one block graph, and several
 modules check that a function's graph was built on the same space object.
 """
 

@@ -1,17 +1,20 @@
-"""Command-line interface: certificates, exit codes, caching, resume.
+"""Command-line interface: certificates, exit codes, resume.
 
 Certificates are the contract: schema "sv1", deterministic result
-payload (timing lives outside it), named checks, and the documented
-exit codes 0 / 1 / 2 / 3.
+payload (timing lives outside it), named checks that recompute what
+they claim, the documented exit codes 0 / 1 / 2 / 3, and result bytes
+pinned by sha256 for a fixed command list.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from steinergraphs import cli
+from steinergraphs.reguli import AffineRegulusPair, RegulusPair
 
 REGULUS_LINES = (
     '[[[1,0,0,0],[0,1,0,0]],'
@@ -74,14 +77,6 @@ def test_geometry_counts(capsys):
     assert len(r["lines"]) == 130
     _, cert = _run(capsys, "geometry", "--space", "aff", "--n", "3", "--q", "3")
     assert cert["result"]["num_planes"] == 39
-
-
-def test_blockgraph_and_srg(capsys):
-    _, cert = _run(capsys, "blockgraph", "--space", "proj", "--n", "3", "--q", "2")
-    assert cert["result"]["srg"] == {
-        "v": 35, "k": 18, "lambda": 9, "mu": 9, "r": 3, "s": -3, "m_r": 14, "m_s": 20,
-    }
-    assert len(cert["result"]["checksum"]) == 64
 
 
 def test_wdb_values(capsys):
@@ -187,34 +182,90 @@ def test_cameron_liebler_star_and_regulus(capsys):
     assert "witness" in cert["result"]
 
 
-# -- caching -------------------------------------------------------------------------------
+# -- named checks recompute what they claim -------------------------------------------------
 
 
-def test_cache_roundtrip(tmp_path, capsys):
-    args = ["blockgraph", "--space", "aff", "--n", "3", "--q", "2", "--cache", str(tmp_path)]
-    _, fresh = _run(capsys, *args)
-    assert (tmp_path / "blockgraph-aff-n3-q2.json").exists()
-    _, cached = _run(capsys, *args)
-    assert fresh["result"] == cached["result"]
+def _check(cert, name):
+    return next(c for c in cert["checks"] if c["name"] == name)
 
 
-def test_cache_checksum_detects_corruption(tmp_path, capsys):
-    args = ["blockgraph", "--space", "aff", "--n", "3", "--q", "2", "--cache", str(tmp_path)]
-    _run(capsys, *args)
-    path = tmp_path / "blockgraph-aff-n3-q2.json"
-    data = json.loads(path.read_text())
-    data["adj"][0] ^= 1
-    path.write_text(json.dumps(data))
-    code, cert = _run(capsys, *args)
+def test_regulus_axioms_check_recomputes(capsys, monkeypatch):
+    """A regulus whose opposite family is the regulus itself fails the
+    axioms check, with a witness, and the command exits 1."""
+    real = cli.reguli.regulus_through
+
+    def broken(space, *lines):
+        pair = real(space, *lines)
+        return RegulusPair(pair.r_lines, pair.r_lines, space)
+
+    monkeypatch.setattr(cli.reguli, "regulus_through", broken)
+    code, cert = _run(capsys, "regulus", "--q", "2", "--lines", REGULUS_LINES)
     assert code == 1
-    assert not all(c["passed"] for c in cert["checks"])
+    check = _check(cert, "regulus_axioms")
+    assert check["passed"] is False
+    assert "one point" in check["witness"]
 
 
-def test_cache_env_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STEINER_CACHE", str(tmp_path))
-    code, _ = _run(capsys, "srg", "--space", "aff", "--n", "3", "--q", "2")
-    assert code == 0
-    assert (tmp_path / "blockgraph-aff-n3-q2.json").exists()
+def test_affine_regulus_axioms_check_recomputes(capsys, monkeypatch):
+    """An affine pair whose opposite family is the family itself fails
+    the axioms check; its lift is taken from the true pair."""
+    real_construct, real_lift = cli.reguli.affine_regulus_construct, cli.reguli.lift_to_projective
+    true_pairs = []
+
+    def broken(space, *vectors):
+        true_pairs.append(real_construct(space, *vectors))
+        return AffineRegulusPair(true_pairs[-1].s_lines, true_pairs[-1].s_lines, space)
+
+    monkeypatch.setattr(cli.reguli, "affine_regulus_construct", broken)
+    monkeypatch.setattr(cli.reguli, "lift_to_projective", lambda pair: real_lift(true_pairs[-1]))
+    code, cert = _run(capsys, "affine-regulus", "--q", "3", "--vectors", "[[1,0,0],[0,1,0],[0,0,1]]")
+    assert code == 1
+    check = _check(cert, "affine_regulus_axioms")
+    assert check["passed"] is False
+    assert "one point" in check["witness"]
+
+
+def test_projective_lift_check_recomputes(capsys, monkeypatch):
+    """A lift whose families are swapped no longer gives back S and
+    S_opp when the lines at infinity are removed."""
+    real = cli.reguli.lift_to_projective
+
+    def swapped(pair):
+        lifted, closure = real(pair)
+        return lifted.swap(), closure
+
+    monkeypatch.setattr(cli.reguli, "lift_to_projective", swapped)
+    code, cert = _run(capsys, "affine-regulus", "--q", "3", "--vectors", "[[1,0,0],[0,1,0],[0,0,1]]")
+    assert code == 1
+    assert _check(cert, "affine_regulus_axioms")["passed"] is True
+    check = _check(cert, "projective_lift")
+    assert check["passed"] is False
+    assert "not the affine pair" in check["witness"]
+
+
+def test_equitable_check_recomputes(capsys):
+    """A part that is not equitable is reported as a failed check with a
+    witness vertex pair, not as an error."""
+    code, cert = _run(capsys, "equitable", "--space", "proj", "--n", "3", "--q", "2",
+                      "--part", "[0,1,2,3]")
+    assert code == 1
+    assert [c["name"] for c in cert["checks"]] == ["equitable"]
+    check = cert["checks"][0]
+    assert check["passed"] is False
+    part, (u, cu), (w, cw) = check["witness"]
+    assert part in (1, 2) and u != w and cu != cw
+
+
+def test_enumerate_optimal_flags_a_pair_that_fails_verification(capsys, monkeypatch):
+    real = cli.eigenfunctions.enumerate_complete_bipartite
+    monkeypatch.setattr(cli.eigenfunctions, "enumerate_complete_bipartite",
+                        lambda graph, a: real(graph, a) + [((0, 1), (2, 3))])
+    code, cert = _run(capsys, "enumerate-optimal", "--space", "aff", "--n", "3", "--q", "2")
+    assert code == 1
+    assert _check(cert, "all_pairs_verify")["passed"] is False
+    assert _check(cert, "classification_total")["passed"] is False
+    assert cert["result"]["count"] == 211
+    assert sum(cert["result"]["classification"].values()) == 210
 
 
 # -- exit codes ------------------------------------------------------------------------------
@@ -246,6 +297,41 @@ def test_construction_error_exit_1(capsys):
     assert code == 1
     assert cert["checks"][0]["name"] == "no_errors"
     assert cert["checks"][0]["passed"] is False
+
+
+def _usage_error(capsys, *argv):
+    code = cli.main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def test_negative_listing_limit_exit_2(capsys):
+    code, err = _usage_error(capsys, "enumerate-reguli", "--q", "2", "--limit", "-1")
+    assert code == 2
+    assert "--limit" in err
+
+
+def test_negative_search_limit_exit_2(capsys):
+    code, err = _usage_error(capsys, "search-support", "--space", "aff", "--n", "3", "--q", "2",
+                             "--theta", "-2", "--size", "4", "--limit", "-5")
+    assert code == 2
+    assert "--limit" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exit_2(capsys, jobs):
+    code, err = _usage_error(capsys, "search-support", "--space", "aff", "--n", "3", "--q", "2",
+                             "--theta", "-2", "--size", "4", "--jobs", jobs)
+    assert code == 2
+    assert "--jobs" in err
+
+
+def test_function_not_an_object_exit_2(capsys):
+    code, err = _usage_error(capsys, "verify-eigenfunction", "--space", "proj", "--n", "3", "--q", "2",
+                             "--theta", "3", "--function", "[1]")
+    assert code == 2
+    assert "JSON object" in err
 
 
 # -- search with checkpointing -----------------------------------------------------------------
@@ -324,3 +410,61 @@ def test_search_exhaustive_mode_agrees(capsys):
     _, b = _run(capsys, "search-support", "--space", "aff", "--n", "3", "--q", "2",
                 "--theta", "-2", "--size", "4", "--mode", "branch-and-prune")
     assert a["result"]["functions"] == b["result"]["functions"]
+
+
+# -- pinned result bytes --------------------------------------------------------------------------
+
+# sha256 of the canonical JSON of each certificate's ``result``, recorded
+# before the geometry/designs/cli deletion pass; a change here changes
+# certificate bytes
+PINNED_RESULTS = {
+    "geometry-proj-3-2": (("geometry", "--space", "proj", "--n", "3", "--q", "2"),
+                          "b07218bcc94f8691e802db4926964f237512d8534850540c2864e13afb40efbc"),
+    "geometry-aff-3-2": (("geometry", "--space", "aff", "--n", "3", "--q", "2"),
+                         "7836d8740cd83e7072763323d18ac767d54c444f87636c6fe5b66b03b7130183"),
+    "geometry-aff-2-3": (("geometry", "--space", "aff", "--n", "2", "--q", "3"),
+                         "7b95234d67469ed6b4948bd1f6dadf26af10cf9522031a02aa41cce1816f35e9"),
+    "srg-proj-3-2": (("srg", "--space", "proj", "--n", "3", "--q", "2"),
+                     "5ac0ef2c062411aa473e32c899c7f5b00a6b503e27058c3a5439cfc9700c6c18"),
+    "srg-aff-3-3": (("srg", "--space", "aff", "--n", "3", "--q", "3"),
+                    "c7ca160ce0101bc7354c22c28ddbdc49af5bd9208a1c94fef8c542969a868ced"),
+    "wdb-proj-3-2": (("wdb", "--space", "proj", "--n", "3", "--q", "2"),
+                     "b7ef98181247ba4635c9d676d3f204cc8ee0628509d0d0661b9159b77696df85"),
+    "wdb-aff-3-3": (("wdb", "--space", "aff", "--n", "3", "--q", "3"),
+                    "a0f8d5734835f77369df4ce65f10c61d3eaaf05ca2ab26b1360d563c03b37889"),
+    "regulus": (("regulus", "--q", "2", "--lines", REGULUS_LINES),
+                "29384cdd68bbb27ea1383801c1854325b1777b202a72e0ce1ddc54d3946c0550"),
+    "affine-regulus": (("affine-regulus", "--q", "3", "--vectors", "[[1,0,0],[0,1,0],[0,0,1]]"),
+                       "94df5bdc97a915e505c3384aa82545e8aa2f65d1a2a78001b263e5015d24a595"),
+    "enumerate-reguli": (("enumerate-reguli", "--q", "2"),
+                         "05a237ed5586c92dee24bd44125b7905139094067eb8bf873a15f7fc25201876"),
+    "enumerate-affine-reguli": (("enumerate-affine-reguli", "--q", "2"),
+                                "7b17b622b11ba84c89055a931f8722ebed447ab3bab22eb8f6c62065af33ce40"),
+    "enumerate-optimal-proj-3-2": (("enumerate-optimal", "--space", "proj", "--n", "3", "--q", "2"),
+                                   "0989c5cfbac084d90db448387d7ed5eb6a2bb4861609d327be8f32cf19479d5e"),
+    "enumerate-optimal-aff-3-2": (("enumerate-optimal", "--space", "aff", "--n", "3", "--q", "2"),
+                                  "6adbe00f50a196753fd1ca0125a6e1094ae6dd0728a52e131ae4ab5501f0fb7d"),
+    "verify-eigenfunction": (("verify-eigenfunction", "--space", "aff", "--n", "3", "--q", "2", "--theta", "-2",
+                              "--function", '{"0": "1", "1": "1", "4": "-1", "5": "-1"}'),
+                             "72dccdc133acb67cf6f0457e5ee0105f5500120b74fc7c5647370d4b4d721cfe"),
+    "wdbplus2": (("wdbplus2", "--q", "2", "--lines", REGULUS_LINES, "--hyperplane", "[1,0,1,1]"),
+                 "6a0cd0a6f6bb3dbf6217ca32fc4f61a21049893eb4b9b45b7af8a0dfd181c4cc"),
+    "search-support": (("search-support", "--space", "aff", "--n", "3", "--q", "2", "--theta", "-2", "--size", "4"),
+                       "5a23d4d43b9829ede76b128ded24b30ff0cc3979b909303ca23a2350b5649cf1"),
+    "equitable": (("equitable", "--space", "proj", "--n", "3", "--q", "2", "--star", "0"),
+                  "878d642e9099453721a427d38d765d20fd232dc26dddb5af0931095cc63a4a2c"),
+    "balance": (("balance", "--q", "2", "--lines", REGULUS_LINES, "--star", "0"),
+                "56b70f14f35218a91512dcb2340022f4e5c8e575a33a2bc5f6af26741dc13339"),
+    "cameron-liebler": (("cameron-liebler", "--q", "2", "--star", "[1,0,0,0]"),
+                        "0a734d485fc1d44cb1f5c42303d2d4e2952bcecf181b6a026ccce8bff12a2542"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RESULTS))
+def test_pinned_result_digest(capsys, name):
+    argv, digest = PINNED_RESULTS[name]
+    code, cert = _run(capsys, *argv)
+    assert code == 0
+    assert all(c["passed"] for c in cert["checks"])
+    blob = json.dumps(cert["result"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -16,7 +16,11 @@ states one global invariant of the library:
     scalar operations, with and without tables, and RREF agrees with a
     plain Gauss-Jordan reference written with the scalar operations;
   * RREF and point normalisation reject entries that are not field
-    elements.
+    elements;
+  * the canonical forms of the geometry tables: point normalisation,
+    projective line bases, affine line keys and coset representatives,
+    with pair_line, lines_at and the line counts matching the point sets
+    and the closed formulas.
 """
 
 from __future__ import annotations
@@ -40,9 +44,16 @@ from steinergraphs.eigenfunctions import (
     verify_eigenfunction,
 )
 from steinergraphs.errors import MixedFieldsError
-from steinergraphs.geometry import Hyperplane, aff_space, normalize_point, affine_restriction, projective_closure
+from steinergraphs.geometry import (
+    _coset_rep,
+    aff_space,
+    affine_restriction,
+    normalize_point,
+    proj_space,
+    projective_closure,
+)
 from steinergraphs.gf import _TABLE_LIMIT, field_make
-from steinergraphs.linalg import rational_kernel, rref
+from steinergraphs.linalg import rational_kernel, row_basis, rref
 from steinergraphs.partitions import Partition2, partition_to_eigenfunction, star_line_set
 from steinergraphs.reguli import enumerate_reguli
 from test_gf import PRIME_POWERS, _field
@@ -348,3 +359,97 @@ def test_rref_and_normalize_reject_non_elements(f, bad):
         normalize_point(f, (1, 0, bad))
     with pytest.raises(MixedFieldsError):
         normalize_point(f, (bad, 1, 0))
+
+
+# -- canonical forms of the geometry tables ----------------------------------------------------
+
+PROJ_SPACES = [proj_space(3, field_make(2)), proj_space(3, field_make(3)), proj_space(2, field_make(2, 2))]
+AFF_SPACES = [aff_space(3, field_make(2)), aff_space(3, field_make(3)), aff_space(2, field_make(2, 2)),
+              aff_space(4, field_make(2))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_normalize_point_idempotent_and_scale_invariant(data):
+    f = data.draw(st.sampled_from(ALL_SMALL_FIELDS))
+    n = data.draw(st.integers(1, 5))
+    vec = tuple(data.draw(st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n).filter(any)))
+    c = data.draw(st.integers(1, f.q - 1))
+    p = normalize_point(f, vec)
+    assert next(x for x in p if x) == 1
+    assert normalize_point(f, p) == p
+    assert normalize_point(f, f.scale_row(c, vec)) == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_line_from_basis_of_any_two_points(data):
+    """Any two distinct points of a line, in any order and scaling, span
+    the same canonical line."""
+    sp = data.draw(st.sampled_from(PROJ_SPACES))
+    f = sp.field
+    line = data.draw(st.sampled_from(sp.lines))
+    a, b = data.draw(st.lists(st.sampled_from(line.point_coords()), min_size=2, max_size=2, unique=True))
+    c = data.draw(st.integers(1, f.q - 1))
+    assert sp.line_from_basis((f.scale_row(c, a), b)) is line
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pair_line_and_lines_at_match_point_sets(data):
+    sp = data.draw(st.sampled_from(PROJ_SPACES + AFF_SPACES))
+    i, j = sorted(data.draw(st.lists(st.integers(0, len(sp.points) - 1), min_size=2, max_size=2, unique=True)))
+    line = sp.lines[sp.pair_line[(i, j)]]
+    assert i in line.points and j in line.points
+    assert line.mask == sum(1 << p for p in line.points)
+    for p in (i, j):
+        assert sp.lines_at[p] == tuple(k for k, ln in enumerate(sp.lines) if p in ln.points)
+
+
+def _gaussian_binomial(n: int, k: int, q: int) -> int:
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
+def test_line_counts_match_closed_formulas(n, q):
+    """PG(n, q) has [n+1 choose 2]_q lines; AG(n, q) has q^n points on
+    (q^n - 1)/(q - 1) lines each, every line holding q of them."""
+    f = _field(q)
+    psp, asp = proj_space(n, f), aff_space(n, f)
+    assert len(psp.lines) == _gaussian_binomial(n + 1, 2, q)
+    assert len(asp.lines) == q**n * ((q**n - 1) // (q - 1)) // q
+    assert all(len(ln.points) == q + 1 for ln in psp.lines)
+    assert all(len(ln.points) == q for ln in asp.lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_coset_rep_invariant_under_row_space(data):
+    sp = data.draw(st.sampled_from(AFF_SPACES))
+    f, n = sp.field, sp.n
+    el = st.integers(0, f.q - 1)
+    basis = row_basis(f, data.draw(st.lists(st.lists(el, min_size=n, max_size=n), min_size=1, max_size=n)))
+    point = data.draw(st.sampled_from(sp.points))
+    shifted = point
+    for row in basis:
+        shifted = f.add_rows(shifted, f.scale_row(data.draw(el), row))
+    rep = _coset_rep(f, basis, point)
+    assert _coset_rep(f, basis, shifted) == rep
+    # rep is in the coset and vanishes at every pivot of the basis
+    assert row_basis(f, basis + (f.sub_scaled_row(rep, 1, point),)) == basis
+    assert all(rep[next(i for i, x in enumerate(row) if x)] == 0 for row in basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_line_from_key_from_any_base_point(data):
+    sp = data.draw(st.sampled_from(AFF_SPACES))
+    f = sp.field
+    line = data.draw(st.sampled_from(sp.lines))
+    base = data.draw(st.sampled_from(line.point_coords()))
+    c = data.draw(st.integers(1, f.q - 1))
+    assert sp.line_from_key(f.scale_row(c, line.dir), base) is line
