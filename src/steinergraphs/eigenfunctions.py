@@ -238,7 +238,6 @@ def optimal_from_parallel_classes(plane: AffPlane, class1, class2, graph: Graph 
     """+1 on one parallel class of a plane, -1 on another: a -q-eigenfunction
     of the affine line block graph with support of minimum size 2q."""
     space = plane.space
-    graph = _line_graph_for(space, graph)
     classes = {frozenset(c): c for c in parallel_classes(plane)}
     k1, k2 = frozenset(class1), frozenset(class2)
     if k1 == k2:

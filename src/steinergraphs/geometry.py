@@ -152,7 +152,7 @@ class _Space:
 
     def __init__(self, n: int, field: Field):
         if n < 2:
-            raise ValueError(f"{self.KIND} dimension must be >= 2, got {n}")
+            raise ValueError(f"{type(self).__name__} needs dimension n >= 2, got {n}")
         self.n = n
         self.field = field
         self._design = None  # the Steiner system of the lines, kept here by designs
@@ -225,8 +225,6 @@ class _Space:
 class ProjSpace(_Space):
     """PG(n, q): points are normalised nonzero vectors of length n + 1."""
 
-    KIND = "projective"
-
     def _point_table(self) -> tuple[Vec, ...]:
         q, n, f = self.field.q, self.n, self.field
         count = (q ** (n + 1) - 1) // (q - 1)
@@ -271,8 +269,6 @@ class ProjSpace(_Space):
 
 class AffSpace(_Space):
     """AG(n, q): points are all vectors of length n, in lexicographic order."""
-
-    KIND = "affine"
 
     def _point_table(self) -> tuple[Vec, ...]:
         q, n = self.field.q, self.n

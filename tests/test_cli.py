@@ -257,7 +257,9 @@ def test_equitable_check_recomputes(capsys):
 
 
 def test_enumerate_optimal_flags_a_pair_that_fails_verification(capsys, monkeypatch):
-    real = cli.eigenfunctions.enumerate_complete_bipartite
+    """A part-pair that is not an induced K_{2,2} fails the eigenvalue
+    equation inside classify_optimal; it is reported, not classified."""
+    real =cli.eigenfunctions.enumerate_complete_bipartite
     monkeypatch.setattr(cli.eigenfunctions, "enumerate_complete_bipartite",
                         lambda graph, a: real(graph, a) + [((0, 1), (2, 3))])
     code, cert = _run(capsys, "enumerate-optimal", "--space", "aff", "--n", "3", "--q", "2")
