@@ -185,12 +185,14 @@ def _cmd_wdb(args, cert: _Cert) -> None:
     graph = _graph_of(args.space, args.n, args.q)
     design = graph.design
     params = srg_params_formula(design.N, design.M)
+    # the closed form -2s / 2(r+1) from the spectrum of the graph built
+    spectrum = srg_params_brute(graph)
     thetas = [args.theta] if args.theta is not None else [params.s, params.r]
     values = {}
     ok = True
     for theta in thetas:
         bound = wdb(params, theta)
-        closed = -2 * params.s if theta == params.s else 2 * (params.r + 1)
+        closed = -2 * spectrum.s if theta == spectrum.s else 2 * (spectrum.r + 1)
         values[str(theta)] = bound
         ok = ok and bound == closed
     cert.result = {"r": params.r, "s": params.s, "wdb": values}
@@ -573,7 +575,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--space", choices=("proj", "aff"), default=space_default)
         p.add_argument("--out", metavar="FILE", help="write the JSON certificate here")
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.add_argument("--limit", type=int, default=None, help="resource or listing limit")
+        p.add_argument("--limit", type=int, default=None,
+                       help="search-support: one node budget counted in prefix order, whatever"
+                            " --jobs is; enumerations: entries listed")
         p.add_argument("--format", choices=("json", "text"), default="text")
 
     common(sub.add_parser("geometry", help="enumerate points, lines, planes"), "proj")

@@ -20,11 +20,13 @@ Conventions:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from multiprocessing import get_context
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .designs import Graph, bit_indices, cached_block_graph, affine_design, projective_design, srg_params_brute, srg_params_formula, wdb
 from .errors import (
@@ -466,51 +468,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-# worker state: (adjacency, row basis of A - theta*I, its per-vertex
-# columns mod p, vertex count, target, mode, per-task node budget, theta,
-# and per vertex w the vertices that can still gain a support neighbour
-# once every vertex up to w is decided: those above w and those with a
-# neighbour above w)
-_W: dict[str, object] = {}
-
-
-def _search_init(adj, rows_int, cols_mod, v, target, mode, budget, theta):
-    top = [0] * v
-    for u in range(v):
-        if adj[u]:
-            top[adj[u].bit_length() - 1] |= 1 << u
-    ahead = [0] * v
-    later = 0
-    for w in range(v - 1, -1, -1):
-        ahead[w] = later | ((1 << v) - 1) & (-1 << (w + 1))
-        later |= top[w]
-    _W.update(
-        adj=adj, rows_int=rows_int, cols_mod=cols_mod, v=v, target=target,
-        mode=mode, budget=budget, theta=theta, ahead=tuple(ahead),
-    )
-
-
-def _admit(w: int, state: tuple[int, int, int], leaf: bool) -> tuple[int, int, int] | None:
-    """Add w to the support.  ``state`` is (support, vertices with at
-    least one support neighbour, vertices with at least two).  Returns
-    the new state, or None when every support extending it fails the
-    local rules: a vertex outside the support has exactly one support
-    neighbour, or (theta != 0) a support vertex has none.  Above the
-    leaves a vertex is spared while it can still gain a support
-    neighbour."""
-    mask, one, two = state
-    aw = _W["adj"][w]
-    mask |= 1 << w
-    two |= one & aw
-    one |= aw
-    bad = one & ~two & ~mask
-    if _W["theta"]:
-        bad |= mask & ~one
-    if bad and (leaf or bad & ~_W["ahead"][w]):
-        return None
-    return mask, one, two
-
-
 def _pivot(vec) -> tuple[int, tuple[int, ...]] | None:
     """The first nonzero position of a column mod p and the column scaled
     to 1 there, or None for the zero column."""
@@ -521,98 +478,157 @@ def _pivot(vec) -> tuple[int, tuple[int, ...]] | None:
     return pi, tuple(x * inv % _SCREEN_PRIME for x in vec)
 
 
-def _leaf_check(chosen: list[int], found: list, fams: list, counters: dict) -> None:
-    counters["kernel_calls"] += 1
-    rows_int = _W["rows_int"]
-    mat = [[row[s] for s in chosen] for row in rows_int]
-    basis = rational_kernel(mat)
-    if not basis:
-        return
-    union: set[int] = set()
-    for vec in basis:
-        union.update(j for j, x in enumerate(vec) if x)
-    if len(union) != len(chosen):
-        return
-    if len(basis) == 1:
-        found.append((tuple(chosen), basis[0]))
-    else:
-        fams.append((tuple(chosen), basis))
+class _Search:
+    """The tables of one search_min_support call: adjacency masks, the
+    row basis of A - theta*I and its per-vertex columns mod p, and per
+    vertex w the vertices that can still gain a support neighbour once
+    every vertex up to w is decided (those above w and those with a
+    neighbour above w).  ``limit`` caps the nodes of each shard."""
 
+    __slots__ = ("adj", "rows_int", "cols_mod", "ahead", "v", "target", "theta", "prune", "limit")
 
-def _extend(chosen, state, pivots, deps, ws, found, fams, counters) -> None:
-    """Try each w of ``ws`` as the next support vertex after ``chosen``.
-    ``pivots`` is the normalised modular row basis of the chosen columns
-    and ``deps`` counts the chosen columns it found dependent; a leaf
-    without a dependency has no kernel and skips the exact check."""
-    v = _W["v"]
-    target = _W["target"]
-    cols_mod = _W["cols_mod"]
-    prune = _W["mode"] == "branch-and-prune"
-    budget = _W["budget"]
-    d = len(chosen) + 1
-    leaf = d == target
-    for w in ws:
-        counters["nodes"] += 1
-        if budget is not None and counters["nodes"] > budget:
-            raise _BudgetExceeded
-        nxt = _admit(w, state, leaf) if prune else state
-        if nxt is None:
-            continue
-        if leaf and deps:
-            _leaf_check(chosen + [w], found, fams, counters)
-            continue
-        vec = cols_mod[w]
-        for pi, pv in pivots:
-            c = vec[pi]
-            if c:
-                vec = [(x - c * y) % _SCREEN_PRIME for x, y in zip(vec, pv)]
-        if leaf:
-            if not any(vec):
-                _leaf_check(chosen + [w], found, fams, counters)
-            continue
-        kids = range(w + 1, v - (target - d) + 1)
-        piv = _pivot(vec)
-        if piv is None:
-            _extend(chosen + [w], nxt, pivots, deps + 1, kids, found, fams, counters)
+    def __init__(self, graph: Graph, theta: int, target: int, prune: bool, limit: int | None):
+        self.v = v = graph.v
+        self.adj = adj = graph.adj
+        ident = [[-theta if i == j else 0 for j in range(v)] for i in range(v)]
+        for u in range(v):
+            for w in bit_indices(adj[u]):
+                ident[u][w] += 1
+        ech, pivots = bareiss_echelon(ident)
+        self.rows_int = rows_int = tuple(tuple(row) for row in ech[: len(pivots)])
+        self.cols_mod = tuple(
+            tuple(row[w] % _SCREEN_PRIME for row in rows_int) for w in range(v)
+        )
+        ahead = [0] * v
+        for u in range(v):
+            for w in range(max(u, adj[u].bit_length() - 1)):
+                ahead[w] |= 1 << u
+        self.ahead = tuple(ahead)
+        self.target = target
+        self.theta = theta
+        self.prune = prune
+        self.limit = limit
+
+    def admit(self, w: int, state: tuple[int, int, int], leaf: bool) -> tuple[int, int, int] | None:
+        """Add w to the support.  ``state`` is (support, vertices with at
+        least one support neighbour, vertices with at least two).  Returns
+        the new state, or None when every support extending it fails the
+        local rules: a vertex outside the support has exactly one support
+        neighbour, or (theta != 0) a support vertex has none.  Above the
+        leaves a vertex is spared while it can still gain a support
+        neighbour."""
+        mask, one, two = state
+        aw = self.adj[w]
+        mask |= 1 << w
+        two |= one & aw
+        one |= aw
+        bad = one & ~two & ~mask
+        if self.theta:
+            bad |= mask & ~one
+        if bad and (leaf or bad & ~self.ahead[w]):
+            return None
+        return mask, one, two
+
+    def leaf_check(self, chosen: list[int], found: list, fams: list, counters: dict) -> None:
+        counters["kernel_calls"] += 1
+        mat = [[row[s] for s in chosen] for row in self.rows_int]
+        basis = rational_kernel(mat)
+        if not basis:
+            return
+        union: set[int] = set()
+        for vec in basis:
+            union.update(j for j, x in enumerate(vec) if x)
+        if len(union) != len(chosen):
+            return
+        if len(basis) == 1:
+            found.append((tuple(chosen), tuple(basis[0])))
         else:
-            pivots.append(piv)
-            _extend(chosen + [w], nxt, pivots, deps, kids, found, fams, counters)
-            pivots.pop()
+            fams.append((tuple(chosen), basis))
+
+    def extend(self, chosen, state, pivots, deps, ws, found, fams, counters) -> None:
+        """Try each w of ``ws`` as the next support vertex after ``chosen``.
+        ``pivots`` is the normalised modular row basis of the chosen columns
+        and ``deps`` counts the chosen columns it found dependent; a leaf
+        without a dependency has no kernel and skips the exact check."""
+        target = self.target
+        cols_mod = self.cols_mod
+        prune = self.prune
+        limit = self.limit
+        d = len(chosen) + 1
+        leaf = d == target
+        for w in ws:
+            counters["nodes"] += 1
+            if limit is not None and counters["nodes"] > limit:
+                raise _BudgetExceeded
+            nxt = self.admit(w, state, leaf) if prune else state
+            if nxt is None:
+                continue
+            if leaf and deps:
+                self.leaf_check(chosen + [w], found, fams, counters)
+                continue
+            vec = cols_mod[w]
+            for pi, pv in pivots:
+                c = vec[pi]
+                if c:
+                    vec = [(x - c * y) % _SCREEN_PRIME for x, y in zip(vec, pv)]
+            if leaf:
+                if not any(vec):
+                    self.leaf_check(chosen + [w], found, fams, counters)
+                continue
+            kids = range(w + 1, self.v - (target - d) + 1)
+            piv = _pivot(vec)
+            if piv is None:
+                self.extend(chosen + [w], nxt, pivots, deps + 1, kids, found, fams, counters)
+            else:
+                pivots.append(piv)
+                self.extend(chosen + [w], nxt, pivots, deps, kids, found, fams, counters)
+                pivots.pop()
+
+    def run_shard(self, task) -> Iterator[tuple]:
+        """Search the depth-2 prefixes (v0, v1) of one first vertex v0 in
+        order, yielding a record (prefix, nodes, kernel calls, rays,
+        families, finished) for each; the first record also counts the
+        node of v0.  The shard stops after the first prefix during which
+        its own node count passes the limit, so no shard runs unbounded."""
+        v0, v1_list = task
+        if self.target == 1:
+            yield (v0,), 1, 0, (), (), True
+            return
+        state = self.admit(v0, (0, 0, 0), False) if self.prune else (0, 0, 0)
+        if state is None:
+            yield from (((v0, v1), int(i == 0), 0, (), (), True) for i, v1 in enumerate(v1_list))
+            return
+        piv = _pivot(self.cols_mod[v0])
+        pivots, deps = ([], 1) if piv is None else ([piv], 0)
+        counters = {"nodes": 1, "kernel_calls": 0}
+        before = (0, 0)
+        for v1 in v1_list:
+            found: list = []
+            fams: list = []
+            try:
+                self.extend([v0], state, pivots, deps, (v1,), found, fams, counters)
+                finished = True
+            except _BudgetExceeded:
+                finished = False
+            nodes, calls = counters["nodes"], counters["kernel_calls"]
+            yield (v0, v1), nodes - before[0], calls - before[1], tuple(found), tuple(fams), finished
+            if not finished:
+                return
+            before = nodes, calls
 
 
-def _run_shard(task):
-    """Process the depth-2 prefixes (v0, v1) for one first vertex v0.
-    Results of a prefix are kept only when its subtree completes, so an
-    exhausted budget leaves a clean resumable checkpoint."""
-    v0, v1_list = task
-    found: list = []
-    fams: list = []
-    done: list[tuple[int, ...]] = []
-    counters = {"nodes": 1, "kernel_calls": 0}
-    exhausted = False
-    if _W["target"] == 1:
-        done.append((v0,))
-        return found, fams, done, counters, exhausted
-    state = (0, 0, 0)
-    if _W["mode"] == "branch-and-prune":
-        state = _admit(v0, state, False)
-    if state is None:
-        done.extend((v0, v1) for v1 in v1_list)
-        return found, fams, done, counters, exhausted
-    piv = _pivot(_W["cols_mod"][v0])
-    pivots, deps = ([], 1) if piv is None else ([piv], 0)
-    for v1 in v1_list:
-        pf_found: list = []
-        pf_fams: list = []
-        try:
-            _extend([v0], state, pivots, deps, (v1,), pf_found, pf_fams, counters)
-        except _BudgetExceeded:
-            exhausted = True
-            break
-        found.extend(pf_found)
-        fams.extend(pf_fams)
-        done.append((v0, v1))
-    return found, fams, done, counters, exhausted
+# the search of a fork worker, set by the pool initializer; the parent
+# process never sets it
+_worker_search: _Search | None = None
+
+
+def _init_worker(search: _Search) -> None:
+    global _worker_search
+    _worker_search = search
+
+
+def _worker_shard(task) -> list[tuple]:
+    return list(_worker_search.run_shard(task))
 
 
 def search_min_support(
@@ -639,10 +655,17 @@ def search_min_support(
     interior node is cut when a decided vertex breaks one and has no
     neighbour left to choose.  Exhaustive mode applies neither.
 
-    ``limit`` bounds the visited nodes, counted before pruning; exceeding
-    it raises LimitExceededError whose ``checkpoint`` lists completed
-    depth-2 prefixes and whose ``partial`` holds their results.
-    ``resume`` accepts such a checkpoint and skips the completed prefixes.
+    The work is split by depth-2 prefix (v0, v1), in ascending order.
+    ``limit`` is one node budget for the whole call, counted before
+    pruning and in prefix order, whatever ``jobs`` is: a prefix is done
+    when the running node total is still at most ``limit`` after its
+    subtree.  When one is not, LimitExceededError is raised; its
+    ``checkpoint`` lists the done prefixes and its ``partial`` holds their
+    results, with the nodes and kernel calls counted up to and including
+    the prefix that did not fit.  ``resume`` accepts such a checkpoint
+    and skips the done prefixes.  ``jobs`` > 1 searches the prefixes of
+    each first vertex in a pool of forked workers, with the same results
+    and checkpoints.
     """
     if mode not in ("exhaustive", "branch-and-prune"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -654,16 +677,8 @@ def search_min_support(
         params = srg_params_brute(graph)
     if theta not in (params.r, params.s) or theta == params.k:
         raise NotAnEigenvalueError(f"{theta} is not a non-principal eigenvalue of the graph")
+    search = _Search(graph, theta, target, mode == "branch-and-prune", limit)
     v = graph.v
-    ident = [[-theta if i == j else 0 for j in range(v)] for i in range(v)]
-    for u in range(v):
-        for w in bit_indices(graph.adj[u]):
-            ident[u][w] += 1
-    ech, pivots = bareiss_echelon(ident)
-    rows_int = tuple(tuple(row) for row in ech[: len(pivots)])
-    cols_mod = tuple(
-        tuple(row[w] % _SCREEN_PRIME for row in rows_int) for w in range(v)
-    )
 
     done_before: set[tuple[int, ...]] = set()
     if resume:
@@ -682,46 +697,25 @@ def search_min_support(
             if v1s:
                 tasks.append((v0, v1s))
 
-    budget = None
-    if limit is not None:
-        budget = max(1, limit // max(1, len(tasks))) if jobs > 1 else limit
-
     raw_found: list = []
     raw_fams: list = []
     done: list[tuple[int, ...]] = sorted(done_before)
     nodes = kernel_calls = 0
     exhausted = False
-
+    pool = None
     if jobs > 1 and len(tasks) > 1:
-        ctx = get_context("fork")
-        init_args = (graph.adj, rows_int, cols_mod, v, target, mode, budget, theta)
-        with ctx.Pool(processes=jobs, initializer=_search_init, initargs=init_args) as pool:
-            for found, fams, shard_done, counters, ex in pool.imap(_run_shard, tasks):
-                raw_found.extend(found)
-                raw_fams.extend(fams)
-                done.extend(shard_done)
-                nodes += counters["nodes"]
-                kernel_calls += counters["kernel_calls"]
-                exhausted = exhausted or ex
-    else:
-        _search_init(graph.adj, rows_int, cols_mod, v, target, mode, budget, theta)
-        shared = {"nodes": 0, "kernel_calls": 0}
-        for task in tasks:
-            found, fams, shard_done, counters, ex = _run_shard(task)
-            raw_found.extend(found)
-            raw_fams.extend(fams)
-            done.extend(shard_done)
-            shared["nodes"] += counters["nodes"]
-            shared["kernel_calls"] += counters["kernel_calls"]
-            if budget is not None:
-                budget -= counters["nodes"]
-                _W["budget"] = budget
-                if budget <= 0:
-                    ex = True
-            if ex:
+        pool = get_context("fork").Pool(jobs, _init_worker, (search,))
+    with pool or nullcontext():
+        shards = pool.imap(_worker_shard, tasks) if pool else map(search.run_shard, tasks)
+        for prefix, n, calls, found, fams, finished in chain.from_iterable(shards):
+            nodes += n
+            kernel_calls += calls
+            if not finished or (limit is not None and nodes > limit):
                 exhausted = True
                 break
-        nodes, kernel_calls = shared["nodes"], shared["kernel_calls"]
+            raw_found.extend(found)
+            raw_fams.extend(fams)
+            done.append(prefix)
 
     functions = tuple(
         Eigenfunction(graph, theta, {s: x for s, x in zip(supp, vec) if x})

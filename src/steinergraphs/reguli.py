@@ -459,10 +459,10 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
     return SkewFamilyClass(1, (pair,))
 
 
-def enumerate_affine_reguli(space: AffSpace, verify_lift: bool = True) -> tuple[AffineRegulusPair, ...]:
+def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
     """Every ordered affine regulus pair (S, S_opp) of a 3-dimensional
-    affine space, sorted canonically; optionally re-verifies the
-    projective lift of each pair."""
+    affine space, sorted canonically; the projective lift of each pair is
+    verified."""
     if space.n != 3:
         raise WrongCountError("affine regulus enumeration needs dimension 3")
     q = space.field.q
@@ -530,9 +530,8 @@ def enumerate_affine_reguli(space: AffSpace, verify_lift: bool = True) -> tuple[
                                 seen.add(key)
                                 out.append(pair)
     out.sort(key=lambda pr: tuple(_aff_key(l) for l in pr.s_lines + pr.opp_lines))
-    if verify_lift:
-        for pair in out:
-            lift_to_projective(pair)
+    for pair in out:
+        lift_to_projective(pair)
     return tuple(out)
 
 

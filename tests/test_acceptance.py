@@ -186,7 +186,7 @@ def test_criterion_05_affine_regulus_count():
     ordering convention is reported by the enumeration interface."""
     for q, expected in ((2, 336), (3, 8424)):
         sp = aff_space(3, field_make(q))
-        pairs = enumerate_affine_reguli(sp, verify_lift=True)
+        pairs = enumerate_affine_reguli(sp)
         assert len(pairs) == expected == q ** 4 * (q ** 3 - 1) * (q + 1)
     from steinergraphs import cli
 

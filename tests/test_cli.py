@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from steinergraphs import cli
+from steinergraphs.designs import affine_design, cached_block_graph
+from steinergraphs.eigenfunctions import search_min_support
 from steinergraphs.reguli import AffineRegulusPair, RegulusPair
 
 REGULUS_LINES = (
@@ -243,6 +246,19 @@ def test_projective_lift_check_recomputes(capsys, monkeypatch):
     assert "not the affine pair" in check["witness"]
 
 
+def test_wdb_closed_form_check_recomputes(capsys, monkeypatch):
+    """The closed form comes from the spectrum of the graph built, so a
+    graph whose least eigenvalue differs from the formula's fails the
+    check while the bound values stay those of the formula."""
+    _, good = _run(capsys, "wdb", "--space", "proj", "--n", "3", "--q", "2")
+    real = cli.srg_params_brute
+    monkeypatch.setattr(cli, "srg_params_brute", lambda graph: replace(real(graph), s=real(graph).s - 1))
+    code, cert = _run(capsys, "wdb", "--space", "proj", "--n", "3", "--q", "2")
+    assert code == 1
+    assert _check(cert, "closed_form_matches")["passed"] is False
+    assert cert["result"] == good["result"]
+
+
 def test_equitable_check_recomputes(capsys):
     """A part that is not equitable is reported as a failed check with a
     witness vertex pair, not as an error."""
@@ -371,6 +387,39 @@ def test_search_limit_and_resume(tmp_path, capsys):
                     "--theta", "-2", "--size", "4")
     assert resumed["result"]["functions"] == fresh["result"]["functions"]
     assert resumed["result"]["census"] == fresh["result"]["census"]
+
+
+AG32_SIZE4 = ("search-support", "--space", "aff", "--n", "3", "--q", "2", "--theta", "-2", "--size", "4")
+
+
+def test_search_limit_equal_to_total_exits_0(capsys):
+    """A budget of exactly the nodes a complete search visits is enough."""
+    full = search_min_support(cached_block_graph(affine_design(3, 2)), -2, 4)
+    code, cert = _run(capsys, *AG32_SIZE4, "--limit", str(full.nodes))
+    assert code == 0
+    assert cert["result"]["complete"] is True
+    assert len(cert["result"]["functions"]) == 210
+
+
+def test_search_jobs_keep_the_meaning_of_limit(tmp_path, capsys):
+    """--limit is one budget counted in prefix order: --jobs 1 and 2 write
+    the same partial result and checkpoint, and each checkpoint resumes
+    to the full search under the other job count."""
+    partial = {}
+    for jobs in ("1", "2"):
+        path = tmp_path / f"partial-{jobs}.json"
+        code = cli.main([*AG32_SIZE4, "--limit", "2000", "--jobs", jobs,
+                         "--out", str(path), "--format", "json"])
+        capsys.readouterr()
+        assert code == 3
+        partial[jobs] = path
+    results = [json.loads(partial[j].read_text())["result"] for j in ("1", "2")]
+    assert json.dumps(results[0], sort_keys=True) == json.dumps(results[1], sort_keys=True)
+    for jobs, other in (("1", "2"), ("2", "1")):
+        code, cert = _run(capsys, *AG32_SIZE4, "--jobs", other, "--resume", str(partial[jobs]))
+        assert code == 0
+        assert cert["result"]["complete"] is True
+        assert len(cert["result"]["functions"]) == 210
 
 
 def test_search_resume_rejects_other_search(tmp_path, capsys):

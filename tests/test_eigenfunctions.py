@@ -10,6 +10,9 @@ Pinned counts on the two GF(2) graphs:
 
 from __future__ import annotations
 
+import sys
+import threading
+import types
 from fractions import Fraction
 
 import pytest
@@ -52,6 +55,7 @@ from steinergraphs.geometry import (
     proj_space,
 )
 from steinergraphs.gf import field_make
+from steinergraphs.linalg import bareiss_echelon
 from steinergraphs.reguli import enumerate_affine_reguli, regulus_restriction, regulus_through
 
 
@@ -448,6 +452,63 @@ def test_search_parallel_matches_serial(g_x2):
     serial = search_min_support(g_x2, -2, 4)
     parallel = search_min_support(g_x2, -2, 4, jobs=2)
     assert [f.values for f in serial.functions] == [f.values for f in parallel.functions]
+    assert (parallel.nodes, parallel.kernel_calls) == (serial.nodes, serial.kernel_calls)
+
+
+def test_search_limit_equal_to_total_completes(g_x2):
+    """A prefix is done while the running node total is at most the
+    limit, so a budget of exactly the complete search's nodes suffices."""
+    full = search_min_support(g_x2, -2, 4)
+    res = search_min_support(g_x2, -2, 4, limit=full.nodes)
+    assert res.complete
+    assert len(res.functions) == 210
+    assert res.nodes == full.nodes
+
+
+def test_concurrent_searches_keep_their_own_tables(g_x2, g_j2):
+    """Searches run from two threads of one process see only their own
+    graph, eigenvalue and tables."""
+    searches = {"aff": (g_x2, -2), "proj": (g_j2, -3)}
+    expected = {k: _outcome(search_min_support(g, theta, 4)) for k, (g, theta) in searches.items()}
+    got = {}
+
+    def run(k):
+        g, theta = searches[k]
+        got[k] = _outcome(search_min_support(g, theta, 4))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(5e-4)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in searches]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+
+
+def test_search_leaves_no_tables_in_the_module(g_x2):
+    """Once a search returns, no attribute of the module (nor a dict or
+    object it holds) references the row basis of A - theta*I."""
+    search_min_support(g_x2, -2, 4)
+    v = g_x2.v
+    ident = [[(g_x2.adj[u] >> w & 1) + (2 if u == w else 0) for w in range(v)] for u in range(v)]
+    ech, pivots = bareiss_echelon(ident)
+    basis = tuple(tuple(row) for row in ech[: len(pivots)])
+
+    def members(x):
+        if isinstance(x, dict):
+            return list(x.values())
+        if isinstance(x, (type, types.ModuleType, types.FunctionType)):
+            return []
+        slots = getattr(type(x), "__slots__", ())
+        return [getattr(x, a, None) for a in slots] + list(getattr(x, "__dict__", {}).values())
+
+    for name, attr in vars(eigenfunctions).items():
+        assert attr != basis and basis not in members(attr), name
 
 
 # -- search modes on small strongly regular graphs without a design --------------------------
