@@ -237,11 +237,19 @@ def _cmd_affine_regulus(args, cert: _Cert) -> None:
     cert.check("projective_lift", witness is None, witness)
 
 
+def _family_ids(space, pairs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each ordered pair of line families as two tuples of line indices."""
+    index_of = space.index_of
+    return [(tuple(map(index_of, a)), tuple(map(index_of, b))) for a, b in pairs]
+
+
 def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
     space = _space_of("proj", 3, args.q)
     print(f"enumerating reguli of PG(3,{args.q})", file=sys.stderr)
     pairs = reguli.enumerate_reguli(space)
-    listing = pairs if args.limit is None else pairs[: args.limit]
+    ids = _family_ids(space, ((p.r_lines, p.opp_lines) for p in pairs))
+    listing = ids[: args.limit]
+    table = _line_table(space)
     cert.result = {
         "count_ordered": len(pairs),
         "count_unordered": len(pairs) // 2,
@@ -250,13 +258,12 @@ def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
         " counted separately; unordered sets and underlying quadrics each"
         " number half the ordered count",
         "reguli": [
-            {"r_lines": [_line_json(l) for l in p.r_lines],
-             "opp_lines": [_line_json(l) for l in p.opp_lines]}
-            for p in listing
+            {"r_lines": [table[i] for i in r], "opp_lines": [table[i] for i in o]}
+            for r, o in listing
         ],
     }
-    seen = set(pairs)
-    cert.check("swap_closed", all(p.swap() in seen for p in pairs))
+    seen = set(ids)
+    cert.check("swap_closed", all((o, r) in seen for r, o in ids))
 
 
 def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
@@ -265,7 +272,8 @@ def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
     print(f"enumerating affine reguli of AG(3,{q})", file=sys.stderr)
     pairs = reguli.enumerate_affine_reguli(space)
     expected = q ** 4 * (q ** 3 - 1) * (q + 1)
-    listing = pairs if args.limit is None else pairs[: args.limit]
+    listing = _family_ids(space, ((p.s_lines, p.opp_lines) for p in pairs[: args.limit]))
+    table = _line_table(space)
     cert.result = {
         "count_ordered": len(pairs),
         "count_unordered": len(pairs) // 2,
@@ -277,9 +285,8 @@ def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
         " 2-line skew family over GF(2) admits two distinct opposite"
         " families, which stay distinct here",
         "pairs": [
-            {"s_lines": [_line_json(l) for l in p.s_lines],
-             "opp_lines": [_line_json(l) for l in p.opp_lines]}
-            for p in listing
+            {"s_lines": [table[i] for i in s], "opp_lines": [table[i] for i in o]}
+            for s, o in listing
         ],
     }
     cert.check("count_matches_formula", len(pairs) == expected, {"expected": expected})
@@ -521,7 +528,9 @@ def _named_line_set(args, space) -> tuple[int, ...]:
     kind = chosen[0]
     if kind == "part":
         data = _parse_json_arg(args.part, "--part")
-        return tuple(int(u) for u in data)
+        if not (isinstance(data, list) and all(type(u) is int for u in data)):
+            raise _UsageError("--part must be a JSON list of integer line indices")
+        return tuple(data)
     if kind == "star":
         data = _parse_json_arg(args.star, "--star")
         return partitions.star_line_set(space, tuple(data) if isinstance(data, list) else int(data))

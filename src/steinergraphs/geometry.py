@@ -15,7 +15,8 @@ shared pair loop builds the line table in key order, the pair-to-line
 dictionary (the 2-design property: every point pair lies on one line),
 the lines through each point and per-line point bitmasks, all lazily and
 once.  proj_space and aff_space share one instance per (n, q), which
-also keeps the space's design and block graph (see designs).
+also keeps the space's design and block graph (see designs) and, for an
+affine space, its closure map with the closure line table.
 """
 
 from __future__ import annotations
@@ -292,6 +293,10 @@ class AffSpace(_Space):
     def _point(self, p) -> Vec:
         return tuple(p)
 
+    @cached_property
+    def _closure(self) -> "ClosureMap":
+        return ClosureMap(self)
+
     def line_from_key(self, direction, base) -> AffLine:
         d = normalize_point(self.field, direction)
         i = self.line_index.get((d, tuple(base)))
@@ -444,12 +449,19 @@ def _line_onto(aspace: AffSpace, pts) -> AffLine:
 
 class ClosureMap:
     """Embedding of AG(n, q) into PG(n, q) via x -> (1 : x), with the
-    hyperplane at infinity {x_0 = 0}."""
+    hyperplane at infinity {x_0 = 0}.  ``proj_index`` maps each affine
+    line index to the index of its closure, the projective line through
+    (1 : base) and (0 : dir); ``aff_index`` inverts it.  Lines map by
+    lookup, and projective_closure keeps one map per affine space."""
 
     def __init__(self, aspace: AffSpace):
         self.aspace = aspace
-        self.pspace = proj_space(aspace.n, aspace.field)
+        self.pspace = ps = proj_space(aspace.n, aspace.field)
         self.infinity = Hyperplane((1,) + (0,) * aspace.n)
+        self.proj_index = tuple(
+            ps.index_of(ps.line_from_basis(((1,) + l.base, (0,) + l.dir))) for l in aspace.lines
+        )
+        self.aff_index = {p: a for a, p in enumerate(self.proj_index)}
 
     def point_to_proj(self, p) -> Vec:
         return (1,) + tuple(p)
@@ -464,19 +476,18 @@ class ClosureMap:
         return self.pspace.field.normalize_row((0,) + line.dir)
 
     def line_to_proj(self, line: AffLine) -> ProjLine:
-        return self.pspace.line_from_basis(((1,) + line.base, (0,) + line.dir))
+        return self.pspace.lines[self.proj_index[self.aspace.index_of(line)]]
 
     def line_to_aff(self, pline: ProjLine) -> AffLine:
-        if self.infinity.contains_line(self.pspace.field, pline):
+        i = self.aff_index.get(self.pspace.index_of(pline))
+        if i is None:
             raise LineInHyperplaneError("line lies in the hyperplane at infinity")
-        affine_pts = [
-            self.point_to_aff(p) for p in pline.point_coords() if p[0] != 0
-        ]
-        return _line_onto(self.aspace, affine_pts)
+        return self.aspace.lines[i]
 
 
 def projective_closure(aspace: AffSpace) -> ClosureMap:
-    return ClosureMap(aspace)
+    """The closure map of an affine space, built once and kept on it."""
+    return aspace._closure
 
 
 class RestrictionMap:

@@ -128,6 +128,16 @@ def _require_skew(space, lines) -> None:
                 raise LinesNotSkewError(f"lines are parallel, not skew: {a}, {b}")
 
 
+def _skew_masks(space) -> list[int]:
+    """For each line, the bitmask of the line indices skew to it."""
+    lines = space.lines
+    affine = isinstance(space, AffSpace)
+    return [
+        sum(1 << j for j, b in enumerate(lines) if not (a.mask & b.mask or affine and a.dir == b.dir))
+        for a in lines
+    ]
+
+
 # -- projective constructions --------------------------------------------------
 
 
@@ -163,18 +173,15 @@ def common_transversals(space, lines) -> tuple:
     if len(lines) < 2:
         raise WrongCountError("need at least two lines")
     _require_skew(space, lines)
-    pair_line = space.pair_line
-    all_lines = space.lines
-    found = set()
-    l0, l1 = lines[0], lines[1]
-    rest = lines[2:]
-    for p in l0.points:
-        for p2 in l1.points:
-            idx = pair_line[(p, p2) if p < p2 else (p2, p)]
-            cand = all_lines[idx]
-            if all(cand.mask & ln.mask for ln in rest):
-                found.add(idx)
-    return tuple(all_lines[i] for i in sorted(found))
+    return tuple(space.lines[t] for t in _transversal_ids(space, lines[0], lines[1], lines[2:]))
+
+
+def _transversal_ids(space, a, b, rest=()) -> list[int]:
+    """Sorted indices of the lines joining a point of a to a point of b
+    that meet every line of rest."""
+    pair_line, lines = space.pair_line, space.lines
+    ids = {pair_line[(p, p2) if p < p2 else (p2, p)] for p in a.points for p2 in b.points}
+    return sorted(t for t in ids if all(lines[t].mask & ln.mask for ln in rest))
 
 
 def _check_regulus_pair(space: ProjSpace, r_lines, opp_lines) -> None:
@@ -234,7 +241,9 @@ def regulus_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, l3: ProjLine) 
 
 def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
     """Every regulus pair of a 3-dimensional projective space, both
-    orientations of each underlying quadric, sorted canonically."""
+    orientations of each underlying quadric, sorted canonically.  Each
+    quadric is checked once: the pair check is symmetric in its two
+    families, so it covers the swapped orientation too."""
     if space.n != 3:
         raise WrongCountError("regulus enumeration needs a 3-dimensional space")
     if space.field.q > MAX_ENUM_Q:
@@ -242,48 +251,21 @@ def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
     lines = space.lines
     nl = len(lines)
     pmask = [ln.mask for ln in lines]
-    skew = [0] * nl
-    for i in range(nl):
-        m = 0
-        for j in range(nl):
-            if i != j and not pmask[i] & pmask[j]:
-                m |= 1 << j
-        skew[i] = m
-    pair_line = space.pair_line
-    tcache: dict[tuple[int, int], list[int]] = {}
-
-    def transversal_ids(i: int, j: int) -> list[int]:
-        key = (i, j) if i < j else (j, i)
-        got = tcache.get(key)
-        if got is None:
-            got = sorted(
-                {
-                    pair_line[(p, p2) if p < p2 else (p2, p)]
-                    for p in lines[key[0]].points
-                    for p2 in lines[key[1]].points
-                }
-            )
-            tcache[key] = got
-        return got
-
+    skew = _skew_masks(space)
     by_family: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i in range(nl):
         si = skew[i]
         for j in bit_indices(si):
             if j <= i:
                 continue
-            sij = si & skew[j]
-            tij = transversal_ids(i, j)
-            for k in bit_indices(sij):
+            tij = _transversal_ids(space, lines[i], lines[j])
+            for k in bit_indices(si & skew[j]):
                 if k <= j:
                     continue
-                opp = tuple(sorted(t for t in tij if pmask[t] & pmask[k]))
+                opp = tuple(t for t in tij if pmask[t] & pmask[k])
                 if opp in by_family:
                     continue
-                fam_all = transversal_ids(opp[0], opp[1])
-                fam = tuple(
-                    sorted(t for t in fam_all if pmask[t] & pmask[opp[2]])
-                )
+                fam = tuple(_transversal_ids(space, lines[opp[0]], lines[opp[1]], (lines[opp[2]],)))
                 if not (i in fam and j in fam and k in fam):
                     raise NotARegulusError(f"lines {i}, {j}, {k} are not in their regulus")
                 by_family[fam] = opp
@@ -294,7 +276,8 @@ def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
         pair = RegulusPair(
             tuple(lines[t] for t in fam), tuple(lines[t] for t in opp), space
         )
-        _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
+        if fam < opp:
+            _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
         out.append(pair)
     return tuple(out)
 
@@ -331,33 +314,20 @@ def lift_to_projective(pair: AffineRegulusPair) -> tuple[RegulusPair, ClosureMap
     line through the directions of S_opp form a regulus whose opposite
     is the closures of S_opp plus the infinity line of S's directions;
     exactly one line of each projective family lies at infinity."""
-    space = pair.space
-    cm = projective_closure(space)
+    cm = projective_closure(pair.space)
     ps = cm.pspace
-    f = ps.field
-    inf_s = [cm.infinite_point(l) for l in pair.s_lines]
-    inf_o = [cm.infinite_point(l) for l in pair.opp_lines]
-    line_inf_of_s = ps.line_through(inf_s[0], inf_s[1])
-    line_inf_of_o = ps.line_through(inf_o[0], inf_o[1])
-    if not (
-        all(p in line_inf_of_s.point_coords() for p in inf_s)
-        and all(p in line_inf_of_o.point_coords() for p in inf_o)
-    ):
-        raise NotARegulusError("the infinite points of a family are not collinear")
-    r_lines = sorted(
-        [cm.line_to_proj(l) for l in pair.s_lines] + [line_inf_of_o],
-        key=_proj_key,
-    )
-    opp_lines = sorted(
-        [cm.line_to_proj(l) for l in pair.opp_lines] + [line_inf_of_s],
-        key=_proj_key,
-    )
-    lifted = RegulusPair(tuple(r_lines), tuple(opp_lines), ps)
+    fams = []
+    for fam, other in ((pair.s_lines, pair.opp_lines), (pair.opp_lines, pair.s_lines)):
+        inf = [cm.infinite_point(l) for l in other]
+        at_inf = ps.line_through(inf[0], inf[1])
+        if not all(p in at_inf.point_coords() for p in inf):
+            raise NotARegulusError("the infinite points of a family are not collinear")
+        fams.append(tuple(sorted([cm.line_to_proj(l) for l in fam] + [at_inf], key=_proj_key)))
+    lifted = RegulusPair(fams[0], fams[1], ps)
     _check_regulus_pair(ps, lifted.r_lines, lifted.opp_lines)
-    at_inf_r = [l for l in lifted.r_lines if cm.infinity.contains_line(f, l)]
-    at_inf_o = [l for l in lifted.opp_lines if cm.infinity.contains_line(f, l)]
-    if len(at_inf_r) != 1 or len(at_inf_o) != 1:
-        raise WrongCountError("the lift needs exactly one line of each family at infinity")
+    for fam in fams:
+        if sum(cm.infinity.contains_line(ps.field, l) for l in fam) != 1:
+            raise WrongCountError("the lift needs exactly one line of each family at infinity")
     return lifted, cm
 
 
@@ -462,7 +432,9 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
 def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
     """Every ordered affine regulus pair (S, S_opp) of a 3-dimensional
     affine space, sorted canonically; the projective lift of each pair is
-    verified."""
+    verified.  Each quadric is lifted once, and over GF(3) also checked
+    once: both checks are symmetric in the two families, and the lift of
+    the swapped pair is the swap of the lift."""
     if space.n != 3:
         raise WrongCountError("affine regulus enumeration needs dimension 3")
     q = space.field.q
@@ -470,15 +442,7 @@ def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
         raise LimitExceededError(f"enumeration limited to q <= {MAX_ENUM_Q}")
     lines = space.lines
     nl = len(lines)
-    pmask = [ln.mask for ln in lines]
-    f = space.field
-    skew = [0] * nl
-    for i in range(nl):
-        m = 0
-        for j in range(nl):
-            if j != i and not pmask[i] & pmask[j] and lines[i].dir != lines[j].dir:
-                m |= 1 << j
-        skew[i] = m
+    skew = _skew_masks(space)
     out = []
     if q == 2:
         for i in range(nl):
@@ -488,50 +452,48 @@ def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
                 fam = classify_skew_family(space, (lines[i], lines[j]))
                 out.extend(fam.pairs)
     else:
-        dir_space: dict[tuple, int] = {}
-        for idx, ln in enumerate(lines):
-            dir_space.setdefault(ln.dir, len(dir_space))
-        dirs = sorted(dir_space)
-        span_sets: dict[tuple[int, int], set[int]] = {}
-        for a in range(len(dirs)):
-            for b in range(a + 1, len(dirs)):
-                basis = linalg.row_basis(f, (dirs[a], dirs[b]))
-                members = {
-                    dir_space[d] for d in dirs if linalg.in_rowspace(f, basis, d)
-                }
-                span_sets[(a, b)] = members
-        line_dir = [dir_space[ln.dir] for ln in lines]
-        seen: set[tuple[int, ...]] = set()
+        # a case-1 triple has its points at infinity on one line at infinity
+        cm = projective_closure(space)
+        ps = cm.pspace
+        inf = [ps.point_index[cm.infinite_point(ln)] for ln in lines]
+        with_inf = [0] * len(ps.points)
+        for t, p in enumerate(inf):
+            with_inf[p] |= 1 << t
+        # over GF(3) the opposite families found so far, else the pairs
+        seen = set()
         for i in range(nl):
             si = skew[i]
             for j in bit_indices(si):
                 if j <= i:
                     continue
-                da, db = sorted((line_dir[i], line_dir[j]))
-                plane_dirs = span_sets[(da, db)]
-                for k in bit_indices(si & skew[j]):
-                    if k <= j or line_dir[k] not in plane_dirs:
+                a, b = sorted((inf[i], inf[j]))
+                coplanar = sum(with_inf[p] for p in ps.lines[ps.pair_line[(a, b)]].points)
+                for k in bit_indices(si & skew[j] & coplanar):
+                    if k <= j:
                         continue
                     triple = (lines[i], lines[j], lines[k])
                     if q == 3:
+                        # the triple is a whole family: skip the opposite
+                        # family of a quadric already found
+                        if triple in seen:
+                            continue
                         opp = common_transversals(space, triple)
                         if len(opp) != q:
                             raise WrongCountError(f"{len(opp)} transversals, expected {q}")
-                        pair = AffineRegulusPair(tuple(triple), tuple(opp), space)
+                        seen.add(opp)
+                        pair = AffineRegulusPair(triple, opp, space)
                         _check_affine_pair(space, pair.s_lines, pair.opp_lines)
-                        out.append(pair)
+                        out.extend((pair, pair.swap()))
                     else:
-                        fam = classify_skew_family(space, triple)
-                        for pair in fam.pairs:
-                            key = tuple(
-                                _aff_key(l) for l in pair.s_lines + pair.opp_lines
-                            )
-                            if key not in seen:
-                                seen.add(key)
+                        for pair in classify_skew_family(space, triple).pairs:
+                            if pair not in seen:
+                                seen.add(pair)
                                 out.append(pair)
     out.sort(key=lambda pr: tuple(_aff_key(l) for l in pr.s_lines + pr.opp_lines))
     for pair in out:
-        lift_to_projective(pair)
+        # the lift of the swapped pair is the swap of this lift
+        if _aff_key(pair.s_lines[0]) < _aff_key(pair.opp_lines[0]):
+            lift_to_projective(pair)
     return tuple(out)
 
 

@@ -352,6 +352,19 @@ def test_function_not_an_object_exit_2(capsys):
     assert "JSON object" in err
 
 
+@pytest.mark.parametrize("part", ["5", "[1.7, 2]", "[true]", '{"3": 1}'],
+                         ids=["scalar", "float", "bool", "object"])
+def test_part_not_a_list_of_integers_exit_2(capsys, part):
+    """--part is a JSON list of integer line indices, in each command
+    that takes it; nothing else is coerced into one."""
+    for argv in (("cameron-liebler", "--q", "2"),
+                 ("balance", "--q", "2", "--lines", REGULUS_LINES),
+                 ("equitable", "--space", "proj", "--n", "3", "--q", "2")):
+        code, err = _usage_error(capsys, *argv, "--part", part)
+        assert code == 2
+        assert "--part" in err
+
+
 # -- search with checkpointing -----------------------------------------------------------------
 
 

@@ -239,6 +239,27 @@ def test_projective_closure_roundtrip(q):
     assert len(infinite) == (q ** 3 - 1) // (q - 1)
 
 
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (2, 3)])
+def test_closure_line_table(n, q):
+    """The closure table holds, for every affine line, the projective
+    line through (1 : base) and (0 : dir); line_to_aff inverts it and
+    rejects the lines at infinity.  The map is kept on its space."""
+    asp = aff_space(n, _field(q))
+    cm = projective_closure(asp)
+    assert projective_closure(asp) is cm
+    psp = cm.pspace
+    for i, line in enumerate(asp.lines):
+        pline = psp.line_from_basis(((1,) + line.base, (0,) + line.dir))
+        assert psp.lines[cm.proj_index[i]] is pline
+        assert cm.line_to_proj(line) is pline
+        assert cm.line_to_aff(pline) is line
+    at_inf = [l for l in psp.lines if cm.infinity.contains_line(psp.field, l)]
+    assert len(at_inf) + len(asp.lines) == len(psp.lines)
+    for pline in at_inf:
+        with pytest.raises(LineInHyperplaneError):
+            cm.line_to_aff(pline)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_affine_restriction_roundtrip(q):
     psp = proj_space(3, _field(q))

@@ -14,9 +14,11 @@ import random
 
 import pytest
 
+from steinergraphs import reguli
 from steinergraphs.errors import (
     DependentVectorsError,
     LinesNotSkewError,
+    NotARegulusError,
     PointOnLineError,
     WrongCountError,
 )
@@ -24,6 +26,7 @@ from steinergraphs.geometry import (
     aff_space,
     enumerate_planes,
     proj_space,
+    projective_closure,
     relation,
 )
 from steinergraphs.gf import field_make
@@ -155,6 +158,34 @@ def test_enumerate_reguli_q2():
     assert all(p.swap() in seen for p in pairs)
 
 
+def test_enumerate_reguli_checks_each_quadric_once(monkeypatch):
+    calls = []
+    real = reguli._check_regulus_pair
+    monkeypatch.setattr(reguli, "_check_regulus_pair", lambda *args: calls.append(real(*args)))
+    pairs = enumerate_reguli(proj_space(3, field_make(2)))
+    assert len(pairs) == 560
+    assert len(calls) == 280
+
+
+@pytest.mark.parametrize("which", [0, -1], ids=["checked-orientation", "swapped-orientation"])
+def test_enumerate_reguli_rejects_a_failing_quadric(which, monkeypatch):
+    """The first listed pair is the orientation a quadric is checked in,
+    the last the swap of a checked one; a check that rejects either
+    quadric stops the enumeration."""
+    sp = proj_space(3, field_make(2))
+    target = enumerate_reguli(sp)[which]
+    real = reguli._check_regulus_pair
+
+    def check(space, r_lines, opp_lines):
+        if {tuple(r_lines), tuple(opp_lines)} == {target.r_lines, target.opp_lines}:
+            raise NotARegulusError("rejected quadric")
+        real(space, r_lines, opp_lines)
+
+    monkeypatch.setattr(reguli, "_check_regulus_pair", check)
+    with pytest.raises(NotARegulusError, match="rejected quadric"):
+        enumerate_reguli(sp)
+
+
 def test_enumerate_reguli_q3_count():
     sp = proj_space(3, field_make(3))
     assert len(enumerate_reguli(sp)) == 21060
@@ -194,6 +225,22 @@ def test_lift_to_projective_one_line_at_infinity(q):
     assert len(at_inf_r) == 1 and len(at_inf_o) == 1
     back_s = {cm.line_to_aff(l) for l in lifted.r_lines if l not in at_inf_r}
     assert set(pair.s_lines) == back_s
+
+
+def test_lift_rejects_a_corrupted_closure_table(monkeypatch):
+    """The lift maps lines through the closure table: pointing one entry
+    at the closure of a parallel line breaks the lifted regulus."""
+    sp = aff_space(3, field_make(3))
+    pair = affine_regulus_construct(sp, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    lift_to_projective(pair)
+    cm = projective_closure(sp)
+    line = pair.s_lines[0]
+    parallel = next(l for l in sp.lines if l.dir == line.dir and l != line)
+    table = list(cm.proj_index)
+    table[sp.index_of(line)] = cm.proj_index[sp.index_of(parallel)]
+    monkeypatch.setattr(cm, "proj_index", tuple(table))
+    with pytest.raises(LinesNotSkewError):
+        lift_to_projective(pair)
 
 
 # -- the three-vector construction ------------------------------------------------------
