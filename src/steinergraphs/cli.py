@@ -243,7 +243,13 @@ def _family_ids(space, pairs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [(tuple(map(index_of, a)), tuple(map(index_of, b))) for a, b in pairs]
 
 
+def _require_dimension_3(args, name: str) -> None:
+    if args.n != 3:
+        raise _UsageError(f"{args.command} lists the reguli of {name}(3,q) only, got --n {args.n}")
+
+
 def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
+    _require_dimension_3(args, "PG")
     space = _space_of("proj", 3, args.q)
     print(f"enumerating reguli of PG(3,{args.q})", file=sys.stderr)
     pairs = reguli.enumerate_reguli(space)
@@ -267,7 +273,8 @@ def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
 
 
 def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
-    space = _space_of("aff", args.n, args.q)
+    _require_dimension_3(args, "AG")
+    space = _space_of("aff", 3, args.q)
     q = args.q
     print(f"enumerating affine reguli of AG(3,{q})", file=sys.stderr)
     pairs = reguli.enumerate_affine_reguli(space)

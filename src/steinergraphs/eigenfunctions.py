@@ -93,10 +93,6 @@ class Eigenfunction:
             g = -g
         return Eigenfunction(self.graph, self.theta, {u: n // g for u, n in ints.items()})
 
-    def same_ray(self, other: Eigenfunction) -> bool:
-        a, b = self.canonical(), other.canonical()
-        return a.theta == b.theta and a.values == b.values
-
     def __neg__(self) -> Eigenfunction:
         return Eigenfunction(self.graph, self.theta, {u: -x for u, x in self.values.items()})
 

@@ -41,10 +41,6 @@ class EqualPointsError(SteinerError):
     """Two points that were required to be distinct coincide."""
 
 
-class PointOnLineError(SteinerError):
-    """A point that was required to avoid a line lies on it."""
-
-
 class LinesNotSkewError(SteinerError):
     """Lines that were required to be pairwise skew are not."""
 

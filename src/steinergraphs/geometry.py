@@ -17,6 +17,12 @@ the lines through each point and per-line point bitmasks, all lazily and
 once.  proj_space and aff_space share one instance per (n, q), which
 also keeps the space's design and block graph (see designs) and, for an
 affine space, its closure map with the closure line table.
+
+Coordinate changes act on line indices: line_permutation maps each point
+of PG(n, q) once through an invertible matrix and each line through the
+images of two of its points.  A hyperplane restriction composes that
+permutation with the closure table into one line-index table, built per
+restriction, so its lines map both ways by lookup.
 """
 
 from __future__ import annotations
@@ -435,24 +441,64 @@ def parallel_classes(plane: AffPlane) -> tuple[tuple[AffLine, ...], ...]:
 # -- projective closure and hyperplane restriction ----------------------------
 
 
-def _line_onto(aspace: AffSpace, pts) -> AffLine:
-    """The affine line whose points are exactly ``pts``: the image of a
-    projective line under a coordinate change, checked to be one."""
-    q = aspace.field.q
-    if len(pts) != q:
-        raise IncidenceError(f"line has {len(pts)} affine points, expected {q}")
-    out = aspace.line_through(pts[0], pts[1])
-    if set(out.point_coords()) != set(pts):
-        raise IncidenceError("affine points of the line are not collinear")
-    return out
+def line_permutation(pspace: ProjSpace, matrix) -> tuple[int, ...]:
+    """The permutation of line indices induced by the collineation
+    x -> x M of PG(n, q), for an invertible (n+1) x (n+1) matrix M: entry
+    i is the index of the image of line i.
+
+    The matrix is validated once (``linalg.inverse`` raises on a singular
+    one); each point is then mapped once with the unchecked row
+    operations, and each line by ``pair_line`` on the images of two of
+    its points, checked to hold the images of all of them."""
+    f = pspace.field
+    if len(matrix) != pspace.n + 1:
+        raise DimensionMismatchError(f"a collineation of PG({pspace.n}, q) needs {pspace.n + 1} rows")
+    linalg.inverse(f, matrix)
+    # x M is the sum of the rows M_i scaled by x_i, read from a table
+    scaled = [[f.scale_row(c, row) for c in range(f.q)] for row in matrix]
+    idx, add, normalize = pspace.point_index, f.add_rows, f.normalize_row
+    image = []
+    for p in pspace.points:
+        v = None
+        for c, rows in zip(p, scaled):
+            if c:
+                v = rows[c] if v is None else add(v, rows[c])
+        image.append(idx[normalize(v)])
+    pair_line, lines = pspace.pair_line, pspace.lines
+    perm = []
+    for ln in lines:
+        pts = ln.points
+        a, b = image[pts[0]], image[pts[1]]
+        j = pair_line[(a, b) if a < b else (b, a)]
+        mask = lines[j].mask
+        for p in pts[2:]:
+            if not mask >> image[p] & 1:
+                raise IncidenceError(f"the image of line {ln.basis} is not a line")
+        perm.append(j)
+    return tuple(perm)
 
 
-class ClosureMap:
+class _LineTable:
+    """Lines of AG(n, q) against the lines of PG(n, q) outside one
+    hyperplane: ``proj_index`` maps each affine line index to a projective
+    line index and ``aff_index`` inverts it, so lines map by lookup."""
+
+    def line_to_proj(self, line: AffLine) -> ProjLine:
+        return self.pspace.lines[self.proj_index[self.aspace.index_of(line)]]
+
+    def line_to_aff(self, pline: ProjLine) -> AffLine:
+        i = self.aff_index.get(self.pspace.index_of(pline))
+        if i is None:
+            raise LineInHyperplaneError("line lies in the removed hyperplane")
+        return self.aspace.lines[i]
+
+
+class ClosureMap(_LineTable):
     """Embedding of AG(n, q) into PG(n, q) via x -> (1 : x), with the
     hyperplane at infinity {x_0 = 0}.  ``proj_index`` maps each affine
     line index to the index of its closure, the projective line through
-    (1 : base) and (0 : dir); ``aff_index`` inverts it.  Lines map by
-    lookup, and projective_closure keeps one map per affine space."""
+    (1 : base) and (0 : dir), and projective_closure keeps one map per
+    affine space."""
 
     def __init__(self, aspace: AffSpace):
         self.aspace = aspace
@@ -463,26 +509,8 @@ class ClosureMap:
         )
         self.aff_index = {p: a for a, p in enumerate(self.proj_index)}
 
-    def point_to_proj(self, p) -> Vec:
-        return (1,) + tuple(p)
-
-    def point_to_aff(self, pp) -> Vec:
-        f = self.aspace.field
-        if f.check_row(pp)[0] == 0:
-            raise ValueError(f"{pp} lies on the hyperplane at infinity")
-        return f.normalize_row(pp)[1:]
-
     def infinite_point(self, line: AffLine) -> Vec:
         return self.pspace.field.normalize_row((0,) + line.dir)
-
-    def line_to_proj(self, line: AffLine) -> ProjLine:
-        return self.pspace.lines[self.proj_index[self.aspace.index_of(line)]]
-
-    def line_to_aff(self, pline: ProjLine) -> AffLine:
-        i = self.aff_index.get(self.pspace.index_of(pline))
-        if i is None:
-            raise LineInHyperplaneError("line lies in the hyperplane at infinity")
-        return self.aspace.lines[i]
 
 
 def projective_closure(aspace: AffSpace) -> ClosureMap:
@@ -490,60 +518,28 @@ def projective_closure(aspace: AffSpace) -> ClosureMap:
     return aspace._closure
 
 
-class RestrictionMap:
+class RestrictionMap(_LineTable):
     """Removal of a hyperplane H from PG(n, q), yielding AG(n, q) in the
-    coordinates of a deterministic basis change that moves H to {x_0 = 0}:
-    the basis is (first standard vector outside H) followed by the
-    canonical RREF basis of H."""
+    coordinates of a deterministic basis change ``matrix`` that moves H to
+    {x_0 = 0}: its rows are the first standard vector outside H followed
+    by the canonical RREF basis of H.  The line table is the permutation
+    that the basis change induces composed with the closure table, built
+    per map and kept only by it."""
 
     def __init__(self, pspace: ProjSpace, hyperplane: Hyperplane):
         f = pspace.field
         self.pspace = pspace
         self.hyperplane = Hyperplane(normalize_point(f, hyperplane.normal))
         self.aspace = aff_space(pspace.n, f)
-        hbasis = linalg.kernel(f, (self.hyperplane.normal,))
-        v0 = None
-        for i in range(pspace.n + 1):
-            e = tuple(1 if j == i else 0 for j in range(pspace.n + 1))
-            if dot(f, self.hyperplane.normal, e) != 0:
-                v0 = e
-                break
-        self.matrix = (v0,) + tuple(hbasis)
-        self.inverse = linalg.inverse(f, self.matrix)
-
-    def point_to_aff(self, pp) -> Vec:
-        f = self.pspace.field
-        coords = linalg.mat_vec(f, linalg.transpose(self.inverse), pp)
-        if coords[0] == 0:
-            raise ValueError(f"{pp} lies on the removed hyperplane")
-        return f.normalize_row(coords)[1:]
-
-    def point_to_proj(self, ap) -> Vec:
-        f = self.pspace.field
-        coords = (1,) + tuple(ap)
-        return f.normalize_row(linalg.mat_vec(f, linalg.transpose(self.matrix), coords))
-
-    def line_to_aff(self, pline: ProjLine) -> AffLine:
-        f = self.pspace.field
-        if self.hyperplane.contains_line(f, pline):
-            raise LineInHyperplaneError("line lies inside the removed hyperplane")
-        affine_pts = [
-            self.point_to_aff(p)
-            for p in pline.point_coords()
-            if f.dot(self.hyperplane.normal, p) != 0
-        ]
-        return _line_onto(self.aspace, affine_pts)
-
-    def line_to_proj(self, aline: AffLine) -> ProjLine:
-        basis = (
-            self.point_to_proj(aline.base),
-            self.point_to_proj(self.pspace.field.add_rows(aline.base, aline.dir)),
-        )
-        return self.pspace.line_from_basis(basis)
-
-
-def affine_restriction(pspace: ProjSpace, hyperplane: Hyperplane) -> RestrictionMap:
-    return RestrictionMap(pspace, hyperplane)
+        normal = self.hyperplane.normal
+        # normal . e_i = normal[i], so e_i lies outside H at the first nonzero coordinate
+        lead = next(i for i, x in enumerate(normal) if x)
+        v0 = tuple(int(j == lead) for j in range(pspace.n + 1))
+        self.matrix = (v0,) + linalg.kernel(f, (normal,))
+        # the point with new coordinates c is c M in the old ones
+        moved = line_permutation(pspace, self.matrix)
+        self.proj_index = tuple(moved[p] for p in projective_closure(self.aspace).proj_index)
+        self.aff_index = {p: a for a, p in enumerate(self.proj_index)}
 
 
 _SPACE_CACHE: dict[tuple, _Space] = {}

@@ -268,9 +268,6 @@ class Field:
             return self._inv_table[a]
         return self._pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         self.check(a)
         if e < 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import DimensionMismatchError
+from .errors import DependentVectorsError, DimensionMismatchError
 from .gf import Field
 
 Row = tuple[int, ...]
@@ -134,8 +134,8 @@ def mat_vec(field: Field, rows, vec) -> Row:
 def inverse(field: Field, rows) -> Rows:
     """Inverse of a square matrix over the field.
 
-    Raises DimensionMismatchError for non-square input and ValueError for
-    singular matrices.
+    Raises DimensionMismatchError for non-square input and
+    DependentVectorsError for singular matrices.
     """
     ncols = _check_rect(rows)
     n = len(rows)
@@ -143,9 +143,10 @@ def inverse(field: Field, rows) -> Rows:
         raise DimensionMismatchError("inverse needs a square matrix")
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     aug = tuple(tuple(r) + ident[i] for i, r in enumerate(rows))
-    m, rk, _ = rref(field, aug)
-    if rk != n:
-        raise ValueError("matrix is singular")
+    # [M | I] always has rank n; M is invertible when its pivots lie in M
+    m, _, pivots = rref(field, aug)
+    if pivots[-1] >= n:
+        raise DependentVectorsError("matrix is singular")
     return tuple(row[n:] for row in m[:n])
 
 
@@ -155,36 +156,6 @@ def in_rowspace(field: Field, rows, vec) -> bool:
         raise DimensionMismatchError("vector length mismatch")
     base = row_basis(field, rows)
     return rank(field, base + (tuple(vec),)) == len(base)
-
-
-def rowspace_sum(field: Field, a, b) -> Rows:
-    if _check_rect(a) != _check_rect(b):
-        raise DimensionMismatchError("ambient dimensions differ")
-    return row_basis(field, tuple(a) + tuple(b))
-
-
-def rowspace_intersect(field: Field, a, b) -> Rows:
-    """Canonical basis of (row space of a) ∩ (row space of b)."""
-    if _check_rect(a) != _check_rect(b):
-        raise DimensionMismatchError("ambient dimensions differ")
-    ab = row_basis(field, a)
-    bb = row_basis(field, b)
-    if not ab or not bb:
-        return ()
-    stacked = ab + bb
-    vecs = []
-    for rel in kernel(field, transpose(stacked)):
-        # rel is a relation sum_i rel_i * stacked_i = 0, so the partial sum
-        # over the rows of a lies in both row spaces
-        v = [0] * len(ab[0])
-        for coeff, arow in zip(rel[: len(ab)], ab):
-            if coeff:
-                v = field.add_rows(v, field.scale_row(coeff, arow))
-        if any(v):
-            vecs.append(tuple(v))
-    if not vecs:
-        return ()
-    return row_basis(field, vecs)
 
 
 # -- exact rational kernels of integer matrices ------------------------------

@@ -161,19 +161,6 @@ def partition_to_eigenfunction(graph: Graph, part: Partition2) -> Eigenfunction:
     return f
 
 
-def eigenfunction_to_partition(graph: Graph, f: Eigenfunction) -> tuple[Partition2, QuotientMatrix]:
-    """Sign classes of a two-valued eigenfunction, with the larger value
-    on V1, verified equitable."""
-    values = {f.value(u) for u in range(graph.v)}
-    if len(values) != 2:
-        raise NotTwoValuedError(f"function takes {len(values)} distinct values, not 2")
-    hi, lo = max(values), min(values)
-    v1 = [u for u in range(graph.v) if f.value(u) == hi]
-    v2 = [u for u in range(graph.v) if f.value(u) == lo]
-    part = Partition2(v1, v2)
-    return part, quotient_matrix(graph, part)
-
-
 # -- the balance condition -------------------------------------------------------
 
 

@@ -9,6 +9,14 @@ regulus pair with one line of each family at infinity produces exactly
 the affine pairs, which is also how arbitrary skew triples are
 classified (case 1: infinite points collinear, extendable; case 2: not).
 
+The pair checks recompute the grid: each family pairwise skew, every
+line meeting every opposite line once, all grid points distinct.  The
+grid alone implies that the pair spans a 3-flat (two skew lines of one
+family span it, and every other line meets two skew lines of it in
+distinct points), so the checks take no rank; regulus_through and
+affine_regulus_construct still test the span of the flat they are given.
+Hyperplane cuts map lines through the restriction's line-index table.
+
 Affine pairs are ORDERED (S, S_opp): over GF(2) a skew pair of lines has
 two distinct valid opposite families, and only the ordered convention
 gives the uniform count q^4 (q^3 - 1)(q + 1).  Enumerations report the
@@ -27,7 +35,6 @@ from .errors import (
     LinesNotSkewError,
     NotARegulusError,
     NotCoplanarError,
-    PointOnLineError,
     WrongCountError,
 )
 from .geometry import (
@@ -39,7 +46,6 @@ from .geometry import (
     ProjSpace,
     RestrictionMap,
     _coset_rep,
-    affine_restriction,
     normalize_point,
     projective_closure,
     span_of_lines,
@@ -106,7 +112,6 @@ class RestrictionOutcome:
     pair: AffineRegulusPair | None = None
     config: WdbPlus2Config | None = None
     reason: str | None = None
-    restriction: RestrictionMap | None = dc_field(default=None, repr=False, compare=False)
 
 
 def _proj_key(line: ProjLine):
@@ -141,31 +146,6 @@ def _skew_masks(space) -> list[int]:
 # -- projective constructions --------------------------------------------------
 
 
-def transversal_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, t) -> ProjLine | None:
-    """The unique line through t meeting both skew lines, if it exists.
-
-    It is the intersection of the planes spanned by (l1, t) and (l2, t);
-    in a 3-dimensional ambient space it always exists (the two planes of
-    a 3-space meet in a line), in higher dimension it may not.
-    """
-    f = space.field
-    t = normalize_point(f, t)
-    if t in l1.point_coords() or t in l2.point_coords():
-        raise PointOnLineError(f"point {t} lies on one of the lines")
-    _require_skew(space, (l1, l2))
-    plane1 = linalg.row_basis(f, l1.basis + (t,))
-    plane2 = linalg.row_basis(f, l2.basis + (t,))
-    inter = linalg.rowspace_intersect(f, plane1, plane2)
-    if len(inter) < 2:
-        return None
-    if len(inter) != 2:
-        raise LinesNotSkewError(f"{l1} and {l2} lie in one plane with {t}")
-    out = space.line_from_basis(inter)
-    if not (out.mask & l1.mask and out.mask & l2.mask) or t not in out.point_coords():
-        raise NotARegulusError(f"transversal {out} misses {t} or one of the lines")
-    return out
-
-
 def common_transversals(space, lines) -> tuple:
     """All lines meeting every line of a pairwise-skew family exactly once,
     in a projective or an affine space."""
@@ -185,6 +165,16 @@ def _transversal_ids(space, a, b, rest=()) -> list[int]:
 
 
 def _check_regulus_pair(space: ProjSpace, r_lines, opp_lines) -> None:
+    """Recompute the (q+1) x (q+1) grid of a regulus pair: each family
+    pairwise skew, each line meeting each opposite line in one point, and
+    the (q+1)^2 meeting points distinct.
+
+    The grid implies that the pair spans a 3-flat, so no rank is taken.
+    Two skew lines a, a' of one family span a 3-flat S.  Each opposite
+    line meets a and a' in two distinct points, so it lies in S.  Each
+    family line then meets two skew opposite lines in two distinct
+    points, so it lies in S too.
+    """
     q = space.field.q
     if len(r_lines) != q + 1 or len(opp_lines) != q + 1:
         raise WrongCountError(
@@ -203,9 +193,6 @@ def _check_regulus_pair(space: ProjSpace, r_lines, opp_lines) -> None:
             grid.add(common)
     if len(grid) != (q + 1) ** 2:
         raise LinesNotSkewError("transversal grid points must be distinct")
-    rows = [row for ln in (*r_lines, *opp_lines) for row in ln.basis]
-    if len(linalg.row_basis(space.field, rows)) != 4:
-        raise NotCoplanarError("regulus pair does not span a 3-dimensional flat")
 
 
 def regulus_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, l3: ProjLine) -> RegulusPair:
@@ -286,6 +273,15 @@ def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
 
 
 def _check_affine_pair(space: AffSpace, s_lines, opp_lines) -> None:
+    """Recompute the q x q grid of an affine regulus pair: each family
+    pairwise skew (disjoint and not parallel), each line meeting each
+    opposite line in one point, and the q^2 meeting points distinct.
+
+    The grid implies that the pair spans an affine 3-flat by the argument
+    of _check_regulus_pair: since q >= 2 each family holds two skew
+    lines, which span a 3-flat holding every line that meets both in
+    distinct points.
+    """
     q = space.field.q
     if len(s_lines) != q or len(opp_lines) != q:
         raise WrongCountError(
@@ -304,9 +300,6 @@ def _check_affine_pair(space: AffSpace, s_lines, opp_lines) -> None:
             grid.add(common)
     if len(grid) != q * q:
         raise LinesNotSkewError("transversal grid points must be distinct")
-    flat = span_of_lines(space, tuple(s_lines) + tuple(opp_lines))
-    if flat.dim != 3:
-        raise NotCoplanarError("affine regulus pair does not span a 3-flat")
 
 
 def lift_to_projective(pair: AffineRegulusPair) -> tuple[RegulusPair, ClosureMap]:
@@ -518,26 +511,19 @@ def regulus_restriction(pair: RegulusPair, hyperplane: Hyperplane) -> Restrictio
         return RestrictionOutcome(
             kind="not_restrictable", reason="hyperplane contains the whole 3-flat"
         )
-    if len(in_r) == 1 and len(in_o) == 1:
-        rm = affine_restriction(space, hyperplane)
-        s_lines = sorted(
-            (rm.line_to_aff(l) for l in pair.r_lines if l not in in_r), key=_aff_key
+    if (len(in_r), len(in_o)) not in ((1, 1), (0, 0)):
+        return RestrictionOutcome(
+            kind="not_restrictable",
+            reason=f"hyperplane contains {len(in_r)} lines of R and {len(in_o)} of R_opp",
         )
-        opp_lines = sorted(
-            (rm.line_to_aff(l) for l in pair.opp_lines if l not in in_o), key=_aff_key
-        )
-        apair = AffineRegulusPair(tuple(s_lines), tuple(opp_lines), rm.aspace)
-        _check_affine_pair(rm.aspace, apair.s_lines, apair.opp_lines)
-        return RestrictionOutcome(kind="affine_regulus", pair=apair, restriction=rm)
-    if not in_r and not in_o:
-        rm = affine_restriction(space, hyperplane)
-        config = WdbPlus2Config(
-            r_lines=tuple(sorted((rm.line_to_aff(l) for l in pair.r_lines), key=_aff_key)),
-            opp_lines=tuple(sorted((rm.line_to_aff(l) for l in pair.opp_lines), key=_aff_key)),
-            space=rm.aspace,
-        )
-        return RestrictionOutcome(kind="wdbplus2", config=config, restriction=rm)
-    return RestrictionOutcome(
-        kind="not_restrictable",
-        reason=f"hyperplane contains {len(in_r)} lines of R and {len(in_o)} of R_opp",
+    rm = RestrictionMap(space, hyperplane)
+    r_lines, opp_lines = (
+        tuple(sorted((rm.line_to_aff(l) for l in fam if l not in inside), key=_aff_key))
+        for fam, inside in ((pair.r_lines, in_r), (pair.opp_lines, in_o))
     )
+    if in_r:
+        apair = AffineRegulusPair(r_lines, opp_lines, rm.aspace)
+        _check_affine_pair(rm.aspace, apair.s_lines, apair.opp_lines)
+        return RestrictionOutcome(kind="affine_regulus", pair=apair)
+    config = WdbPlus2Config(r_lines=r_lines, opp_lines=opp_lines, space=rm.aspace)
+    return RestrictionOutcome(kind="wdbplus2", config=config)

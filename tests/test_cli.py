@@ -352,6 +352,31 @@ def test_function_not_an_object_exit_2(capsys):
     assert "JSON object" in err
 
 
+def _refuse_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the usage check")
+
+    monkeypatch.setattr(cli, "_space_of", fail)
+
+
+def test_enumerate_reguli_other_dimension_exit_2(capsys, monkeypatch):
+    """The enumeration lists PG(3,q) only; --n 2 used to list PG(3,2)
+    under a certificate that recorded n = 2."""
+    _refuse_work(monkeypatch)
+    code, err = _usage_error(capsys, "enumerate-reguli", "--n", "2", "--q", "2")
+    assert code == 2
+    assert "--n 2" in err
+
+
+def test_enumerate_affine_reguli_other_dimension_exit_2(capsys, monkeypatch):
+    """The enumeration lists AG(3,q) only; --n 4 used to fail its
+    enumeration with exit code 1."""
+    _refuse_work(monkeypatch)
+    code, err = _usage_error(capsys, "enumerate-affine-reguli", "--n", "4", "--q", "2")
+    assert code == 2
+    assert "--n 4" in err
+
+
 @pytest.mark.parametrize("part", ["5", "[1.7, 2]", "[true]", '{"3": 1}'],
                          ids=["scalar", "float", "bool", "object"])
 def test_part_not_a_list_of_integers_exit_2(capsys, part):

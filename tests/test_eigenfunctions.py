@@ -94,7 +94,7 @@ def test_canonical_ray_representative(g_j2):
     c = f.canonical()
     assert [c.value(u) for u in c.support] == [1, -2]
     g = Eigenfunction(g_j2, 3, {0: Fraction(5), 5: Fraction(-10)})
-    assert f.same_ray(g)
+    assert g.canonical() == c
     assert c.canonical() == c
 
 

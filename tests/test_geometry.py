@@ -2,7 +2,8 @@
 
 Counts are pinned against the closed forms, incidence is checked as a
 2-design (every point pair on exactly one line), and the closure /
-restriction maps must be mutually inverse on points and lines.
+restriction line tables must be mutually inverse and agree with a
+plain point-by-point matrix map.
 """
 
 from __future__ import annotations
@@ -12,15 +13,23 @@ import dataclasses
 import pytest
 
 from steinergraphs import geometry
-from steinergraphs.errors import EqualPointsError, IncidenceError, LineInHyperplaneError, WrongCountError
+from steinergraphs.errors import (
+    DimensionMismatchError,
+    EqualPointsError,
+    IncidenceError,
+    LineInHyperplaneError,
+    SteinerError,
+    WrongCountError,
+)
 from steinergraphs.geometry import (
     AffLine,
     Hyperplane,
     ProjLine,
+    RestrictionMap,
     aff_space,
-    affine_restriction,
     dot,
     enumerate_planes,
+    line_permutation,
     normalize_point,
     parallel_classes,
     projective_closure,
@@ -177,12 +186,16 @@ def test_point_table_count_checked(monkeypatch):
 
 
 def test_line_image_checked():
-    asp = aff_space(2, _field(3))
-    with pytest.raises(IncidenceError, match="affine points"):
-        geometry._line_onto(asp, [(0, 0), (1, 0)])
-    with pytest.raises(IncidenceError, match="collinear"):
-        geometry._line_onto(asp, [(0, 0), (1, 0), (0, 1)])
-    assert geometry._line_onto(asp, [(0, 0), (1, 0), (2, 0)]).dir == (1, 0)
+    """A point map that is not a collineation is caught line by line: a
+    private PG(2,2) whose point index swaps two points after its line
+    table is built maps the identity matrix to a transposition."""
+    sp = geometry.ProjSpace(2, _field(2))
+    assert line_permutation(sp, ((1, 0, 0), (0, 1, 0), (0, 0, 1))) == tuple(range(7))
+    idx = sp.point_index
+    a, b = sp.points[:2]
+    idx[a], idx[b] = idx[b], idx[a]
+    with pytest.raises(IncidenceError, match="not a line"):
+        line_permutation(sp, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 # -- planes ---------------------------------------------------------------------------
@@ -227,13 +240,14 @@ def test_projective_closure_roundtrip(q):
     cm = projective_closure(asp)
     psp = cm.pspace
     assert len(psp.points) == len(asp.points) + (q ** 3 - 1) // (q - 1)
-    for p in asp.points:
-        assert cm.point_to_aff(cm.point_to_proj(p)) == p
     infinite = set()
     for line in asp.lines:
         pline = cm.line_to_proj(line)
         assert isinstance(pline, ProjLine)
         assert cm.line_to_aff(pline) is line
+        # the closure holds the points (1 : x) of the line and its point at infinity
+        finite = {psp.point_index[(1,) + p] for p in line.point_coords()}
+        assert set(pline.points) == finite | {psp.point_index[cm.infinite_point(line)]}
         infinite.add(cm.infinite_point(line))
     # the points at infinity of affine lines are exactly the removed plane
     assert len(infinite) == (q ** 3 - 1) // (q - 1)
@@ -264,7 +278,7 @@ def test_closure_line_table(n, q):
 def test_affine_restriction_roundtrip(q):
     psp = proj_space(3, _field(q))
     for hyp in psp.hyperplanes[:4]:
-        rm = affine_restriction(psp, hyp)
+        rm = RestrictionMap(psp, hyp)
         f = psp.field
         for pline in psp.lines:
             if hyp.contains_line(f, pline):
@@ -276,11 +290,71 @@ def test_affine_restriction_roundtrip(q):
             assert rm.line_to_proj(aline) is pline
 
 
+def _image(f, matrix, vec):
+    """The normalised row vector vec M, entry by entry with the checked
+    scalar operations: the reference point map of a basis change."""
+    out = []
+    for j in range(len(matrix[0])):
+        acc = 0
+        for i, x in enumerate(vec):
+            acc = f.add(acc, f.mul(x, matrix[i][j]))
+        out.append(acc)
+    lead = next(x for x in out if x)
+    return tuple(f.mul(f.inv(lead), x) for x in out)
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2)])
+def test_restriction_table_matches_pointwise_map(n, q):
+    """For every hyperplane H, each affine line maps to the projective
+    line holding the images (1 : x) M of its points plus one point of H,
+    line_to_aff inverts that, and exactly the lines inside H are left."""
+    psp = proj_space(n, _field(q))
+    f, idx = psp.field, psp.point_index
+    asp = aff_space(n, f)
+    for hyp in psp.hyperplanes:
+        rm = RestrictionMap(psp, hyp)
+        on_h = {i for i, p in enumerate(psp.points) if hyp.contains_point(f, p)}
+        hit = set()
+        for aline in asp.lines:
+            image = {idx[_image(f, rm.matrix, (1,) + p)] for p in aline.point_coords()}
+            pline = rm.line_to_proj(aline)
+            rest = set(pline.points) - image
+            assert len(image) == q and image < set(pline.points)
+            assert len(rest) == 1 and rest <= on_h
+            assert rm.line_to_aff(pline) is aline
+            hit.add(pline)
+        assert len(hit) == len(asp.lines)
+        for pline in psp.lines:
+            if pline not in hit:
+                assert set(pline.points) <= on_h
+                with pytest.raises(LineInHyperplaneError):
+                    rm.line_to_aff(pline)
+
+
+def test_line_permutation_matches_pointwise_map():
+    psp = proj_space(3, _field(3))
+    m = ((1, 2, 0, 1), (0, 1, 1, 0), (0, 0, 2, 1), (0, 0, 0, 1))
+    perm = line_permutation(psp, m)
+    assert sorted(perm) == list(range(len(psp.lines)))
+    for i, ln in enumerate(psp.lines):
+        image = psp.line_from_basis(tuple(_image(psp.field, m, row) for row in ln.basis))
+        assert psp.lines[perm[i]] is image
+
+
+def test_line_permutation_rejects_singular_matrix():
+    psp = proj_space(3, _field(2))
+    singular = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0))
+    with pytest.raises(SteinerError, match="singular"):
+        line_permutation(psp, singular)
+    with pytest.raises(DimensionMismatchError):
+        line_permutation(psp, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
 def test_restriction_then_closure_identity():
     """Composing restriction with closure fixes every affine object."""
     asp = aff_space(3, _field(2))
     cm = projective_closure(asp)
-    rm = affine_restriction(cm.pspace, Hyperplane(normalize_point(cm.pspace.field, (1, 0, 0, 0))))
+    rm = RestrictionMap(cm.pspace, Hyperplane(normalize_point(cm.pspace.field, (1, 0, 0, 0))))
     for line in asp.lines:
         assert rm.line_to_aff(cm.line_to_proj(line)) == line
 

@@ -14,7 +14,7 @@ from math import gcd
 
 import pytest
 
-from steinergraphs.errors import DimensionMismatchError
+from steinergraphs.errors import DependentVectorsError, DimensionMismatchError
 from steinergraphs.gf import field_make
 from steinergraphs.linalg import (
     bareiss_echelon,
@@ -25,8 +25,6 @@ from steinergraphs.linalg import (
     rank,
     rational_kernel,
     row_basis,
-    rowspace_intersect,
-    rowspace_sum,
     rref,
     solve,
     transpose,
@@ -205,14 +203,22 @@ def test_solve_and_inverse():
     assert solve(f, ((1, 1), (2, 2)), (1, 0)) is None
 
 
-def test_rowspace_intersect_and_sum():
-    f = field_make(2)
-    a = ((1, 0, 0, 0), (0, 1, 0, 0))
-    b = ((0, 1, 0, 0), (0, 0, 1, 0))
-    inter = rowspace_intersect(f, a, b)
-    assert rref(f, inter)[0] == ((0, 1, 0, 0),)
-    total = rowspace_sum(f, a, b)
-    assert rank(f, total) == 3
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_inverse_rejects_singular(q):
+    """[M | I] has full rank for every M, so singularity shows only in
+    where the pivots fall."""
+    f = field_make(2, 2) if q == 4 else field_make(q)
+    rng = random.Random(q)
+    for _ in range(40):
+        m = _random_matrix(f, 3, 3, rng)
+        if rank(f, m) == 3:
+            inv = inverse(f, m)
+            assert tuple(mat_vec(f, m, col) for col in transpose(inv)) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        else:
+            with pytest.raises(DependentVectorsError):
+                inverse(f, m)
+    with pytest.raises(DependentVectorsError):
+        inverse(f, ((1, 1), (1, 1)))
 
 
 def test_dimension_mismatch_raised():

@@ -35,7 +35,6 @@ from steinergraphs.partitions import (
     balance_check,
     cameron_liebler_check,
     direction_class_line_set,
-    eigenfunction_to_partition,
     partition_eigenvalue,
     partition_to_eigenfunction,
     plane_line_set,
@@ -155,14 +154,6 @@ def test_partition_to_eigenfunction_checks_eigenvalue_equation(g_j2, monkeypatch
     assert exc.value.witness == witness
 
 
-def test_eigenfunction_to_partition_roundtrip(g_j2):
-    part = Partition2.from_part(g_j2, star_line_set(g_j2.design.space, 3))
-    f = partition_to_eigenfunction(g_j2, part)
-    part2, q = eigenfunction_to_partition(g_j2, f)
-    assert part2 == part
-    assert q.rows() == ((6, 12), (3, 15))
-
-
 def test_principal_partition_rejected():
     # two disjoint edges: the split by component is equitable but
     # principal, so no two-valued eigenfunction arises
@@ -172,12 +163,6 @@ def test_principal_partition_rejected():
     assert q.is_principal
     with pytest.raises(NotTwoValuedError):
         partition_to_eigenfunction(g, part)
-
-
-def test_eigenfunction_to_partition_needs_two_values(g_j2):
-    f = _regulus_function(g_j2)  # three values: 1, -1 and 0 off-support
-    with pytest.raises(NotTwoValuedError):
-        eigenfunction_to_partition(g_j2, f)
 
 
 # -- balance ------------------------------------------------------------------------------

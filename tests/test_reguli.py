@@ -10,6 +10,7 @@ Pinned counts:
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -19,7 +20,6 @@ from steinergraphs.errors import (
     DependentVectorsError,
     LinesNotSkewError,
     NotARegulusError,
-    PointOnLineError,
     WrongCountError,
 )
 from steinergraphs.geometry import (
@@ -28,6 +28,7 @@ from steinergraphs.geometry import (
     proj_space,
     projective_closure,
     relation,
+    span_of_lines,
 )
 from steinergraphs.gf import field_make
 from steinergraphs.linalg import row_basis
@@ -42,7 +43,6 @@ from steinergraphs.reguli import (
     lift_to_projective,
     regulus_restriction,
     regulus_through,
-    transversal_through,
 )
 
 STANDARD_TRIPLE = (
@@ -52,23 +52,23 @@ STANDARD_TRIPLE = (
 )
 
 
+@functools.cache
+def _reguli(q):
+    """enumerate_reguli(PG(3,q)), run once for the tests that only read it."""
+    return enumerate_reguli(proj_space(3, field_make(q)))
+
+
+@functools.cache
+def _affine_reguli(q):
+    """enumerate_affine_reguli(AG(3,q)), run once for the tests that only read it."""
+    return enumerate_affine_reguli(aff_space(3, field_make(q)))
+
+
 def _proj_lines(sp, triples=STANDARD_TRIPLE):
     return tuple(sp.line_from_basis(b) for b in triples)
 
 
 # -- transversals ---------------------------------------------------------------------
-
-
-def test_transversal_through_point():
-    sp = proj_space(3, field_make(2))
-    l1, l2, l3 = _proj_lines(sp)
-    t = transversal_through(sp, l1, l2, (1, 1, 1, 1))
-    assert t is not None
-    assert relation(sp, t, l1).kind == "meet"
-    assert relation(sp, t, l2).kind == "meet"
-    # a point on l1 itself is rejected
-    with pytest.raises(PointOnLineError):
-        transversal_through(sp, l1, l2, (1, 0, 0, 0))
 
 
 def test_common_transversals_count():
@@ -149,6 +149,50 @@ def test_pair_check_rejects_repeated_grid_point(case, monkeypatch):
         check(sp, bad, opp)
 
 
+# -- the grid implies the span ----------------------------------------------------------
+#
+# The pair checks take no rank: two skew lines of one family span a 3-flat,
+# and the grid puts every other line of both families into it.  These tests
+# recompute the span independently with span_of_lines.
+
+
+def _spans_a_solid(space, pairs) -> bool:
+    return all(span_of_lines(space, p[0] + p[1]).dim == 3 for p in pairs)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_enumerated_reguli_span_a_solid(q):
+    psp = proj_space(3, field_make(q))
+    asp = aff_space(3, field_make(q))
+    proj = [(p.r_lines, p.opp_lines) for p in _reguli(q)]
+    aff = [(p.s_lines, p.opp_lines) for p in _affine_reguli(q)]
+    if q == 3:
+        rng = random.Random(11)
+        proj, aff = rng.sample(proj, 300), rng.sample(aff, 300)
+    assert _spans_a_solid(psp, proj)
+    assert _spans_a_solid(asp, aff)
+
+
+def test_grid_check_keeps_a_pair_in_its_solid():
+    """In PG(4,2) a regulus pair lies in one of 31 solids; replacing a
+    line of the family by a line skew to the rest but outside that solid
+    breaks the grid, and the check says so."""
+    sp = proj_space(4, field_make(2))
+    basis = tuple(tuple(r) + (0,) for b in STANDARD_TRIPLE for r in b)
+    pair = regulus_through(sp, *(sp.line_from_basis(basis[i : i + 2]) for i in (0, 2, 4)))
+    _check_regulus_pair(sp, pair.r_lines, pair.opp_lines)
+    assert _spans_a_solid(sp, [(pair.r_lines, pair.opp_lines)])
+    solid = span_of_lines(sp, pair.r_lines)
+    outside = next(
+        ln for ln in sp.lines
+        if span_of_lines(sp, (ln,) + pair.r_lines).dim == 4
+        and not any(ln.mask & r.mask for r in pair.r_lines[1:])
+    )
+    assert solid.dim == 3
+    with pytest.raises(LinesNotSkewError, match="do not meet in one point"):
+        _check_regulus_pair(sp, (outside,) + pair.r_lines[1:], pair.opp_lines)
+
+
 def test_enumerate_reguli_q2():
     sp = proj_space(3, field_make(2))
     pairs = enumerate_reguli(sp)
@@ -187,8 +231,7 @@ def test_enumerate_reguli_rejects_a_failing_quadric(which, monkeypatch):
 
 
 def test_enumerate_reguli_q3_count():
-    sp = proj_space(3, field_make(3))
-    assert len(enumerate_reguli(sp)) == 21060
+    assert len(_reguli(3)) == 21060
 
 
 # -- affine reguli ----------------------------------------------------------------------
@@ -196,8 +239,7 @@ def test_enumerate_reguli_q3_count():
 
 @pytest.mark.parametrize("q,expected", [(2, 336), (3, 8424)])
 def test_enumerate_affine_reguli_counts(q, expected):
-    sp = aff_space(3, field_make(q))
-    pairs = enumerate_affine_reguli(sp)
+    pairs = _affine_reguli(q)
     assert len(pairs) == expected
     assert expected == q ** 4 * (q ** 3 - 1) * (q + 1)
     seen = set(pairs)
@@ -206,7 +248,7 @@ def test_enumerate_affine_reguli_counts(q, expected):
 
 def test_affine_pair_relations():
     sp = aff_space(3, field_make(3))
-    pair = next(iter(enumerate_affine_reguli(sp)[:1]))
+    pair = _affine_reguli(3)[0]
     for i, a in enumerate(pair.s_lines):
         for b in pair.s_lines[i + 1 :]:
             assert relation(sp, a, b).kind == "skew"
@@ -216,8 +258,7 @@ def test_affine_pair_relations():
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_lift_to_projective_one_line_at_infinity(q):
-    sp = aff_space(3, field_make(q))
-    pair = enumerate_affine_reguli(sp)[0]
+    pair = _affine_reguli(q)[0]
     lifted, cm = lift_to_projective(pair)
     pf = cm.pspace.field
     at_inf_r = [l for l in lifted.r_lines if cm.infinity.contains_line(pf, l)]
@@ -305,7 +346,7 @@ def test_classify_two_opposites_over_gf2():
 
 def test_classify_case1_q3():
     sp = aff_space(3, field_make(3))
-    pair = enumerate_affine_reguli(sp)[0]
+    pair = _affine_reguli(3)[0]
     cls = classify_skew_family(sp, pair.s_lines)
     assert cls.case == 1
     assert len(cls.pairs) == 1
@@ -328,7 +369,7 @@ def test_classify_case2_q3():
 
 def test_classify_wrong_count_rejected():
     sp = aff_space(3, field_make(3))
-    pair = enumerate_affine_reguli(sp)[0]
+    pair = _affine_reguli(3)[0]
     with pytest.raises(WrongCountError):
         classify_skew_family(sp, pair.s_lines[:2])
 
