@@ -9,8 +9,12 @@ Conventions:
   * exit codes: 0 success, 1 a check failed, 2 usage error, 3 resource
     limit reached;
   * bad input fails at this boundary with exit code 2: malformed JSON,
-    a --function that is not an object, a negative --limit or a --jobs
-    below 1;
+    a --function that is not an object, a --lines or --vectors that is
+    not three lines or vectors, a --plane, --hyperplane, --direction or
+    --star that is not a list of field elements of the space's length
+    (--star also takes a point index in range), a negative --limit, a
+    --jobs below 1, or an --n other than 3 where a command works in
+    dimension 3 only;
   * every named check recomputes what its name claims, and a failed
     check carries a witness;
   * lines are encoded as integer arrays via their canonical forms: a
@@ -69,16 +73,44 @@ def _parse_json_arg(text: str, what: str):
         raise _UsageError(f"invalid JSON for {what}: {ex}") from ex
 
 
-def _line_from_json(space, data):
-    if isinstance(space, geometry.ProjSpace):
-        if not (isinstance(data, list) and len(data) == 2):
-            raise _UsageError("a projective line is [[...], [...]] basis rows")
-        return space.line_from_basis((tuple(data[0]), tuple(data[1])))
-    if isinstance(data, dict):
-        return space.line_from_key(tuple(data["dir"]), tuple(data["base"]))
-    if not (isinstance(data, list) and len(data) == 2):
-        raise _UsageError("an affine line is [direction, base]")
-    return space.line_from_key(tuple(data[0]), tuple(data[1]))
+def _vector(data, what: str, space) -> tuple[int, ...]:
+    """A parsed JSON value as a coordinate vector of the space: a list of
+    field elements of the length of its points."""
+    length, q = len(space.points[0]), space.field.q
+    if not (isinstance(data, list) and len(data) == length
+            and all(type(x) is int and 0 <= x < q for x in data)):
+        raise _UsageError(f"{what} must be a list of {length} integers in range({q}), got {json.dumps(data)}")
+    return tuple(data)
+
+
+def _vector_arg(text: str, flag: str, space, point: bool = False):
+    """A vector option; with ``point`` the option names a point, by its
+    coordinates or its index, and the point index is returned."""
+    data = _parse_json_arg(text, flag)
+    if point and type(data) is int:
+        if not 0 <= data < len(space.points):
+            raise _UsageError(f"{flag} point index {data} is not in range({len(space.points)})")
+        return data
+    vec = _vector(data, flag, space)
+    if point:
+        if vec not in space.point_index:
+            raise _UsageError(f"{flag} {list(vec)} is not a point of {space}")
+        return space.point_index[vec]
+    return vec
+
+
+def _lines_arg(text: str, space):
+    """--lines: a JSON list of three projective lines, each given by two
+    basis rows."""
+    data = _parse_json_arg(text, "--lines")
+    if not (isinstance(data, list) and len(data) == 3):
+        raise _UsageError("--lines must hold exactly three lines")
+    lines = []
+    for d in data:
+        if not (isinstance(d, list) and len(d) == 2):
+            raise _UsageError("--lines: a projective line is [[...], [...]] basis rows")
+        lines.append(space.line_from_basis(tuple(_vector(row, "--lines basis row", space) for row in d)))
+    return lines
 
 
 def _validator_witness(check, *args) -> str | None:
@@ -90,14 +122,10 @@ def _validator_witness(check, *args) -> str | None:
     return None
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _function_json(f: eigenfunctions.Eigenfunction, structure: str | None = None) -> dict:
     entry = {
         "support": list(f.support),
-        "values": [[u, _frac_str(f.values[u])] for u in f.support],
+        "values": [[u, str(f.values[u])] for u in f.support],
     }
     if structure is not None:
         entry["structure"] = structure
@@ -201,11 +229,7 @@ def _cmd_wdb(args, cert: _Cert) -> None:
 
 def _cmd_regulus(args, cert: _Cert) -> None:
     space = _space_of("proj", args.n, args.q)
-    data = _parse_json_arg(args.lines, "--lines")
-    if not (isinstance(data, list) and len(data) == 3):
-        raise _UsageError("--lines must hold exactly three lines")
-    l1, l2, l3 = (_line_from_json(space, d) for d in data)
-    pair = reguli.regulus_through(space, l1, l2, l3)
+    pair = reguli.regulus_through(space, *_lines_arg(args.lines, space))
     cert.result = {
         "r_lines": [_line_json(l) for l in pair.r_lines],
         "opp_lines": [_line_json(l) for l in pair.opp_lines],
@@ -221,7 +245,7 @@ def _cmd_affine_regulus(args, cert: _Cert) -> None:
     data = _parse_json_arg(args.vectors, "--vectors")
     if not (isinstance(data, list) and len(data) == 3):
         raise _UsageError("--vectors must hold exactly three vectors")
-    pair = reguli.affine_regulus_construct(space, tuple(data[0]), tuple(data[1]), tuple(data[2]))
+    pair = reguli.affine_regulus_construct(space, *(_vector(v, "--vectors entry", space) for v in data))
     rp, closure = reguli.lift_to_projective(pair)
     cert.result = {
         "s_lines": [_line_json(l) for l in pair.s_lines],
@@ -231,7 +255,7 @@ def _cmd_affine_regulus(args, cert: _Cert) -> None:
             "opp_lines": [_line_json(l) for l in rp.opp_lines],
         },
     }
-    witness = _validator_witness(reguli._check_affine_pair, space, pair.s_lines, pair.opp_lines)
+    witness = _validator_witness(reguli._check_regulus_pair, space, pair.s_lines, pair.opp_lines)
     cert.check("affine_regulus_axioms", witness is None, witness)
     witness = _validator_witness(reguli._check_lift, pair, rp, closure)
     cert.check("projective_lift", witness is None, witness)
@@ -245,7 +269,7 @@ def _family_ids(space, pairs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 def _require_dimension_3(args, name: str) -> None:
     if args.n != 3:
-        raise _UsageError(f"{args.command} lists the reguli of {name}(3,q) only, got --n {args.n}")
+        raise _UsageError(f"{args.command} works in {name}(3,q) only, got --n {args.n}")
 
 
 def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
@@ -350,16 +374,14 @@ def _cmd_verify_eigenfunction(args, cert: _Cert) -> None:
     }
     if res.witness is not None:
         u, lhs, rhs = res.witness
-        cert.result["witness"] = {"vertex": u, "lhs": _frac_str(lhs), "rhs": _frac_str(rhs)}
+        cert.result["witness"] = {"vertex": u, "lhs": str(lhs), "rhs": str(rhs)}
     cert.check("eigenvalue_equation", res.ok, cert.result.get("witness"))
 
 
 def _cmd_wdbplus2(args, cert: _Cert) -> None:
     space = _space_of("proj", args.n, args.q)
-    data = _parse_json_arg(args.lines, "--lines")
-    l1, l2, l3 = (_line_from_json(space, d) for d in data)
-    pair = reguli.regulus_through(space, l1, l2, l3)
-    normal = tuple(_parse_json_arg(args.hyperplane, "--hyperplane"))
+    pair = reguli.regulus_through(space, *_lines_arg(args.lines, space))
+    normal = _vector_arg(args.hyperplane, "--hyperplane", space)
     hyp = geometry.Hyperplane(geometry.normalize_point(space.field, normal))
     f = eigenfunctions.wdbplus2_function(pair, hyp)
     graph = f.graph
@@ -477,16 +499,14 @@ def _cmd_equitable(args, cert: _Cert) -> None:
     if not quotient.is_principal:
         f = partitions.partition_to_eigenfunction(graph, part)
         cert.result["eigenfunction_values"] = [
-            _frac_str(f.value(part.v1[0])), _frac_str(f.value(part.v2[0]))
+            str(f.value(part.v1[0])), str(f.value(part.v2[0]))
         ]
     cert.check("equitable", True)  # quotient_matrix found constant counts
 
 
 def _cmd_balance(args, cert: _Cert) -> None:
     space = _space_of("proj", args.n, args.q)
-    data = _parse_json_arg(args.lines, "--lines")
-    l1, l2, l3 = (_line_from_json(space, d) for d in data)
-    pair = reguli.regulus_through(space, l1, l2, l3)
+    pair = reguli.regulus_through(space, *_lines_arg(args.lines, space))
     graph = _graph_of("proj", args.n, args.q)
     f1 = eigenfunctions.optimal_from_regulus(pair, graph)
     part_indices = _named_line_set(args, space)
@@ -507,6 +527,7 @@ def _cmd_balance(args, cert: _Cert) -> None:
 
 
 def _cmd_cameron_liebler(args, cert: _Cert) -> None:
+    _require_dimension_3(args, "PG")
     space = _space_of("proj", 3, args.q)
     line_set = _named_line_set(args, space)
     verdict = partitions.cameron_liebler_check(space, line_set)
@@ -539,14 +560,15 @@ def _named_line_set(args, space) -> tuple[int, ...]:
             raise _UsageError("--part must be a JSON list of integer line indices")
         return tuple(data)
     if kind == "star":
-        data = _parse_json_arg(args.star, "--star")
-        return partitions.star_line_set(space, tuple(data) if isinstance(data, list) else int(data))
+        return partitions.star_line_set(space, _vector_arg(args.star, "--star", space, point=True))
     if kind == "plane":
-        normal = tuple(_parse_json_arg(args.plane, "--plane"))
-        hyp = geometry.Hyperplane(geometry.normalize_point(space.field, normal))
-        return partitions.plane_line_set(space, hyp)
-    data = _parse_json_arg(args.direction, "--direction")
-    return partitions.direction_class_line_set(space, tuple(data))
+        if not isinstance(space, geometry.ProjSpace):
+            raise _UsageError("--plane needs a projective space")
+        normal = _vector_arg(args.plane, "--plane", space)
+        return partitions.plane_line_set(space, geometry.Hyperplane(normal))
+    if not isinstance(space, geometry.AffSpace):
+        raise _UsageError("--direction needs an affine space")
+    return partitions.direction_class_line_set(space, _vector_arg(args.direction, "--direction", space))
 
 
 class _LimitSignal(Exception):

@@ -127,9 +127,6 @@ class Graph:
     def is_edge(self, u: int, w: int) -> bool:
         return bool(self.adj[u] & (1 << w))
 
-    def neighbours(self, u: int) -> list[int]:
-        return bit_indices(self.adj[u])
-
     def common_count(self, u: int, w: int) -> int:
         return (self.adj[u] & self.adj[w]).bit_count()
 
@@ -162,11 +159,6 @@ def cached_block_graph(design: Design) -> Graph:
     if design._graph is None:
         design._graph = block_graph(design)
     return design._graph
-
-
-def complement(g: Graph) -> Graph:
-    full = (1 << g.v) - 1
-    return Graph(tuple((full & ~g.adj[u]) & ~(1 << u) for u in range(g.v)))
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,7 @@ from .linalg import bareiss_echelon, rational_kernel
 from .reguli import (
     AffineRegulusPair,
     RegulusPair,
-    _aff_key,
-    _check_affine_pair,
     _check_regulus_pair,
-    _proj_key,
     regulus_restriction,
 )
 
@@ -315,13 +312,13 @@ def support_structure(graph: Graph, f: Eigenfunction) -> SupportStructure:
     return SupportStructure("Other", t0, t1)
 
 
-def enumerate_complete_bipartite(graph: Graph, a: int, limit: int = MAX_BICLIQUE_VERTICES) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def enumerate_complete_bipartite(graph: Graph, a: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All unordered part-pairs {T0, T1} inducing a complete bipartite
     subgraph with parts of size a, as (T0, T1) with min(T0) < min(T1)."""
     if a < 1:
         raise ValueError("part size must be positive")
-    if graph.v > limit:
-        raise LimitExceededError(f"graph has {graph.v} vertices, limit {limit}")
+    if graph.v > MAX_BICLIQUE_VERTICES:
+        raise LimitExceededError(f"graph has {graph.v} vertices, limit {MAX_BICLIQUE_VERTICES}")
     v = graph.v
     adj = graph.adj
     full = (1 << v) - 1
@@ -402,14 +399,12 @@ def classify_optimal(graph: Graph, f: Eigenfunction):
     t1 = [u for u in f.support if f.values[u] < 0]
     if len(t0) != len(t1):
         raise NotOptimalError("sign classes of an optimal function must have equal size")
-    pos = [space.lines[i] for i in t0]
-    neg = [space.lines[i] for i in t1]
+    # the support ascends, so each family is in line order
+    pos = tuple(space.lines[i] for i in t0)
+    neg = tuple(space.lines[i] for i in t1)
     if isinstance(space, ProjSpace):
-        pair = RegulusPair(
-            tuple(sorted(pos, key=_proj_key)), tuple(sorted(neg, key=_proj_key)), space
-        )
-        _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
-        return GrassmannRegulus(pair)
+        _check_regulus_pair(space, pos, neg)
+        return GrassmannRegulus(RegulusPair(pos, neg, space))
     kinds0 = {relation(space, a, b).kind for i, a in enumerate(pos) for b in pos[i + 1 :]}
     kinds1 = {relation(space, a, b).kind for i, a in enumerate(neg) for b in neg[i + 1 :]}
     if kinds0 == {"parallel"} and kinds1 == {"parallel"}:
@@ -424,11 +419,8 @@ def classify_optimal(graph: Graph, f: Eigenfunction):
             raise NotOptimalError("sign classes are not parallel classes of their plane")
         return Type1(plane, (c0, c1))
     if kinds0 == {"skew"} and kinds1 == {"skew"}:
-        pair = AffineRegulusPair(
-            tuple(sorted(pos, key=_aff_key)), tuple(sorted(neg, key=_aff_key)), space
-        )
-        _check_affine_pair(space, pair.s_lines, pair.opp_lines)
-        return Type2(pair)
+        _check_regulus_pair(space, pos, neg)
+        return Type2(AffineRegulusPair(pos, neg, space))
     raise NotOptimalError(
         f"mixed line relations in sign classes: {sorted(kinds0)} / {sorted(kinds1)}"
     )

@@ -16,7 +16,8 @@ dictionary (the 2-design property: every point pair lies on one line),
 the lines through each point and per-line point bitmasks, all lazily and
 once.  proj_space and aff_space share one instance per (n, q), which
 also keeps the space's design and block graph (see designs) and, for an
-affine space, its closure map with the closure line table.
+affine space, ``AffSpace.closure``: the closure map into PG(n, q) with
+its line table.
 
 Coordinate changes act on line indices: line_permutation maps each point
 of PG(n, q) once through an invertible matrix and each line through the
@@ -300,7 +301,7 @@ class AffSpace(_Space):
         return tuple(p)
 
     @cached_property
-    def _closure(self) -> "ClosureMap":
+    def closure(self) -> "ClosureMap":
         return ClosureMap(self)
 
     def line_from_key(self, direction, base) -> AffLine:
@@ -497,7 +498,7 @@ class ClosureMap(_LineTable):
     """Embedding of AG(n, q) into PG(n, q) via x -> (1 : x), with the
     hyperplane at infinity {x_0 = 0}.  ``proj_index`` maps each affine
     line index to the index of its closure, the projective line through
-    (1 : base) and (0 : dir), and projective_closure keeps one map per
+    (1 : base) and (0 : dir); ``AffSpace.closure`` keeps one map per
     affine space."""
 
     def __init__(self, aspace: AffSpace):
@@ -511,11 +512,6 @@ class ClosureMap(_LineTable):
 
     def infinite_point(self, line: AffLine) -> Vec:
         return self.pspace.field.normalize_row((0,) + line.dir)
-
-
-def projective_closure(aspace: AffSpace) -> ClosureMap:
-    """The closure map of an affine space, built once and kept on it."""
-    return aspace._closure
 
 
 class RestrictionMap(_LineTable):
@@ -538,7 +534,7 @@ class RestrictionMap(_LineTable):
         self.matrix = (v0,) + linalg.kernel(f, (normal,))
         # the point with new coordinates c is c M in the old ones
         moved = line_permutation(pspace, self.matrix)
-        self.proj_index = tuple(moved[p] for p in projective_closure(self.aspace).proj_index)
+        self.proj_index = tuple(moved[p] for p in self.aspace.closure.proj_index)
         self.aff_index = {p: a for a, p in enumerate(self.proj_index)}
 
 

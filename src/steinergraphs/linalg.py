@@ -7,9 +7,10 @@ primitive integer vectors).  Reduced row echelon form is the canonical
 representative of a row space, so two subspaces are equal exactly when
 their ``row_basis`` tuples are equal.
 
-Finite-field entries are validated once, when a matrix enters ``rref``
-(or ``mat_vec``); elimination then runs on the field's unchecked row
-operations, which index its arithmetic tables.
+Finite-field entries are validated once, when a matrix enters ``rref``;
+elimination then runs on the field's unchecked row operations, which
+index its arithmetic tables.  Every routine over GF(q) (row bases, ranks,
+kernels, inverses, row-space membership) goes through ``rref``.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ def _check_rect(rows) -> int:
     return ncols
 
 
-def _check_entries(field: Field, rows) -> None:
-    for r in rows:
-        field.check_row(r)
-
-
 def rref(field: Field, rows) -> tuple[Rows, int, Row]:
     """Reduced row echelon form.
 
@@ -47,8 +43,7 @@ def rref(field: Field, rows) -> tuple[Rows, int, Row]:
     the row space.
     """
     ncols = _check_rect(rows)
-    _check_entries(field, rows)
-    m = [tuple(r) for r in rows]
+    m = [tuple(field.check_row(r)) for r in rows]
     nrows = len(m)
     pivots = []
     r = 0
@@ -82,11 +77,6 @@ def rank(field: Field, rows) -> int:
     return rref(field, rows)[1]
 
 
-def transpose(rows) -> Rows:
-    _check_rect(rows)
-    return tuple(zip(*rows))
-
-
 def kernel(field: Field, rows) -> Rows:
     """Canonical basis of the right null space {x : rows.x = 0}."""
     ncols = _check_rect(rows)
@@ -105,30 +95,6 @@ def kernel(field: Field, rows) -> Rows:
     if not basis:
         return ()
     return row_basis(field, basis)
-
-
-def solve(field: Field, rows, rhs) -> Row | None:
-    """One solution x of rows.x = rhs (free variables set to 0), or None."""
-    ncols = _check_rect(rows)
-    if len(rhs) != len(rows):
-        raise DimensionMismatchError("right-hand side length mismatch")
-    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
-    m, _, pivots = rref(field, aug)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
-    return tuple(x)
-
-
-def mat_vec(field: Field, rows, vec) -> Row:
-    ncols = _check_rect(rows)
-    if len(vec) != ncols:
-        raise DimensionMismatchError("vector length mismatch")
-    _check_entries(field, rows)
-    field.check_row(vec)
-    return tuple(field.dot(r, vec) for r in rows)
 
 
 def inverse(field: Field, rows) -> Rows:

@@ -244,17 +244,13 @@ class CameronLieblerVerdict:
 
 
 def cameron_liebler_check(pspace: ProjSpace, line_set, graph: Graph | None = None) -> CameronLieblerVerdict:
-    """Test a line set of PG(3, q) with both Cameron-Liebler criteria."""
+    """Test a set of line indices of PG(3, q) with both Cameron-Liebler
+    criteria."""
     if pspace.n != 3:
         raise ValueError("Cameron-Liebler line classes live in PG(3, q)")
-    indices: set[int] = set()
-    for entry in line_set:
-        if isinstance(entry, int):
-            if not 0 <= entry < len(pspace.lines):
-                raise ValueError(f"line index {entry} out of range")
-            indices.add(entry)
-        else:
-            indices.add(pspace.index_of(entry))
+    indices = set(line_set)
+    if not all(type(u) is int and 0 <= u < len(pspace.lines) for u in indices):
+        raise ValueError("line set entries must be line indices in range")
 
     witness = None
     is_cl_reguli = True

@@ -9,13 +9,15 @@ regulus pair with one line of each family at infinity produces exactly
 the affine pairs, which is also how arbitrary skew triples are
 classified (case 1: infinite points collinear, extendable; case 2: not).
 
-The pair checks recompute the grid: each family pairwise skew, every
-line meeting every opposite line once, all grid points distinct.  The
-grid alone implies that the pair spans a 3-flat (two skew lines of one
-family span it, and every other line meets two skew lines of it in
-distinct points), so the checks take no rank; regulus_through and
-affine_regulus_construct still test the span of the flat they are given.
-Hyperplane cuts map lines through the restriction's line-index table.
+One check serves both spaces: _check_regulus_pair recomputes the grid
+(each family pairwise skew, every line meeting every opposite line once,
+all grid points distinct) with q+1 lines per family in PG(n, q) and q in
+AG(n, q); the grid implies the span, so it takes no rank.
+regulus_through and enumerate_reguli both take the opposite family as
+the transversals of three skew lines and the family as those of three
+opposite lines.  Families are listed in the order of ``space.lines``,
+which is the order of the lines' keys.  Hyperplane cuts map lines
+through the restriction's line-index table.
 
 Affine pairs are ORDERED (S, S_opp): over GF(2) a skew pair of lines has
 two distinct valid opposite families, and only the ordered convention
@@ -47,7 +49,6 @@ from .geometry import (
     RestrictionMap,
     _coset_rep,
     normalize_point,
-    projective_closure,
     span_of_lines,
     vec_add,
     vec_scale,
@@ -114,14 +115,6 @@ class RestrictionOutcome:
     reason: str | None = None
 
 
-def _proj_key(line: ProjLine):
-    return line.basis
-
-
-def _aff_key(line: AffLine):
-    return (line.dir, line.base)
-
-
 def _require_skew(space, lines) -> None:
     """Disjoint point masks, and in an affine space different directions."""
     affine = isinstance(space, AffSpace)
@@ -164,64 +157,57 @@ def _transversal_ids(space, a, b, rest=()) -> list[int]:
     return sorted(t for t in ids if all(lines[t].mask & ln.mask for ln in rest))
 
 
-def _check_regulus_pair(space: ProjSpace, r_lines, opp_lines) -> None:
-    """Recompute the (q+1) x (q+1) grid of a regulus pair: each family
-    pairwise skew, each line meeting each opposite line in one point, and
-    the (q+1)^2 meeting points distinct.
+def _check_regulus_pair(space, fam, opp) -> None:
+    """Recompute the grid of a regulus pair in a projective or an affine
+    space: each family of q+1 lines in PG(n, q) or q lines in AG(n, q)
+    and pairwise skew, each line meeting each opposite line in one point,
+    and the meeting points distinct.
 
     The grid implies that the pair spans a 3-flat, so no rank is taken.
-    Two skew lines a, a' of one family span a 3-flat S.  Each opposite
-    line meets a and a' in two distinct points, so it lies in S.  Each
-    family line then meets two skew opposite lines in two distinct
-    points, so it lies in S too.
+    Since q >= 2, each family holds two skew lines a, a', which span a
+    3-flat S.  Each opposite line meets a and a' in two distinct points,
+    so it lies in S.  Each family line then meets two skew opposite lines
+    in two distinct points, so it lies in S too.
     """
     q = space.field.q
-    if len(r_lines) != q + 1 or len(opp_lines) != q + 1:
+    size = q if isinstance(space, AffSpace) else q + 1
+    if len(fam) != size or len(opp) != size:
         raise WrongCountError(
-            f"regulus families need {q + 1} lines each, got {len(r_lines)} and {len(opp_lines)}"
+            f"regulus families in {space} need {size} lines each, got {len(fam)} and {len(opp)}"
         )
-    _require_skew(space, r_lines)
-    _require_skew(space, opp_lines)
+    _require_skew(space, fam)
+    _require_skew(space, opp)
     grid = set()
-    for a in r_lines:
-        for b in opp_lines:
+    for a in fam:
+        for b in opp:
             common = a.mask & b.mask
             if common.bit_count() != 1:
                 raise LinesNotSkewError(
                     f"regulus lines {a} and opposite {b} do not meet in one point"
                 )
             grid.add(common)
-    if len(grid) != (q + 1) ** 2:
+    if len(grid) != size * size:
         raise LinesNotSkewError("transversal grid points must be distinct")
 
 
 def regulus_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, l3: ProjLine) -> RegulusPair:
-    """The unique regulus pair through three pairwise skew coplanar-in-a-
-    3-flat lines: the opposite family is collected transversal by
-    transversal from the points of l1, the family itself as the common
-    transversals of the opposite, and all axioms are re-verified."""
+    """The unique regulus pair through three pairwise skew lines of one
+    3-flat: the opposite family is the q+1 transversals of the three
+    lines, the family the transversals of three opposite lines, as in
+    enumerate_reguli, and the grid check verifies the pair."""
     f = space.field
     _require_skew(space, (l1, l2, l3))
     rows = [row for ln in (l1, l2, l3) for row in ln.basis]
     if len(linalg.row_basis(f, rows)) != 4:
         raise NotCoplanarError("three lines do not lie in a common 3-flat")
-    pair_line = space.pair_line
-    all_lines = space.lines
-    opp = []
-    for p in l1.points:
-        cands = {
-            pair_line[(p, p2) if p < p2 else (p2, p)] for p2 in l2.points
-        }
-        hits = [i for i in cands if all_lines[i].mask & l3.mask]
-        if len(hits) != 1:
-            raise WrongCountError(f"{len(hits)} transversals through a point, expected one")
-        opp.append(all_lines[hits[0]])
-    opp.sort(key=_proj_key)
-    fam = list(common_transversals(space, opp[:3]))
-    if not all(ln in fam for ln in (l1, l2, l3)):
+    lines = space.lines
+    opp = _transversal_ids(space, l1, l2, (l3,))
+    if len(opp) != f.q + 1:
+        raise WrongCountError(f"{len(opp)} transversals of three skew lines, expected {f.q + 1}")
+    fam = _transversal_ids(space, lines[opp[0]], lines[opp[1]], (lines[opp[2]],))
+    pair = RegulusPair(tuple(lines[t] for t in fam), tuple(lines[t] for t in opp), space)
+    if not {l1, l2, l3} <= set(pair.r_lines):
         raise NotARegulusError("a given line is missing from the regulus of its transversals")
-    fam.sort(key=_proj_key)
-    pair = RegulusPair(tuple(fam), tuple(opp), space)
     _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
     return pair
 
@@ -272,42 +258,12 @@ def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
 # -- affine constructions ------------------------------------------------------
 
 
-def _check_affine_pair(space: AffSpace, s_lines, opp_lines) -> None:
-    """Recompute the q x q grid of an affine regulus pair: each family
-    pairwise skew (disjoint and not parallel), each line meeting each
-    opposite line in one point, and the q^2 meeting points distinct.
-
-    The grid implies that the pair spans an affine 3-flat by the argument
-    of _check_regulus_pair: since q >= 2 each family holds two skew
-    lines, which span a 3-flat holding every line that meets both in
-    distinct points.
-    """
-    q = space.field.q
-    if len(s_lines) != q or len(opp_lines) != q:
-        raise WrongCountError(
-            f"affine regulus families need {q} lines each, got {len(s_lines)} and {len(opp_lines)}"
-        )
-    _require_skew(space, s_lines)
-    _require_skew(space, opp_lines)
-    grid = set()
-    for a in s_lines:
-        for b in opp_lines:
-            common = a.mask & b.mask
-            if common.bit_count() != 1:
-                raise LinesNotSkewError(
-                    f"affine regulus lines {a} and {b} do not meet in one point"
-                )
-            grid.add(common)
-    if len(grid) != q * q:
-        raise LinesNotSkewError("transversal grid points must be distinct")
-
-
 def lift_to_projective(pair: AffineRegulusPair) -> tuple[RegulusPair, ClosureMap]:
     """Projectivise an affine pair: the closures of S plus the infinity
     line through the directions of S_opp form a regulus whose opposite
     is the closures of S_opp plus the infinity line of S's directions;
     exactly one line of each projective family lies at infinity."""
-    cm = projective_closure(pair.space)
+    cm = pair.space.closure
     ps = cm.pspace
     fams = []
     for fam, other in ((pair.s_lines, pair.opp_lines), (pair.opp_lines, pair.s_lines)):
@@ -315,7 +271,7 @@ def lift_to_projective(pair: AffineRegulusPair) -> tuple[RegulusPair, ClosureMap
         at_inf = ps.line_through(inf[0], inf[1])
         if not all(p in at_inf.point_coords() for p in inf):
             raise NotARegulusError("the infinite points of a family are not collinear")
-        fams.append(tuple(sorted([cm.line_to_proj(l) for l in fam] + [at_inf], key=_proj_key)))
+        fams.append(tuple(sorted([cm.line_to_proj(l) for l in fam] + [at_inf], key=lambda l: l.key)))
     lifted = RegulusPair(fams[0], fams[1], ps)
     _check_regulus_pair(ps, lifted.r_lines, lifted.opp_lines)
     for fam in fams:
@@ -333,7 +289,7 @@ def _finite_parts(lifted: RegulusPair, cm: ClosureMap) -> tuple[tuple[AffLine, .
         finite = [l for l in fam if not cm.infinity.contains_line(pf, l)]
         if len(finite) != len(fam) - 1:
             raise WrongCountError("the lift needs exactly one line of each family at infinity")
-        parts.append(tuple(sorted((cm.line_to_aff(l) for l in finite), key=_aff_key)))
+        parts.append(tuple(sorted((cm.line_to_aff(l) for l in finite), key=lambda l: l.key)))
     return parts[0], parts[1]
 
 
@@ -360,10 +316,10 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> AffineRegulusPair:
         d2 = vec_add(f, vec_scale(f, c, v3), v2)
         s1.append(space.line_from_key(d1, vec_scale(f, c, v2)))
         s2.append(space.line_from_key(d2, vec_scale(f, c, v1)))
-    s1.sort(key=_aff_key)
-    s2.sort(key=_aff_key)
+    s1.sort(key=lambda l: l.key)
+    s2.sort(key=lambda l: l.key)
     pair = AffineRegulusPair(tuple(s1), tuple(s2), space)
-    _check_affine_pair(space, pair.s_lines, pair.opp_lines)
+    _check_regulus_pair(space, pair.s_lines, pair.opp_lines)
     for fam, dplane in ((pair.s_lines, (v1, v3)), (pair.opp_lines, (v2, v3))):
         dbasis = linalg.row_basis(f, dplane)
         cosets = set()
@@ -385,7 +341,7 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
     extends to one affine regulus pair (two over GF(2), where a skew
     pair of lines has two valid opposites).  Case 2 otherwise."""
     q = space.field.q
-    lines = sorted(lines, key=_aff_key)
+    lines = sorted(lines, key=lambda l: l.key)
     need = 2 if q == 2 else 3
     if len(lines) != need:
         raise WrongCountError(
@@ -404,21 +360,21 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
                 if trans[i].mask & trans[j].mask or trans[i].dir == trans[j].dir:
                     continue
                 pair = AffineRegulusPair(tuple(lines), (trans[i], trans[j]), space)
-                _check_affine_pair(space, pair.s_lines, pair.opp_lines)
+                _check_regulus_pair(space, pair.s_lines, pair.opp_lines)
                 pairs.append(pair)
         if len(pairs) != 2:
             raise WrongCountError(f"{len(pairs)} opposites of a skew pair over GF(2), expected 2")
-        pairs.sort(key=lambda pr: tuple(_aff_key(l) for l in pr.opp_lines))
+        pairs.sort(key=lambda pr: tuple(l.key for l in pr.opp_lines))
         return SkewFamilyClass(1, tuple(pairs))
     if dir_rank > 2:
         return SkewFamilyClass(2, ())
-    cm = projective_closure(space)
+    cm = space.closure
     lifted = regulus_through(cm.pspace, *(cm.line_to_proj(l) for l in lines))
     s_lines, opp_lines = _finite_parts(lifted, cm)
     if not all(l in s_lines for l in lines):
         raise NotARegulusError("a given line is missing from its affine regulus")
     pair = AffineRegulusPair(s_lines, opp_lines, space)
-    _check_affine_pair(space, pair.s_lines, pair.opp_lines)
+    _check_regulus_pair(space, pair.s_lines, pair.opp_lines)
     return SkewFamilyClass(1, (pair,))
 
 
@@ -446,7 +402,7 @@ def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
                 out.extend(fam.pairs)
     else:
         # a case-1 triple has its points at infinity on one line at infinity
-        cm = projective_closure(space)
+        cm = space.closure
         ps = cm.pspace
         inf = [ps.point_index[cm.infinite_point(ln)] for ln in lines]
         with_inf = [0] * len(ps.points)
@@ -475,17 +431,17 @@ def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
                             raise WrongCountError(f"{len(opp)} transversals, expected {q}")
                         seen.add(opp)
                         pair = AffineRegulusPair(triple, opp, space)
-                        _check_affine_pair(space, pair.s_lines, pair.opp_lines)
+                        _check_regulus_pair(space, pair.s_lines, pair.opp_lines)
                         out.extend((pair, pair.swap()))
                     else:
                         for pair in classify_skew_family(space, triple).pairs:
                             if pair not in seen:
                                 seen.add(pair)
                                 out.append(pair)
-    out.sort(key=lambda pr: tuple(_aff_key(l) for l in pr.s_lines + pr.opp_lines))
+    out.sort(key=lambda pr: tuple(l.key for l in pr.s_lines + pr.opp_lines))
     for pair in out:
         # the lift of the swapped pair is the swap of this lift
-        if _aff_key(pair.s_lines[0]) < _aff_key(pair.opp_lines[0]):
+        if pair.s_lines[0].key < pair.opp_lines[0].key:
             lift_to_projective(pair)
     return tuple(out)
 
@@ -518,12 +474,12 @@ def regulus_restriction(pair: RegulusPair, hyperplane: Hyperplane) -> Restrictio
         )
     rm = RestrictionMap(space, hyperplane)
     r_lines, opp_lines = (
-        tuple(sorted((rm.line_to_aff(l) for l in fam if l not in inside), key=_aff_key))
+        tuple(sorted((rm.line_to_aff(l) for l in fam if l not in inside), key=lambda l: l.key))
         for fam, inside in ((pair.r_lines, in_r), (pair.opp_lines, in_o))
     )
     if in_r:
         apair = AffineRegulusPair(r_lines, opp_lines, rm.aspace)
-        _check_affine_pair(rm.aspace, apair.s_lines, apair.opp_lines)
+        _check_regulus_pair(rm.aspace, apair.s_lines, apair.opp_lines)
         return RestrictionOutcome(kind="affine_regulus", pair=apair)
     config = WdbPlus2Config(r_lines=r_lines, opp_lines=opp_lines, space=rm.aspace)
     return RestrictionOutcome(kind="wdbplus2", config=config)

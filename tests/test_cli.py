@@ -390,6 +390,46 @@ def test_part_not_a_list_of_integers_exit_2(capsys, part):
         assert "--part" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("wdbplus2", "--q", "2", "--lines", "5", "--hyperplane", "[1,0,1,1]"), "--lines"),
+    (("balance", "--q", "2", "--lines", "5", "--star", "0"), "--lines"),
+    (("regulus", "--q", "2", "--lines", "[[1,2],[3,4],[5,6]]"), "--lines"),
+    (("affine-regulus", "--q", "2", "--vectors", "[[1,0,0],[0,1,0],5]"), "--vectors"),
+    (("affine-regulus", "--q", "2", "--vectors", "[[1,0],[0,1],[1,1]]"), "--vectors"),
+    (("wdbplus2", "--q", "2", "--lines", REGULUS_LINES, "--hyperplane", "5"), "--hyperplane"),
+    (("equitable", "--q", "2", "--plane", "5"), "--plane"),
+    (("equitable", "--q", "2", "--plane", "[0,1]"), "--plane"),
+    (("equitable", "--space", "aff", "--q", "2", "--plane", "[1,0,0]"), "--plane"),
+    (("equitable", "--space", "aff", "--q", "2", "--direction", "5"), "--direction"),
+    (("cameron-liebler", "--q", "2", "--direction", "[1,0,0,0]"), "--direction"),
+    (("equitable", "--q", "2", "--star", '{"a":1}'), "--star"),
+    (("equitable", "--q", "2", "--star", "99"), "--star"),
+    (("equitable", "--q", "2", "--star", "-1"), "--star"),
+    (("equitable", "--q", "2", "--star", "[0,0,0,0]"), "--star"),
+], ids=["wdbplus2-lines-scalar", "balance-lines-scalar", "lines-rows-too-short",
+        "vectors-scalar-entry", "vectors-too-short",
+        "hyperplane-scalar", "plane-scalar", "plane-too-short", "plane-in-affine-space",
+        "direction-scalar", "direction-in-projective-space", "star-object",
+        "star-index-too-large", "star-index-negative", "star-not-a-point"])
+def test_malformed_cli_input_exit_2(capsys, argv, flag):
+    """--lines is three lines; a vector option is a list of field
+    elements of the space's length, or for --star also a point index in
+    range.  Each of these used to end in a traceback, or (a short --plane
+    or a negative --star index) in a certificate for some other input."""
+    code, err = _usage_error(capsys, *argv)
+    assert code == 2
+    assert flag in err
+
+
+def test_cameron_liebler_other_dimension_exit_2(capsys, monkeypatch):
+    """The check works in PG(3,q) only; --n 4 used to compute on PG(3,q)
+    under a certificate that recorded n = 4."""
+    _refuse_work(monkeypatch)
+    code, err = _usage_error(capsys, "cameron-liebler", "--n", "4", "--q", "2", "--star", "0")
+    assert code == 2
+    assert "--n 4" in err
+
+
 # -- search with checkpointing -----------------------------------------------------------------
 
 

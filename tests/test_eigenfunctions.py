@@ -353,9 +353,10 @@ def test_enumerate_complete_bipartite_none_in_clique():
     assert enumerate_complete_bipartite(Graph(adj), 2) == []
 
 
-def test_enumerate_complete_bipartite_limit(g_x2):
+def test_enumerate_complete_bipartite_limit(g_x2, monkeypatch):
+    monkeypatch.setattr(eigenfunctions, "MAX_BICLIQUE_VERTICES", 10)
     with pytest.raises(LimitExceededError):
-        enumerate_complete_bipartite(g_x2, 2, limit=10)
+        enumerate_complete_bipartite(g_x2, 2)
 
 
 # -- classification gates ------------------------------------------------------------------

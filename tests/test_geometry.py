@@ -32,7 +32,6 @@ from steinergraphs.geometry import (
     line_permutation,
     normalize_point,
     parallel_classes,
-    projective_closure,
     proj_space,
     relation,
     span_of_lines,
@@ -237,7 +236,7 @@ def test_span_of_lines():
 @pytest.mark.parametrize("q", [2, 3])
 def test_projective_closure_roundtrip(q):
     asp = aff_space(3, _field(q))
-    cm = projective_closure(asp)
+    cm = asp.closure
     psp = cm.pspace
     assert len(psp.points) == len(asp.points) + (q ** 3 - 1) // (q - 1)
     infinite = set()
@@ -259,8 +258,8 @@ def test_closure_line_table(n, q):
     line through (1 : base) and (0 : dir); line_to_aff inverts it and
     rejects the lines at infinity.  The map is kept on its space."""
     asp = aff_space(n, _field(q))
-    cm = projective_closure(asp)
-    assert projective_closure(asp) is cm
+    cm = asp.closure
+    assert asp.closure is cm
     psp = cm.pspace
     for i, line in enumerate(asp.lines):
         pline = psp.line_from_basis(((1,) + line.base, (0,) + line.dir))
@@ -353,7 +352,7 @@ def test_line_permutation_rejects_singular_matrix():
 def test_restriction_then_closure_identity():
     """Composing restriction with closure fixes every affine object."""
     asp = aff_space(3, _field(2))
-    cm = projective_closure(asp)
+    cm = asp.closure
     rm = RestrictionMap(cm.pspace, Hyperplane(normalize_point(cm.pspace.field, (1, 0, 0, 0))))
     for line in asp.lines:
         assert rm.line_to_aff(cm.line_to_proj(line)) == line

@@ -256,12 +256,6 @@ def test_cl_degenerate_sets():
     assert cameron_liebler_check(sp, tuple(range(35))).is_cl_reguli
 
 
-def test_cl_accepts_line_objects():
-    sp = proj_space(3, field_make(2))
-    lines = [sp.lines[i] for i in star_line_set(sp, 0)]
-    assert cameron_liebler_check(sp, lines).is_cl_reguli
-
-
 def test_cl_methods_agree_on_random_sets(g_j2):
     sp = g_j2.design.space
     rng = random.Random(99)

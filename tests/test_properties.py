@@ -50,7 +50,6 @@ from steinergraphs.geometry import (
     aff_space,
     normalize_point,
     proj_space,
-    projective_closure,
 )
 from steinergraphs.gf import _TABLE_LIMIT, field_make
 from steinergraphs.linalg import rational_kernel, row_basis, rref
@@ -158,7 +157,7 @@ def test_closure_restriction_identity(q):
     infinity gives the closure's own line table, and so the identity on
     lines."""
     asp = aff_space(3, field_make(q))
-    cm = projective_closure(asp)
+    cm = asp.closure
     rm = RestrictionMap(cm.pspace, cm.infinity)
     assert rm.proj_index == cm.proj_index and rm.aff_index == cm.aff_index
     for line in asp.lines:

@@ -26,14 +26,12 @@ from steinergraphs.geometry import (
     aff_space,
     enumerate_planes,
     proj_space,
-    projective_closure,
     relation,
     span_of_lines,
 )
 from steinergraphs.gf import field_make
 from steinergraphs.linalg import row_basis
 from steinergraphs.reguli import (
-    _check_affine_pair,
     _check_regulus_pair,
     affine_regulus_construct,
     classify_skew_family,
@@ -101,6 +99,18 @@ def test_regulus_through_axioms(q):
     assert pair.swap().swap() == pair
 
 
+def test_regulus_through_returns_the_enumerated_pair():
+    """Any three lines of a family, in any order, give back the pair that
+    enumerate_reguli lists: every pair of PG(3,2), and a seeded sample of
+    PG(3,3)."""
+    rng = random.Random(12)
+    for q, pairs in ((2, _reguli(2)), (3, rng.sample(_reguli(3), 200))):
+        sp = proj_space(3, field_make(q))
+        for pair in pairs:
+            three = rng.sample(pair.r_lines, 3)
+            assert regulus_through(sp, *three) == pair
+
+
 def test_regulus_through_rejects_meeting_lines():
     sp = proj_space(3, field_make(2))
     l1 = sp.line_from_basis(((1, 0, 0, 0), (0, 1, 0, 0)))
@@ -114,39 +124,55 @@ def test_regulus_through_rejects_meeting_lines():
 
 
 def _malformed_cases():
-    """(checker, space, family, opposite) for a valid projective and a
-    valid affine regulus pair over GF(3)."""
+    """(space, family, opposite) for a valid projective and a valid
+    affine regulus pair over GF(3)."""
     psp = proj_space(3, field_make(3))
     ppair = regulus_through(psp, *_proj_lines(psp))
     asp = aff_space(3, field_make(3))
     apair = affine_regulus_construct(asp, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return [
-        (_check_regulus_pair, psp, ppair.r_lines, ppair.opp_lines),
-        (_check_affine_pair, asp, apair.s_lines, apair.opp_lines),
-    ]
+    return [(psp, ppair.r_lines, ppair.opp_lines), (asp, apair.s_lines, apair.opp_lines)]
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["projective", "affine"])
 def test_pair_check_rejects_wrong_size(case):
-    check, sp, fam, opp = _malformed_cases()[case]
-    check(sp, fam, opp)
+    sp, fam, opp = _malformed_cases()[case]
+    _check_regulus_pair(sp, fam, opp)
     with pytest.raises(WrongCountError):
-        check(sp, fam[:-1], opp)
+        _check_regulus_pair(sp, fam[:-1], opp)
     with pytest.raises(WrongCountError):
-        check(sp, fam, opp + opp[:1])
+        _check_regulus_pair(sp, fam, opp + opp[:1])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_pair_check_takes_the_size_from_the_space(q):
+    """The one check wants q+1 lines per family in PG(3,q) and q in
+    AG(3,q): q lines of each family of a projective pair, and the q+1
+    affine lines per family left when a plane avoiding every line cuts a
+    regulus, are the other space's size."""
+    psp = proj_space(3, field_make(q))
+    pair = regulus_through(psp, *_proj_lines(psp))
+    with pytest.raises(WrongCountError, match=f"need {q + 1} lines"):
+        _check_regulus_pair(psp, pair.r_lines[:-1], pair.opp_lines[:-1])
+    cut = next(
+        out.config for out in (regulus_restriction(pair, h) for h in psp.hyperplanes)
+        if out.kind == "wdbplus2"
+    )
+    assert len(cut.r_lines) == len(cut.opp_lines) == q + 1
+    with pytest.raises(WrongCountError, match=f"need {q} lines"):
+        _check_regulus_pair(cut.space, cut.r_lines, cut.opp_lines)
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["projective", "affine"])
 def test_pair_check_rejects_repeated_grid_point(case, monkeypatch):
-    check, sp, fam, opp = _malformed_cases()[case]
+    sp, fam, opp = _malformed_cases()[case]
     # a repeated line repeats its whole row of grid points
     bad = fam[:1] + fam[:-1]
     with pytest.raises(LinesNotSkewError):
-        check(sp, bad, opp)
+        _check_regulus_pair(sp, bad, opp)
     # the grid count catches it even without the pairwise skewness check
     monkeypatch.setattr("steinergraphs.reguli._require_skew", lambda space, lines: None)
     with pytest.raises(LinesNotSkewError, match="grid points must be distinct"):
-        check(sp, bad, opp)
+        _check_regulus_pair(sp, bad, opp)
 
 
 # -- the grid implies the span ----------------------------------------------------------
@@ -274,7 +300,7 @@ def test_lift_rejects_a_corrupted_closure_table(monkeypatch):
     sp = aff_space(3, field_make(3))
     pair = affine_regulus_construct(sp, (1, 0, 0), (0, 1, 0), (0, 0, 1))
     lift_to_projective(pair)
-    cm = projective_closure(sp)
+    cm = sp.closure
     line = pair.s_lines[0]
     parallel = next(l for l in sp.lines if l.dir == line.dir and l != line)
     table = list(cm.proj_index)
