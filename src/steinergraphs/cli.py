@@ -12,7 +12,8 @@ Conventions:
     a --function that is not an object, a --lines or --vectors that is
     not three lines or vectors, a --plane, --hyperplane, --direction or
     --star that is not a list of field elements of the space's length
-    (--star also takes a point index in range), a negative --limit, a
+    (--star also takes a point index in range, and in a projective
+    space any nonzero multiple of a point), a negative --limit, a
     --jobs below 1, or an --n other than 3 where a command works in
     dimension 3 only;
   * every named check recomputes what its name claims, and a failed
@@ -85,7 +86,9 @@ def _vector(data, what: str, space) -> tuple[int, ...]:
 
 def _vector_arg(text: str, flag: str, space, point: bool = False):
     """A vector option; with ``point`` the option names a point, by its
-    coordinates or its index, and the point index is returned."""
+    coordinates or its index, and the point index is returned.  The
+    coordinates of a projective point may be any nonzero multiple of
+    its normalised ones."""
     data = _parse_json_arg(text, flag)
     if point and type(data) is int:
         if not 0 <= data < len(space.points):
@@ -93,6 +96,8 @@ def _vector_arg(text: str, flag: str, space, point: bool = False):
         return data
     vec = _vector(data, flag, space)
     if point:
+        if isinstance(space, geometry.ProjSpace) and any(vec):
+            vec = space.field.normalize_row(vec)
         if vec not in space.point_index:
             raise _UsageError(f"{flag} {list(vec)} is not a point of {space}")
         return space.point_index[vec]

@@ -9,7 +9,9 @@ their parameters twice: by exhaustive pair counting and by the closed
 formulas in terms of (N, M), which must agree.
 
 Adjacency is stored as one integer bitmask per vertex, so common
-neighbour counts are popcounts of ANDed rows.
+neighbour counts are popcounts of ANDed rows.  A graph also keeps, per
+field width, its rows spread to one field per vertex, on which the
+eigenvalue check sums a whole function in one integer.
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ class Graph:
         self.adj = tuple(adj)
         self.v = len(self.adj)
         self.design = design
+        self._packed: dict[int, tuple[int, ...]] = {}
         for u, row in enumerate(self.adj):
             if row >> self.v:
                 raise ValueError("adjacency bit outside vertex range")
@@ -129,6 +132,19 @@ class Graph:
 
     def common_count(self, u: int, w: int) -> int:
         return (self.adj[u] & self.adj[w]).bit_count()
+
+    def packed_rows(self, bits: int) -> tuple[tuple[int, ...], int]:
+        """Adjacency rows spread to fields of at least ``bits`` bits,
+        rounded up to a whole number of bytes: row w is the sum of
+        2^(width*u) over the neighbours u of w.  Returns the rows and the
+        width; each width is built once and kept on the graph."""
+        width = -(-bits // 8) * 8
+        rows = self._packed.get(width)
+        if rows is None:
+            rows = self._packed[width] = tuple(
+                sum(1 << width * u for u in bit_indices(row)) for row in self.adj
+            )
+        return rows, width
 
     @property
     def k(self) -> int:

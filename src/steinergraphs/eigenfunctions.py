@@ -14,7 +14,8 @@ Conventions:
     integer kernel, so results never depend on the screen;
   * values are Fractions at the API; the hot checks (the eigenvalue
     equation and the kernel of a support) run in exact scaled-integer
-    arithmetic;
+    arithmetic, the eigenvalue equation at all vertices at once as one
+    packed integer over the graph's packed adjacency rows;
   * sign parts of a function are listed positive part first.
 """
 
@@ -148,31 +149,37 @@ class VerifyResult:
 def verify_eigenfunction(graph: Graph, f: Eigenfunction) -> VerifyResult:
     """Check theta * f(u) = sum of f over neighbours of u at every vertex.
 
-    f is scaled to integers by the lcm of its denominators, and each
-    neighbour sum is taken per distinct value c as c times the popcount
-    of the neighbours carrying c.  Only the closed neighbourhood of the
-    support is scanned: elsewhere both sides are 0."""
+    f is scaled to integers c_w by the lcm of its denominators, and all v
+    equations are checked at once as one packed integer.  With fields of
+    B bits, where B - 1 >= bit_length((v + |theta|) * max|c|), the packed
+    row P[w] = sum of 2^(B*u) over the neighbours u of w gives
+
+        d = sum over w of c_w * (P[w] - theta * 2^(B*w))
+          = sum over u of a_u * 2^(B*u),
+        a_u = (sum of c_w over the neighbours w of u) - theta * c_u.
+
+    Each |a_u| <= (v - 1 + |theta|) * max|c| < 2^(B-1).  If u is the
+    lowest vertex with a_u != 0, then d = 2^(B*u) * (a_u + 2^B * R) for
+    an integer R, and a_u is not divisible by 2^B, so d != 0 and the
+    trailing zero bits of d number B*u plus fewer than B.  Hence d == 0
+    exactly when every equation holds, and otherwise the lowest failing
+    vertex is (trailing zeros of d) // B; both sides are recomputed
+    there for the witness."""
     if not f.values:
         raise ZeroFunctionError("the zero function is not an eigenfunction")
     scale = lcm(*(x.denominator for x in f.values.values()))
-    adj = graph.adj
-    scaled: dict[int, int] = {}
-    masks: dict[int, int] = {}
-    closed = 0
-    for w, x in f.values.items():
-        c = x.numerator * (scale // x.denominator)
-        scaled[w] = c
-        masks[c] = masks.get(c, 0) | 1 << w
-        closed |= adj[w] | 1 << w
-    classes = tuple(masks.items())
+    scaled = {w: x.numerator * (scale // x.denominator) for w, x in f.values.items()}
     theta = f.theta
-    for u in bit_indices(closed):
-        row = adj[u]
-        lhs = theta * scaled.get(u, 0)
-        rhs = sum(c * (row & m).bit_count() for c, m in classes)
-        if lhs != rhs:
-            return VerifyResult(False, (u, Fraction(lhs, scale), Fraction(rhs, scale)))
-    return VerifyResult(True)
+    bits = ((graph.v + abs(theta)) * max(map(abs, scaled.values()))).bit_length() + 1
+    rows, width = graph.packed_rows(bits)
+    d = sum(c * (rows[w] - (theta << width * w)) for w, c in scaled.items())
+    if not d:
+        return VerifyResult(True)
+    u = ((d & -d).bit_length() - 1) // width
+    row = graph.adj[u]
+    lhs = theta * scaled.get(u, 0)
+    rhs = sum(c for w, c in scaled.items() if row >> w & 1)
+    return VerifyResult(False, (u, Fraction(lhs, scale), Fraction(rhs, scale)))
 
 
 def from_bipartite_pair(graph: Graph, t0: Iterable[int], t1: Iterable[int], theta: int) -> Eigenfunction:

@@ -498,8 +498,10 @@ class ClosureMap(_LineTable):
     """Embedding of AG(n, q) into PG(n, q) via x -> (1 : x), with the
     hyperplane at infinity {x_0 = 0}.  ``proj_index`` maps each affine
     line index to the index of its closure, the projective line through
-    (1 : base) and (0 : dir); ``AffSpace.closure`` keeps one map per
-    affine space."""
+    (1 : base) and (0 : dir); ``inf_point`` maps it to the index of its
+    point at infinity (0 : dir), and ``inf_lines`` is the bitmask of the
+    projective line indices at infinity.  ``AffSpace.closure`` keeps one
+    map per affine space."""
 
     def __init__(self, aspace: AffSpace):
         self.aspace = aspace
@@ -509,9 +511,11 @@ class ClosureMap(_LineTable):
             ps.index_of(ps.line_from_basis(((1,) + l.base, (0,) + l.dir))) for l in aspace.lines
         )
         self.aff_index = {p: a for a, p in enumerate(self.proj_index)}
-
-    def infinite_point(self, line: AffLine) -> Vec:
-        return self.pspace.field.normalize_row((0,) + line.dir)
+        # directions are normalised, so (0 : dir) is a point of the table
+        self.inf_point = tuple(ps.point_index[(0,) + l.dir] for l in aspace.lines)
+        self.inf_lines = sum(
+            1 << i for i, l in enumerate(ps.lines) if self.infinity.contains_line(ps.field, l)
+        )
 
 
 class RestrictionMap(_LineTable):

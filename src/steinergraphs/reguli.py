@@ -17,7 +17,12 @@ regulus_through and enumerate_reguli both take the opposite family as
 the transversals of three skew lines and the family as those of three
 opposite lines.  Families are listed in the order of ``space.lines``,
 which is the order of the lines' keys.  Hyperplane cuts map lines
-through the restriction's line-index table.
+through the restriction's line-index table, and the projective lift of
+an affine pair works on the closure's tables: closures, points at
+infinity and the lines at infinity, all by line and point index.
+enumerate_affine_reguli finds each quadric once, from a triple of skew
+lines with collinear points at infinity (a pair over GF(2)), and checks
+and lifts it once.
 
 Affine pairs are ORDERED (S, S_opp): over GF(2) a skew pair of lines has
 two distinct valid opposite families, and only the ordered convention
@@ -28,6 +33,7 @@ unordered and quadric counts alongside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 from . import linalg
 from .designs import bit_indices
@@ -263,33 +269,46 @@ def lift_to_projective(pair: AffineRegulusPair) -> tuple[RegulusPair, ClosureMap
     line through the directions of S_opp form a regulus whose opposite
     is the closures of S_opp plus the infinity line of S's directions;
     exactly one line of each projective family lies at infinity."""
-    cm = pair.space.closure
+    space = pair.space
+    s_ids = [space.index_of(l) for l in pair.s_lines]
+    opp_ids = [space.index_of(l) for l in pair.opp_lines]
+    return _lift(space.closure, s_ids, opp_ids), space.closure
+
+
+def _lift(cm: ClosureMap, s_ids, opp_ids) -> RegulusPair:
+    """lift_to_projective on affine line indices, through the closure's
+    tables: each family's closures come from ``proj_index``, its line at
+    infinity is the ``pair_line`` of the points at infinity of two
+    opposite lines, checked to hold those of all of them, and
+    ``inf_lines`` counts the lines at infinity of each lifted family."""
     ps = cm.pspace
+    lines, inf_point = ps.lines, cm.inf_point
     fams = []
-    for fam, other in ((pair.s_lines, pair.opp_lines), (pair.opp_lines, pair.s_lines)):
-        inf = [cm.infinite_point(l) for l in other]
-        at_inf = ps.line_through(inf[0], inf[1])
-        if not all(p in at_inf.point_coords() for p in inf):
-            raise NotARegulusError("the infinite points of a family are not collinear")
-        fams.append(tuple(sorted([cm.line_to_proj(l) for l in fam] + [at_inf], key=lambda l: l.key)))
-    lifted = RegulusPair(fams[0], fams[1], ps)
+    for fam, other in ((s_ids, opp_ids), (opp_ids, s_ids)):
+        pts = [inf_point[t] for t in other]
+        a, b = sorted(pts[:2])
+        at_inf = ps.pair_line.get((a, b))
+        if at_inf is None or any(not lines[at_inf].mask >> p & 1 for p in pts):
+            raise NotARegulusError("the infinite points of a family are not distinct points of one line")
+        fams.append(sorted([cm.proj_index[t] for t in fam] + [at_inf]))
+    lifted = RegulusPair(*(tuple(lines[t] for t in ids) for ids in fams), ps)
     _check_regulus_pair(ps, lifted.r_lines, lifted.opp_lines)
-    for fam in fams:
-        if sum(cm.infinity.contains_line(ps.field, l) for l in fam) != 1:
+    for ids in fams:
+        if sum(cm.inf_lines >> t & 1 for t in ids) != 1:
             raise WrongCountError("the lift needs exactly one line of each family at infinity")
-    return lifted, cm
+    return lifted
 
 
 def _finite_parts(lifted: RegulusPair, cm: ClosureMap) -> tuple[tuple[AffLine, ...], tuple[AffLine, ...]]:
     """Each family of a lifted pair without its one line at infinity,
     mapped back to affine lines in canonical order."""
-    pf = cm.pspace.field
+    index_of, alines = cm.pspace.index_of, cm.aspace.lines
     parts = []
     for fam in (lifted.r_lines, lifted.opp_lines):
-        finite = [l for l in fam if not cm.infinity.contains_line(pf, l)]
+        finite = [t for t in map(index_of, fam) if not cm.inf_lines >> t & 1]
         if len(finite) != len(fam) - 1:
             raise WrongCountError("the lift needs exactly one line of each family at infinity")
-        parts.append(tuple(sorted((cm.line_to_aff(l) for l in finite), key=lambda l: l.key)))
+        parts.append(tuple(alines[a] for a in sorted(cm.aff_index[t] for t in finite)))
     return parts[0], parts[1]
 
 
@@ -380,70 +399,83 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
 
 def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
     """Every ordered affine regulus pair (S, S_opp) of a 3-dimensional
-    affine space, sorted canonically; the projective lift of each pair is
-    verified.  Each quadric is lifted once, and over GF(3) also checked
-    once: both checks are symmetric in the two families, and the lift of
-    the swapped pair is the swap of the lift."""
+    affine space, sorted canonically.  Each quadric is checked once in
+    the affine space and lifted once to a verified projective pair: both
+    checks are symmetric in the two families, and the lift of the swapped
+    pair is the swap of the lift.
+
+    Over GF(2) a family is a skew pair of lines, and two of the pairs
+    among its four transversals are skew: its two opposites.  For q >= 3
+    every triple i < j < k of pairwise skew lines whose points at
+    infinity are collinear lies in one family of one quadric.  A triple
+    inside a quadric already found is skipped before any transversal
+    work; otherwise the opposite family is the transversals of the
+    triple, and for q >= 4 the family is the transversals of three
+    opposite lines.  Families are tuples of line indices, and lines are
+    stored in key order, so sorting by indices sorts by keys."""
     if space.n != 3:
         raise WrongCountError("affine regulus enumeration needs dimension 3")
     q = space.field.q
     if q > MAX_ENUM_Q:
         raise LimitExceededError(f"enumeration limited to q <= {MAX_ENUM_Q}")
     lines = space.lines
-    nl = len(lines)
+    pmask = [ln.mask for ln in lines]
     skew = _skew_masks(space)
-    out = []
+    cm = space.closure
+    ps = cm.pspace
+    # one (family, opposite) orientation per quadric
+    found = []
     if q == 2:
-        for i in range(nl):
-            for j in bit_indices(skew[i]):
-                if j <= i:
-                    continue
-                fam = classify_skew_family(space, (lines[i], lines[j]))
-                out.extend(fam.pairs)
-    else:
-        # a case-1 triple has its points at infinity on one line at infinity
-        cm = space.closure
-        ps = cm.pspace
-        inf = [ps.point_index[cm.infinite_point(ln)] for ln in lines]
-        with_inf = [0] * len(ps.points)
-        for t, p in enumerate(inf):
-            with_inf[p] |= 1 << t
-        # over GF(3) the opposite families found so far, else the pairs
-        seen = set()
-        for i in range(nl):
-            si = skew[i]
+        for i, si in enumerate(skew):
             for j in bit_indices(si):
                 if j <= i:
                     continue
-                a, b = sorted((inf[i], inf[j]))
+                tij = _transversal_ids(space, lines[i], lines[j])
+                opps = [(a, b) for a, b in combinations(tij, 2) if skew[a] >> b & 1]
+                if len(opps) != 2:
+                    raise WrongCountError(f"{len(opps)} opposites of a skew pair over GF(2), expected 2")
+                found.extend(((i, j), opp) for opp in opps if (i, j) < opp)
+    else:
+        # the lines through each point at infinity, and for each pair of
+        # lines a < b the lines of the families found through both
+        with_inf = [0] * len(ps.points)
+        for t, p in enumerate(cm.inf_point):
+            with_inf[p] |= 1 << t
+        covered: dict[tuple[int, int], int] = {}
+        for i, si in enumerate(skew):
+            for j in bit_indices(si):
+                if j <= i:
+                    continue
+                a, b = sorted((cm.inf_point[i], cm.inf_point[j]))
                 coplanar = sum(with_inf[p] for p in ps.lines[ps.pair_line[(a, b)]].points)
+                tij = None
                 for k in bit_indices(si & skew[j] & coplanar):
-                    if k <= j:
+                    if k <= j or covered.get((i, j), 0) >> k & 1:
                         continue
-                    triple = (lines[i], lines[j], lines[k])
+                    if tij is None:
+                        tij = _transversal_ids(space, lines[i], lines[j])
+                    opp = tuple(t for t in tij if pmask[t] & pmask[k])
+                    if len(opp) != q:
+                        raise WrongCountError(f"{len(opp)} transversals of three skew lines, expected {q}")
                     if q == 3:
-                        # the triple is a whole family: skip the opposite
-                        # family of a quadric already found
-                        if triple in seen:
-                            continue
-                        opp = common_transversals(space, triple)
-                        if len(opp) != q:
-                            raise WrongCountError(f"{len(opp)} transversals, expected {q}")
-                        seen.add(opp)
-                        pair = AffineRegulusPair(triple, opp, space)
-                        _check_regulus_pair(space, pair.s_lines, pair.opp_lines)
-                        out.extend((pair, pair.swap()))
+                        fam = (i, j, k)
                     else:
-                        for pair in classify_skew_family(space, triple).pairs:
-                            if pair not in seen:
-                                seen.add(pair)
-                                out.append(pair)
-    out.sort(key=lambda pr: tuple(l.key for l in pr.s_lines + pr.opp_lines))
-    for pair in out:
-        # the lift of the swapped pair is the swap of this lift
-        if pair.s_lines[0].key < pair.opp_lines[0].key:
-            lift_to_projective(pair)
-    return tuple(out)
+                        fam = tuple(_transversal_ids(space, lines[opp[0]], lines[opp[1]], (lines[opp[2]],)))
+                        if not (i in fam and j in fam and k in fam):
+                            raise NotARegulusError(f"lines {i}, {j}, {k} are not in their regulus")
+                    for family in (fam, opp):
+                        fmask = sum(1 << t for t in family)
+                        for pr in combinations(family, 2):
+                            covered[pr] = covered.get(pr, 0) | fmask
+                    found.append((fam, opp))
+    keyed = []
+    for fam, opp in found:
+        pair = AffineRegulusPair(tuple(lines[t] for t in fam), tuple(lines[t] for t in opp), space)
+        _check_regulus_pair(space, pair.s_lines, pair.opp_lines)
+        _lift(cm, fam, opp)
+        keyed += ((fam + opp, pair), (opp + fam, pair.swap()))
+    keyed.sort(key=lambda kp: kp[0])
+    return tuple(pair for _, pair in keyed)
 
 
 # -- hyperplane restriction of a projective regulus ---------------------------

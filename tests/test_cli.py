@@ -160,6 +160,26 @@ def test_equitable_star(capsys):
     assert len(cert["result"]["lines"]) == 35
 
 
+def test_star_normalises_projective_coordinates(capsys):
+    """--star takes any nonzero multiple of a projective point, as --plane
+    and --hyperplane take any multiple of a normal: (2:0:0:0) and
+    (0:2:1:0) of PG(3,3) give the certificates of (1:0:0:0) and
+    (0:1:2:0)."""
+    for given, normalised in (("[2,0,0,0]", "[1,0,0,0]"), ("[0,2,1,0]", "[0,1,2,0]")):
+        code, cert = _run(capsys, "equitable", "--q", "3", "--star", given)
+        assert code == 0
+        _, ref = _run(capsys, "equitable", "--q", "3", "--star", normalised)
+        assert cert["result"] == ref["result"]
+
+
+def test_star_zero_vector_exit_2(capsys):
+    """The zero vector is no projective point, and normalising does not
+    make it one."""
+    code, err = _usage_error(capsys, "equitable", "--q", "3", "--star", "[0,0,0,0]")
+    assert code == 2
+    assert "--star" in err
+
+
 def test_equitable_direction_class(capsys):
     code, cert = _run(capsys, "equitable", "--space", "aff", "--n", "3", "--q", "2",
                       "--direction", "[1,0,0]")

@@ -14,11 +14,14 @@ import sys
 import threading
 import types
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from steinergraphs import eigenfunctions
-from steinergraphs.designs import Graph, srg_params_brute
+from steinergraphs.designs import Graph, bit_indices, srg_params_brute
 from steinergraphs.eigenfunctions import (
     Eigenfunction,
     GrassmannRegulus,
@@ -135,6 +138,119 @@ def test_verify_reports_first_failure(g_j2):
     assert not res.ok
     u, lhs, rhs = res.witness
     assert u == 0 and lhs == 3 and rhs == 0
+
+
+def _popcount_verify(graph, f):
+    """The reference check: at each vertex of the closed neighbourhood of
+    the support, in ascending order, theta * f(u) against the neighbour
+    sum, taken per distinct scaled value as a popcount.  Returns (ok,
+    witness) as verify_eigenfunction does."""
+    scale = lcm(*(x.denominator for x in f.values.values()))
+    scaled, masks, closed = {}, {}, 0
+    for w, x in f.values.items():
+        c = x.numerator * (scale // x.denominator)
+        scaled[w] = c
+        masks[c] = masks.get(c, 0) | 1 << w
+        closed |= graph.adj[w] | 1 << w
+    for u in bit_indices(closed):
+        lhs = f.theta * scaled.get(u, 0)
+        rhs = sum(c * (graph.adj[u] & m).bit_count() for c, m in masks.items())
+        if lhs != rhs:
+            return False, (u, Fraction(lhs, scale), Fraction(rhs, scale))
+    return True, None
+
+
+def _graph_from_edges(v, edges):
+    adj = [0] * v
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return Graph(adj)
+
+
+# numerators up to 2^70, powers of two among them (whose many trailing
+# zero bits make neighbouring fields of the packed check collide when
+# they are too narrow), and denominators that make the lcm scaling work
+_NUMERATORS = st.integers(-2 ** 70, 2 ** 70) | st.builds(
+    lambda e, sign: sign << e, st.integers(0, 70), st.sampled_from([1, -1])
+)
+_PACKED_VALUES = st.builds(
+    Fraction, _NUMERATORS, st.integers(1, 12) | st.sampled_from([2 ** 35, 3 ** 20])
+).filter(bool)
+
+
+@st.composite
+def packed_cases(draw):
+    """(kind, graph, f) on a random or complete graph of up to 14
+    vertices.  'random' puts random values at random vertices under a
+    random theta (0 included); 'twins' adds a twin x of a vertex t, with the same
+    neighbours (theta = 0) or those and t itself (theta = -1), and puts
+    c on t and -c on x, an eigenfunction; 'broken' adds a value at one
+    vertex of a 'twins' function."""
+    n = draw(st.integers(1, 13))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if draw(st.booleans()):
+        edges = pairs
+    else:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    kind = draw(st.sampled_from(["random", "twins", "broken"]))
+    if kind == "random":
+        graph = _graph_from_edges(n, edges)
+        theta = draw(st.just(0) | st.integers(-n, n) | st.integers(-300, 300))
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        return kind, graph, Eigenfunction(graph, theta, {u: draw(_PACKED_VALUES) for u in support})
+    t = draw(st.integers(0, n - 1))
+    adjacent = draw(st.booleans())
+    # u + w - t is the other end of an edge at t
+    twin = [(u + w - t, n) for u, w in edges if t in (u, w)]
+    if adjacent:
+        twin.append((t, n))
+    graph = _graph_from_edges(n + 1, edges + twin)
+    c = draw(_PACKED_VALUES)
+    values = {t: c, n: -c}
+    if kind == "broken":
+        w = draw(st.integers(0, n))
+        values[w] = values.get(w, Fraction(0)) + draw(_PACKED_VALUES)
+        if not any(values.values()):
+            values = {t: c}
+    return kind, graph, Eigenfunction(graph, -1 if adjacent else 0, values)
+
+
+_PATH = _graph_from_edges(2, [(0, 1)])
+_K5 = _graph_from_edges(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+_POINT = _graph_from_edges(1, [])
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_cases())
+# the equations at vertex 0 (0 = 256) and 1 (0 = -1) cancel in fields of 8 bits
+@example(("random", _PATH, Eigenfunction(_PATH, 0, {0: -1, 1: 256})))
+@example(("random", _PATH, Eigenfunction(_PATH, 0, {0: -1, 1: 2 ** 64})))
+@example(("random", _PATH, Eigenfunction(_PATH, -3, {0: Fraction(2 ** 70, 3), 1: Fraction(-1, 2 ** 35)})))
+# every equation reads 0 = 4 = 2^2, which fields of 2 bits carry into the next vertex
+@example(("random", _K5, Eigenfunction(_K5, 0, dict.fromkeys(range(5), 1))))
+# the one equation reads 256 = 0: the field must hold theta * f as well as the neighbour sum
+@example(("random", _POINT, Eigenfunction(_POINT, 256, {0: 1})))
+def test_packed_verify_matches_popcount_loop(case):
+    """The packed-integer check gives the verdict and the witness of the
+    reference loop, on random graphs, theta = 0, Fraction values and
+    numerators up to 2^70, eigenfunctions and broken functions alike."""
+    kind, graph, f = case
+    res = verify_eigenfunction(graph, f)
+    assert (res.ok, res.witness) == _popcount_verify(graph, f)
+    if kind == "twins":
+        assert res.ok
+
+
+def test_packed_rows_kept_per_byte_width():
+    """Widths round up to whole bytes, and each width's rows are built
+    once and kept on the graph."""
+    g = _graph_from_edges(3, [(0, 1), (1, 2)])
+    rows, width = g.packed_rows(5)
+    assert width == 8
+    assert rows == (1 << 8, 1 | 1 << 16, 1 << 8)
+    assert g.packed_rows(8)[0] is rows
+    assert g.packed_rows(9) == ((1 << 16, 1 | 1 << 32, 1 << 16), 16)
 
 
 def test_from_bipartite_pair(g_x2):

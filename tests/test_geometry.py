@@ -239,17 +239,20 @@ def test_projective_closure_roundtrip(q):
     cm = asp.closure
     psp = cm.pspace
     assert len(psp.points) == len(asp.points) + (q ** 3 - 1) // (q - 1)
-    infinite = set()
-    for line in asp.lines:
+    for i, line in enumerate(asp.lines):
         pline = cm.line_to_proj(line)
         assert isinstance(pline, ProjLine)
         assert cm.line_to_aff(pline) is line
-        # the closure holds the points (1 : x) of the line and its point at infinity
+        # the closure holds the points (1 : x) of the line and its point at infinity (0 : dir)
         finite = {psp.point_index[(1,) + p] for p in line.point_coords()}
-        assert set(pline.points) == finite | {psp.point_index[cm.infinite_point(line)]}
-        infinite.add(cm.infinite_point(line))
-    # the points at infinity of affine lines are exactly the removed plane
-    assert len(infinite) == (q ** 3 - 1) // (q - 1)
+        assert psp.points[cm.inf_point[i]] == normalize_point(psp.field, (0,) + line.dir)
+        assert set(pline.points) == finite | {cm.inf_point[i]}
+    # the points at infinity of affine lines are exactly the removed plane,
+    # and the lines at infinity those inside it
+    assert len(set(cm.inf_point)) == (q ** 3 - 1) // (q - 1)
+    at_inf = [i for i, l in enumerate(psp.lines) if all(psp.points[p][0] == 0 for p in l.points)]
+    assert cm.inf_lines == sum(1 << i for i in at_inf)
+    assert len(at_inf) + len(asp.lines) == len(psp.lines)
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (2, 3)])

@@ -310,6 +310,70 @@ def test_lift_rejects_a_corrupted_closure_table(monkeypatch):
         lift_to_projective(pair)
 
 
+def test_lift_rejects_a_corrupted_infinity_table(monkeypatch):
+    """The lift finds each line at infinity through the closure's point
+    at infinity table and counts lines at infinity through its line
+    mask: pointing one opposite line at another point at infinity, or
+    dropping a line from the mask, is rejected."""
+    sp = aff_space(3, field_make(3))
+    pair = affine_regulus_construct(sp, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    lifted, cm = lift_to_projective(pair)
+    psp = cm.pspace
+    # the line at infinity of S holds the points at infinity of S_opp
+    at_inf = next(l for l in lifted.r_lines if cm.infinity.contains_line(psp.field, l))
+    table = list(cm.inf_point)
+    table[sp.index_of(pair.opp_lines[-1])] = next(p for p in sorted(table) if not at_inf.mask >> p & 1)
+    monkeypatch.setattr(cm, "inf_point", tuple(table))
+    with pytest.raises(NotARegulusError):
+        lift_to_projective(pair)
+    monkeypatch.undo()
+    monkeypatch.setattr(cm, "inf_lines", cm.inf_lines & ~(1 << psp.index_of(at_inf)))
+    with pytest.raises(WrongCountError):
+        lift_to_projective(pair)
+
+
+@pytest.mark.parametrize("q,quadrics", [(2, 168), (3, 4212)])
+def test_affine_enumeration_checks_and_lifts_each_quadric_once(monkeypatch, q, quadrics):
+    """Half of the ordered pairs: one affine grid check and one lift, with
+    its one projective grid check, per quadric."""
+    checks = {"AffSpace": 0, "ProjSpace": 0}
+    lifts = []
+    real_check, real_lift = reguli._check_regulus_pair, reguli._lift
+
+    def check(space, fam, opp):
+        checks[type(space).__name__] += 1
+        return real_check(space, fam, opp)
+
+    def lift(cm, s_ids, opp_ids):
+        lifts.append(tuple(s_ids))
+        return real_lift(cm, s_ids, opp_ids)
+
+    monkeypatch.setattr(reguli, "_check_regulus_pair", check)
+    monkeypatch.setattr(reguli, "_lift", lift)
+    pairs = enumerate_affine_reguli(aff_space(3, field_make(q)))
+    assert len(pairs) == 2 * quadrics
+    assert checks == {"AffSpace": quadrics, "ProjSpace": quadrics}
+    assert len(lifts) == quadrics
+
+
+def test_affine_enumeration_lifts_match_lift_to_projective():
+    """The enumeration's lift of each quadric is the lift_to_projective of
+    its pair, with the closure tables checked against the point at
+    infinity (0 : dir) and the hyperplane x_0 = 0."""
+    sp = aff_space(3, field_make(3))
+    cm = sp.closure
+    psp = cm.pspace
+    assert all(psp.points[p] == (0,) + l.dir for p, l in zip(cm.inf_point, sp.lines))
+    assert cm.inf_lines == sum(
+        1 << i for i, l in enumerate(psp.lines) if cm.infinity.contains_line(psp.field, l)
+    )
+    for pair in _affine_reguli(3)[::97]:
+        lifted, _ = lift_to_projective(pair)
+        ids = [sp.index_of(l) for l in pair.s_lines], [sp.index_of(l) for l in pair.opp_lines]
+        assert reguli._lift(cm, *ids) == lifted
+        assert reguli._finite_parts(lifted, cm) == (pair.s_lines, pair.opp_lines)
+
+
 # -- the three-vector construction ------------------------------------------------------
 
 
