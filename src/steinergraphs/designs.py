@@ -10,8 +10,9 @@ formulas in terms of (N, M), which must agree.
 
 Adjacency is stored as one integer bitmask per vertex, so common
 neighbour counts are popcounts of ANDed rows.  A graph also keeps, per
-field width, its rows spread to one field per vertex, on which the
-eigenvalue check sums a whole function in one integer.
+field width and up to a fixed budget, its rows spread to one field per
+vertex, on which the eigenvalue check sums a whole function in one
+integer.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .errors import (
 )
 from .geometry import aff_space, proj_space
 from .gf import field_make
+
+
+# bits of packed adjacency rows that one graph keeps, over all widths (16 MiB)
+PACKED_TABLE_BITS = 1 << 27
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -133,14 +138,19 @@ class Graph:
     def common_count(self, u: int, w: int) -> int:
         return (self.adj[u] & self.adj[w]).bit_count()
 
-    def packed_rows(self, bits: int) -> tuple[tuple[int, ...], int]:
+    def packed_rows(self, bits: int) -> tuple[tuple[int, ...] | None, int]:
         """Adjacency rows spread to fields of at least ``bits`` bits,
         rounded up to a whole number of bytes: row w is the sum of
         2^(width*u) over the neighbours u of w.  Returns the rows and the
-        width; each width is built once and kept on the graph."""
+        width; each width is built once and kept on the graph.  The rows
+        of one width hold at most v * v * width bits; a width that would
+        bring the kept rows past PACKED_TABLE_BITS is not built, and its
+        rows are None."""
         width = -(-bits // 8) * 8
         rows = self._packed.get(width)
         if rows is None:
+            if self.v * self.v * (width + sum(self._packed)) > PACKED_TABLE_BITS:
+                return None, width
             rows = self._packed[width] = tuple(
                 sum(1 << width * u for u in bit_indices(row)) for row in self.adj
             )

@@ -164,21 +164,35 @@ def verify_eigenfunction(graph: Graph, f: Eigenfunction) -> VerifyResult:
     trailing zero bits of d number B*u plus fewer than B.  Hence d == 0
     exactly when every equation holds, and otherwise the lowest failing
     vertex is (trailing zeros of d) // B; both sides are recomputed
-    there for the witness."""
+    there for the witness.
+
+    Values so large that the graph keeps no packed rows of their width
+    are checked one vertex at a time instead, in ascending order over
+    the closed neighbourhood of the support (a_u = 0 elsewhere), which
+    gives the same verdict and witness."""
     if not f.values:
         raise ZeroFunctionError("the zero function is not an eigenfunction")
     scale = lcm(*(x.denominator for x in f.values.values()))
     scaled = {w: x.numerator * (scale // x.denominator) for w, x in f.values.items()}
     theta = f.theta
+
+    def neighbour_sum(u: int) -> int:
+        row = graph.adj[u]
+        return sum(c for w, c in scaled.items() if row >> w & 1)
+
     bits = ((graph.v + abs(theta)) * max(map(abs, scaled.values()))).bit_length() + 1
     rows, width = graph.packed_rows(bits)
-    d = sum(c * (rows[w] - (theta << width * w)) for w, c in scaled.items())
-    if not d:
+    if rows is not None:
+        d = sum(c * (rows[w] - (theta << width * w)) for w, c in scaled.items())
+        u = ((d & -d).bit_length() - 1) // width if d else None
+    else:
+        closed = 0
+        for w in scaled:
+            closed |= graph.adj[w] | 1 << w
+        u = next((u for u in bit_indices(closed) if neighbour_sum(u) != theta * scaled.get(u, 0)), None)
+    if u is None:
         return VerifyResult(True)
-    u = ((d & -d).bit_length() - 1) // width
-    row = graph.adj[u]
-    lhs = theta * scaled.get(u, 0)
-    rhs = sum(c for w, c in scaled.items() if row >> w & 1)
+    lhs, rhs = theta * scaled.get(u, 0), neighbour_sum(u)
     return VerifyResult(False, (u, Fraction(lhs, scale), Fraction(rhs, scale)))
 
 

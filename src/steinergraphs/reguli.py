@@ -6,8 +6,9 @@ the common transversals form the opposite regulus R_opp, and the pair
 (R, R_opp) covers a (q+1) x (q+1) grid of points.  The affine analogue
 replaces q+1 by q; removing the hyperplane at infinity from a projective
 regulus pair with one line of each family at infinity produces exactly
-the affine pairs, which is also how arbitrary skew triples are
-classified (case 1: infinite points collinear, extendable; case 2: not).
+the affine pairs.  A skew triple of affine lines is of case 1 when its
+infinite points are collinear, and then extends to one affine pair;
+otherwise it is of case 2 and extends to none.
 
 One check serves both spaces: _check_regulus_pair recomputes the grid
 (each family pairwise skew, every line meeting every opposite line once,
@@ -20,9 +21,9 @@ which is the order of the lines' keys.  Hyperplane cuts map lines
 through the restriction's line-index table, and the projective lift of
 an affine pair works on the closure's tables: closures, points at
 infinity and the lines at infinity, all by line and point index.
-enumerate_affine_reguli finds each quadric once, from a triple of skew
-lines with collinear points at infinity (a pair over GF(2)), and checks
-and lifts it once.
+classify_skew_family and enumerate_affine_reguli build the affine pairs
+through a skew triple (a pair over GF(2)) on line indices by one rule;
+the enumeration finds each quadric once and checks and lifts it once.
 
 Affine pairs are ORDERED (S, S_opp): over GF(2) a skew pair of lines has
 two distinct valid opposite families, and only the ordered convention
@@ -354,47 +355,62 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> AffineRegulusPair:
     return pair
 
 
+def _affine_regulus_ids(space: AffSpace, ids, tij=None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The affine pairs (family, opposite), as ascending line indices,
+    whose family holds the ascending skew lines ``ids``: over GF(2) a
+    pair, whose two opposites are the skew pairs among its four
+    transversals; for q >= 3 a triple with collinear points at infinity,
+    whose opposite is its transversals, and for q >= 4 the family those
+    of three opposite lines.  ``tij``: transversals of ids[0], ids[1]."""
+    lines = space.lines
+    q = space.field.q
+    i, j = ids[:2]
+    if tij is None:
+        tij = _transversal_ids(space, lines[i], lines[j])
+    if q == 2:
+        if len(tij) != 4:
+            raise WrongCountError(f"{len(tij)} transversals of a skew pair, expected 4")
+        opps = [
+            (a, b) for a, b in combinations(tij, 2)
+            if not (lines[a].mask & lines[b].mask or lines[a].dir == lines[b].dir)
+        ]
+        if len(opps) != 2:
+            raise WrongCountError(f"{len(opps)} opposites of a skew pair over GF(2), expected 2")
+        return [(tuple(ids), opp) for opp in opps]
+    kmask = lines[ids[2]].mask
+    opp = tuple(t for t in tij if lines[t].mask & kmask)
+    if len(opp) != q:
+        # three skew lines of one 3-flat with collinear points at infinity have q
+        raise NotCoplanarError(f"{len(opp)} transversals of three skew lines, expected {q}")
+    if q == 3:
+        return [(tuple(ids), opp)]
+    fam = tuple(_transversal_ids(space, lines[opp[0]], lines[opp[1]], (lines[opp[2]],)))
+    if not set(ids) <= set(fam):
+        raise NotARegulusError(f"lines {ids} are not in their regulus")
+    return [(fam, opp)]
+
+
 def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
     """Case 1 when the infinite points of the closures are collinear
     (equivalently the direction vectors span only a plane): the family
     extends to one affine regulus pair (two over GF(2), where a skew
     pair of lines has two valid opposites).  Case 2 otherwise."""
     q = space.field.q
-    lines = sorted(lines, key=lambda l: l.key)
+    lines = list(lines)
     need = 2 if q == 2 else 3
     if len(lines) != need:
         raise WrongCountError(
             f"classification over GF({q}) needs exactly {need} pairwise skew lines"
         )
     _require_skew(space, lines)
-    f = space.field
-    dir_rank = len(linalg.row_basis(f, tuple(l.dir for l in lines)))
-    if q == 2:
-        trans = common_transversals(space, lines)
-        if len(trans) != 4:
-            raise WrongCountError(f"{len(trans)} transversals of a skew pair, expected 4")
-        pairs = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if trans[i].mask & trans[j].mask or trans[i].dir == trans[j].dir:
-                    continue
-                pair = AffineRegulusPair(tuple(lines), (trans[i], trans[j]), space)
-                _check_regulus_pair(space, pair.s_lines, pair.opp_lines)
-                pairs.append(pair)
-        if len(pairs) != 2:
-            raise WrongCountError(f"{len(pairs)} opposites of a skew pair over GF(2), expected 2")
-        pairs.sort(key=lambda pr: tuple(l.key for l in pr.opp_lines))
-        return SkewFamilyClass(1, tuple(pairs))
-    if dir_rank > 2:
+    if q > 2 and len(linalg.row_basis(space.field, tuple(l.dir for l in lines))) > 2:
         return SkewFamilyClass(2, ())
-    cm = space.closure
-    lifted = regulus_through(cm.pspace, *(cm.line_to_proj(l) for l in lines))
-    s_lines, opp_lines = _finite_parts(lifted, cm)
-    if not all(l in s_lines for l in lines):
-        raise NotARegulusError("a given line is missing from its affine regulus")
-    pair = AffineRegulusPair(s_lines, opp_lines, space)
-    _check_regulus_pair(space, pair.s_lines, pair.opp_lines)
-    return SkewFamilyClass(1, (pair,))
+    pairs = []
+    for fam, opp in _affine_regulus_ids(space, sorted(map(space.index_of, lines))):
+        pair = AffineRegulusPair(tuple(space.lines[t] for t in fam), tuple(space.lines[t] for t in opp), space)
+        _check_regulus_pair(space, pair.s_lines, pair.opp_lines)
+        pairs.append(pair)
+    return SkewFamilyClass(1, tuple(pairs))
 
 
 def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
@@ -404,22 +420,20 @@ def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
     checks are symmetric in the two families, and the lift of the swapped
     pair is the swap of the lift.
 
-    Over GF(2) a family is a skew pair of lines, and two of the pairs
-    among its four transversals are skew: its two opposites.  For q >= 3
-    every triple i < j < k of pairwise skew lines whose points at
-    infinity are collinear lies in one family of one quadric.  A triple
-    inside a quadric already found is skipped before any transversal
-    work; otherwise the opposite family is the transversals of the
-    triple, and for q >= 4 the family is the transversals of three
-    opposite lines.  Families are tuples of line indices, and lines are
-    stored in key order, so sorting by indices sorts by keys."""
+    Over GF(2) a family is a skew pair of lines.  For q >= 3 every triple
+    i < j < k of pairwise skew lines whose points at infinity are
+    collinear lies in one family of one quadric; a triple inside a
+    quadric already found is skipped before any transversal work.  The
+    pairs through a family's first lines come from _affine_regulus_ids,
+    as in classify_skew_family.  Families are tuples of line indices,
+    and lines are stored in key order, so sorting by indices sorts by
+    keys."""
     if space.n != 3:
         raise WrongCountError("affine regulus enumeration needs dimension 3")
     q = space.field.q
     if q > MAX_ENUM_Q:
         raise LimitExceededError(f"enumeration limited to q <= {MAX_ENUM_Q}")
     lines = space.lines
-    pmask = [ln.mask for ln in lines]
     skew = _skew_masks(space)
     cm = space.closure
     ps = cm.pspace
@@ -428,13 +442,8 @@ def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
     if q == 2:
         for i, si in enumerate(skew):
             for j in bit_indices(si):
-                if j <= i:
-                    continue
-                tij = _transversal_ids(space, lines[i], lines[j])
-                opps = [(a, b) for a, b in combinations(tij, 2) if skew[a] >> b & 1]
-                if len(opps) != 2:
-                    raise WrongCountError(f"{len(opps)} opposites of a skew pair over GF(2), expected 2")
-                found.extend(((i, j), opp) for opp in opps if (i, j) < opp)
+                if j > i:
+                    found.extend(fo for fo in _affine_regulus_ids(space, (i, j)) if fo[0] < fo[1])
     else:
         # the lines through each point at infinity, and for each pair of
         # lines a < b the lines of the families found through both
@@ -454,15 +463,7 @@ def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
                         continue
                     if tij is None:
                         tij = _transversal_ids(space, lines[i], lines[j])
-                    opp = tuple(t for t in tij if pmask[t] & pmask[k])
-                    if len(opp) != q:
-                        raise WrongCountError(f"{len(opp)} transversals of three skew lines, expected {q}")
-                    if q == 3:
-                        fam = (i, j, k)
-                    else:
-                        fam = tuple(_transversal_ids(space, lines[opp[0]], lines[opp[1]], (lines[opp[2]],)))
-                        if not (i in fam and j in fam and k in fam):
-                            raise NotARegulusError(f"lines {i}, {j}, {k} are not in their regulus")
+                    [(fam, opp)] = _affine_regulus_ids(space, (i, j, k), tij)
                     for family in (fam, opp):
                         fmask = sum(1 << t for t in family)
                         for pr in combinations(family, 2):

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 from dataclasses import replace
 
 import pytest
 
 from steinergraphs import cli
-from steinergraphs.designs import affine_design, cached_block_graph
+from steinergraphs.designs import PACKED_TABLE_BITS, affine_design, cached_block_graph, projective_design
 from steinergraphs.eigenfunctions import search_min_support
 from steinergraphs.reguli import AffineRegulusPair, RegulusPair
 
@@ -326,6 +327,24 @@ def test_verification_failure_exit_1(capsys):
     assert code == 1
     assert cert["result"]["ok"] is False
     assert cert["result"]["witness"]["vertex"] == 0
+
+
+@pytest.mark.parametrize("theta,values", [
+    (10 ** 4000, {"0": "1"}),
+    (3, {"0": f"1/{10 ** 4000}", "1": f"1/{3 ** 8000}"}),
+])
+def test_verify_eigenfunction_huge_values_keep_no_wide_table(capsys, theta, values):
+    """Values whose packed fields would need thousands of bits are checked
+    without building or keeping rows of that width on the cached graph."""
+    code, cert = _run(capsys, "verify-eigenfunction", "--space", "proj", "--n", "3", "--q", "3",
+                      "--theta", str(theta), "--function", json.dumps(values))
+    assert code == 1
+    witness = cert["result"]["witness"]
+    assert witness["vertex"] == 0
+    assert Fraction(witness["lhs"]) == theta * Fraction(values["0"])
+    graph = cached_block_graph(projective_design(3, 3))
+    kept = sum(r.bit_length() for rows in graph._packed.values() for r in rows)
+    assert kept <= PACKED_TABLE_BITS
 
 
 def test_construction_error_exit_1(capsys):

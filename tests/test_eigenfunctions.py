@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steinergraphs import eigenfunctions
+from steinergraphs import designs, eigenfunctions
 from steinergraphs.designs import Graph, bit_indices, srg_params_brute
 from steinergraphs.eigenfunctions import (
     Eigenfunction,
@@ -240,6 +240,30 @@ def test_packed_verify_matches_popcount_loop(case):
     assert (res.ok, res.witness) == _popcount_verify(graph, f)
     if kind == "twins":
         assert res.ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_cases())
+def test_unkept_width_verify_matches_popcount_loop(case):
+    """With no packed rows kept, the vertex-by-vertex check gives the
+    verdict and the witness of the reference loop."""
+    _, graph, f = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "PACKED_TABLE_BITS", 0)
+        res = verify_eigenfunction(graph, f)
+    assert not graph._packed
+    assert (res.ok, res.witness) == _popcount_verify(graph, f)
+
+
+def test_packed_rows_kept_within_budget(monkeypatch):
+    """A width whose rows would bring the kept rows past the budget is
+    neither built nor kept; narrower widths still are."""
+    g = _graph_from_edges(3, [(0, 1), (1, 2)])
+    monkeypatch.setattr(designs, "PACKED_TABLE_BITS", 3 * 3 * 24)
+    assert g.packed_rows(8)[1] == 8
+    assert g.packed_rows(9)[0] is not None
+    assert g.packed_rows(17) == (None, 24)
+    assert sorted(g._packed) == [8, 16]
 
 
 def test_packed_rows_kept_per_byte_width():
