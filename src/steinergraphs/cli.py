@@ -9,13 +9,14 @@ Conventions:
   * exit codes: 0 success, 1 a check failed, 2 usage error, 3 resource
     limit reached;
   * bad input fails at this boundary with exit code 2: malformed JSON,
-    a --function that is not an object, a --lines or --vectors that is
-    not three lines or vectors, a --plane, --hyperplane, --direction or
-    --star that is not a list of field elements of the space's length
-    (--star also takes a point index in range, and in a projective
-    space any nonzero multiple of a point), a negative --limit, a
-    --jobs below 1, or an --n other than 3 where a command works in
-    dimension 3 only;
+    a --function that is not an object, a --part that is not a list of
+    line indices in range, a --lines or --vectors that is not three
+    lines (each of two basis rows of rank 2) or vectors, a --plane,
+    --hyperplane, --direction or --star that is not a list of field
+    elements of the space's length (--star also takes a point index in
+    range, and in a projective space any nonzero multiple of a point),
+    a negative --limit, a --jobs below 1, or an --n other than 3 where
+    a command works in dimension 3 only;
   * every named check recomputes what its name claims, and a failed
     check carries a witness;
   * lines are encoded as integer arrays via their canonical forms: a
@@ -36,7 +37,7 @@ from fractions import Fraction
 
 from . import designs, eigenfunctions, geometry, partitions, reguli
 from .designs import _field_of, cached_block_graph, srg_params_brute, srg_params_formula, wdb
-from .errors import LimitExceededError, NotAnEigenfunctionError, NotEquitableError, SteinerError
+from .errors import DimensionMismatchError, LimitExceededError, NotAnEigenfunctionError, NotEquitableError, SteinerError
 
 SCHEMA_VERSION = "sv1"
 
@@ -114,7 +115,11 @@ def _lines_arg(text: str, space):
     for d in data:
         if not (isinstance(d, list) and len(d) == 2):
             raise _UsageError("--lines: a projective line is [[...], [...]] basis rows")
-        lines.append(space.line_from_basis(tuple(_vector(row, "--lines basis row", space) for row in d)))
+        rows = tuple(_vector(row, "--lines basis row", space) for row in d)
+        try:
+            lines.append(space.line_from_basis(rows))
+        except DimensionMismatchError as ex:
+            raise _UsageError(f"--lines: {ex}, got {json.dumps(d)}") from ex
     return lines
 
 
@@ -253,14 +258,14 @@ def _cmd_affine_regulus(args, cert: _Cert) -> None:
     pair = reguli.affine_regulus_construct(space, *(_vector(v, "--vectors entry", space) for v in data))
     rp, closure = reguli.lift_to_projective(pair)
     cert.result = {
-        "s_lines": [_line_json(l) for l in pair.s_lines],
+        "s_lines": [_line_json(l) for l in pair.r_lines],
         "opp_lines": [_line_json(l) for l in pair.opp_lines],
         "projective_lift": {
             "r_lines": [_line_json(l) for l in rp.r_lines],
             "opp_lines": [_line_json(l) for l in rp.opp_lines],
         },
     }
-    witness = _validator_witness(reguli._check_regulus_pair, space, pair.s_lines, pair.opp_lines)
+    witness = _validator_witness(reguli._check_regulus_pair, space, pair.r_lines, pair.opp_lines)
     cert.check("affine_regulus_axioms", witness is None, witness)
     witness = _validator_witness(reguli._check_lift, pair, rp, closure)
     cert.check("projective_lift", witness is None, witness)
@@ -308,7 +313,7 @@ def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
     print(f"enumerating affine reguli of AG(3,{q})", file=sys.stderr)
     pairs = reguli.enumerate_affine_reguli(space)
     expected = q ** 4 * (q ** 3 - 1) * (q + 1)
-    listing = _family_ids(space, ((p.s_lines, p.opp_lines) for p in pairs[: args.limit]))
+    listing = _family_ids(space, ((p.r_lines, p.opp_lines) for p in pairs[: args.limit]))
     table = _line_table(space)
     cert.result = {
         "count_ordered": len(pairs),
@@ -563,6 +568,9 @@ def _named_line_set(args, space) -> tuple[int, ...]:
         data = _parse_json_arg(args.part, "--part")
         if not (isinstance(data, list) and all(type(u) is int for u in data)):
             raise _UsageError("--part must be a JSON list of integer line indices")
+        bad = next((u for u in data if not 0 <= u < len(space.lines)), None)
+        if bad is not None:
+            raise _UsageError(f"--part line index {bad} is not in range({len(space.lines)})")
         return tuple(data)
     if kind == "star":
         return partitions.star_line_set(space, _vector_arg(args.star, "--star", space, point=True))

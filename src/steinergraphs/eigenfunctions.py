@@ -16,7 +16,12 @@ Conventions:
     equation and the kernel of a support) run in exact scaled-integer
     arithmetic, the eigenvalue equation at all vertices at once as one
     packed integer over the graph's packed adjacency rows;
-  * sign parts of a function are listed positive part first.
+  * sign parts of a function are listed positive part first;
+  * an optimal function (support equal to the weight-distribution
+    bound) is classified by one grid check on its sign classes
+    (reguli._check_grid): in PG a regulus pair, in AG two parallel
+    classes of a plane (Type1) or an affine regulus pair (Type2); the
+    regulus constructions of both spaces share optimal_from_regulus.
 """
 
 from __future__ import annotations
@@ -39,14 +44,9 @@ from .errors import (
     WrongCountError,
     ZeroFunctionError,
 )
-from .geometry import AffPlane, ProjSpace, _plane, parallel_classes, relation, span_of_lines
+from .geometry import AffPlane, ProjSpace, parallel_classes
 from .linalg import bareiss_echelon, rational_kernel
-from .reguli import (
-    AffineRegulusPair,
-    RegulusPair,
-    _check_regulus_pair,
-    regulus_restriction,
-)
+from .reguli import RegulusPair, _check_grid, regulus_restriction
 
 MAX_BICLIQUE_VERTICES = 512
 _SCREEN_PRIME = 2147483647
@@ -244,10 +244,11 @@ def _line_sign_function(space, graph: Graph | None, pos, neg, theta: int, size: 
 
 
 def optimal_from_regulus(pair: RegulusPair, graph: Graph | None = None) -> Eigenfunction:
-    """+1 on the regulus, -1 on its opposite: a -(q+1)-eigenfunction of
-    the line block graph with support of minimum size 2(q+1)."""
-    q = pair.space.field.q
-    return _line_sign_function(pair.space, graph, pair.r_lines, pair.opp_lines, -(q + 1), 2 * (q + 1))
+    """+1 on the regulus, -1 on its opposite: with families of a lines
+    (q+1 in PG(3, q), q in AG(3, q)) a -a-eigenfunction of the line
+    block graph with support of minimum size 2a."""
+    a = len(pair.r_lines)
+    return _line_sign_function(pair.space, graph, pair.r_lines, pair.opp_lines, -a, 2 * a)
 
 
 def optimal_from_parallel_classes(plane: AffPlane, class1, class2, graph: Graph | None = None) -> Eigenfunction:
@@ -262,13 +263,6 @@ def optimal_from_parallel_classes(plane: AffPlane, class1, class2, graph: Graph 
         raise ValueError("inputs are not parallel classes of the plane")
     q = space.field.q
     return _line_sign_function(space, graph, class1, class2, -q, 2 * q)
-
-
-def optimal_from_affine_regulus(pair: AffineRegulusPair, graph: Graph | None = None) -> Eigenfunction:
-    """+1 on an affine regulus, -1 on its opposite: a -q-eigenfunction
-    of the affine line block graph with support of minimum size 2q."""
-    q = pair.space.field.q
-    return _line_sign_function(pair.space, graph, pair.s_lines, pair.opp_lines, -q, 2 * q)
 
 
 def wdbplus2_function(pair: RegulusPair, hyperplane, graph: Graph | None = None) -> Eigenfunction:
@@ -384,7 +378,6 @@ def enumerate_complete_bipartite(graph: Graph, a: int) -> list[tuple[tuple[int, 
 class Type1:
     """Optimal function carried by two parallel classes of one plane."""
 
-    plane: AffPlane
     classes: tuple[tuple, tuple]
 
 
@@ -392,7 +385,7 @@ class Type1:
 class Type2:
     """Optimal function carried by an affine regulus and its opposite."""
 
-    pair: AffineRegulusPair
+    pair: RegulusPair
 
 
 @dataclass(frozen=True)
@@ -405,7 +398,13 @@ class GrassmannRegulus:
 def classify_optimal(graph: Graph, f: Eigenfunction):
     """Decode a minimum-support eigenfunction back to the geometry that
     carries it: two parallel classes of a plane (Type1), an affine
-    regulus pair (Type2), or a projective regulus pair (GrassmannRegulus)."""
+    regulus pair (Type2), or a projective regulus pair (GrassmannRegulus).
+
+    All three are a grid, the sign classes being two families of
+    pairwise disjoint lines with each line meeting each opposite line
+    once, and one grid check decides the type.  A mixed grid, with
+    parallel and skew lines in its families, cannot occur: two parallel
+    lines of either family put the whole grid into their plane."""
     if graph.design is None:
         raise ValueError("graph has no underlying design")
     space = graph.design.space
@@ -423,28 +422,10 @@ def classify_optimal(graph: Graph, f: Eigenfunction):
     # the support ascends, so each family is in line order
     pos = tuple(space.lines[i] for i in t0)
     neg = tuple(space.lines[i] for i in t1)
-    if isinstance(space, ProjSpace):
-        _check_regulus_pair(space, pos, neg)
-        return GrassmannRegulus(RegulusPair(pos, neg, space))
-    kinds0 = {relation(space, a, b).kind for i, a in enumerate(pos) for b in pos[i + 1 :]}
-    kinds1 = {relation(space, a, b).kind for i, a in enumerate(neg) for b in neg[i + 1 :]}
-    if kinds0 == {"parallel"} and kinds1 == {"parallel"}:
-        flat = span_of_lines(space, pos + neg)
-        if flat.dim != 2:
-            raise NotOptimalError("parallel sign classes do not span a plane")
-        plane = _plane(space, flat.basis, flat.base)
-        classes = {frozenset(c): c for c in parallel_classes(plane)}
-        c0 = classes.get(frozenset(pos))
-        c1 = classes.get(frozenset(neg))
-        if c0 is None or c1 is None:
-            raise NotOptimalError("sign classes are not parallel classes of their plane")
-        return Type1(plane, (c0, c1))
-    if kinds0 == {"skew"} and kinds1 == {"skew"}:
-        _check_regulus_pair(space, pos, neg)
-        return Type2(AffineRegulusPair(pos, neg, space))
-    raise NotOptimalError(
-        f"mixed line relations in sign classes: {sorted(kinds0)} / {sorted(kinds1)}"
-    )
+    if _check_grid(space, pos, neg):
+        return Type1((pos, neg))
+    pair = RegulusPair(pos, neg, space)
+    return GrassmannRegulus(pair) if isinstance(space, ProjSpace) else Type2(pair)
 
 
 # -- minimum-support search ------------------------------------------------------

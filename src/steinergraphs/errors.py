@@ -52,7 +52,8 @@ class NotCoplanarError(SteinerError):
 class NotARegulusError(SteinerError):
     """A line family that breaks a regulus axiom: a transversal that
     misses a line it must meet, or a line missing from the family that
-    its transversals generate."""
+    its transversals generate; or a pair given in the wrong kind of
+    space."""
 
 
 class LineInHyperplaneError(SteinerError):
@@ -91,9 +92,9 @@ class InconsistentParametersError(SteinerError):
 
 
 class IncidenceError(SteinerError):
-    """Point and line tables that break an incidence axiom: two lines
-    sharing two points, a parallel class that is not q lines of its
-    plane, or a coordinate change that does not map a line onto a line."""
+    """Point and line tables that break an incidence axiom: a parallel
+    class that is not q lines of its plane, or a coordinate change that
+    does not map a line onto a line."""
 
 
 class NotStronglyRegularError(SteinerError):

@@ -76,10 +76,6 @@ class _Line:
     def __hash__(self):
         return hash(self.key)
 
-    def point_coords(self) -> tuple[Vec, ...]:
-        pts = self.space.points
-        return tuple(pts[i] for i in self.points)
-
 
 @dataclass(frozen=True, eq=False)
 class ProjLine(_Line):
@@ -125,15 +121,6 @@ class Hyperplane:
     def contains_line(self, field: Field, line: ProjLine) -> bool:
         normal = field.check_row(self.normal)
         return all(field.dot(normal, row) == 0 for row in line.basis)
-
-
-@dataclass(frozen=True)
-class Relation:
-    """Outcome of comparing two lines: kind is one of 'equal', 'meet',
-    'parallel', 'skew'; point is the common point for 'meet'."""
-
-    kind: str
-    point: Vec | None = None
 
 
 @dataclass(frozen=True)
@@ -314,24 +301,6 @@ class AffSpace(_Space):
 
 
 # -- basic incidence operations ----------------------------------------------
-
-
-def relation(space, l1, l2) -> Relation:
-    """Classify a pair of lines: equal, meeting in a point, parallel
-    (affine only), or skew."""
-    if l1.space is not space and l1.space != space:
-        raise ValueError("line does not belong to the given space")
-    if l1 == l2:
-        return Relation("equal")
-    common = l1.mask & l2.mask
-    if common:
-        p = common.bit_length() - 1
-        if common != 1 << p:
-            raise IncidenceError("two distinct lines share more than one point")
-        return Relation("meet", space.points[p])
-    if isinstance(l1, AffLine) and l1.dir == l2.dir:
-        return Relation("parallel")
-    return Relation("skew")
 
 
 def span_of_lines(space, lines) -> Flat:

@@ -10,10 +10,14 @@ the affine pairs.  A skew triple of affine lines is of case 1 when its
 infinite points are collinear, and then extends to one affine pair;
 otherwise it is of case 2 and extends to none.
 
-One check serves both spaces: _check_regulus_pair recomputes the grid
-(each family pairwise skew, every line meeting every opposite line once,
-all grid points distinct) with q+1 lines per family in PG(n, q) and q in
-AG(n, q); the grid implies the span, so it takes no rank.
+One pair type, RegulusPair, holds the pairs of both spaces, and one
+grid check serves both spaces and all three optimal types: _check_grid
+takes two families of q+1 lines in PG(n, q) or q in AG(n, q), each
+pairwise disjoint, every line meeting every opposite line once, and
+says whether the families are parallel, which happens only in AG,
+where they are two parallel classes of one plane.  _check_regulus_pair
+is the grid check with parallel families rejected; the grid implies
+the span, so it takes no rank.
 regulus_through and enumerate_reguli both take the opposite family as
 the transversals of three skew lines and the family as those of three
 opposite lines.  Families are listed in the order of ``space.lines``,
@@ -25,10 +29,10 @@ classify_skew_family and enumerate_affine_reguli build the affine pairs
 through a skew triple (a pair over GF(2)) on line indices by one rule;
 the enumeration finds each quadric once and checks and lifts it once.
 
-Affine pairs are ORDERED (S, S_opp): over GF(2) a skew pair of lines has
-two distinct valid opposite families, and only the ordered convention
-gives the uniform count q^4 (q^3 - 1)(q + 1).  Enumerations report the
-unordered and quadric counts alongside.
+Affine pairs are ORDERED (S, S_opp), S being ``r_lines``: over GF(2) a
+skew pair of lines has two distinct valid opposite families, and only
+the ordered convention gives the uniform count q^4 (q^3 - 1)(q + 1).
+Enumerations report the unordered and quadric counts alongside.
 """
 
 from __future__ import annotations
@@ -66,28 +70,16 @@ MAX_ENUM_Q = 4
 
 @dataclass(frozen=True)
 class RegulusPair:
-    """Ordered pair (R, R_opp) of mutually transversal projective line
-    families, each sorted by canonical line basis."""
+    """Ordered pair (R, R_opp) of mutually transversal line families of a
+    projective space (q+1 lines each) or an affine one (q each), each
+    family sorted by line key."""
 
-    r_lines: tuple[ProjLine, ...]
-    opp_lines: tuple[ProjLine, ...]
-    space: ProjSpace = dc_field(repr=False, compare=False)
+    r_lines: tuple
+    opp_lines: tuple
+    space: ProjSpace | AffSpace = dc_field(repr=False, compare=False)
 
     def swap(self) -> "RegulusPair":
         return RegulusPair(self.opp_lines, self.r_lines, self.space)
-
-
-@dataclass(frozen=True)
-class AffineRegulusPair:
-    """Ordered pair (S, S_opp) of mutually transversal affine line
-    families of size q each, sorted canonically within each family."""
-
-    s_lines: tuple[AffLine, ...]
-    opp_lines: tuple[AffLine, ...]
-    space: AffSpace = dc_field(repr=False, compare=False)
-
-    def swap(self) -> "AffineRegulusPair":
-        return AffineRegulusPair(self.opp_lines, self.s_lines, self.space)
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,7 @@ class SkewFamilyClass:
     empty)."""
 
     case: int
-    pairs: tuple[AffineRegulusPair, ...]
+    pairs: tuple[RegulusPair, ...]
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,7 @@ class RestrictionOutcome:
     is 'affine_regulus', 'wdbplus2' or 'not_restrictable'."""
 
     kind: str
-    pair: AffineRegulusPair | None = None
+    pair: RegulusPair | None = None
     config: WdbPlus2Config | None = None
     reason: str | None = None
 
@@ -164,11 +156,49 @@ def _transversal_ids(space, a, b, rest=()) -> list[int]:
     return sorted(t for t in ids if all(lines[t].mask & ln.mask for ln in rest))
 
 
+def _check_grid(space, fam, opp) -> bool:
+    """Recompute the grid of two line families in a projective or an
+    affine space: q+1 lines each in PG(n, q) or q in AG(n, q), each
+    family pairwise disjoint, each line meeting each opposite line in
+    one point.  Returns whether the families are parallel, which only
+    happens in AG.
+
+    Disjoint families make the grid points distinct: a point on a and b
+    and on a' and b' with a != a' would be common to two lines of one
+    family.  In AG, if a || a' in one family, every opposite line meets
+    both in distinct points, so it lies in their plane P; each family
+    line then meets two lines of P in distinct points, so it lies in P
+    too.  Disjoint lines of a plane are parallel, and q parallel lines
+    of P are a whole class, so both families are parallel classes of P.
+    Otherwise no two lines of either family are parallel, so the one
+    comparison of fam[0] and fam[1] decides the kind of both families.
+    """
+    q = space.field.q
+    affine = isinstance(space, AffSpace)
+    size = q if affine else q + 1
+    if len(fam) != size or len(opp) != size:
+        raise WrongCountError(
+            f"regulus families in {space} need {size} lines each, got {len(fam)} and {len(opp)}"
+        )
+    for family in (fam, opp):
+        union = 0
+        for ln in family:
+            union |= ln.mask
+        if union.bit_count() != sum(ln.mask.bit_count() for ln in family):
+            raise LinesNotSkewError("two lines of one family meet")
+    for a in fam:
+        for b in opp:
+            if (a.mask & b.mask).bit_count() != 1:
+                raise LinesNotSkewError(
+                    f"regulus lines {a} and opposite {b} do not meet in one point"
+                )
+    return affine and fam[0].dir == fam[1].dir
+
+
 def _check_regulus_pair(space, fam, opp) -> None:
-    """Recompute the grid of a regulus pair in a projective or an affine
-    space: each family of q+1 lines in PG(n, q) or q lines in AG(n, q)
-    and pairwise skew, each line meeting each opposite line in one point,
-    and the meeting points distinct.
+    """The grid check of a regulus pair: _check_grid with the parallel
+    classes of a plane rejected, leaving two families of pairwise skew
+    lines.
 
     The grid implies that the pair spans a 3-flat, so no rank is taken.
     Since q >= 2, each family holds two skew lines a, a', which span a
@@ -176,25 +206,8 @@ def _check_regulus_pair(space, fam, opp) -> None:
     so it lies in S.  Each family line then meets two skew opposite lines
     in two distinct points, so it lies in S too.
     """
-    q = space.field.q
-    size = q if isinstance(space, AffSpace) else q + 1
-    if len(fam) != size or len(opp) != size:
-        raise WrongCountError(
-            f"regulus families in {space} need {size} lines each, got {len(fam)} and {len(opp)}"
-        )
-    _require_skew(space, fam)
-    _require_skew(space, opp)
-    grid = set()
-    for a in fam:
-        for b in opp:
-            common = a.mask & b.mask
-            if common.bit_count() != 1:
-                raise LinesNotSkewError(
-                    f"regulus lines {a} and opposite {b} do not meet in one point"
-                )
-            grid.add(common)
-    if len(grid) != size * size:
-        raise LinesNotSkewError("transversal grid points must be distinct")
+    if _check_grid(space, fam, opp):
+        raise LinesNotSkewError("the families are parallel classes of a plane, not reguli")
 
 
 def regulus_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, l3: ProjLine) -> RegulusPair:
@@ -265,18 +278,20 @@ def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
 # -- affine constructions ------------------------------------------------------
 
 
-def lift_to_projective(pair: AffineRegulusPair) -> tuple[RegulusPair, ClosureMap]:
+def lift_to_projective(pair: RegulusPair) -> tuple[RegulusPair, ClosureMap]:
     """Projectivise an affine pair: the closures of S plus the infinity
     line through the directions of S_opp form a regulus whose opposite
     is the closures of S_opp plus the infinity line of S's directions;
     exactly one line of each projective family lies at infinity."""
     space = pair.space
-    s_ids = [space.index_of(l) for l in pair.s_lines]
+    if not isinstance(space, AffSpace):
+        raise NotARegulusError(f"lift_to_projective needs an affine pair, got one in {space}")
+    r_ids = [space.index_of(l) for l in pair.r_lines]
     opp_ids = [space.index_of(l) for l in pair.opp_lines]
-    return _lift(space.closure, s_ids, opp_ids), space.closure
+    return _lift(space.closure, r_ids, opp_ids), space.closure
 
 
-def _lift(cm: ClosureMap, s_ids, opp_ids) -> RegulusPair:
+def _lift(cm: ClosureMap, r_ids, opp_ids) -> RegulusPair:
     """lift_to_projective on affine line indices, through the closure's
     tables: each family's closures come from ``proj_index``, its line at
     infinity is the ``pair_line`` of the points at infinity of two
@@ -285,7 +300,7 @@ def _lift(cm: ClosureMap, s_ids, opp_ids) -> RegulusPair:
     ps = cm.pspace
     lines, inf_point = ps.lines, cm.inf_point
     fams = []
-    for fam, other in ((s_ids, opp_ids), (opp_ids, s_ids)):
+    for fam, other in ((r_ids, opp_ids), (opp_ids, r_ids)):
         pts = [inf_point[t] for t in other]
         a, b = sorted(pts[:2])
         at_inf = ps.pair_line.get((a, b))
@@ -313,14 +328,14 @@ def _finite_parts(lifted: RegulusPair, cm: ClosureMap) -> tuple[tuple[AffLine, .
     return parts[0], parts[1]
 
 
-def _check_lift(pair: AffineRegulusPair, lifted: RegulusPair, cm: ClosureMap) -> None:
+def _check_lift(pair: RegulusPair, lifted: RegulusPair, cm: ClosureMap) -> None:
     """Removing the line at infinity from each lifted family must give
     back the affine pair."""
-    if _finite_parts(lifted, cm) != (pair.s_lines, pair.opp_lines):
+    if _finite_parts(lifted, cm) != (pair.r_lines, pair.opp_lines):
         raise NotARegulusError("the lift without its lines at infinity is not the affine pair")
 
 
-def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> AffineRegulusPair:
+def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> RegulusPair:
     """The pair S1 = {line with direction c.v3 + v1 through c.v2} and
     S2 = {direction c.v3 + v2 through c.v1}, c over the field, for
     independent v1, v2, v3; each family lies in a parallel class of
@@ -338,9 +353,9 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> AffineRegulusPair:
         s2.append(space.line_from_key(d2, vec_scale(f, c, v1)))
     s1.sort(key=lambda l: l.key)
     s2.sort(key=lambda l: l.key)
-    pair = AffineRegulusPair(tuple(s1), tuple(s2), space)
-    _check_regulus_pair(space, pair.s_lines, pair.opp_lines)
-    for fam, dplane in ((pair.s_lines, (v1, v3)), (pair.opp_lines, (v2, v3))):
+    pair = RegulusPair(tuple(s1), tuple(s2), space)
+    _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
+    for fam, dplane in ((pair.r_lines, (v1, v3)), (pair.opp_lines, (v2, v3))):
         dbasis = linalg.row_basis(f, dplane)
         cosets = set()
         for ln in fam:
@@ -349,7 +364,7 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> AffineRegulusPair:
             cosets.add(_coset_rep(f, dbasis, ln.base))
         if len(cosets) != f.q:
             raise WrongCountError("family lines must lie in distinct parallel planes")
-    flat = span_of_lines(space, pair.s_lines + pair.opp_lines)
+    flat = span_of_lines(space, pair.r_lines + pair.opp_lines)
     if flat.basis != linalg.row_basis(f, (v1, v2, v3)):
         raise NotCoplanarError("the pair does not span the flat of v1, v2, v3")
     return pair
@@ -407,13 +422,13 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
         return SkewFamilyClass(2, ())
     pairs = []
     for fam, opp in _affine_regulus_ids(space, sorted(map(space.index_of, lines))):
-        pair = AffineRegulusPair(tuple(space.lines[t] for t in fam), tuple(space.lines[t] for t in opp), space)
-        _check_regulus_pair(space, pair.s_lines, pair.opp_lines)
+        pair = RegulusPair(tuple(space.lines[t] for t in fam), tuple(space.lines[t] for t in opp), space)
+        _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
         pairs.append(pair)
     return SkewFamilyClass(1, tuple(pairs))
 
 
-def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
+def enumerate_affine_reguli(space: AffSpace) -> tuple[RegulusPair, ...]:
     """Every ordered affine regulus pair (S, S_opp) of a 3-dimensional
     affine space, sorted canonically.  Each quadric is checked once in
     the affine space and lifted once to a verified projective pair: both
@@ -471,8 +486,8 @@ def enumerate_affine_reguli(space: AffSpace) -> tuple[AffineRegulusPair, ...]:
                     found.append((fam, opp))
     keyed = []
     for fam, opp in found:
-        pair = AffineRegulusPair(tuple(lines[t] for t in fam), tuple(lines[t] for t in opp), space)
-        _check_regulus_pair(space, pair.s_lines, pair.opp_lines)
+        pair = RegulusPair(tuple(lines[t] for t in fam), tuple(lines[t] for t in opp), space)
+        _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
         _lift(cm, fam, opp)
         keyed += ((fam + opp, pair), (opp + fam, pair.swap()))
     keyed.sort(key=lambda kp: kp[0])
@@ -492,6 +507,8 @@ def regulus_restriction(pair: RegulusPair, hyperplane: Hyperplane) -> Restrictio
     not restrict.
     """
     space = pair.space
+    if not isinstance(space, ProjSpace):
+        raise NotARegulusError(f"regulus_restriction needs a projective pair, got one in {space}")
     f = space.field
     h = Hyperplane(normalize_point(f, hyperplane.normal))
     in_r = [l for l in pair.r_lines if h.contains_line(f, l)]
@@ -511,8 +528,8 @@ def regulus_restriction(pair: RegulusPair, hyperplane: Hyperplane) -> Restrictio
         for fam, inside in ((pair.r_lines, in_r), (pair.opp_lines, in_o))
     )
     if in_r:
-        apair = AffineRegulusPair(r_lines, opp_lines, rm.aspace)
-        _check_regulus_pair(rm.aspace, apair.s_lines, apair.opp_lines)
+        apair = RegulusPair(r_lines, opp_lines, rm.aspace)
+        _check_regulus_pair(rm.aspace, apair.r_lines, apair.opp_lines)
         return RestrictionOutcome(kind="affine_regulus", pair=apair)
     config = WdbPlus2Config(r_lines=r_lines, opp_lines=opp_lines, space=rm.aspace)
     return RestrictionOutcome(kind="wdbplus2", config=config)

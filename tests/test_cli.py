@@ -18,7 +18,7 @@ import pytest
 from steinergraphs import cli
 from steinergraphs.designs import PACKED_TABLE_BITS, affine_design, cached_block_graph, projective_design
 from steinergraphs.eigenfunctions import search_min_support
-from steinergraphs.reguli import AffineRegulusPair, RegulusPair
+from steinergraphs.reguli import RegulusPair
 
 REGULUS_LINES = (
     '[[[1,0,0,0],[0,1,0,0]],'
@@ -238,7 +238,7 @@ def test_affine_regulus_axioms_check_recomputes(capsys, monkeypatch):
 
     def broken(space, *vectors):
         true_pairs.append(real_construct(space, *vectors))
-        return AffineRegulusPair(true_pairs[-1].s_lines, true_pairs[-1].s_lines, space)
+        return RegulusPair(true_pairs[-1].r_lines, true_pairs[-1].r_lines, space)
 
     monkeypatch.setattr(cli.reguli, "affine_regulus_construct", broken)
     monkeypatch.setattr(cli.reguli, "lift_to_projective", lambda pair: real_lift(true_pairs[-1]))
@@ -416,11 +416,13 @@ def test_enumerate_affine_reguli_other_dimension_exit_2(capsys, monkeypatch):
     assert "--n 4" in err
 
 
-@pytest.mark.parametrize("part", ["5", "[1.7, 2]", "[true]", '{"3": 1}'],
-                         ids=["scalar", "float", "bool", "object"])
+@pytest.mark.parametrize("part", ["5", "[1.7, 2]", "[true]", '{"3": 1}', "[-1]", "[0,999]"],
+                         ids=["scalar", "float", "bool", "object", "negative-index", "index-too-large"])
 def test_part_not_a_list_of_integers_exit_2(capsys, part):
-    """--part is a JSON list of integer line indices, in each command
-    that takes it; nothing else is coerced into one."""
+    """--part is a JSON list of integer line indices in range, in each
+    command that takes it; nothing else is coerced into one.  An index
+    out of range used to fail deeper down, with a message that did not
+    name --part."""
     for argv in (("cameron-liebler", "--q", "2"),
                  ("balance", "--q", "2", "--lines", REGULUS_LINES),
                  ("equitable", "--space", "proj", "--n", "3", "--q", "2")):
@@ -433,6 +435,8 @@ def test_part_not_a_list_of_integers_exit_2(capsys, part):
     (("wdbplus2", "--q", "2", "--lines", "5", "--hyperplane", "[1,0,1,1]"), "--lines"),
     (("balance", "--q", "2", "--lines", "5", "--star", "0"), "--lines"),
     (("regulus", "--q", "2", "--lines", "[[1,2],[3,4],[5,6]]"), "--lines"),
+    (("regulus", "--q", "2", "--lines",
+      "[[[1,0,0,0],[1,0,0,0]],[[0,0,1,0],[0,0,0,1]],[[1,0,1,0],[0,1,0,1]]]"), "--lines"),
     (("affine-regulus", "--q", "2", "--vectors", "[[1,0,0],[0,1,0],5]"), "--vectors"),
     (("affine-regulus", "--q", "2", "--vectors", "[[1,0],[0,1],[1,1]]"), "--vectors"),
     (("wdbplus2", "--q", "2", "--lines", REGULUS_LINES, "--hyperplane", "5"), "--hyperplane"),
@@ -445,7 +449,7 @@ def test_part_not_a_list_of_integers_exit_2(capsys, part):
     (("equitable", "--q", "2", "--star", "99"), "--star"),
     (("equitable", "--q", "2", "--star", "-1"), "--star"),
     (("equitable", "--q", "2", "--star", "[0,0,0,0]"), "--star"),
-], ids=["wdbplus2-lines-scalar", "balance-lines-scalar", "lines-rows-too-short",
+], ids=["wdbplus2-lines-scalar", "balance-lines-scalar", "lines-rows-too-short", "lines-basis-rank-1",
         "vectors-scalar-entry", "vectors-too-short",
         "hyperplane-scalar", "plane-scalar", "plane-too-short", "plane-in-affine-space",
         "direction-scalar", "direction-in-projective-space", "star-object",

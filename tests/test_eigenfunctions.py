@@ -32,7 +32,6 @@ from steinergraphs.eigenfunctions import (
     enumerate_complete_bipartite,
     from_bipartite_pair,
     inner_product,
-    optimal_from_affine_regulus,
     optimal_from_parallel_classes,
     optimal_from_regulus,
     search_min_support,
@@ -330,6 +329,7 @@ def test_optimal_from_parallel_classes(q):
     assert verify_eigenfunction(g, f).ok
     cls = classify_optimal(g, f)
     assert isinstance(cls, Type1)
+    assert cls.classes == (c1, c2)
 
 
 def test_optimal_from_parallel_classes_rejects_equal_or_foreign(g_x2):
@@ -346,12 +346,14 @@ def test_optimal_from_parallel_classes_rejects_equal_or_foreign(g_x2):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_optimal_from_affine_regulus(q):
+    """optimal_from_regulus takes theta and the support size from the
+    family size, q lines in AG(3,q)."""
     from steinergraphs.designs import affine_design, cached_block_graph
 
     g = cached_block_graph(affine_design(3, q))
     sp = g.design.space
     pair = enumerate_affine_reguli(sp)[0]
-    f = optimal_from_affine_regulus(pair, g)
+    f = optimal_from_regulus(pair, g)
     assert f.theta == -q
     assert len(f.support) == 2 * q
     assert verify_eigenfunction(g, f).ok
@@ -410,7 +412,7 @@ def _build_from_parallel_classes(g_j2, g_x2):
 
 
 def _build_from_affine_regulus(g_j2, g_x2):
-    return optimal_from_affine_regulus(enumerate_affine_reguli(g_x2.design.space)[0], g_x2)
+    return optimal_from_regulus(enumerate_affine_reguli(g_x2.design.space)[0], g_x2)
 
 
 def _build_wdbplus2(g_j2, g_x2):

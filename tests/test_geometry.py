@@ -8,7 +8,6 @@ plain point-by-point matrix map.
 
 from __future__ import annotations
 
-import dataclasses
 
 import pytest
 
@@ -33,7 +32,6 @@ from steinergraphs.geometry import (
     normalize_point,
     parallel_classes,
     proj_space,
-    relation,
     span_of_lines,
     vec_add,
 )
@@ -126,7 +124,7 @@ def test_projective_line_basis_is_rref():
 def test_affine_line_key_canonical():
     sp = aff_space(3, _field(3))
     for line in sp.lines:
-        pts = line.point_coords()
+        pts = [sp.points[i] for i in line.points]
         assert line.base == min(pts)
         # direction reconstructs the point set from the least point
         computed = {line.base}
@@ -140,7 +138,7 @@ def test_affine_line_key_canonical():
 def test_line_from_basis_accepts_any_spanning_pair():
     sp = proj_space(3, _field(2))
     line = sp.lines[7]
-    p, r = line.point_coords()[0], line.point_coords()[2]
+    p, r = sp.points[line.points[0]], sp.points[line.points[2]]
     assert sp.line_from_basis((p, r)) is line
 
 
@@ -148,32 +146,30 @@ def test_line_from_basis_accepts_any_spanning_pair():
 
 
 def test_projective_relation_kinds():
+    """Another line of PG(3,2) meets a given line in one point, the bit
+    its mask shares with it, or is skew to it."""
     sp = proj_space(3, _field(2))
     counts = {"meet": 0, "skew": 0}
     l0 = sp.lines[0]
     for other in sp.lines[1:]:
-        rel = relation(sp, l0, other)
-        counts[rel.kind] += 1
-        if rel.kind == "meet":
-            assert rel.point in l0.point_coords() and rel.point in other.point_coords()
+        common = l0.mask & other.mask
+        counts["meet" if common else "skew"] += 1
+        if common:
+            (p,) = (i for i in l0.points if common >> i & 1)
+            assert p in other.points and common == 1 << p
     assert counts == {"meet": 18, "skew": 16}  # degree 18 in the block graph
 
 
 def test_affine_relation_kinds():
+    """Another line of AG(3,2) meets a given line, or misses it with the
+    same direction (parallel) or another one (skew)."""
     sp = aff_space(3, _field(2))
     l0 = sp.lines[0]
     counts = {"meet": 0, "parallel": 0, "skew": 0}
     for other in sp.lines[1:]:
-        counts[relation(sp, l0, other).kind] += 1
+        kind = "meet" if l0.mask & other.mask else "parallel" if l0.dir == other.dir else "skew"
+        counts[kind] += 1
     assert counts == {"meet": 12, "parallel": 3, "skew": 12}
-
-
-def test_relation_rejects_lines_sharing_two_points():
-    sp = proj_space(3, _field(2))
-    l0 = sp.lines[0]
-    twin = dataclasses.replace(sp.lines[1], mask=l0.mask)
-    with pytest.raises(IncidenceError):
-        relation(sp, l0, twin)
 
 
 def test_point_table_count_checked(monkeypatch):
@@ -224,9 +220,9 @@ def test_span_of_lines():
     l0 = sp.lines[0]
     same = span_of_lines(sp, [l0])
     assert same.dim == 1
-    parallel = next(l for l in sp.lines if relation(sp, l0, l).kind == "parallel")
+    parallel = next(l for l in sp.lines if l != l0 and l.dir == l0.dir)
     assert span_of_lines(sp, [l0, parallel]).dim == 2
-    skew = next(l for l in sp.lines if relation(sp, l0, l).kind == "skew")
+    skew = next(l for l in sp.lines if not l.mask & l0.mask and l.dir != l0.dir)
     assert span_of_lines(sp, [l0, skew]).dim == 3
 
 
@@ -244,7 +240,7 @@ def test_projective_closure_roundtrip(q):
         assert isinstance(pline, ProjLine)
         assert cm.line_to_aff(pline) is line
         # the closure holds the points (1 : x) of the line and its point at infinity (0 : dir)
-        finite = {psp.point_index[(1,) + p] for p in line.point_coords()}
+        finite = {psp.point_index[(1,) + p] for p in (asp.points[j] for j in line.points)}
         assert psp.points[cm.inf_point[i]] == normalize_point(psp.field, (0,) + line.dir)
         assert set(pline.points) == finite | {cm.inf_point[i]}
     # the points at infinity of affine lines are exactly the removed plane,
@@ -318,7 +314,7 @@ def test_restriction_table_matches_pointwise_map(n, q):
         on_h = {i for i, p in enumerate(psp.points) if hyp.contains_point(f, p)}
         hit = set()
         for aline in asp.lines:
-            image = {idx[_image(f, rm.matrix, (1,) + p)] for p in aline.point_coords()}
+            image = {idx[_image(f, rm.matrix, (1,) + p)] for p in (asp.points[j] for j in aline.points)}
             pline = rm.line_to_proj(aline)
             rest = set(pline.points) - image
             assert len(image) == q and image < set(pline.points)
@@ -369,4 +365,4 @@ def test_hyperplane_membership():
     inside = [l for l in sp.lines if h.contains_line(sp.field, l)]
     assert len(inside) == 7
     for l in inside:
-        assert all(dot(sp.field, h.normal, p) == 0 for p in l.point_coords())
+        assert all(dot(sp.field, h.normal, p) == 0 for p in (sp.points[j] for j in l.points))

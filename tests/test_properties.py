@@ -388,7 +388,7 @@ def test_line_from_basis_of_any_two_points(data):
     sp = data.draw(st.sampled_from(PROJ_SPACES))
     f = sp.field
     line = data.draw(st.sampled_from(sp.lines))
-    a, b = data.draw(st.lists(st.sampled_from(line.point_coords()), min_size=2, max_size=2, unique=True))
+    a, b = data.draw(st.lists(st.sampled_from([sp.points[i] for i in line.points]), min_size=2, max_size=2, unique=True))
     c = data.draw(st.integers(1, f.q - 1))
     assert sp.line_from_basis((f.scale_row(c, a), b)) is line
 
@@ -449,6 +449,6 @@ def test_line_from_key_from_any_base_point(data):
     sp = data.draw(st.sampled_from(AFF_SPACES))
     f = sp.field
     line = data.draw(st.sampled_from(sp.lines))
-    base = data.draw(st.sampled_from(line.point_coords()))
+    base = data.draw(st.sampled_from([sp.points[i] for i in line.points]))
     c = data.draw(st.integers(1, f.q - 1))
     assert sp.line_from_key(f.scale_row(c, line.dir), base) is line

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import functools
 import random
+from itertools import combinations
 
 import pytest
 
 from steinergraphs import reguli
+from steinergraphs.designs import affine_design, cached_block_graph
+from steinergraphs.eigenfunctions import enumerate_complete_bipartite
 from steinergraphs.errors import (
     DependentVectorsError,
     LinesNotSkewError,
@@ -25,8 +28,8 @@ from steinergraphs.errors import (
 from steinergraphs.geometry import (
     aff_space,
     enumerate_planes,
+    parallel_classes,
     proj_space,
-    relation,
     span_of_lines,
 )
 from steinergraphs.gf import field_make
@@ -66,6 +69,19 @@ def _proj_lines(sp, triples=STANDARD_TRIPLE):
     return tuple(sp.line_from_basis(b) for b in triples)
 
 
+def _assert_regulus_grid(pair):
+    """Lines of one family are skew (disjoint, and in AG not parallel);
+    each meets each opposite line in one point."""
+    affine = hasattr(pair.r_lines[0], "dir")
+    for fam in (pair.r_lines, pair.opp_lines):
+        for i, a in enumerate(fam):
+            for b in fam[i + 1 :]:
+                assert not a.mask & b.mask and not (affine and a.dir == b.dir)
+    for a in pair.r_lines:
+        for b in pair.opp_lines:
+            assert (a.mask & b.mask).bit_count() == 1
+
+
 # -- transversals ---------------------------------------------------------------------
 
 
@@ -76,7 +92,7 @@ def test_common_transversals_count():
     assert len(trans) == sp.field.q + 1
     for t in trans:
         for l in (l1, l2, l3):
-            assert relation(sp, t, l).kind == "meet"
+            assert (t.mask & l.mask).bit_count() == 1
 
 
 # -- regulus through three skew lines ---------------------------------------------------
@@ -90,11 +106,7 @@ def test_regulus_through_axioms(q):
     assert len(pair.r_lines) == q + 1
     assert len(pair.opp_lines) == q + 1
     assert {l1, l2, l3} <= set(pair.r_lines)
-    for i, a in enumerate(pair.r_lines):
-        for b in pair.r_lines[i + 1 :]:
-            assert relation(sp, a, b).kind == "skew"
-        for b in pair.opp_lines:
-            assert relation(sp, a, b).kind == "meet"
+    _assert_regulus_grid(pair)
     # swap is an involution through the opposite family
     assert pair.swap().swap() == pair
 
@@ -130,7 +142,7 @@ def _malformed_cases():
     ppair = regulus_through(psp, *_proj_lines(psp))
     asp = aff_space(3, field_make(3))
     apair = affine_regulus_construct(asp, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return [(psp, ppair.r_lines, ppair.opp_lines), (asp, apair.s_lines, apair.opp_lines)]
+    return [(psp, ppair.r_lines, ppair.opp_lines), (asp, apair.r_lines, apair.opp_lines)]
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["projective", "affine"])
@@ -163,16 +175,64 @@ def test_pair_check_takes_the_size_from_the_space(q):
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["projective", "affine"])
-def test_pair_check_rejects_repeated_grid_point(case, monkeypatch):
+def test_pair_check_rejects_repeated_grid_point(case):
     sp, fam, opp = _malformed_cases()[case]
-    # a repeated line repeats its whole row of grid points
+    # a repeated line repeats its whole row of grid points, and the
+    # masks of its family overlap
     bad = fam[:1] + fam[:-1]
-    with pytest.raises(LinesNotSkewError):
+    with pytest.raises(LinesNotSkewError, match="one family meet"):
         _check_regulus_pair(sp, bad, opp)
-    # the grid count catches it even without the pairwise skewness check
-    monkeypatch.setattr("steinergraphs.reguli._require_skew", lambda space, lines: None)
-    with pytest.raises(LinesNotSkewError, match="grid points must be distinct"):
-        _check_regulus_pair(sp, bad, opp)
+
+
+# -- one grid check for the three optimal types -------------------------------------------
+
+
+@pytest.mark.parametrize("q,parallel", [(2, 42), (3, 234)])
+def test_grid_check_finds_exactly_the_plane_class_pairs(q, parallel):
+    """Every induced K_{q,q} of the AG(3,q) block graph is a grid, and
+    _check_grid calls it parallel exactly when its two parts are
+    parallel classes of one plane, by enumerate_planes and
+    parallel_classes."""
+    g = cached_block_graph(affine_design(3, q))
+    sp = g.design.space
+    class_pairs = {
+        frozenset((frozenset(map(sp.index_of, c1)), frozenset(map(sp.index_of, c2))))
+        for plane in enumerate_planes(sp)
+        for c1, c2 in combinations(parallel_classes(plane), 2)
+    }
+    assert len(class_pairs) == parallel
+    found = set()
+    for t0, t1 in enumerate_complete_bipartite(g, q):
+        fam, opp = (tuple(sp.lines[i] for i in t) for t in (t0, t1))
+        if reguli._check_grid(sp, fam, opp):
+            found.add(frozenset((frozenset(t0), frozenset(t1))))
+        else:
+            _check_regulus_pair(sp, fam, opp)
+    assert found == class_pairs
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_pair_check_rejects_parallel_classes(q):
+    """Two parallel classes of one plane are a grid but not a regulus
+    pair; in PG the grid check never reports parallel families."""
+    sp = aff_space(3, field_make(q))
+    plane = enumerate_planes(sp)[0]
+    c1, c2 = parallel_classes(plane)[:2]
+    assert reguli._check_grid(sp, c1, c2) is True
+    with pytest.raises(LinesNotSkewError, match="parallel classes"):
+        _check_regulus_pair(sp, c1, c2)
+    pair = _reguli(q)[0]
+    assert reguli._check_grid(pair.space, pair.r_lines, pair.opp_lines) is False
+
+
+def test_pair_from_the_wrong_space_rejected():
+    """lift_to_projective takes an affine pair and regulus_restriction a
+    projective one; the other kind raises a SteinerError."""
+    ppair, apair = _reguli(2)[0], _affine_reguli(2)[0]
+    with pytest.raises(NotARegulusError, match="affine pair"):
+        lift_to_projective(ppair)
+    with pytest.raises(NotARegulusError, match="projective pair"):
+        regulus_restriction(apair, ppair.space.hyperplanes[0])
 
 
 # -- the grid implies the span ----------------------------------------------------------
@@ -191,7 +251,7 @@ def test_enumerated_reguli_span_a_solid(q):
     psp = proj_space(3, field_make(q))
     asp = aff_space(3, field_make(q))
     proj = [(p.r_lines, p.opp_lines) for p in _reguli(q)]
-    aff = [(p.s_lines, p.opp_lines) for p in _affine_reguli(q)]
+    aff = [(p.r_lines, p.opp_lines) for p in _affine_reguli(q)]
     if q == 3:
         rng = random.Random(11)
         proj, aff = rng.sample(proj, 300), rng.sample(aff, 300)
@@ -273,13 +333,7 @@ def test_enumerate_affine_reguli_counts(q, expected):
 
 
 def test_affine_pair_relations():
-    sp = aff_space(3, field_make(3))
-    pair = _affine_reguli(3)[0]
-    for i, a in enumerate(pair.s_lines):
-        for b in pair.s_lines[i + 1 :]:
-            assert relation(sp, a, b).kind == "skew"
-        for b in pair.opp_lines:
-            assert relation(sp, a, b).kind == "meet"
+    _assert_regulus_grid(_affine_reguli(3)[0])
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -291,7 +345,7 @@ def test_lift_to_projective_one_line_at_infinity(q):
     at_inf_o = [l for l in lifted.opp_lines if cm.infinity.contains_line(pf, l)]
     assert len(at_inf_r) == 1 and len(at_inf_o) == 1
     back_s = {cm.line_to_aff(l) for l in lifted.r_lines if l not in at_inf_r}
-    assert set(pair.s_lines) == back_s
+    assert set(pair.r_lines) == back_s
 
 
 def test_lift_rejects_a_corrupted_closure_table(monkeypatch):
@@ -301,7 +355,7 @@ def test_lift_rejects_a_corrupted_closure_table(monkeypatch):
     pair = affine_regulus_construct(sp, (1, 0, 0), (0, 1, 0), (0, 0, 1))
     lift_to_projective(pair)
     cm = sp.closure
-    line = pair.s_lines[0]
+    line = pair.r_lines[0]
     parallel = next(l for l in sp.lines if l.dir == line.dir and l != line)
     table = list(cm.proj_index)
     table[sp.index_of(line)] = cm.proj_index[sp.index_of(parallel)]
@@ -344,9 +398,9 @@ def test_affine_enumeration_checks_and_lifts_each_quadric_once(monkeypatch, q, q
         checks[type(space).__name__] += 1
         return real_check(space, fam, opp)
 
-    def lift(cm, s_ids, opp_ids):
-        lifts.append(tuple(s_ids))
-        return real_lift(cm, s_ids, opp_ids)
+    def lift(cm, r_ids, opp_ids):
+        lifts.append(tuple(r_ids))
+        return real_lift(cm, r_ids, opp_ids)
 
     monkeypatch.setattr(reguli, "_check_regulus_pair", check)
     monkeypatch.setattr(reguli, "_lift", lift)
@@ -363,9 +417,9 @@ def test_affine_enumeration_lifts_match_lift_to_projective():
     cm = sp.closure
     for pair in _affine_reguli(3)[::97]:
         lifted, _ = lift_to_projective(pair)
-        ids = [sp.index_of(l) for l in pair.s_lines], [sp.index_of(l) for l in pair.opp_lines]
+        ids = [sp.index_of(l) for l in pair.r_lines], [sp.index_of(l) for l in pair.opp_lines]
         assert reguli._lift(cm, *ids) == lifted
-        assert reguli._finite_parts(lifted, cm) == (pair.s_lines, pair.opp_lines)
+        assert reguli._finite_parts(lifted, cm) == (pair.r_lines, pair.opp_lines)
 
 
 # -- the three-vector construction ------------------------------------------------------
@@ -381,12 +435,8 @@ def test_construct_from_independent_vectors(q, n):
             if len(row_basis(sp.field, vs)) == 3:
                 break
         pair = affine_regulus_construct(sp, *vs)
-        assert len(pair.s_lines) == q and len(pair.opp_lines) == q
-        for i, a in enumerate(pair.s_lines):
-            for b in pair.s_lines[i + 1 :]:
-                assert relation(sp, a, b).kind == "skew"
-            for b in pair.opp_lines:
-                assert relation(sp, a, b).kind == "meet"
+        assert len(pair.r_lines) == q and len(pair.opp_lines) == q
+        _assert_regulus_grid(pair)
 
 
 def test_construct_rejects_dependent_vectors():
@@ -400,7 +450,7 @@ def test_families_lie_in_parallel_planes():
     in pairwise distinct cosets of it."""
     sp = aff_space(3, field_make(3))
     pair = affine_regulus_construct(sp, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for family in (pair.s_lines, pair.opp_lines):
+    for family in (pair.r_lines, pair.opp_lines):
         dirs = row_basis(sp.field, tuple(l.dir for l in family))
         assert len(dirs) == 2
         host_planes = set()
@@ -421,7 +471,7 @@ def test_families_lie_in_parallel_planes():
 def test_classify_two_opposites_over_gf2():
     sp = aff_space(3, field_make(2))
     pair = enumerate_affine_reguli(sp)[0]
-    cls = classify_skew_family(sp, pair.s_lines)
+    cls = classify_skew_family(sp, pair.r_lines)
     assert cls.case == 1
     assert len(cls.pairs) == 2  # a skew pair over GF(2) has exactly two opposites
     opposites = {p.opp_lines for p in cls.pairs}
@@ -431,7 +481,7 @@ def test_classify_two_opposites_over_gf2():
 def test_classify_case1_q3():
     sp = aff_space(3, field_make(3))
     pair = _affine_reguli(3)[0]
-    cls = classify_skew_family(sp, pair.s_lines)
+    cls = classify_skew_family(sp, pair.r_lines)
     assert cls.case == 1
     assert len(cls.pairs) == 1
     assert cls.pairs[0].opp_lines == pair.opp_lines
@@ -445,7 +495,7 @@ def test_classify_case2_q3():
     l2 = sp.line_from_key((0, 1, 0), (0, 0, 1))
     l3 = sp.line_from_key((0, 0, 1), (1, 1, 0))
     for a, b in ((l1, l2), (l1, l3), (l2, l3)):
-        assert relation(sp, a, b).kind == "skew"
+        assert not a.mask & b.mask and a.dir != b.dir
     cls = classify_skew_family(sp, (l1, l2, l3))
     assert cls.case == 2
     assert cls.pairs == ()
@@ -455,7 +505,7 @@ def test_classify_wrong_count_rejected():
     sp = aff_space(3, field_make(3))
     pair = _affine_reguli(3)[0]
     with pytest.raises(WrongCountError):
-        classify_skew_family(sp, pair.s_lines[:2])
+        classify_skew_family(sp, pair.r_lines[:2])
 
 
 # -- hyperplane cuts ---------------------------------------------------------------------
@@ -469,7 +519,7 @@ def test_restriction_census_q2():
         out = regulus_restriction(pair, hyp)
         kinds[out.kind] += 1
         if out.kind == "affine_regulus":
-            assert len(out.pair.s_lines) == 2
+            assert len(out.pair.r_lines) == 2
         elif out.kind == "wdbplus2":
             assert len(out.config.r_lines) == 3
             assert len(out.config.opp_lines) == 3
@@ -498,7 +548,7 @@ def test_restriction_roundtrip_with_classify():
         out = regulus_restriction(pair, hyp)
         if out.kind != "affine_regulus":
             continue
-        cls = classify_skew_family(out.pair.space, out.pair.s_lines)
+        cls = classify_skew_family(out.pair.space, out.pair.r_lines)
         assert cls.case == 1
         assert cls.pairs[0].opp_lines == out.pair.opp_lines
         break
