@@ -31,8 +31,8 @@ def main() -> None:
     l3 = sp.line_from_basis(((1, 0, 1, 0), (0, 1, 0, 1)))
     pair = regulus_through(sp, l1, l2, l3)
     print("regulus through three skew lines:")
-    print("  R     =", [sp.index_of(l) for l in pair.r_lines])
-    print("  R_opp =", [sp.index_of(l) for l in pair.opp_lines])
+    print("  R     =", list(pair.r_ids))
+    print("  R_opp =", list(pair.opp_ids))
 
     f = optimal_from_regulus(pair, graph)
     print(f"  sign function: theta={f.theta}, support size {len(f.support)}")

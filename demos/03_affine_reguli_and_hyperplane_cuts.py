@@ -33,11 +33,11 @@ def main() -> None:
     sp3 = aff_space(3, field_make(3))
     pair = affine_regulus_construct(sp3, (1, 0, 0), (0, 1, 0), (0, 0, 1))
     print("construction from three independent vectors over GF(3):")
-    for name, fam in (("S", pair.r_lines), ("S_opp", pair.opp_lines)):
-        print(f"  {name}: ", [(l.dir, l.base) for l in fam])
-    lifted, cm = lift_to_projective(pair)
+    for name, fam in (("S", pair.r_ids), ("S_opp", pair.opp_ids)):
+        print(f"  {name}: ", [(sp3.lines[t].dir, sp3.lines[t].base) for t in fam])
+    lift_to_projective(pair)
     print("  lifts to a projective regulus with one line of each family at infinity")
-    cls = classify_skew_family(sp3, pair.r_lines)
+    cls = classify_skew_family(sp3, [sp3.lines[t] for t in pair.r_ids])
     print(f"  classifying S alone: case {cls.case}, {len(cls.pairs)} completion(s)")
     print()
 

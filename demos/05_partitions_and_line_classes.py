@@ -50,7 +50,7 @@ def main() -> None:
     for label, line_set in [
         ("star of a point", star),
         ("lines of a plane", plane_line_set(sp, sp.hyperplanes[0])),
-        ("one regulus family", tuple(sp.index_of(l) for l in enumerate_reguli(sp)[0].r_lines)),
+        ("one regulus family", enumerate_reguli(sp)[0].r_ids),
     ]:
         v = cameron_liebler_check(sp, line_set)
         print(
@@ -59,7 +59,7 @@ def main() -> None:
         )
         if v.witness is not None:
             w = v.witness
-            print(f"  witness regulus: R = {[sp.index_of(l) for l in w.r_lines]}")
+            print(f"  witness regulus: R = {list(w.r_ids)}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ Conventions:
   * lines are encoded as integer arrays via their canonical forms: a
     projective line by its reduced two-row basis, an affine line by
     (direction, least point); payloads that refer to vertex indices
-    embed the index -> line decoding table;
+    embed the index -> line decoding table, and line families, which
+    the library returns as line indices, are rendered through it;
   * block graphs come from the deterministic builder, once per process
     (designs.cached_block_graph).
 """
@@ -36,7 +37,7 @@ import time
 from fractions import Fraction
 
 from . import designs, eigenfunctions, geometry, partitions, reguli
-from .designs import _field_of, cached_block_graph, srg_params_brute, srg_params_formula, wdb
+from .designs import _field_of, srg_params_brute, wdb
 from .errors import DimensionMismatchError, LimitExceededError, NotAnEigenfunctionError, NotEquitableError, SteinerError
 
 SCHEMA_VERSION = "sv1"
@@ -53,9 +54,7 @@ def _space_of(kind: str, n: int, q: int):
 
 
 def _graph_of(kind: str, n: int, q: int):
-    if kind == "proj":
-        return cached_block_graph(designs.projective_design(n, q))
-    return cached_block_graph(designs.affine_design(n, q))
+    return designs.block_graph_of(_space_of(kind, n, q))
 
 
 def _line_json(line):
@@ -66,6 +65,11 @@ def _line_json(line):
 
 def _line_table(space) -> list:
     return [_line_json(l) for l in space.lines]
+
+
+def _pair_json(pair, table: list, first: str = "r_lines") -> dict:
+    """The two families of a pair, each line rendered by its table entry."""
+    return {first: [table[t] for t in pair.r_ids], "opp_lines": [table[t] for t in pair.opp_ids]}
 
 
 def _parse_json_arg(text: str, what: str):
@@ -211,7 +215,7 @@ def _cmd_geometry(args, cert: _Cert) -> None:
 def _cmd_srg(args, cert: _Cert) -> None:
     graph = _graph_of(args.space, args.n, args.q)
     design = graph.design
-    formula = srg_params_formula(design.N, design.M)
+    formula = design.params
     brute = srg_params_brute(graph)
     as_dict = lambda p: {"v": p.v, "k": p.k, "lambda": p.lmbda, "mu": p.mu,
                          "r": p.r, "s": p.s, "m_r": p.m_r, "m_s": p.m_s}
@@ -221,8 +225,7 @@ def _cmd_srg(args, cert: _Cert) -> None:
 
 def _cmd_wdb(args, cert: _Cert) -> None:
     graph = _graph_of(args.space, args.n, args.q)
-    design = graph.design
-    params = srg_params_formula(design.N, design.M)
+    params = graph.design.params
     # the closed form -2s / 2(r+1) from the spectrum of the graph built
     spectrum = srg_params_brute(graph)
     thetas = [args.theta] if args.theta is not None else [params.s, params.r]
@@ -240,13 +243,12 @@ def _cmd_wdb(args, cert: _Cert) -> None:
 def _cmd_regulus(args, cert: _Cert) -> None:
     space = _space_of("proj", args.n, args.q)
     pair = reguli.regulus_through(space, *_lines_arg(args.lines, space))
-    cert.result = {
-        "r_lines": [_line_json(l) for l in pair.r_lines],
-        "opp_lines": [_line_json(l) for l in pair.opp_lines],
-        "r_indices": [space.index_of(l) for l in pair.r_lines],
-        "opp_indices": [space.index_of(l) for l in pair.opp_lines],
-    }
-    witness = _validator_witness(reguli._check_regulus_pair, space, pair.r_lines, pair.opp_lines)
+    cert.result = dict(
+        _pair_json(pair, _line_table(space)),
+        r_indices=list(pair.r_ids),
+        opp_indices=list(pair.opp_ids),
+    )
+    witness = _validator_witness(reguli._check_regulus_pair, space, pair.r_ids, pair.opp_ids)
     cert.check("regulus_axioms", witness is None, witness)
 
 
@@ -256,25 +258,15 @@ def _cmd_affine_regulus(args, cert: _Cert) -> None:
     if not (isinstance(data, list) and len(data) == 3):
         raise _UsageError("--vectors must hold exactly three vectors")
     pair = reguli.affine_regulus_construct(space, *(_vector(v, "--vectors entry", space) for v in data))
-    rp, closure = reguli.lift_to_projective(pair)
-    cert.result = {
-        "s_lines": [_line_json(l) for l in pair.r_lines],
-        "opp_lines": [_line_json(l) for l in pair.opp_lines],
-        "projective_lift": {
-            "r_lines": [_line_json(l) for l in rp.r_lines],
-            "opp_lines": [_line_json(l) for l in rp.opp_lines],
-        },
-    }
-    witness = _validator_witness(reguli._check_regulus_pair, space, pair.r_lines, pair.opp_lines)
+    rp = reguli.lift_to_projective(pair)
+    cert.result = dict(
+        _pair_json(pair, _line_table(space), "s_lines"),
+        projective_lift=_pair_json(rp, _line_table(rp.space)),
+    )
+    witness = _validator_witness(reguli._check_regulus_pair, space, pair.r_ids, pair.opp_ids)
     cert.check("affine_regulus_axioms", witness is None, witness)
-    witness = _validator_witness(reguli._check_lift, pair, rp, closure)
+    witness = _validator_witness(reguli._check_lift, pair, rp)
     cert.check("projective_lift", witness is None, witness)
-
-
-def _family_ids(space, pairs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each ordered pair of line families as two tuples of line indices."""
-    index_of = space.index_of
-    return [(tuple(map(index_of, a)), tuple(map(index_of, b))) for a, b in pairs]
 
 
 def _require_dimension_3(args, name: str) -> None:
@@ -287,8 +279,6 @@ def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
     space = _space_of("proj", 3, args.q)
     print(f"enumerating reguli of PG(3,{args.q})", file=sys.stderr)
     pairs = reguli.enumerate_reguli(space)
-    ids = _family_ids(space, ((p.r_lines, p.opp_lines) for p in pairs))
-    listing = ids[: args.limit]
     table = _line_table(space)
     cert.result = {
         "count_ordered": len(pairs),
@@ -297,13 +287,10 @@ def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
         "convention": "ordered (R, R_opp) pairs; the swapped orientation is"
         " counted separately; unordered sets and underlying quadrics each"
         " number half the ordered count",
-        "reguli": [
-            {"r_lines": [table[i] for i in r], "opp_lines": [table[i] for i in o]}
-            for r, o in listing
-        ],
+        "reguli": [_pair_json(p, table) for p in pairs[: args.limit]],
     }
-    seen = set(ids)
-    cert.check("swap_closed", all((o, r) in seen for r, o in ids))
+    seen = {(p.r_ids, p.opp_ids) for p in pairs}
+    cert.check("swap_closed", all((p.opp_ids, p.r_ids) in seen for p in pairs))
 
 
 def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
@@ -313,7 +300,6 @@ def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
     print(f"enumerating affine reguli of AG(3,{q})", file=sys.stderr)
     pairs = reguli.enumerate_affine_reguli(space)
     expected = q ** 4 * (q ** 3 - 1) * (q + 1)
-    listing = _family_ids(space, ((p.r_lines, p.opp_lines) for p in pairs[: args.limit]))
     table = _line_table(space)
     cert.result = {
         "count_ordered": len(pairs),
@@ -325,10 +311,7 @@ def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
         " unordered-set and lifted-quadric conventions each count half; a"
         " 2-line skew family over GF(2) admits two distinct opposite"
         " families, which stay distinct here",
-        "pairs": [
-            {"s_lines": [table[i] for i in s], "opp_lines": [table[i] for i in o]}
-            for s, o in listing
-        ],
+        "pairs": [_pair_json(p, table, "s_lines") for p in pairs[: args.limit]],
     }
     cert.check("count_matches_formula", len(pairs) == expected, {"expected": expected})
 
@@ -336,7 +319,7 @@ def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
 def _cmd_enumerate_optimal(args, cert: _Cert) -> None:
     graph = _graph_of(args.space, args.n, args.q)
     design = graph.design
-    params = srg_params_formula(design.N, design.M)
+    params = design.params
     a = -params.s
     print(f"enumerating induced K_{{{a},{a}}} part-pairs", file=sys.stderr)
     pairs = eigenfunctions.enumerate_complete_bipartite(graph, a)
@@ -541,20 +524,18 @@ def _cmd_cameron_liebler(args, cert: _Cert) -> None:
     space = _space_of("proj", 3, args.q)
     line_set = _named_line_set(args, space)
     verdict = partitions.cameron_liebler_check(space, line_set)
+    table = _line_table(space)
     cert.result = {
         "line_set": sorted(line_set),
         "is_cameron_liebler": verdict.is_cl_reguli,
         "method_reguli": verdict.is_cl_reguli,
         "method_equitable": verdict.is_cl_equitable,
-        "lines": _line_table(space),
+        "lines": table,
     }
     if verdict.quotient is not None:
         cert.result["quotient"] = [list(r) for r in verdict.quotient.rows()]
     if verdict.witness is not None:
-        cert.result["witness"] = {
-            "r_lines": [_line_json(l) for l in verdict.witness.r_lines],
-            "opp_lines": [_line_json(l) for l in verdict.witness.opp_lines],
-        }
+        cert.result["witness"] = _pair_json(verdict.witness, table)
     cert.check("methods_agree", verdict.agree)
 
 

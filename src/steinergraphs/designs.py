@@ -18,6 +18,7 @@ integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     NotStronglyRegularError,
     SymmetricDesignError,
 )
-from .geometry import aff_space, proj_space
+from .geometry import ProjSpace, aff_space, proj_space
 from .gf import field_make
 
 
@@ -51,7 +52,8 @@ class Design:
 
     Blocks are point-index tuples in canonical line order, so block i of
     the design is line i of the underlying space.  The design keeps its
-    block graph once cached_block_graph has built it.
+    block graph once cached_block_graph has built it, and ``params``,
+    the block graph's parameters by the closed formulas, once read.
     """
 
     def __init__(self, space):
@@ -65,6 +67,10 @@ class Design:
 
     def __repr__(self):
         return f"Design(N={self.N}, M={self.M}, blocks={len(self.blocks)}, space={self.space!r})"
+
+    @cached_property
+    def params(self) -> SrgParams:
+        return srg_params_formula(self.N, self.M)
 
 
 def _design_on(space) -> Design:
@@ -185,6 +191,17 @@ def cached_block_graph(design: Design) -> Graph:
     if design._graph is None:
         design._graph = block_graph(design)
     return design._graph
+
+
+def block_graph_of(space, graph: Graph | None = None) -> Graph:
+    """The block graph of the lines of a shared space, or ``graph``
+    checked to be that graph."""
+    if graph is None:
+        make = projective_design if isinstance(space, ProjSpace) else affine_design
+        graph = cached_block_graph(make(space.n, space.field))
+    if graph.design is None or graph.design.space is not space:
+        raise ValueError("graph is not the block graph of the lines of this space")
+    return graph
 
 
 @dataclass(frozen=True)

@@ -20,21 +20,22 @@ Conventions:
   * an optimal function (support equal to the weight-distribution
     bound) is classified by one grid check on its sign classes
     (reguli._check_grid): in PG a regulus pair, in AG two parallel
-    classes of a plane (Type1) or an affine regulus pair (Type2); the
-    regulus constructions of both spaces share optimal_from_regulus.
+    classes of a plane (Type1) or an affine regulus pair (Type2), each
+    family as the ascending line indices of its sign class; the regulus
+    constructions of both spaces share optimal_from_regulus.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Mapping
 
-from .designs import Graph, bit_indices, cached_block_graph, affine_design, projective_design, srg_params_brute, srg_params_formula, wdb
+from .designs import Graph, bit_indices, block_graph_of, srg_params_brute, wdb
 from .errors import (
     HyperplaneHitsLineError,
     LimitExceededError,
@@ -44,7 +45,7 @@ from .errors import (
     WrongCountError,
     ZeroFunctionError,
 )
-from .geometry import AffPlane, ProjSpace, parallel_classes
+from .geometry import AffSpace, ProjSpace
 from .linalg import bareiss_echelon, rational_kernel
 from .reguli import RegulusPair, _check_grid, regulus_restriction
 
@@ -125,13 +126,6 @@ class Eigenfunction:
     def __repr__(self):
         vals = {u: str(x) for u, x in sorted(self.values.items())}
         return f"Eigenfunction(theta={self.theta}, values={vals})"
-
-
-def inner_product(f: Eigenfunction, g: Eigenfunction) -> Fraction:
-    """Exact standard inner product of two vertex functions."""
-    if f.graph is not g.graph:
-        raise ValueError("functions live on different graphs")
-    return sum((x * g.values[u] for u, x in f.values.items() if u in g.values), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -219,25 +213,10 @@ def from_bipartite_pair(graph: Graph, t0: Iterable[int], t1: Iterable[int], thet
 # -- constructions from geometric data -----------------------------------------
 
 
-def _line_graph_for(space, graph: Graph | None) -> Graph:
-    if graph is None:
-        if isinstance(space, ProjSpace):
-            design = projective_design(space.n, space.field)
-        else:
-            design = affine_design(space.n, space.field)
-        graph = cached_block_graph(design)
-    if graph.design is None or graph.design.space is not space:
-        raise ValueError("graph is not the block graph of the lines of this space")
-    return graph
-
-
 def _line_sign_function(space, graph: Graph | None, pos, neg, theta: int, size: int) -> Eigenfunction:
-    """+1 on the lines ``pos``, -1 on the lines ``neg`` of the block graph
+    """+1 on the line indices ``pos``, -1 on ``neg`` of the block graph
     of ``space``, verified by from_bipartite_pair, with support ``size``."""
-    graph = _line_graph_for(space, graph)
-    t0 = sorted(space.index_of(l) for l in pos)
-    t1 = sorted(space.index_of(l) for l in neg)
-    f = from_bipartite_pair(graph, t0, t1, theta)
+    f = from_bipartite_pair(block_graph_of(space, graph), pos, neg, theta)
     if len(f.support) != size:
         raise NotOptimalError(f"support size {len(f.support)}, expected {size}")
     return f
@@ -247,22 +226,8 @@ def optimal_from_regulus(pair: RegulusPair, graph: Graph | None = None) -> Eigen
     """+1 on the regulus, -1 on its opposite: with families of a lines
     (q+1 in PG(3, q), q in AG(3, q)) a -a-eigenfunction of the line
     block graph with support of minimum size 2a."""
-    a = len(pair.r_lines)
-    return _line_sign_function(pair.space, graph, pair.r_lines, pair.opp_lines, -a, 2 * a)
-
-
-def optimal_from_parallel_classes(plane: AffPlane, class1, class2, graph: Graph | None = None) -> Eigenfunction:
-    """+1 on one parallel class of a plane, -1 on another: a -q-eigenfunction
-    of the affine line block graph with support of minimum size 2q."""
-    space = plane.space
-    classes = {frozenset(c): c for c in parallel_classes(plane)}
-    k1, k2 = frozenset(class1), frozenset(class2)
-    if k1 == k2:
-        raise ValueError("the two parallel classes must differ")
-    if k1 not in classes or k2 not in classes:
-        raise ValueError("inputs are not parallel classes of the plane")
-    q = space.field.q
-    return _line_sign_function(space, graph, class1, class2, -q, 2 * q)
+    a = len(pair.r_ids)
+    return _line_sign_function(pair.space, graph, pair.r_ids, pair.opp_ids, -a, 2 * a)
 
 
 def wdbplus2_function(pair: RegulusPair, hyperplane, graph: Graph | None = None) -> Eigenfunction:
@@ -277,7 +242,7 @@ def wdbplus2_function(pair: RegulusPair, hyperplane, graph: Graph | None = None)
         )
     config = outcome.config
     q = config.space.field.q
-    f = _line_sign_function(config.space, graph, config.r_lines, config.opp_lines, -q, 2 * (q + 1))
+    f = _line_sign_function(config.space, graph, config.r_ids, config.opp_ids, -q, 2 * (q + 1))
     if support_structure(f.graph, f).kind != "BipartiteMinusMatching":
         raise NotOptimalError("support does not induce a complete bipartite graph minus a matching")
     return f
@@ -376,9 +341,12 @@ def enumerate_complete_bipartite(graph: Graph, a: int) -> list[tuple[tuple[int, 
 
 @dataclass(frozen=True)
 class Type1:
-    """Optimal function carried by two parallel classes of one plane."""
+    """Optimal function carried by two parallel classes of one plane,
+    each as ascending line indices of ``space``, which takes part in
+    comparisons as in RegulusPair."""
 
-    classes: tuple[tuple, tuple]
+    classes: tuple[tuple[int, ...], tuple[int, ...]]
+    space: AffSpace = dc_field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -408,23 +376,20 @@ def classify_optimal(graph: Graph, f: Eigenfunction):
     if graph.design is None:
         raise ValueError("graph has no underlying design")
     space = graph.design.space
-    params = srg_params_formula(graph.design.N, graph.design.M)
-    bound = wdb(params, f.theta)
+    bound = wdb(graph.design.params, f.theta)
     res = verify_eigenfunction(graph, f)
     if not res:
         raise NotAnEigenfunctionError("function fails the eigenvalue equation", witness=res.witness)
     if len(f.support) != bound:
         raise NotOptimalError(f"support size {len(f.support)} is not the bound {bound}")
-    t0 = [u for u in f.support if f.values[u] > 0]
-    t1 = [u for u in f.support if f.values[u] < 0]
+    # the support ascends, so each sign class is ascending line indices
+    t0 = tuple(u for u in f.support if f.values[u] > 0)
+    t1 = tuple(u for u in f.support if f.values[u] < 0)
     if len(t0) != len(t1):
         raise NotOptimalError("sign classes of an optimal function must have equal size")
-    # the support ascends, so each family is in line order
-    pos = tuple(space.lines[i] for i in t0)
-    neg = tuple(space.lines[i] for i in t1)
-    if _check_grid(space, pos, neg):
-        return Type1((pos, neg))
-    pair = RegulusPair(pos, neg, space)
+    if _check_grid(space, t0, t1):
+        return Type1((t0, t1), space)
+    pair = RegulusPair(t0, t1, space)
     return GrassmannRegulus(pair) if isinstance(space, ProjSpace) else Type2(pair)
 
 
@@ -661,10 +626,7 @@ def search_min_support(
         raise ValueError(f"unknown mode {mode!r}")
     if target < 1:
         raise ValueError("target support size must be positive")
-    if graph.design is not None:
-        params = srg_params_formula(graph.design.N, graph.design.M)
-    else:
-        params = srg_params_brute(graph)
+    params = graph.design.params if graph.design is not None else srg_params_brute(graph)
     if theta not in (params.r, params.s) or theta == params.k:
         raise NotAnEigenvalueError(f"{theta} is not a non-principal eigenvalue of the graph")
     search = _Search(graph, theta, target, mode == "branch-and-prune", limit)

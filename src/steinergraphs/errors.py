@@ -56,10 +56,6 @@ class NotARegulusError(SteinerError):
     space."""
 
 
-class LineInHyperplaneError(SteinerError):
-    """A line that lies entirely inside the hyperplane being removed."""
-
-
 class HyperplaneHitsLineError(SteinerError):
     """A hyperplane that was required to avoid a line family meets it."""
 

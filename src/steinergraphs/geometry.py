@@ -19,11 +19,16 @@ also keeps the space's design and block graph (see designs) and, for an
 affine space, ``AffSpace.closure``: the closure map into PG(n, q) with
 its line table.
 
+A line is named by its index in ``lines`` wherever the package passes
+lines around; the line objects hold what the index stands for.
 Coordinate changes act on line indices: line_permutation maps each point
 of PG(n, q) once through an invertible matrix and each line through the
-images of two of its points.  A hyperplane restriction composes that
-permutation with the closure table into one line-index table, built per
-restriction, so its lines map both ways by lookup.
+images of two of its points.  The closure map and a hyperplane
+restriction each hold one line-index table, ``proj_index`` from affine
+to projective line indices and ``aff_index`` back, the lines inside the
+removed hyperplane having no entry; a restriction composes the
+permutation of its basis change with the closure table, built per
+restriction.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .errors import (
     EqualPointsError,
     IncidenceError,
     LimitExceededError,
-    LineInHyperplaneError,
     WrongCountError,
 )
 from .gf import Field
@@ -383,10 +387,11 @@ def enumerate_planes(space: AffSpace) -> tuple[AffPlane, ...]:
     return tuple(planes)
 
 
-def parallel_classes(plane: AffPlane) -> tuple[tuple[AffLine, ...], ...]:
-    """The q+1 parallel classes of q lines partitioning the plane."""
+def parallel_classes(plane: AffPlane) -> tuple[tuple[int, ...], ...]:
+    """The q+1 parallel classes of q lines partitioning the plane, each
+    as ascending line indices."""
     space = plane.space
-    f = space.field
+    f, lines, idx = space.field, space.lines, space.point_index
     q = f.q
     dirs = sorted(
         {
@@ -398,13 +403,15 @@ def parallel_classes(plane: AffPlane) -> tuple[tuple[AffLine, ...], ...]:
             if a or b
         }
     )
-    pts = [space.points[i] for i in plane.points]
     classes = []
     for d in dirs:
-        cls = {space.line_through(p, f.add_rows(p, d)) for p in pts}
-        if len(cls) != q or any(ln.mask & plane.mask != ln.mask for ln in cls):
+        cls = set()
+        for i in plane.points:
+            j = idx[f.add_rows(space.points[i], d)]
+            cls.add(space.pair_line[(i, j) if i < j else (j, i)])
+        if len(cls) != q or any(lines[t].mask & plane.mask != lines[t].mask for t in cls):
             raise IncidenceError(f"parallel class of direction {d} is not {q} lines of the plane")
-        classes.append(tuple(sorted(cls, key=lambda ln: ln.base)))
+        classes.append(tuple(sorted(cls)))
     return tuple(classes)
 
 
@@ -448,27 +455,13 @@ def line_permutation(pspace: ProjSpace, matrix) -> tuple[int, ...]:
     return tuple(perm)
 
 
-class _LineTable:
-    """Lines of AG(n, q) against the lines of PG(n, q) outside one
-    hyperplane: ``proj_index`` maps each affine line index to a projective
-    line index and ``aff_index`` inverts it, so lines map by lookup."""
-
-    def line_to_proj(self, line: AffLine) -> ProjLine:
-        return self.pspace.lines[self.proj_index[self.aspace.index_of(line)]]
-
-    def line_to_aff(self, pline: ProjLine) -> AffLine:
-        i = self.aff_index.get(self.pspace.index_of(pline))
-        if i is None:
-            raise LineInHyperplaneError("line lies in the removed hyperplane")
-        return self.aspace.lines[i]
-
-
-class ClosureMap(_LineTable):
+class ClosureMap:
     """Embedding of AG(n, q) into PG(n, q) via x -> (1 : x), with the
     hyperplane at infinity {x_0 = 0}.  ``proj_index`` maps each affine
     line index to the index of its closure, the projective line through
-    (1 : base) and (0 : dir); ``inf_point`` maps it to the index of its
-    point at infinity (0 : dir), and ``inf_lines`` is the bitmask of the
+    (1 : base) and (0 : dir), and ``aff_index`` inverts it on the lines
+    outside infinity; ``inf_point`` maps it to the index of its point at
+    infinity (0 : dir), and ``inf_lines`` is the bitmask of the
     projective line indices at infinity.  ``AffSpace.closure`` keeps one
     map per affine space."""
 
@@ -487,13 +480,14 @@ class ClosureMap(_LineTable):
         )
 
 
-class RestrictionMap(_LineTable):
+class RestrictionMap:
     """Removal of a hyperplane H from PG(n, q), yielding AG(n, q) in the
     coordinates of a deterministic basis change ``matrix`` that moves H to
     {x_0 = 0}: its rows are the first standard vector outside H followed
-    by the canonical RREF basis of H.  The line table is the permutation
-    that the basis change induces composed with the closure table, built
-    per map and kept only by it."""
+    by the canonical RREF basis of H.  The line table ``proj_index`` is
+    the permutation that the basis change induces composed with the
+    closure table, built per map and kept only by it; ``aff_index``
+    inverts it, so the lines inside H have no entry."""
 
     def __init__(self, pspace: ProjSpace, hyperplane: Hyperplane):
         f = pspace.field

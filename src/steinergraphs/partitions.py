@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .designs import Graph, cached_block_graph, projective_design, srg_params_formula
+from .designs import Graph, block_graph_of
 from .eigenfunctions import Eigenfunction, verify_eigenfunction
 from .errors import (
     BadDecompositionError,
@@ -245,9 +245,11 @@ class CameronLieblerVerdict:
 
 def cameron_liebler_check(pspace: ProjSpace, line_set, graph: Graph | None = None) -> CameronLieblerVerdict:
     """Test a set of line indices of PG(3, q) with both Cameron-Liebler
-    criteria."""
+    criteria, on the block graph of ``pspace`` (``graph`` if given, which
+    must be that graph)."""
     if pspace.n != 3:
         raise ValueError("Cameron-Liebler line classes live in PG(3, q)")
+    graph = block_graph_of(pspace, graph)
     indices = set(line_set)
     if not all(type(u) is int and 0 <= u < len(pspace.lines) for u in indices):
         raise ValueError("line set entries must be line indices in range")
@@ -255,17 +257,15 @@ def cameron_liebler_check(pspace: ProjSpace, line_set, graph: Graph | None = Non
     witness = None
     is_cl_reguli = True
     for pair in enumerate_reguli(pspace):
-        a = sum(1 for l in pair.r_lines if pspace.index_of(l) in indices)
-        b = sum(1 for l in pair.opp_lines if pspace.index_of(l) in indices)
+        a = sum(t in indices for t in pair.r_ids)
+        b = sum(t in indices for t in pair.opp_ids)
         if a != b:
             is_cl_reguli = False
             witness = pair
             break
 
-    if graph is None:
-        graph = cached_block_graph(projective_design(3, pspace.field))
     nlines = graph.v
-    r = srg_params_formula(graph.design.N, graph.design.M).r
+    r = graph.design.params.r
     if not indices or len(indices) == nlines:
         # degenerate classes: no proper partition, but every regulus is
         # met equally often, so both methods accept

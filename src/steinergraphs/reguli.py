@@ -10,6 +10,13 @@ the affine pairs.  A skew triple of affine lines is of case 1 when its
 infinite points are collinear, and then extends to one affine pair;
 otherwise it is of case 2 and extends to none.
 
+A line family is a tuple of ascending indices into ``space.lines``,
+which lists the lines in key order.  RegulusPair and WdbPlus2Config hold
+two such tuples with their space, and every construction builds them
+from indices; line objects enter only where a caller names lines
+(regulus_through, classify_skew_family) or vectors
+(affine_regulus_construct).
+
 One pair type, RegulusPair, holds the pairs of both spaces, and one
 grid check serves both spaces and all three optimal types: _check_grid
 takes two families of q+1 lines in PG(n, q) or q in AG(n, q), each
@@ -20,16 +27,15 @@ is the grid check with parallel families rejected; the grid implies
 the span, so it takes no rank.
 regulus_through and enumerate_reguli both take the opposite family as
 the transversals of three skew lines and the family as those of three
-opposite lines.  Families are listed in the order of ``space.lines``,
-which is the order of the lines' keys.  Hyperplane cuts map lines
-through the restriction's line-index table, and the projective lift of
-an affine pair works on the closure's tables: closures, points at
-infinity and the lines at infinity, all by line and point index.
-classify_skew_family and enumerate_affine_reguli build the affine pairs
-through a skew triple (a pair over GF(2)) on line indices by one rule;
-the enumeration finds each quadric once and checks and lifts it once.
+opposite lines.  A hyperplane cut maps line indices through the
+restriction's ``aff_index``, and the projective lift of an affine pair
+maps them through the closure's tables: closures, points at infinity
+and the lines at infinity.  classify_skew_family and
+enumerate_affine_reguli build the affine pairs through a skew triple (a
+pair over GF(2)) by one rule; the enumeration finds each quadric once
+and checks and lifts it once.
 
-Affine pairs are ORDERED (S, S_opp), S being ``r_lines``: over GF(2) a
+Affine pairs are ORDERED (S, S_opp), S being ``r_ids``: over GF(2) a
 skew pair of lines has two distinct valid opposite families, and only
 the ordered convention gives the uniform count q^4 (q^3 - 1)(q + 1).
 Enumerations report the unordered and quadric counts alongside.
@@ -51,9 +57,7 @@ from .errors import (
     WrongCountError,
 )
 from .geometry import (
-    AffLine,
     AffSpace,
-    ClosureMap,
     Hyperplane,
     ProjLine,
     ProjSpace,
@@ -72,14 +76,15 @@ MAX_ENUM_Q = 4
 class RegulusPair:
     """Ordered pair (R, R_opp) of mutually transversal line families of a
     projective space (q+1 lines each) or an affine one (q each), each
-    family sorted by line key."""
+    family ascending line indices of ``space``.  The space takes part in
+    comparisons, so pairs of two spaces with equal indices differ."""
 
-    r_lines: tuple
-    opp_lines: tuple
-    space: ProjSpace | AffSpace = dc_field(repr=False, compare=False)
+    r_ids: tuple[int, ...]
+    opp_ids: tuple[int, ...]
+    space: ProjSpace | AffSpace = dc_field(repr=False)
 
     def swap(self) -> "RegulusPair":
-        return RegulusPair(self.opp_lines, self.r_lines, self.space)
+        return RegulusPair(self.opp_ids, self.r_ids, self.space)
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,12 @@ class SkewFamilyClass:
 
 @dataclass(frozen=True)
 class WdbPlus2Config:
-    """The two (q+1)-line affine families obtained by removing a
-    hyperplane that avoids every line of a projective regulus pair."""
+    """The two (q+1)-line affine families, as ascending line indices,
+    obtained by removing a hyperplane that avoids every line of a
+    projective regulus pair."""
 
-    r_lines: tuple[AffLine, ...]
-    opp_lines: tuple[AffLine, ...]
+    r_ids: tuple[int, ...]
+    opp_ids: tuple[int, ...]
     space: AffSpace = dc_field(repr=False)
 
 
@@ -138,30 +144,21 @@ def _skew_masks(space) -> list[int]:
 # -- projective constructions --------------------------------------------------
 
 
-def common_transversals(space, lines) -> tuple:
-    """All lines meeting every line of a pairwise-skew family exactly once,
-    in a projective or an affine space."""
-    lines = list(lines)
-    if len(lines) < 2:
-        raise WrongCountError("need at least two lines")
-    _require_skew(space, lines)
-    return tuple(space.lines[t] for t in _transversal_ids(space, lines[0], lines[1], lines[2:]))
-
-
-def _transversal_ids(space, a, b, rest=()) -> list[int]:
-    """Sorted indices of the lines joining a point of a to a point of b
-    that meet every line of rest."""
+def _transversal_ids(space, a, b, rest=()) -> tuple[int, ...]:
+    """Ascending indices of the lines joining a point of line a to a
+    point of line b that meet every line of rest, all by line index."""
     pair_line, lines = space.pair_line, space.lines
-    ids = {pair_line[(p, p2) if p < p2 else (p2, p)] for p in a.points for p2 in b.points}
-    return sorted(t for t in ids if all(lines[t].mask & ln.mask for ln in rest))
+    ids = {pair_line[(p, p2) if p < p2 else (p2, p)] for p in lines[a].points for p2 in lines[b].points}
+    masks = [lines[t].mask for t in rest]
+    return tuple(sorted(t for t in ids if all(lines[t].mask & m for m in masks)))
 
 
 def _check_grid(space, fam, opp) -> bool:
-    """Recompute the grid of two line families in a projective or an
-    affine space: q+1 lines each in PG(n, q) or q in AG(n, q), each
-    family pairwise disjoint, each line meeting each opposite line in
-    one point.  Returns whether the families are parallel, which only
-    happens in AG.
+    """Recompute the grid of two families of line indices in a
+    projective or an affine space: q+1 lines each in PG(n, q) or q in
+    AG(n, q), each family pairwise disjoint, each line meeting each
+    opposite line in one point.  Returns whether the families are
+    parallel, which only happens in AG.
 
     Disjoint families make the grid points distinct: a point on a and b
     and on a' and b' with a != a' would be common to two lines of one
@@ -174,6 +171,7 @@ def _check_grid(space, fam, opp) -> bool:
     comparison of fam[0] and fam[1] decides the kind of both families.
     """
     q = space.field.q
+    lines = space.lines
     affine = isinstance(space, AffSpace)
     size = q if affine else q + 1
     if len(fam) != size or len(opp) != size:
@@ -181,18 +179,20 @@ def _check_grid(space, fam, opp) -> bool:
             f"regulus families in {space} need {size} lines each, got {len(fam)} and {len(opp)}"
         )
     for family in (fam, opp):
+        masks = [lines[t].mask for t in family]
         union = 0
-        for ln in family:
-            union |= ln.mask
-        if union.bit_count() != sum(ln.mask.bit_count() for ln in family):
+        for m in masks:
+            union |= m
+        if union.bit_count() != sum(m.bit_count() for m in masks):
             raise LinesNotSkewError("two lines of one family meet")
     for a in fam:
+        am = lines[a].mask
         for b in opp:
-            if (a.mask & b.mask).bit_count() != 1:
+            if (am & lines[b].mask).bit_count() != 1:
                 raise LinesNotSkewError(
-                    f"regulus lines {a} and opposite {b} do not meet in one point"
+                    f"regulus line {a} and opposite line {b} do not meet in one point"
                 )
-    return affine and fam[0].dir == fam[1].dir
+    return affine and lines[fam[0]].dir == lines[fam[1]].dir
 
 
 def _check_regulus_pair(space, fam, opp) -> None:
@@ -220,16 +220,15 @@ def regulus_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, l3: ProjLine) 
     rows = [row for ln in (l1, l2, l3) for row in ln.basis]
     if len(linalg.row_basis(f, rows)) != 4:
         raise NotCoplanarError("three lines do not lie in a common 3-flat")
-    lines = space.lines
-    opp = _transversal_ids(space, l1, l2, (l3,))
+    i1, i2, i3 = map(space.index_of, (l1, l2, l3))
+    opp = _transversal_ids(space, i1, i2, (i3,))
     if len(opp) != f.q + 1:
         raise WrongCountError(f"{len(opp)} transversals of three skew lines, expected {f.q + 1}")
-    fam = _transversal_ids(space, lines[opp[0]], lines[opp[1]], (lines[opp[2]],))
-    pair = RegulusPair(tuple(lines[t] for t in fam), tuple(lines[t] for t in opp), space)
-    if not {l1, l2, l3} <= set(pair.r_lines):
+    fam = _transversal_ids(space, opp[0], opp[1], (opp[2],))
+    if not {i1, i2, i3} <= set(fam):
         raise NotARegulusError("a given line is missing from the regulus of its transversals")
-    _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
-    return pair
+    _check_regulus_pair(space, fam, opp)
+    return RegulusPair(fam, opp, space)
 
 
 def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
@@ -241,24 +240,21 @@ def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
         raise WrongCountError("regulus enumeration needs a 3-dimensional space")
     if space.field.q > MAX_ENUM_Q:
         raise LimitExceededError(f"regulus enumeration limited to q <= {MAX_ENUM_Q}")
-    lines = space.lines
-    nl = len(lines)
-    pmask = [ln.mask for ln in lines]
+    pmask = [ln.mask for ln in space.lines]
     skew = _skew_masks(space)
     by_family: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for i in range(nl):
-        si = skew[i]
+    for i, si in enumerate(skew):
         for j in bit_indices(si):
             if j <= i:
                 continue
-            tij = _transversal_ids(space, lines[i], lines[j])
+            tij = _transversal_ids(space, i, j)
             for k in bit_indices(si & skew[j]):
                 if k <= j:
                     continue
                 opp = tuple(t for t in tij if pmask[t] & pmask[k])
                 if opp in by_family:
                     continue
-                fam = tuple(_transversal_ids(space, lines[opp[0]], lines[opp[1]], (lines[opp[2]],)))
+                fam = _transversal_ids(space, opp[0], opp[1], (opp[2],))
                 if not (i in fam and j in fam and k in fam):
                     raise NotARegulusError(f"lines {i}, {j}, {k} are not in their regulus")
                 by_family[fam] = opp
@@ -266,72 +262,56 @@ def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
     out = []
     for fam in sorted(by_family):
         opp = by_family[fam]
-        pair = RegulusPair(
-            tuple(lines[t] for t in fam), tuple(lines[t] for t in opp), space
-        )
         if fam < opp:
-            _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
-        out.append(pair)
+            _check_regulus_pair(space, fam, opp)
+        out.append(RegulusPair(fam, opp, space))
     return tuple(out)
 
 
 # -- affine constructions ------------------------------------------------------
 
 
-def lift_to_projective(pair: RegulusPair) -> tuple[RegulusPair, ClosureMap]:
+def lift_to_projective(pair: RegulusPair) -> RegulusPair:
     """Projectivise an affine pair: the closures of S plus the infinity
     line through the directions of S_opp form a regulus whose opposite
     is the closures of S_opp plus the infinity line of S's directions;
-    exactly one line of each projective family lies at infinity."""
+    exactly one line of each projective family lies at infinity.
+
+    All by index, on the tables of ``pair.space.closure``: each family's
+    closures come from ``proj_index``, its line at infinity is the
+    ``pair_line`` of the points at infinity of two opposite lines,
+    checked to hold those of all of them, and ``inf_lines`` counts the
+    lines at infinity of each lifted family."""
     space = pair.space
     if not isinstance(space, AffSpace):
         raise NotARegulusError(f"lift_to_projective needs an affine pair, got one in {space}")
-    r_ids = [space.index_of(l) for l in pair.r_lines]
-    opp_ids = [space.index_of(l) for l in pair.opp_lines]
-    return _lift(space.closure, r_ids, opp_ids), space.closure
-
-
-def _lift(cm: ClosureMap, r_ids, opp_ids) -> RegulusPair:
-    """lift_to_projective on affine line indices, through the closure's
-    tables: each family's closures come from ``proj_index``, its line at
-    infinity is the ``pair_line`` of the points at infinity of two
-    opposite lines, checked to hold those of all of them, and
-    ``inf_lines`` counts the lines at infinity of each lifted family."""
+    cm = space.closure
     ps = cm.pspace
     lines, inf_point = ps.lines, cm.inf_point
     fams = []
-    for fam, other in ((r_ids, opp_ids), (opp_ids, r_ids)):
+    for fam, other in ((pair.r_ids, pair.opp_ids), (pair.opp_ids, pair.r_ids)):
         pts = [inf_point[t] for t in other]
         a, b = sorted(pts[:2])
         at_inf = ps.pair_line.get((a, b))
         if at_inf is None or any(not lines[at_inf].mask >> p & 1 for p in pts):
             raise NotARegulusError("the infinite points of a family are not distinct points of one line")
-        fams.append(sorted([cm.proj_index[t] for t in fam] + [at_inf]))
-    lifted = RegulusPair(*(tuple(lines[t] for t in ids) for ids in fams), ps)
-    _check_regulus_pair(ps, lifted.r_lines, lifted.opp_lines)
-    for ids in fams:
+        ids = tuple(sorted([cm.proj_index[t] for t in fam] + [at_inf]))
         if sum(cm.inf_lines >> t & 1 for t in ids) != 1:
             raise WrongCountError("the lift needs exactly one line of each family at infinity")
-    return lifted
+        fams.append(ids)
+    _check_regulus_pair(ps, *fams)
+    return RegulusPair(*fams, ps)
 
 
-def _finite_parts(lifted: RegulusPair, cm: ClosureMap) -> tuple[tuple[AffLine, ...], tuple[AffLine, ...]]:
-    """Each family of a lifted pair without its one line at infinity,
-    mapped back to affine lines in canonical order."""
-    index_of, alines = cm.pspace.index_of, cm.aspace.lines
-    parts = []
-    for fam in (lifted.r_lines, lifted.opp_lines):
-        finite = [t for t in map(index_of, fam) if not cm.inf_lines >> t & 1]
-        if len(finite) != len(fam) - 1:
-            raise WrongCountError("the lift needs exactly one line of each family at infinity")
-        parts.append(tuple(alines[a] for a in sorted(cm.aff_index[t] for t in finite)))
-    return parts[0], parts[1]
-
-
-def _check_lift(pair: RegulusPair, lifted: RegulusPair, cm: ClosureMap) -> None:
+def _check_lift(pair: RegulusPair, lifted: RegulusPair) -> None:
     """Removing the line at infinity from each lifted family must give
-    back the affine pair."""
-    if _finite_parts(lifted, cm) != (pair.r_lines, pair.opp_lines):
+    back the affine pair, mapped through the closure's ``aff_index``."""
+    cm = pair.space.closure
+    finite = tuple(
+        tuple(sorted(cm.aff_index[t] for t in fam if not cm.inf_lines >> t & 1))
+        for fam in (lifted.r_ids, lifted.opp_ids)
+    )
+    if finite != (pair.r_ids, pair.opp_ids):
         raise NotARegulusError("the lift without its lines at infinity is not the affine pair")
 
 
@@ -351,11 +331,9 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> RegulusPair:
         d2 = vec_add(f, vec_scale(f, c, v3), v2)
         s1.append(space.line_from_key(d1, vec_scale(f, c, v2)))
         s2.append(space.line_from_key(d2, vec_scale(f, c, v1)))
-    s1.sort(key=lambda l: l.key)
-    s2.sort(key=lambda l: l.key)
-    pair = RegulusPair(tuple(s1), tuple(s2), space)
-    _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
-    for fam, dplane in ((pair.r_lines, (v1, v3)), (pair.opp_lines, (v2, v3))):
+    pair = RegulusPair(*(tuple(sorted(map(space.index_of, s))) for s in (s1, s2)), space)
+    _check_regulus_pair(space, pair.r_ids, pair.opp_ids)
+    for fam, dplane in ((s1, (v1, v3)), (s2, (v2, v3))):
         dbasis = linalg.row_basis(f, dplane)
         cosets = set()
         for ln in fam:
@@ -364,7 +342,7 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> RegulusPair:
             cosets.add(_coset_rep(f, dbasis, ln.base))
         if len(cosets) != f.q:
             raise WrongCountError("family lines must lie in distinct parallel planes")
-    flat = span_of_lines(space, pair.r_lines + pair.opp_lines)
+    flat = span_of_lines(space, s1 + s2)
     if flat.basis != linalg.row_basis(f, (v1, v2, v3)):
         raise NotCoplanarError("the pair does not span the flat of v1, v2, v3")
     return pair
@@ -379,9 +357,8 @@ def _affine_regulus_ids(space: AffSpace, ids, tij=None) -> list[tuple[tuple[int,
     of three opposite lines.  ``tij``: transversals of ids[0], ids[1]."""
     lines = space.lines
     q = space.field.q
-    i, j = ids[:2]
     if tij is None:
-        tij = _transversal_ids(space, lines[i], lines[j])
+        tij = _transversal_ids(space, ids[0], ids[1])
     if q == 2:
         if len(tij) != 4:
             raise WrongCountError(f"{len(tij)} transversals of a skew pair, expected 4")
@@ -399,7 +376,7 @@ def _affine_regulus_ids(space: AffSpace, ids, tij=None) -> list[tuple[tuple[int,
         raise NotCoplanarError(f"{len(opp)} transversals of three skew lines, expected {q}")
     if q == 3:
         return [(tuple(ids), opp)]
-    fam = tuple(_transversal_ids(space, lines[opp[0]], lines[opp[1]], (lines[opp[2]],)))
+    fam = _transversal_ids(space, opp[0], opp[1], (opp[2],))
     if not set(ids) <= set(fam):
         raise NotARegulusError(f"lines {ids} are not in their regulus")
     return [(fam, opp)]
@@ -422,9 +399,8 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
         return SkewFamilyClass(2, ())
     pairs = []
     for fam, opp in _affine_regulus_ids(space, sorted(map(space.index_of, lines))):
-        pair = RegulusPair(tuple(space.lines[t] for t in fam), tuple(space.lines[t] for t in opp), space)
-        _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
-        pairs.append(pair)
+        _check_regulus_pair(space, fam, opp)
+        pairs.append(RegulusPair(fam, opp, space))
     return SkewFamilyClass(1, tuple(pairs))
 
 
@@ -448,7 +424,6 @@ def enumerate_affine_reguli(space: AffSpace) -> tuple[RegulusPair, ...]:
     q = space.field.q
     if q > MAX_ENUM_Q:
         raise LimitExceededError(f"enumeration limited to q <= {MAX_ENUM_Q}")
-    lines = space.lines
     skew = _skew_masks(space)
     cm = space.closure
     ps = cm.pspace
@@ -477,21 +452,21 @@ def enumerate_affine_reguli(space: AffSpace) -> tuple[RegulusPair, ...]:
                     if k <= j or covered.get((i, j), 0) >> k & 1:
                         continue
                     if tij is None:
-                        tij = _transversal_ids(space, lines[i], lines[j])
+                        tij = _transversal_ids(space, i, j)
                     [(fam, opp)] = _affine_regulus_ids(space, (i, j, k), tij)
                     for family in (fam, opp):
                         fmask = sum(1 << t for t in family)
                         for pr in combinations(family, 2):
                             covered[pr] = covered.get(pr, 0) | fmask
                     found.append((fam, opp))
-    keyed = []
+    out = []
     for fam, opp in found:
-        pair = RegulusPair(tuple(lines[t] for t in fam), tuple(lines[t] for t in opp), space)
-        _check_regulus_pair(space, pair.r_lines, pair.opp_lines)
-        _lift(cm, fam, opp)
-        keyed += ((fam + opp, pair), (opp + fam, pair.swap()))
-    keyed.sort(key=lambda kp: kp[0])
-    return tuple(pair for _, pair in keyed)
+        pair = RegulusPair(fam, opp, space)
+        _check_regulus_pair(space, fam, opp)
+        lift_to_projective(pair)
+        out += (pair, pair.swap())
+    out.sort(key=lambda pair: (pair.r_ids, pair.opp_ids))
+    return tuple(out)
 
 
 # -- hyperplane restriction of a projective regulus ---------------------------
@@ -509,11 +484,11 @@ def regulus_restriction(pair: RegulusPair, hyperplane: Hyperplane) -> Restrictio
     space = pair.space
     if not isinstance(space, ProjSpace):
         raise NotARegulusError(f"regulus_restriction needs a projective pair, got one in {space}")
-    f = space.field
+    f, lines = space.field, space.lines
     h = Hyperplane(normalize_point(f, hyperplane.normal))
-    in_r = [l for l in pair.r_lines if h.contains_line(f, l)]
-    in_o = [l for l in pair.opp_lines if h.contains_line(f, l)]
-    if len(in_r) + len(in_o) == 2 * len(pair.r_lines):
+    in_r = [t for t in pair.r_ids if h.contains_line(f, lines[t])]
+    in_o = [t for t in pair.opp_ids if h.contains_line(f, lines[t])]
+    if len(in_r) + len(in_o) == 2 * len(pair.r_ids):
         return RestrictionOutcome(
             kind="not_restrictable", reason="hyperplane contains the whole 3-flat"
         )
@@ -522,14 +497,14 @@ def regulus_restriction(pair: RegulusPair, hyperplane: Hyperplane) -> Restrictio
             kind="not_restrictable",
             reason=f"hyperplane contains {len(in_r)} lines of R and {len(in_o)} of R_opp",
         )
+    # the lines outside H are those with an affine index
     rm = RestrictionMap(space, hyperplane)
-    r_lines, opp_lines = (
-        tuple(sorted((rm.line_to_aff(l) for l in fam if l not in inside), key=lambda l: l.key))
-        for fam, inside in ((pair.r_lines, in_r), (pair.opp_lines, in_o))
+    r_ids, opp_ids = (
+        tuple(sorted(rm.aff_index[t] for t in fam if t not in inside))
+        for fam, inside in ((pair.r_ids, in_r), (pair.opp_ids, in_o))
     )
     if in_r:
-        apair = RegulusPair(r_lines, opp_lines, rm.aspace)
-        _check_regulus_pair(rm.aspace, apair.r_lines, apair.opp_lines)
-        return RestrictionOutcome(kind="affine_regulus", pair=apair)
-    config = WdbPlus2Config(r_lines=r_lines, opp_lines=opp_lines, space=rm.aspace)
+        _check_regulus_pair(rm.aspace, r_ids, opp_ids)
+        return RestrictionOutcome(kind="affine_regulus", pair=RegulusPair(r_ids, opp_ids, rm.aspace))
+    config = WdbPlus2Config(r_ids=r_ids, opp_ids=opp_ids, space=rm.aspace)
     return RestrictionOutcome(kind="wdbplus2", config=config)

@@ -212,7 +212,7 @@ def test_criterion_06_three_vector_construction():
                 if len(row_basis(f, vs)) != 3:
                     continue
                 pair = affine_regulus_construct(sp, *vs)
-                for family in (pair.r_lines, pair.opp_lines):
+                for family in ([sp.lines[t] for t in ids] for ids in (pair.r_ids, pair.opp_ids)):
                     dirs = row_basis(f, tuple(l.dir for l in family))
                     assert len(dirs) == 2, "family directions span a plane direction"
                     cosets = set()

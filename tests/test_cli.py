@@ -220,7 +220,7 @@ def test_regulus_axioms_check_recomputes(capsys, monkeypatch):
 
     def broken(space, *lines):
         pair = real(space, *lines)
-        return RegulusPair(pair.r_lines, pair.r_lines, space)
+        return RegulusPair(pair.r_ids, pair.r_ids, space)
 
     monkeypatch.setattr(cli.reguli, "regulus_through", broken)
     code, cert = _run(capsys, "regulus", "--q", "2", "--lines", REGULUS_LINES)
@@ -238,7 +238,7 @@ def test_affine_regulus_axioms_check_recomputes(capsys, monkeypatch):
 
     def broken(space, *vectors):
         true_pairs.append(real_construct(space, *vectors))
-        return RegulusPair(true_pairs[-1].r_lines, true_pairs[-1].r_lines, space)
+        return RegulusPair(true_pairs[-1].r_ids, true_pairs[-1].r_ids, space)
 
     monkeypatch.setattr(cli.reguli, "affine_regulus_construct", broken)
     monkeypatch.setattr(cli.reguli, "lift_to_projective", lambda pair: real_lift(true_pairs[-1]))
@@ -255,8 +255,7 @@ def test_projective_lift_check_recomputes(capsys, monkeypatch):
     real = cli.reguli.lift_to_projective
 
     def swapped(pair):
-        lifted, closure = real(pair)
-        return lifted.swap(), closure
+        return real(pair).swap()
 
     monkeypatch.setattr(cli.reguli, "lift_to_projective", swapped)
     code, cert = _run(capsys, "affine-regulus", "--q", "3", "--vectors", "[[1,0,0],[0,1,0],[0,0,1]]")

@@ -15,10 +15,12 @@ import pytest
 
 from steinergraphs import designs
 from steinergraphs.designs import (
+    Graph,
     SrgParams,
     affine_design,
     bit_indices,
     block_graph,
+    block_graph_of,
     cached_block_graph,
     delsarte_check,
     projective_design,
@@ -27,6 +29,7 @@ from steinergraphs.designs import (
     srg_spectrum,
     wdb,
 )
+from steinergraphs.eigenfunctions import classify_optimal, enumerate_complete_bipartite, from_bipartite_pair
 from steinergraphs.errors import (
     InconsistentParametersError,
     IrrationalEigenvaluesError,
@@ -85,6 +88,37 @@ def test_block_graph_adjacency_is_intersection():
 def test_cached_block_graph_identity():
     d = affine_design(3, 2)
     assert cached_block_graph(d) is cached_block_graph(d)
+
+
+def test_block_graph_of_a_space(g_j2, g_x2):
+    """block_graph_of gives the kept block graph of a shared space, and a
+    graph handed in must be that graph; the dimension checks of
+    projective_design and affine_design still apply."""
+    sp = g_j2.design.space
+    assert block_graph_of(sp) is g_j2
+    assert block_graph_of(sp, g_j2) is g_j2
+    assert block_graph_of(g_x2.design.space) is g_x2
+    for wrong in (g_x2, Graph(g_j2.adj), cached_block_graph(projective_design(3, 3))):
+        with pytest.raises(ValueError, match="not the block graph"):
+            block_graph_of(sp, wrong)
+    with pytest.raises(ValueError, match="n >= 3"):
+        block_graph_of(designs.aff_space(2, sp.field))
+
+
+def test_design_params_computed_once(g_x2, monkeypatch):
+    """Design.params is the closed-form parameter set, kept on the design:
+    classifying all 210 optimal functions of the AG(3,2) graph computes
+    no spectrum."""
+    d = g_x2.design
+    assert d.params is d.params
+    assert d.params == srg_params_formula(d.N, d.M) == srg_params_brute(g_x2)
+    calls = []
+    real = designs.srg_spectrum
+    monkeypatch.setattr(designs, "srg_spectrum", lambda *args: calls.append(args) or real(*args))
+    pairs = enumerate_complete_bipartite(g_x2, 2)
+    for t0, t1 in pairs:
+        classify_optimal(g_x2, from_bipartite_pair(g_x2, t0, t1, -2))
+    assert len(pairs) == 210 and calls == []
 
 
 def test_graph_helpers(g_j2):

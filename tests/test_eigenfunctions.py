@@ -31,8 +31,6 @@ from steinergraphs.eigenfunctions import (
     classify_optimal,
     enumerate_complete_bipartite,
     from_bipartite_pair,
-    inner_product,
-    optimal_from_parallel_classes,
     optimal_from_regulus,
     search_min_support,
     support_structure,
@@ -118,7 +116,8 @@ def test_inner_product_and_orthogonality(g_j2):
     part = Partition2.from_part(g_j2, star_line_set(g_j2.design.space, 0))
     h = partition_to_eigenfunction(g_j2, part)  # theta = 3
     assert h.theta != f.theta
-    assert inner_product(f, h) == 0  # distinct eigenvalues are orthogonal
+    # distinct eigenvalues are orthogonal
+    assert sum(x * h.value(u) for u, x in f.values.items()) == 0
 
 
 # -- verification -------------------------------------------------------------------------
@@ -317,31 +316,21 @@ def test_optimal_from_regulus(q):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_optimal_from_parallel_classes(q):
+    """The Type 1 construction: +1 on one parallel class of a plane and
+    -1 on another is a -q-eigenfunction with support 2q, which
+    classify_optimal decodes back to the two classes of its space."""
     from steinergraphs.designs import affine_design, cached_block_graph
 
     g = cached_block_graph(affine_design(3, q))
     sp = g.design.space
     plane = enumerate_planes(sp)[0]
     c1, c2 = parallel_classes(plane)[:2]
-    f = optimal_from_parallel_classes(plane, c1, c2, g)
-    assert f.theta == -q
+    f = from_bipartite_pair(g, c1, c2, -q)
     assert len(f.support) == 2 * q
-    assert verify_eigenfunction(g, f).ok
     cls = classify_optimal(g, f)
-    assert isinstance(cls, Type1)
-    assert cls.classes == (c1, c2)
-
-
-def test_optimal_from_parallel_classes_rejects_equal_or_foreign(g_x2):
-    sp = g_x2.design.space
-    plane = enumerate_planes(sp)[0]
-    c1, c2 = parallel_classes(plane)[:2]
-    with pytest.raises(ValueError):
-        optimal_from_parallel_classes(plane, c1, c1, g_x2)
-    other = enumerate_planes(sp)[3]
-    foreign = parallel_classes(other)[0]
-    with pytest.raises(ValueError):
-        optimal_from_parallel_classes(plane, c1, foreign, g_x2)
+    assert cls == Type1((c1, c2), sp)
+    # the same indices in AG(4,q) are other lines
+    assert cls != Type1((c1, c2), aff_space(4, sp.field))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -406,11 +395,6 @@ def _build_from_regulus(g_j2, g_x2):
     return optimal_from_regulus(_standard_regulus(), g_j2)
 
 
-def _build_from_parallel_classes(g_j2, g_x2):
-    plane = enumerate_planes(g_x2.design.space)[0]
-    return optimal_from_parallel_classes(plane, *parallel_classes(plane)[:2], g_x2)
-
-
 def _build_from_affine_regulus(g_j2, g_x2):
     return optimal_from_regulus(enumerate_affine_reguli(g_x2.design.space)[0], g_x2)
 
@@ -422,7 +406,7 @@ def _build_wdbplus2(g_j2, g_x2):
 
 @pytest.mark.parametrize(
     "build",
-    [_build_from_regulus, _build_from_parallel_classes, _build_from_affine_regulus, _build_wdbplus2],
+    [_build_from_regulus, _build_from_affine_regulus, _build_wdbplus2],
     ids=lambda b: b.__name__[len("_build_"):],
 )
 def test_construction_support_size_checked(g_j2, g_x2, monkeypatch, build):

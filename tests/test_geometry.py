@@ -16,7 +16,6 @@ from steinergraphs.errors import (
     DimensionMismatchError,
     EqualPointsError,
     IncidenceError,
-    LineInHyperplaneError,
     SteinerError,
     WrongCountError,
 )
@@ -207,8 +206,9 @@ def test_parallel_classes_partition_plane(q):
     for plane in enumerate_planes(sp)[:5]:
         classes = parallel_classes(plane)
         assert len(classes) == q + 1
-        for cls in classes:
-            assert len(cls) == q
+        for ids in classes:
+            assert len(ids) == q and list(ids) == sorted(ids)
+            cls = [sp.lines[t] for t in ids]
             covered = [p for line in cls for p in line.points]
             assert sorted(covered) == sorted(plane.points)
             dirs = {line.dir for line in cls}
@@ -236,9 +236,9 @@ def test_projective_closure_roundtrip(q):
     psp = cm.pspace
     assert len(psp.points) == len(asp.points) + (q ** 3 - 1) // (q - 1)
     for i, line in enumerate(asp.lines):
-        pline = cm.line_to_proj(line)
+        pline = psp.lines[cm.proj_index[i]]
         assert isinstance(pline, ProjLine)
-        assert cm.line_to_aff(pline) is line
+        assert cm.aff_index[cm.proj_index[i]] == i
         # the closure holds the points (1 : x) of the line and its point at infinity (0 : dir)
         finite = {psp.point_index[(1,) + p] for p in (asp.points[j] for j in line.points)}
         assert psp.points[cm.inf_point[i]] == normalize_point(psp.field, (0,) + line.dir)
@@ -254,8 +254,8 @@ def test_projective_closure_roundtrip(q):
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (2, 3)])
 def test_closure_line_table(n, q):
     """The closure table holds, for every affine line, the projective
-    line through (1 : base) and (0 : dir); line_to_aff inverts it and
-    rejects the lines at infinity.  The map is kept on its space."""
+    line through (1 : base) and (0 : dir); aff_index inverts it and has
+    no entry for the lines at infinity.  The map is kept on its space."""
     asp = aff_space(n, _field(q))
     cm = asp.closure
     assert asp.closure is cm
@@ -263,13 +263,10 @@ def test_closure_line_table(n, q):
     for i, line in enumerate(asp.lines):
         pline = psp.line_from_basis(((1,) + line.base, (0,) + line.dir))
         assert psp.lines[cm.proj_index[i]] is pline
-        assert cm.line_to_proj(line) is pline
-        assert cm.line_to_aff(pline) is line
-    at_inf = [l for l in psp.lines if cm.infinity.contains_line(psp.field, l)]
+        assert cm.aff_index[psp.index_of(pline)] == i
+    at_inf = [t for t, l in enumerate(psp.lines) if cm.infinity.contains_line(psp.field, l)]
     assert len(at_inf) + len(asp.lines) == len(psp.lines)
-    for pline in at_inf:
-        with pytest.raises(LineInHyperplaneError):
-            cm.line_to_aff(pline)
+    assert not set(at_inf) & set(cm.aff_index)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -278,14 +275,13 @@ def test_affine_restriction_roundtrip(q):
     for hyp in psp.hyperplanes[:4]:
         rm = RestrictionMap(psp, hyp)
         f = psp.field
-        for pline in psp.lines:
+        for t, pline in enumerate(psp.lines):
             if hyp.contains_line(f, pline):
-                with pytest.raises(LineInHyperplaneError):
-                    rm.line_to_aff(pline)
+                assert t not in rm.aff_index
                 continue
-            aline = rm.line_to_aff(pline)
+            aline = rm.aspace.lines[rm.aff_index[t]]
             assert isinstance(aline, AffLine)
-            assert rm.line_to_proj(aline) is pline
+            assert rm.proj_index[rm.aff_index[t]] == t
 
 
 def _image(f, matrix, vec):
@@ -305,7 +301,7 @@ def _image(f, matrix, vec):
 def test_restriction_table_matches_pointwise_map(n, q):
     """For every hyperplane H, each affine line maps to the projective
     line holding the images (1 : x) M of its points plus one point of H,
-    line_to_aff inverts that, and exactly the lines inside H are left."""
+    aff_index inverts that, and exactly the lines inside H have no entry."""
     psp = proj_space(n, _field(q))
     f, idx = psp.field, psp.point_index
     asp = aff_space(n, f)
@@ -313,20 +309,20 @@ def test_restriction_table_matches_pointwise_map(n, q):
         rm = RestrictionMap(psp, hyp)
         on_h = {i for i, p in enumerate(psp.points) if hyp.contains_point(f, p)}
         hit = set()
-        for aline in asp.lines:
+        for a, aline in enumerate(asp.lines):
             image = {idx[_image(f, rm.matrix, (1,) + p)] for p in (asp.points[j] for j in aline.points)}
-            pline = rm.line_to_proj(aline)
+            t = rm.proj_index[a]
+            pline = psp.lines[t]
             rest = set(pline.points) - image
             assert len(image) == q and image < set(pline.points)
             assert len(rest) == 1 and rest <= on_h
-            assert rm.line_to_aff(pline) is aline
-            hit.add(pline)
+            assert rm.aff_index[t] == a
+            hit.add(t)
         assert len(hit) == len(asp.lines)
-        for pline in psp.lines:
-            if pline not in hit:
+        for t, pline in enumerate(psp.lines):
+            if t not in hit:
                 assert set(pline.points) <= on_h
-                with pytest.raises(LineInHyperplaneError):
-                    rm.line_to_aff(pline)
+                assert t not in rm.aff_index
 
 
 def test_line_permutation_matches_pointwise_map():
@@ -353,8 +349,8 @@ def test_restriction_then_closure_identity():
     asp = aff_space(3, _field(2))
     cm = asp.closure
     rm = RestrictionMap(cm.pspace, Hyperplane(normalize_point(cm.pspace.field, (1, 0, 0, 0))))
-    for line in asp.lines:
-        assert rm.line_to_aff(cm.line_to_proj(line)) == line
+    for a in range(len(asp.lines)):
+        assert rm.aff_index[cm.proj_index[a]] == a
 
 
 def test_hyperplane_membership():

@@ -231,7 +231,7 @@ def test_cl_plane_set_is_class():
 def test_cl_regulus_is_not_class(g_j2):
     sp = g_j2.design.space
     pair = enumerate_reguli(sp)[0]
-    line_set = tuple(sp.index_of(l) for l in pair.r_lines)
+    line_set = pair.r_ids
     v = cameron_liebler_check(sp, line_set)
     assert not v.is_cl_reguli and not v.is_cl_equitable and v.agree
     assert v.witness is not None  # a regulus meeting the set unevenly
@@ -248,6 +248,17 @@ def test_cl_union_and_complement(g_j2):
     comp = tuple(set(range(35)) - star)
     v2 = cameron_liebler_check(sp, comp)
     assert v2.is_cl_reguli and v2.agree
+
+
+def test_cl_rejects_the_graph_of_another_space(g_j2, g_x2):
+    """The graph handed in must be the block graph of the space: with the
+    AG(3,2) graph a PG(3,2) star raised a partition error and the first
+    seven lines gave a verdict on the wrong graph."""
+    sp = g_j2.design.space
+    for line_set in (star_line_set(sp, 0), tuple(range(7))):
+        with pytest.raises(ValueError, match="not the block graph"):
+            cameron_liebler_check(sp, line_set, g_x2)
+    assert cameron_liebler_check(sp, star_line_set(sp, 0), g_j2).agree
 
 
 def test_cl_degenerate_sets():

@@ -35,10 +35,11 @@ from steinergraphs.geometry import (
 from steinergraphs.gf import field_make
 from steinergraphs.linalg import row_basis
 from steinergraphs.reguli import (
+    RegulusPair,
     _check_regulus_pair,
+    _transversal_ids,
     affine_regulus_construct,
     classify_skew_family,
-    common_transversals,
     enumerate_affine_reguli,
     enumerate_reguli,
     lift_to_projective,
@@ -69,16 +70,21 @@ def _proj_lines(sp, triples=STANDARD_TRIPLE):
     return tuple(sp.line_from_basis(b) for b in triples)
 
 
+def _lines(space, ids):
+    """The line objects of a family of line indices."""
+    return [space.lines[t] for t in ids]
+
+
 def _assert_regulus_grid(pair):
     """Lines of one family are skew (disjoint, and in AG not parallel);
     each meets each opposite line in one point."""
-    affine = hasattr(pair.r_lines[0], "dir")
-    for fam in (pair.r_lines, pair.opp_lines):
-        for i, a in enumerate(fam):
-            for b in fam[i + 1 :]:
-                assert not a.mask & b.mask and not (affine and a.dir == b.dir)
-    for a in pair.r_lines:
-        for b in pair.opp_lines:
+    sp = pair.space
+    affine = hasattr(sp.lines[0], "dir")
+    for fam in (pair.r_ids, pair.opp_ids):
+        for a, b in combinations(_lines(sp, fam), 2):
+            assert not a.mask & b.mask and not (affine and a.dir == b.dir)
+    for a in _lines(sp, pair.r_ids):
+        for b in _lines(sp, pair.opp_ids):
             assert (a.mask & b.mask).bit_count() == 1
 
 
@@ -86,13 +92,85 @@ def _assert_regulus_grid(pair):
 
 
 def test_common_transversals_count():
-    sp = proj_space(3, field_make(2))
-    l1, l2, l3 = _proj_lines(sp)
-    trans = common_transversals(sp, (l1, l2, l3))
-    assert len(trans) == sp.field.q + 1
-    for t in trans:
-        for l in (l1, l2, l3):
-            assert (t.mask & l.mask).bit_count() == 1
+    """The common transversals of three skew lines of PG(3,q): q+1 lines,
+    as ascending indices, each meeting each of the three once; they are
+    the opposite family of the regulus through the three."""
+    for q in (2, 3):
+        sp = proj_space(3, field_make(q))
+        ids = [sp.index_of(l) for l in _proj_lines(sp)]
+        trans = _transversal_ids(sp, ids[0], ids[1], ids[2:])
+        assert len(trans) == q + 1 and list(trans) == sorted(trans)
+        for t in trans:
+            for i in ids:
+                assert (sp.lines[t].mask & sp.lines[i].mask).bit_count() == 1
+        assert regulus_through(sp, *_proj_lines(sp)).opp_ids == trans
+
+
+# -- the families are line indices ------------------------------------------------------
+
+
+def _returned_families():
+    """(label, space, family, opposite) for every family the library
+    returns: both enumerations, regulus_through, lift_to_projective,
+    affine_regulus_construct, classify_skew_family and both kinds of
+    regulus_restriction."""
+    out = [("enumerate_reguli", p.space, p.r_ids, p.opp_ids) for p in _reguli(2)]
+    for q in (2, 3):
+        out += [("enumerate_affine_reguli", p.space, p.r_ids, p.opp_ids) for p in _affine_reguli(q)]
+    for q in (2, 3):
+        sp = proj_space(3, field_make(q))
+        pair = regulus_through(sp, *_proj_lines(sp))
+        out.append(("regulus_through", sp, pair.r_ids, pair.opp_ids))
+        for hyp in sp.hyperplanes:
+            res = regulus_restriction(pair, hyp)
+            cut = res.pair or res.config
+            out.append((f"regulus_restriction {res.kind}", cut.space, cut.r_ids, cut.opp_ids))
+    for q, n in ((2, 3), (3, 3), (3, 4)):
+        sp = aff_space(n, field_make(q))
+        e = [tuple(int(i == j) for j in range(n)) for i in range(3)]
+        pair = affine_regulus_construct(sp, *e)
+        out.append(("affine_regulus_construct", sp, pair.r_ids, pair.opp_ids))
+        lifted = lift_to_projective(pair)
+        out.append(("lift_to_projective", lifted.space, lifted.r_ids, lifted.opp_ids))
+        for cp in classify_skew_family(sp, _lines(sp, pair.r_ids[: 2 if q == 2 else 3])).pairs:
+            out.append(("classify_skew_family", sp, cp.r_ids, cp.opp_ids))
+    return out
+
+
+def test_families_are_ascending_line_indices():
+    """Every family the library returns is an ascending tuple of in-range
+    int line indices.  Every pair of families passes the grid check,
+    except the cut by a plane avoiding every line, whose q+1 affine lines
+    per family are pairwise disjoint and meet all opposite lines but one."""
+    labels = set()
+    for label, sp, fam, opp in _returned_families():
+        labels.add(label)
+        for family in (fam, opp):
+            assert type(family) is tuple, label
+            assert all(type(t) is int and 0 <= t < len(sp.lines) for t in family), label
+            assert list(family) == sorted(set(family)), label
+        if label.endswith("wdbplus2"):
+            assert len(fam) == len(opp) == sp.field.q + 1
+            fm, om = ([sp.lines[t].mask for t in f] for f in (fam, opp))
+            assert all(not a & b for f in (fm, om) for a, b in combinations(f, 2))
+            assert all(sum(bool(a & b) for b in om) == len(om) - 1 for a in fm)
+        else:
+            reguli._check_grid(sp, fam, opp)
+    assert labels == {
+        "enumerate_reguli", "enumerate_affine_reguli", "regulus_through", "lift_to_projective",
+        "regulus_restriction affine_regulus", "regulus_restriction wdbplus2",
+        "affine_regulus_construct", "classify_skew_family",
+    }
+
+
+def test_pairs_of_two_spaces_differ():
+    """A PG(3,2) pair and an AG(3,3) pair with the same index tuples (both
+    spaces have three lines per family) are different pairs."""
+    pg = _reguli(2)[0]
+    ag = RegulusPair(pg.r_ids, pg.opp_ids, aff_space(3, field_make(3)))
+    assert pg != ag and ag != pg
+    assert len({pg, ag}) == 2
+    assert ag == RegulusPair(pg.r_ids, pg.opp_ids, aff_space(3, field_make(3)))
 
 
 # -- regulus through three skew lines ---------------------------------------------------
@@ -103,9 +181,9 @@ def test_regulus_through_axioms(q):
     sp = proj_space(3, field_make(q) if q != 4 else field_make(2, 2))
     l1, l2, l3 = _proj_lines(sp)
     pair = regulus_through(sp, l1, l2, l3)
-    assert len(pair.r_lines) == q + 1
-    assert len(pair.opp_lines) == q + 1
-    assert {l1, l2, l3} <= set(pair.r_lines)
+    assert len(pair.r_ids) == q + 1
+    assert len(pair.opp_ids) == q + 1
+    assert {l1, l2, l3} <= set(_lines(sp, pair.r_ids))
     _assert_regulus_grid(pair)
     # swap is an involution through the opposite family
     assert pair.swap().swap() == pair
@@ -119,7 +197,7 @@ def test_regulus_through_returns_the_enumerated_pair():
     for q, pairs in ((2, _reguli(2)), (3, rng.sample(_reguli(3), 200))):
         sp = proj_space(3, field_make(q))
         for pair in pairs:
-            three = rng.sample(pair.r_lines, 3)
+            three = _lines(sp, rng.sample(pair.r_ids, 3))
             assert regulus_through(sp, *three) == pair
 
 
@@ -142,7 +220,7 @@ def _malformed_cases():
     ppair = regulus_through(psp, *_proj_lines(psp))
     asp = aff_space(3, field_make(3))
     apair = affine_regulus_construct(asp, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return [(psp, ppair.r_lines, ppair.opp_lines), (asp, apair.r_lines, apair.opp_lines)]
+    return [(psp, ppair.r_ids, ppair.opp_ids), (asp, apair.r_ids, apair.opp_ids)]
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["projective", "affine"])
@@ -164,14 +242,14 @@ def test_pair_check_takes_the_size_from_the_space(q):
     psp = proj_space(3, field_make(q))
     pair = regulus_through(psp, *_proj_lines(psp))
     with pytest.raises(WrongCountError, match=f"need {q + 1} lines"):
-        _check_regulus_pair(psp, pair.r_lines[:-1], pair.opp_lines[:-1])
+        _check_regulus_pair(psp, pair.r_ids[:-1], pair.opp_ids[:-1])
     cut = next(
         out.config for out in (regulus_restriction(pair, h) for h in psp.hyperplanes)
         if out.kind == "wdbplus2"
     )
-    assert len(cut.r_lines) == len(cut.opp_lines) == q + 1
+    assert len(cut.r_ids) == len(cut.opp_ids) == q + 1
     with pytest.raises(WrongCountError, match=f"need {q} lines"):
-        _check_regulus_pair(cut.space, cut.r_lines, cut.opp_lines)
+        _check_regulus_pair(cut.space, cut.r_ids, cut.opp_ids)
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["projective", "affine"])
@@ -196,18 +274,17 @@ def test_grid_check_finds_exactly_the_plane_class_pairs(q, parallel):
     g = cached_block_graph(affine_design(3, q))
     sp = g.design.space
     class_pairs = {
-        frozenset((frozenset(map(sp.index_of, c1)), frozenset(map(sp.index_of, c2))))
+        frozenset((c1, c2))
         for plane in enumerate_planes(sp)
         for c1, c2 in combinations(parallel_classes(plane), 2)
     }
     assert len(class_pairs) == parallel
     found = set()
     for t0, t1 in enumerate_complete_bipartite(g, q):
-        fam, opp = (tuple(sp.lines[i] for i in t) for t in (t0, t1))
-        if reguli._check_grid(sp, fam, opp):
-            found.add(frozenset((frozenset(t0), frozenset(t1))))
+        if reguli._check_grid(sp, t0, t1):
+            found.add(frozenset((t0, t1)))
         else:
-            _check_regulus_pair(sp, fam, opp)
+            _check_regulus_pair(sp, t0, t1)
     assert found == class_pairs
 
 
@@ -222,7 +299,7 @@ def test_pair_check_rejects_parallel_classes(q):
     with pytest.raises(LinesNotSkewError, match="parallel classes"):
         _check_regulus_pair(sp, c1, c2)
     pair = _reguli(q)[0]
-    assert reguli._check_grid(pair.space, pair.r_lines, pair.opp_lines) is False
+    assert reguli._check_grid(pair.space, pair.r_ids, pair.opp_ids) is False
 
 
 def test_pair_from_the_wrong_space_rejected():
@@ -243,15 +320,15 @@ def test_pair_from_the_wrong_space_rejected():
 
 
 def _spans_a_solid(space, pairs) -> bool:
-    return all(span_of_lines(space, p[0] + p[1]).dim == 3 for p in pairs)
+    return all(span_of_lines(space, _lines(space, p[0] + p[1])).dim == 3 for p in pairs)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_enumerated_reguli_span_a_solid(q):
     psp = proj_space(3, field_make(q))
     asp = aff_space(3, field_make(q))
-    proj = [(p.r_lines, p.opp_lines) for p in _reguli(q)]
-    aff = [(p.r_lines, p.opp_lines) for p in _affine_reguli(q)]
+    proj = [(p.r_ids, p.opp_ids) for p in _reguli(q)]
+    aff = [(p.r_ids, p.opp_ids) for p in _affine_reguli(q)]
     if q == 3:
         rng = random.Random(11)
         proj, aff = rng.sample(proj, 300), rng.sample(aff, 300)
@@ -266,24 +343,25 @@ def test_grid_check_keeps_a_pair_in_its_solid():
     sp = proj_space(4, field_make(2))
     basis = tuple(tuple(r) + (0,) for b in STANDARD_TRIPLE for r in b)
     pair = regulus_through(sp, *(sp.line_from_basis(basis[i : i + 2]) for i in (0, 2, 4)))
-    _check_regulus_pair(sp, pair.r_lines, pair.opp_lines)
-    assert _spans_a_solid(sp, [(pair.r_lines, pair.opp_lines)])
-    solid = span_of_lines(sp, pair.r_lines)
+    _check_regulus_pair(sp, pair.r_ids, pair.opp_ids)
+    assert _spans_a_solid(sp, [(pair.r_ids, pair.opp_ids)])
+    family = _lines(sp, pair.r_ids)
+    solid = span_of_lines(sp, family)
     outside = next(
-        ln for ln in sp.lines
-        if span_of_lines(sp, (ln,) + pair.r_lines).dim == 4
-        and not any(ln.mask & r.mask for r in pair.r_lines[1:])
+        t for t, ln in enumerate(sp.lines)
+        if span_of_lines(sp, [ln] + family).dim == 4
+        and not any(ln.mask & r.mask for r in family[1:])
     )
     assert solid.dim == 3
     with pytest.raises(LinesNotSkewError, match="do not meet in one point"):
-        _check_regulus_pair(sp, (outside,) + pair.r_lines[1:], pair.opp_lines)
+        _check_regulus_pair(sp, (outside,) + pair.r_ids[1:], pair.opp_ids)
 
 
 def test_enumerate_reguli_q2():
     sp = proj_space(3, field_make(2))
     pairs = enumerate_reguli(sp)
     assert len(pairs) == 560
-    assert len({frozenset((p.r_lines, p.opp_lines)) for p in pairs}) == 280
+    assert len({frozenset((p.r_ids, p.opp_ids)) for p in pairs}) == 280
     seen = set(pairs)
     assert all(p.swap() in seen for p in pairs)
 
@@ -306,10 +384,10 @@ def test_enumerate_reguli_rejects_a_failing_quadric(which, monkeypatch):
     target = enumerate_reguli(sp)[which]
     real = reguli._check_regulus_pair
 
-    def check(space, r_lines, opp_lines):
-        if {tuple(r_lines), tuple(opp_lines)} == {target.r_lines, target.opp_lines}:
+    def check(space, r_ids, opp_ids):
+        if {r_ids, opp_ids} == {target.r_ids, target.opp_ids}:
             raise NotARegulusError("rejected quadric")
-        real(space, r_lines, opp_lines)
+        real(space, r_ids, opp_ids)
 
     monkeypatch.setattr(reguli, "_check_regulus_pair", check)
     with pytest.raises(NotARegulusError, match="rejected quadric"):
@@ -339,13 +417,14 @@ def test_affine_pair_relations():
 @pytest.mark.parametrize("q", [2, 3])
 def test_lift_to_projective_one_line_at_infinity(q):
     pair = _affine_reguli(q)[0]
-    lifted, cm = lift_to_projective(pair)
-    pf = cm.pspace.field
-    at_inf_r = [l for l in lifted.r_lines if cm.infinity.contains_line(pf, l)]
-    at_inf_o = [l for l in lifted.opp_lines if cm.infinity.contains_line(pf, l)]
-    assert len(at_inf_r) == 1 and len(at_inf_o) == 1
-    back_s = {cm.line_to_aff(l) for l in lifted.r_lines if l not in at_inf_r}
-    assert set(pair.r_lines) == back_s
+    lifted = lift_to_projective(pair)
+    cm = pair.space.closure
+    psp = lifted.space
+    assert psp is cm.pspace
+    for fam, lifted_fam in ((pair.r_ids, lifted.r_ids), (pair.opp_ids, lifted.opp_ids)):
+        at_inf = [t for t in lifted_fam if cm.infinity.contains_line(psp.field, psp.lines[t])]
+        assert len(at_inf) == 1
+        assert sorted(cm.proj_index[t] for t in fam) == [t for t in lifted_fam if t not in at_inf]
 
 
 def test_lift_rejects_a_corrupted_closure_table(monkeypatch):
@@ -355,10 +434,10 @@ def test_lift_rejects_a_corrupted_closure_table(monkeypatch):
     pair = affine_regulus_construct(sp, (1, 0, 0), (0, 1, 0), (0, 0, 1))
     lift_to_projective(pair)
     cm = sp.closure
-    line = pair.r_lines[0]
-    parallel = next(l for l in sp.lines if l.dir == line.dir and l != line)
+    line = pair.r_ids[0]
+    parallel = next(t for t, l in enumerate(sp.lines) if l.dir == sp.lines[line].dir and t != line)
     table = list(cm.proj_index)
-    table[sp.index_of(line)] = cm.proj_index[sp.index_of(parallel)]
+    table[line] = cm.proj_index[parallel]
     monkeypatch.setattr(cm, "proj_index", tuple(table))
     with pytest.raises(LinesNotSkewError):
         lift_to_projective(pair)
@@ -371,17 +450,17 @@ def test_lift_rejects_a_corrupted_infinity_table(monkeypatch):
     dropping a line from the mask, is rejected."""
     sp = aff_space(3, field_make(3))
     pair = affine_regulus_construct(sp, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    lifted, cm = lift_to_projective(pair)
-    psp = cm.pspace
+    lifted = lift_to_projective(pair)
+    cm, psp = sp.closure, lifted.space
     # the line at infinity of S holds the points at infinity of S_opp
-    at_inf = next(l for l in lifted.r_lines if cm.infinity.contains_line(psp.field, l))
+    at_inf = next(t for t in lifted.r_ids if cm.infinity.contains_line(psp.field, psp.lines[t]))
     table = list(cm.inf_point)
-    table[sp.index_of(pair.opp_lines[-1])] = next(p for p in sorted(table) if not at_inf.mask >> p & 1)
+    table[pair.opp_ids[-1]] = next(p for p in sorted(table) if not psp.lines[at_inf].mask >> p & 1)
     monkeypatch.setattr(cm, "inf_point", tuple(table))
     with pytest.raises(NotARegulusError):
         lift_to_projective(pair)
     monkeypatch.undo()
-    monkeypatch.setattr(cm, "inf_lines", cm.inf_lines & ~(1 << psp.index_of(at_inf)))
+    monkeypatch.setattr(cm, "inf_lines", cm.inf_lines & ~(1 << at_inf))
     with pytest.raises(WrongCountError):
         lift_to_projective(pair)
 
@@ -392,18 +471,18 @@ def test_affine_enumeration_checks_and_lifts_each_quadric_once(monkeypatch, q, q
     its one projective grid check, per quadric."""
     checks = {"AffSpace": 0, "ProjSpace": 0}
     lifts = []
-    real_check, real_lift = reguli._check_regulus_pair, reguli._lift
+    real_check, real_lift = reguli._check_regulus_pair, reguli.lift_to_projective
 
     def check(space, fam, opp):
         checks[type(space).__name__] += 1
         return real_check(space, fam, opp)
 
-    def lift(cm, r_ids, opp_ids):
-        lifts.append(tuple(r_ids))
-        return real_lift(cm, r_ids, opp_ids)
+    def lift(pair):
+        lifts.append(pair.r_ids)
+        return real_lift(pair)
 
     monkeypatch.setattr(reguli, "_check_regulus_pair", check)
-    monkeypatch.setattr(reguli, "_lift", lift)
+    monkeypatch.setattr(reguli, "lift_to_projective", lift)
     pairs = enumerate_affine_reguli(aff_space(3, field_make(q)))
     assert len(pairs) == 2 * quadrics
     assert checks == {"AffSpace": quadrics, "ProjSpace": quadrics}
@@ -411,15 +490,17 @@ def test_affine_enumeration_checks_and_lifts_each_quadric_once(monkeypatch, q, q
 
 
 def test_affine_enumeration_lifts_match_lift_to_projective():
-    """The enumeration's lift of each quadric is the lift_to_projective of
-    its pair."""
-    sp = aff_space(3, field_make(3))
-    cm = sp.closure
+    """The enumeration lifts one orientation of each quadric, which covers
+    the other: the lift of the swapped pair is the swap of the lift, and
+    without its lines at infinity each lift gives back its pair, while
+    the swapped lift does not."""
     for pair in _affine_reguli(3)[::97]:
-        lifted, _ = lift_to_projective(pair)
-        ids = [sp.index_of(l) for l in pair.r_lines], [sp.index_of(l) for l in pair.opp_lines]
-        assert reguli._lift(cm, *ids) == lifted
-        assert reguli._finite_parts(lifted, cm) == (pair.r_lines, pair.opp_lines)
+        lifted = lift_to_projective(pair)
+        assert lift_to_projective(pair.swap()) == lifted.swap()
+        reguli._check_lift(pair, lifted)
+        reguli._check_lift(pair.swap(), lifted.swap())
+        with pytest.raises(NotARegulusError, match="not the affine pair"):
+            reguli._check_lift(pair, lifted.swap())
 
 
 # -- the three-vector construction ------------------------------------------------------
@@ -435,7 +516,7 @@ def test_construct_from_independent_vectors(q, n):
             if len(row_basis(sp.field, vs)) == 3:
                 break
         pair = affine_regulus_construct(sp, *vs)
-        assert len(pair.r_lines) == q and len(pair.opp_lines) == q
+        assert len(pair.r_ids) == q and len(pair.opp_ids) == q
         _assert_regulus_grid(pair)
 
 
@@ -450,7 +531,7 @@ def test_families_lie_in_parallel_planes():
     in pairwise distinct cosets of it."""
     sp = aff_space(3, field_make(3))
     pair = affine_regulus_construct(sp, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for family in (pair.r_lines, pair.opp_lines):
+    for family in (_lines(sp, pair.r_ids), _lines(sp, pair.opp_ids)):
         dirs = row_basis(sp.field, tuple(l.dir for l in family))
         assert len(dirs) == 2
         host_planes = set()
@@ -471,20 +552,19 @@ def test_families_lie_in_parallel_planes():
 def test_classify_two_opposites_over_gf2():
     sp = aff_space(3, field_make(2))
     pair = enumerate_affine_reguli(sp)[0]
-    cls = classify_skew_family(sp, pair.r_lines)
+    cls = classify_skew_family(sp, _lines(sp, pair.r_ids))
     assert cls.case == 1
     assert len(cls.pairs) == 2  # a skew pair over GF(2) has exactly two opposites
-    opposites = {p.opp_lines for p in cls.pairs}
-    assert pair.opp_lines in opposites
+    opposites = {p.opp_ids for p in cls.pairs}
+    assert pair.opp_ids in opposites
 
 
 def test_classify_case1_q3():
     sp = aff_space(3, field_make(3))
     pair = _affine_reguli(3)[0]
-    cls = classify_skew_family(sp, pair.r_lines)
+    cls = classify_skew_family(sp, _lines(sp, pair.r_ids))
     assert cls.case == 1
-    assert len(cls.pairs) == 1
-    assert cls.pairs[0].opp_lines == pair.opp_lines
+    assert cls.pairs == (pair,)
 
 
 def test_classify_case2_q3():
@@ -505,7 +585,7 @@ def test_classify_wrong_count_rejected():
     sp = aff_space(3, field_make(3))
     pair = _affine_reguli(3)[0]
     with pytest.raises(WrongCountError):
-        classify_skew_family(sp, pair.r_lines[:2])
+        classify_skew_family(sp, _lines(sp, pair.r_ids[:2]))
 
 
 # -- hyperplane cuts ---------------------------------------------------------------------
@@ -519,10 +599,10 @@ def test_restriction_census_q2():
         out = regulus_restriction(pair, hyp)
         kinds[out.kind] += 1
         if out.kind == "affine_regulus":
-            assert len(out.pair.r_lines) == 2
+            assert len(out.pair.r_ids) == 2
         elif out.kind == "wdbplus2":
-            assert len(out.config.r_lines) == 3
-            assert len(out.config.opp_lines) == 3
+            assert len(out.config.r_ids) == 3
+            assert len(out.config.opp_ids) == 3
     assert kinds == {"affine_regulus": 9, "wdbplus2": 6, "not_restrictable": 0}
 
 
@@ -548,9 +628,10 @@ def test_restriction_roundtrip_with_classify():
         out = regulus_restriction(pair, hyp)
         if out.kind != "affine_regulus":
             continue
-        cls = classify_skew_family(out.pair.space, out.pair.r_lines)
+        asp = out.pair.space
+        cls = classify_skew_family(asp, _lines(asp, out.pair.r_ids))
         assert cls.case == 1
-        assert cls.pairs[0].opp_lines == out.pair.opp_lines
+        assert cls.pairs == (out.pair,)
         break
     else:
         pytest.fail("no tangent hyperplane found")
