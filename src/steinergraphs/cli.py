@@ -291,6 +291,8 @@ def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
     }
     seen = {(p.r_ids, p.opp_ids) for p in pairs}
     cert.check("swap_closed", all((p.opp_ids, p.r_ids) in seen for p in pairs))
+    expected = args.q ** 4 * (args.q ** 3 - 1) * (args.q ** 2 + 1)
+    cert.check("count_matches_formula", len(pairs) == expected, {"expected": expected})
 
 
 def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:

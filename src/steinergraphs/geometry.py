@@ -47,8 +47,8 @@ from .errors import (
 )
 from .gf import Field
 
-MAX_POINTS = 100_000
-MAX_LINES = 200_000
+# points x lines: the line masks' bits, at least twice pair_line's entries
+MAX_INCIDENCES = 2_000_000
 
 Vec = tuple[int, ...]
 
@@ -142,11 +142,13 @@ class Flat:
 class _Space:
     """Point and line tables of a space, built lazily and once.
 
-    A subclass supplies its point table, its closed-form line count, the
-    canonical key and sorted point ids of the line through two points,
-    and its line object.  The pair loop here builds ``lines`` in key
-    order and checks their number against the closed form; ``line_index``
-    (key to index), ``pair_line`` and ``lines_at`` are read off them.
+    A subclass supplies its point table, its closed-form point and line
+    counts, the canonical key and sorted point ids of the line through
+    two points, and its line object.  Before any table is built, the
+    product of the two counts is held to MAX_INCIDENCES.  The pair loop
+    here builds ``lines`` in key order and checks their number against
+    the closed form; ``line_index`` (key to index), ``pair_line`` and
+    ``lines_at`` are read off them.
     """
 
     def __init__(self, n: int, field: Field):
@@ -167,6 +169,9 @@ class _Space:
 
     @cached_property
     def points(self) -> tuple[Vec, ...]:
+        npts, nlines = self._point_count(), self._line_count()
+        if npts * nlines > MAX_INCIDENCES:
+            raise LimitExceededError(f"{npts} points x {nlines} lines exceeds limit {MAX_INCIDENCES}")
         return self._point_table()
 
     @cached_property
@@ -177,8 +182,6 @@ class _Space:
     def lines(self) -> tuple:
         pts = self.points
         expected = self._line_count()
-        if expected > MAX_LINES:
-            raise LimitExceededError(f"{expected} lines exceeds limit {MAX_LINES}")
         ids_of = {}
         covered = set()
         for i in range(len(pts)):
@@ -224,14 +227,15 @@ class _Space:
 class ProjSpace(_Space):
     """PG(n, q): points are normalised nonzero vectors of length n + 1."""
 
+    def _point_count(self) -> int:
+        q, n = self.field.q, self.n
+        return (q ** (n + 1) - 1) // (q - 1)
+
     def _point_table(self) -> tuple[Vec, ...]:
         q, n, f = self.field.q, self.n, self.field
-        count = (q ** (n + 1) - 1) // (q - 1)
-        if count > MAX_POINTS:
-            raise LimitExceededError(f"{count} points exceeds limit {MAX_POINTS}")
         pts = {f.normalize_row(vec) for vec in product(range(q), repeat=n + 1) if any(vec)}
-        if len(pts) != count:
-            raise WrongCountError(f"{len(pts)} points, expected {count}")
+        if len(pts) != self._point_count():
+            raise WrongCountError(f"{len(pts)} points, expected {self._point_count()}")
         return tuple(sorted(pts))
 
     def _line_count(self) -> int:
@@ -269,11 +273,11 @@ class ProjSpace(_Space):
 class AffSpace(_Space):
     """AG(n, q): points are all vectors of length n, in lexicographic order."""
 
+    def _point_count(self) -> int:
+        return self.field.q ** self.n
+
     def _point_table(self) -> tuple[Vec, ...]:
-        q, n = self.field.q, self.n
-        if q**n > MAX_POINTS:
-            raise LimitExceededError(f"{q ** n} points exceeds limit {MAX_POINTS}")
-        return tuple(product(range(q), repeat=n))
+        return tuple(product(range(self.field.q), repeat=self.n))
 
     def _line_count(self) -> int:
         q, n = self.field.q, self.n

@@ -25,12 +25,15 @@ says whether the families are parallel, which happens only in AG,
 where they are two parallel classes of one plane.  _check_regulus_pair
 is the grid check with parallel families rejected; the grid implies
 the span, so it takes no rank.
+Line meets are read off the block graph's adjacency rows, the one meet
+table: the transversals of disjoint lines are the AND of their rows.
 regulus_through and enumerate_reguli both take the opposite family as
 the transversals of three skew lines and the family as those of three
-opposite lines.  A hyperplane cut maps line indices through the
-restriction's ``aff_index``, and the projective lift of an affine pair
-maps them through the closure's tables: closures, points at infinity
-and the lines at infinity.  classify_skew_family and
+opposite lines; the enumeration keys families by mask and converts them
+to index tuples once, at the end.  A hyperplane cut maps line indices
+through the restriction's ``aff_index``, and the projective lift of an
+affine pair maps them through the closure's tables: closures, points at
+infinity and the lines at infinity.  classify_skew_family and
 enumerate_affine_reguli build the affine pairs through a skew triple (a
 pair over GF(2)) by one rule; the enumeration finds each quadric once
 and checks and lifts it once.
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from . import linalg
-from .designs import bit_indices
+from .designs import bit_indices, block_graph_of
 from .errors import (
     DependentVectorsError,
     LimitExceededError,
@@ -132,25 +135,28 @@ def _require_skew(space, lines) -> None:
 
 
 def _skew_masks(space) -> list[int]:
-    """For each line, the bitmask of the line indices skew to it."""
-    lines = space.lines
-    affine = isinstance(space, AffSpace)
-    return [
-        sum(1 << j for j, b in enumerate(lines) if not (a.mask & b.mask or affine and a.dir == b.dir))
-        for a in lines
-    ]
+    """For each line, the mask of the lines skew to it: the complement of
+    its meet row, less its class, keyed by direction in AG (its parallel
+    class) and by index in PG (the line alone)."""
+    keys = [getattr(ln, "dir", t) for t, ln in enumerate(space.lines)]
+    classes: dict = {}
+    for t, key in enumerate(keys):
+        classes[key] = classes.get(key, 0) | 1 << t
+    full = (1 << len(keys)) - 1
+    return [full & ~(row | classes[key]) for row, key in zip(block_graph_of(space).adj, keys)]
 
 
 # -- projective constructions --------------------------------------------------
 
 
 def _transversal_ids(space, a, b, rest=()) -> tuple[int, ...]:
-    """Ascending indices of the lines joining a point of line a to a
-    point of line b that meet every line of rest, all by line index."""
-    pair_line, lines = space.pair_line, space.lines
-    ids = {pair_line[(p, p2) if p < p2 else (p2, p)] for p in lines[a].points for p2 in lines[b].points}
-    masks = [lines[t].mask for t in rest]
-    return tuple(sorted(t for t in ids if all(lines[t].mask & m for m in masks)))
+    """Ascending indices of the lines meeting the disjoint lines a and b
+    and every line of rest: the AND of their rows in the block graph."""
+    adj = block_graph_of(space).adj
+    common = adj[a] & adj[b]
+    for t in rest:
+        common &= adj[t]
+    return tuple(bit_indices(common))
 
 
 def _check_grid(space, fam, opp) -> bool:
@@ -233,35 +239,42 @@ def regulus_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, l3: ProjLine) 
 
 def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
     """Every regulus pair of a 3-dimensional projective space, both
-    orientations of each underlying quadric, sorted canonically.  Each
-    quadric is checked once: the pair check is symmetric in its two
-    families, so it covers the swapped orientation too."""
+    orientations of each underlying quadric, sorted canonically.  For
+    each skew pair i < j, the k of a regulus found through i, j, k are
+    cleared from the candidates.  Each quadric is checked once: the pair
+    check is symmetric in its two families, so it covers the swapped
+    orientation too."""
     if space.n != 3:
         raise WrongCountError("regulus enumeration needs a 3-dimensional space")
-    if space.field.q > MAX_ENUM_Q:
+    q = space.field.q
+    if q > MAX_ENUM_Q:
         raise LimitExceededError(f"regulus enumeration limited to q <= {MAX_ENUM_Q}")
-    pmask = [ln.mask for ln in space.lines]
+    adj = block_graph_of(space).adj
     skew = _skew_masks(space)
-    by_family: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # each family and its opposite as line masks, keyed both ways round
+    by_family: dict[int, int] = {}
     for i, si in enumerate(skew):
+        si &= -2 << i
         for j in bit_indices(si):
-            if j <= i:
-                continue
-            tij = _transversal_ids(space, i, j)
-            for k in bit_indices(si & skew[j]):
-                if k <= j:
-                    continue
-                opp = tuple(t for t in tij if pmask[t] & pmask[k])
-                if opp in by_family:
-                    continue
-                fam = _transversal_ids(space, opp[0], opp[1], (opp[2],))
-                if not (i in fam and j in fam and k in fam):
-                    raise NotARegulusError(f"lines {i}, {j}, {k} are not in their regulus")
-                by_family[fam] = opp
-                by_family[opp] = fam
+            tij = adj[i] & adj[j]
+            cand = si & skew[j] & -2 << j
+            while cand:
+                k = (cand & -cand).bit_length() - 1
+                opp = tij & adj[k]
+                fam = by_family.get(opp)
+                if fam is None:
+                    if opp.bit_count() != q + 1:
+                        raise WrongCountError(f"lines {i}, {j}, {k} have {opp.bit_count()} transversals")
+                    a, b, c = bit_indices(opp)[:3]
+                    fam = adj[a] & adj[b] & adj[c]
+                    if not fam >> i & fam >> j & fam >> k & 1:
+                        raise NotARegulusError(f"lines {i}, {j}, {k} are not in their regulus")
+                    by_family[fam] = opp
+                    by_family[opp] = fam
+                cand &= ~fam
+    ids = {m: tuple(bit_indices(m)) for m in by_family}
     out = []
-    for fam in sorted(by_family):
-        opp = by_family[fam]
+    for fam, opp in sorted((ids[f], ids[o]) for f, o in by_family.items()):
         if fam < opp:
             _check_regulus_pair(space, fam, opp)
         out.append(RegulusPair(fam, opp, space))
@@ -348,18 +361,17 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> RegulusPair:
     return pair
 
 
-def _affine_regulus_ids(space: AffSpace, ids, tij=None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _affine_regulus_ids(space: AffSpace, ids) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The affine pairs (family, opposite), as ascending line indices,
     whose family holds the ascending skew lines ``ids``: over GF(2) a
     pair, whose two opposites are the skew pairs among its four
     transversals; for q >= 3 a triple with collinear points at infinity,
     whose opposite is its transversals, and for q >= 4 the family those
-    of three opposite lines.  ``tij``: transversals of ids[0], ids[1]."""
+    of three opposite lines."""
     lines = space.lines
     q = space.field.q
-    if tij is None:
-        tij = _transversal_ids(space, ids[0], ids[1])
     if q == 2:
+        tij = _transversal_ids(space, ids[0], ids[1])
         if len(tij) != 4:
             raise WrongCountError(f"{len(tij)} transversals of a skew pair, expected 4")
         opps = [
@@ -369,8 +381,7 @@ def _affine_regulus_ids(space: AffSpace, ids, tij=None) -> list[tuple[tuple[int,
         if len(opps) != 2:
             raise WrongCountError(f"{len(opps)} opposites of a skew pair over GF(2), expected 2")
         return [(tuple(ids), opp) for opp in opps]
-    kmask = lines[ids[2]].mask
-    opp = tuple(t for t in tij if lines[t].mask & kmask)
+    opp = _transversal_ids(space, ids[0], ids[1], ids[2:])
     if len(opp) != q:
         # three skew lines of one 3-flat with collinear points at infinity have q
         raise NotCoplanarError(f"{len(opp)} transversals of three skew lines, expected {q}")
@@ -447,13 +458,10 @@ def enumerate_affine_reguli(space: AffSpace) -> tuple[RegulusPair, ...]:
                     continue
                 a, b = sorted((cm.inf_point[i], cm.inf_point[j]))
                 coplanar = sum(with_inf[p] for p in ps.lines[ps.pair_line[(a, b)]].points)
-                tij = None
                 for k in bit_indices(si & skew[j] & coplanar):
                     if k <= j or covered.get((i, j), 0) >> k & 1:
                         continue
-                    if tij is None:
-                        tij = _transversal_ids(space, i, j)
-                    [(fam, opp)] = _affine_regulus_ids(space, (i, j, k), tij)
+                    [(fam, opp)] = _affine_regulus_ids(space, (i, j, k))
                     for family in (fam, opp):
                         fmask = sum(1 << t for t in family)
                         for pr in combinations(family, 2):

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from steinergraphs import cli
+from steinergraphs import cli, geometry
 from steinergraphs.designs import PACKED_TABLE_BITS, affine_design, cached_block_graph, projective_design
 from steinergraphs.eigenfunctions import search_min_support
 from steinergraphs.reguli import RegulusPair
@@ -639,3 +639,22 @@ def test_pinned_result_digest(capsys, name):
     assert all(c["passed"] for c in cert["checks"])
     blob = json.dumps(cert["result"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("space", ["proj", "aff"])
+def test_points_times_lines_limit_refuses_before_any_table(space, monkeypatch, capsys):
+    """PG(2,257) and AG(2,257) have about 66,000 points and as many
+    lines, past the points x lines limit: geometry exits 3 from the
+    closed-form counts, without building the point table (patched here
+    to fail) or any table after it."""
+
+    def no_table(self):
+        raise AssertionError("a point table was built")
+
+    monkeypatch.setattr(geometry.ProjSpace, "_point_table", no_table)
+    monkeypatch.setattr(geometry.AffSpace, "_point_table", no_table)
+    code = cli.main(["geometry", "--space", space, "--n", "2", "--q", "257"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"exceeds limit {geometry.MAX_INCIDENCES}" in captured.err

@@ -17,7 +17,7 @@ from itertools import combinations
 import pytest
 
 from steinergraphs import reguli
-from steinergraphs.designs import affine_design, cached_block_graph
+from steinergraphs.designs import affine_design, bit_indices, block_graph_of, cached_block_graph
 from steinergraphs.eigenfunctions import enumerate_complete_bipartite
 from steinergraphs.errors import (
     DependentVectorsError,
@@ -104,6 +104,65 @@ def test_common_transversals_count():
             for i in ids:
                 assert (sp.lines[t].mask & sp.lines[i].mask).bit_count() == 1
         assert regulus_through(sp, *_proj_lines(sp)).opp_ids == trans
+
+
+def _transversals_by_point_pairs(space, a, b, rest=()):
+    """Reference: the lines joining a point of line a to a point of line
+    b, by pair_line, that meet every line of rest."""
+    lines, pair_line = space.lines, space.pair_line
+    ids = {pair_line[(min(p, p2), max(p, p2))] for p in lines[a].points for p2 in lines[b].points}
+    return tuple(sorted(t for t in ids if all(lines[t].mask & lines[r].mask for r in rest)))
+
+
+@pytest.mark.parametrize("make,n,q", [(proj_space, 3, 2), (proj_space, 3, 3), (aff_space, 3, 3), (aff_space, 4, 2)])
+def test_meet_rows_and_skew_masks_match_point_masks(make, n, q):
+    """The one meet table, the block graph's adjacency rows: lines i != j
+    meet iff their point masks intersect, and the skew masks hold the
+    lines that neither meet nor (in AG) are parallel."""
+    sp = make(n, field_make(q))
+    adj = block_graph_of(sp).adj
+    skew = reguli._skew_masks(sp)
+    for i, a in enumerate(sp.lines):
+        for j, b in enumerate(sp.lines):
+            meet = i != j and bool(a.mask & b.mask)
+            parallel = make is aff_space and a.dir == b.dir
+            assert adj[i] >> j & 1 == meet
+            assert skew[i] >> j & 1 == (i != j and not meet and not parallel)
+
+
+@pytest.mark.parametrize("make", [proj_space, aff_space])
+@pytest.mark.parametrize("q", [2, 3])
+def test_transversals_match_point_pair_reference(make, q):
+    """Seeded property: the meet-row transversals of skew pairs and skew
+    triples of PG(3,q) and AG(3,q) are the lines through their point
+    pairs."""
+    sp = make(3, field_make(q))
+    skew = reguli._skew_masks(sp)
+    rng = random.Random(1000 * q + len(sp.lines))
+    triples = 0
+    for _ in range(300):
+        a = rng.randrange(len(sp.lines))
+        b = rng.choice(bit_indices(skew[a]))
+        assert _transversal_ids(sp, a, b) == _transversals_by_point_pairs(sp, a, b)
+        third = bit_indices(skew[a] & skew[b])
+        if third:
+            c = (rng.choice(third),)
+            assert _transversal_ids(sp, a, b, c) == _transversals_by_point_pairs(sp, a, b, c)
+            triples += 1
+    assert triples > 100
+
+
+def test_enumerate_reguli_is_regulus_through_every_skew_triple():
+    """The enumeration of PG(3,2) is the set of regulus_through over
+    every pairwise skew triple, deduplicated and sorted."""
+    sp = proj_space(3, field_make(2))
+    lines = sp.lines
+    found = {
+        regulus_through(sp, a, b, c)
+        for a, b, c in combinations(lines, 3)
+        if not (a.mask & b.mask or a.mask & c.mask or b.mask & c.mask)
+    }
+    assert sorted(found, key=lambda p: (p.r_ids, p.opp_ids)) == list(enumerate_reguli(sp))
 
 
 # -- the families are line indices ------------------------------------------------------
