@@ -36,8 +36,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import designs, eigenfunctions, geometry, partitions, reguli
-from .designs import _field_of, srg_params_brute, wdb
+from . import designs, eigenfunctions, geometry, gf, partitions, reguli
+from .designs import srg_params_brute, wdb
 from .errors import DimensionMismatchError, LimitExceededError, NotAnEigenfunctionError, NotEquitableError, SteinerError
 
 SCHEMA_VERSION = "sv1"
@@ -47,7 +47,7 @@ SCHEMA_VERSION = "sv1"
 
 
 def _space_of(kind: str, n: int, q: int):
-    field = _field_of(q)
+    field = gf.field_of_order(q)
     if kind == "proj":
         return geometry.proj_space(n, field)
     return geometry.aff_space(n, field)
@@ -187,12 +187,7 @@ class _Cert:
 def _cmd_geometry(args, cert: _Cert) -> None:
     space = _space_of(args.space, args.n, args.q)
     q, n = args.q, args.n
-    if args.space == "proj":
-        npts = (q ** (n + 1) - 1) // (q - 1)
-        nlin = (q ** (n + 1) - 1) * (q ** n - 1) // ((q ** 2 - 1) * (q - 1))
-    else:
-        npts = q ** n
-        nlin = q ** (n - 1) * (q ** n - 1) // (q - 1)
+    npts, nlin = space.point_count(), space.line_count()
     cert.result = {
         "space": f"{'PG' if args.space == 'proj' else 'AG'}({n},{q})",
         "num_points": len(space.points),

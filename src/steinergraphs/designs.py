@@ -30,7 +30,7 @@ from .errors import (
     SymmetricDesignError,
 )
 from .geometry import ProjSpace, aff_space, proj_space
-from .gf import field_make
+from .gf import field_of_order
 
 
 # bits of packed adjacency rows that one graph keeps, over all widths (16 MiB)
@@ -84,7 +84,7 @@ def projective_design(n: int, q_or_field) -> Design:
     """Steiner system of the lines of PG(n, q)."""
     if n < 2:
         raise ValueError("projective design needs n >= 2")
-    field = q_or_field if hasattr(q_or_field, "q") else _field_of(q_or_field)
+    field = q_or_field if hasattr(q_or_field, "q") else field_of_order(q_or_field)
     return _design_on(proj_space(n, field))
 
 
@@ -92,22 +92,8 @@ def affine_design(n: int, q_or_field) -> Design:
     """Steiner system of the lines of AG(n, q)."""
     if n < 3:
         raise ValueError("affine design needs n >= 3")
-    field = q_or_field if hasattr(q_or_field, "q") else _field_of(q_or_field)
+    field = q_or_field if hasattr(q_or_field, "q") else field_of_order(q_or_field)
     return _design_on(aff_space(n, field))
-
-
-def _field_of(q: int):
-    for p in range(2, q + 1):
-        k = 0
-        qq = q
-        while qq % p == 0:
-            qq //= p
-            k += 1
-        if qq == 1 and k >= 1:
-            return field_make(p, k)
-        if q % p == 0:
-            break
-    raise ValueError(f"{q} is not a prime power")
 
 
 class Graph:

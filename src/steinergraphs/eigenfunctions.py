@@ -31,7 +31,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Mapping
 
@@ -81,16 +81,6 @@ class Eigenfunction:
 
     def value(self, u: int) -> Fraction:
         return self.values.get(u, Fraction(0))
-
-    def canonical(self) -> Eigenfunction:
-        """Primitive integer representative of the ray, first nonzero
-        value positive."""
-        scale = lcm(*(x.denominator for x in self.values.values()))
-        ints = {u: int(x * scale) for u, x in self.values.items()}
-        g = gcd(*ints.values())
-        if ints[self.support[0]] < 0:
-            g = -g
-        return Eigenfunction(self.graph, self.theta, {u: n // g for u, n in ints.items()})
 
     def __neg__(self) -> Eigenfunction:
         return Eigenfunction(self.graph, self.theta, {u: -x for u, x in self.values.items()})

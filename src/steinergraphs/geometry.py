@@ -169,7 +169,7 @@ class _Space:
 
     @cached_property
     def points(self) -> tuple[Vec, ...]:
-        npts, nlines = self._point_count(), self._line_count()
+        npts, nlines = self.point_count(), self.line_count()
         if npts * nlines > MAX_INCIDENCES:
             raise LimitExceededError(f"{npts} points x {nlines} lines exceeds limit {MAX_INCIDENCES}")
         return self._point_table()
@@ -181,7 +181,7 @@ class _Space:
     @cached_property
     def lines(self) -> tuple:
         pts = self.points
-        expected = self._line_count()
+        expected = self.line_count()
         ids_of = {}
         covered = set()
         for i in range(len(pts)):
@@ -227,18 +227,18 @@ class _Space:
 class ProjSpace(_Space):
     """PG(n, q): points are normalised nonzero vectors of length n + 1."""
 
-    def _point_count(self) -> int:
+    def point_count(self) -> int:
         q, n = self.field.q, self.n
         return (q ** (n + 1) - 1) // (q - 1)
 
     def _point_table(self) -> tuple[Vec, ...]:
         q, n, f = self.field.q, self.n, self.field
         pts = {f.normalize_row(vec) for vec in product(range(q), repeat=n + 1) if any(vec)}
-        if len(pts) != self._point_count():
-            raise WrongCountError(f"{len(pts)} points, expected {self._point_count()}")
+        if len(pts) != self.point_count():
+            raise WrongCountError(f"{len(pts)} points, expected {self.point_count()}")
         return tuple(sorted(pts))
 
-    def _line_count(self) -> int:
+    def line_count(self) -> int:
         q, n = self.field.q, self.n
         return (q ** (n + 1) - 1) * (q ** n - 1) // ((q ** 2 - 1) * (q - 1))
 
@@ -273,13 +273,13 @@ class ProjSpace(_Space):
 class AffSpace(_Space):
     """AG(n, q): points are all vectors of length n, in lexicographic order."""
 
-    def _point_count(self) -> int:
+    def point_count(self) -> int:
         return self.field.q ** self.n
 
     def _point_table(self) -> tuple[Vec, ...]:
         return tuple(product(range(self.field.q), repeat=self.n))
 
-    def _line_count(self) -> int:
+    def line_count(self) -> int:
         q, n = self.field.q, self.n
         return q ** (n - 1) * (q**n - 1) // (q - 1)
 

@@ -18,23 +18,24 @@ Moduli produced for the first few extension fields:
     GF(25) : x^2 + 2
     GF(27) : x^3 + 2x + 1
 
-Elements are validated where they enter: the scalar operations check
-every operand, and ``check_row`` checks a whole row in one pass.  The
-row operations (``scale_row``, ``normalize_row``, ``add_rows``,
-``sub_scaled_row``, ``dot``) trust their input and, for fields of order
-at most ``_TABLE_LIMIT`` only index addition, negation, multiplication
-and inverse tables built once per field; above that they compute with
-base-p digits and polynomial products.  Callers never branch on field
-size.
+Every field keeps full addition, negation, multiplication and inverse
+tables, built once when it is made, and all arithmetic reads them.
+Elements are validated where they enter: ``check`` checks one element
+and ``check_row`` a whole row in one pass.  The row operations
+(``scale_row``, ``normalize_row``, ``add_rows``, ``sub_scaled_row``,
+``dot``) trust their input and only index the tables.
+
+Orders above ``MAX_ORDER`` (256) are refused.  No space within the
+points x lines limit of ``geometry`` needs a larger field: the
+smallest spaces over GF(q), PG(2,q) and AG(2,q), pass that limit beyond
+q = 37.  The q x q tables of GF(256) take well under a second to build.
 """
 
 from __future__ import annotations
 
 from .errors import LimitExceededError, MixedFieldsError, NonPrimeError
 
-DEFAULT_ORDER_LIMIT = 1 << 20
-# up to this order, full q x q addition/multiplication tables are kept
-_TABLE_LIMIT = 256
+MAX_ORDER = 256
 
 
 def is_prime(p: int) -> bool:
@@ -123,40 +124,47 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 class Field:
     """The finite field GF(p^k) with a canonical modulus.
 
-    All operations take and return integer element indices.  Instances
+    Elements are integer indices.  The addition, negation, multiplication
+    and inverse tables are built once, in the constructor, so instances
     are immutable after construction and safe to share between threads
-    and worker processes.  The scalar operations raise
-    :class:`MixedFieldsError` on an operand that is not an element index;
-    the row operations trust their input (see the module docstring).
+    and worker processes.  There is no scalar arithmetic: ``check`` and
+    ``check_row`` validate elements where they enter, ``neg`` negates one
+    element, and the row operations trust their input (see the module
+    docstring).
     """
 
-    def __init__(self, p: int, k: int = 1, order_limit: int = DEFAULT_ORDER_LIMIT):
-        if not is_prime(p):
-            raise NonPrimeError(f"characteristic {p} is not prime")
+    def __init__(self, p: int, k: int = 1):
         if k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k}")
         q = p**k
-        if q > order_limit:
-            raise LimitExceededError(f"field order {q} exceeds limit {order_limit}")
+        if q > MAX_ORDER:
+            raise LimitExceededError(f"field order {q} exceeds limit {MAX_ORDER}")
+        if not is_prime(p):
+            raise NonPrimeError(f"characteristic {p} is not prime")
         self.p = p
         self.k = k
         self.q = q
-        self.modulus = _smallest_irreducible(p, k)
-        self._add_table = self._neg_table = self._mul_table = self._inv_table = None
-        if q <= _TABLE_LIMIT:
-            self._build_tables()
-
-    def _build_tables(self):
-        q = self.q
+        self.modulus = modulus = _smallest_irreducible(p, k)
         els = range(q)
-        self._add_table = tuple(tuple(self._add(a, b) for b in els) for a in els)
-        self._neg_table = tuple(self._neg(a) for a in els)
-        mul = [[0] * q for _ in els]
+        digits = [_digits(a, p, k) for a in els]
+        add = tuple(tuple(_index([(x + y) % p for x, y in zip(da, db)], p) for db in digits) for da in digits)
+        # b -> a*b is additive: with w = p^j the weight of the lowest
+        # nonzero digit of b, a*b = a*(b - w) + a*x^j
+        weight = [0] + [next(p**j for j in range(k) if d[j]) for d in digits[1:]]
+        mul = []
         for a in els:
-            for b in range(a, q):
-                mul[a][b] = mul[b][a] = self._mul(a, b)
-        self._mul_table = tuple(tuple(row) for row in mul)
-        self._inv_table = (0,) + tuple(mul[a].index(1) for a in range(1, q))
+            pa = _poly_trim(digits[a])
+            shifted = {
+                p**j: _index(_poly_mod(_poly_mul(pa, (0,) * j + (1,), p), modulus, p), p) for j in range(k)
+            }
+            row = [0] * q
+            for b in range(1, q):
+                row[b] = add[row[b - weight[b]]][shifted[weight[b]]]
+            mul.append(tuple(row))
+        self._add_table = add
+        self._neg_table = tuple(row.index(0) for row in add)
+        self._mul_table = tuple(mul)
+        self._inv_table = (0,) + tuple(row.index(1) for row in mul[1:])
 
     # -- identity ---------------------------------------------------------
 
@@ -191,89 +199,8 @@ class Field:
                 self.check(a)  # raises, unless a is an in-range int subclass
         return row
 
-    # -- unchecked arithmetic without tables: base-p digits, polynomials ----
-
-    def _add(self, a: int, b: int) -> int:
-        p = self.p
-        if self.k == 1:
-            return (a + b) % p
-        out = 0
-        weight = 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * weight
-            a //= p
-            b //= p
-            weight *= p
-        return out
-
-    def _neg(self, a: int) -> int:
-        p = self.p
-        if self.k == 1:
-            return (-a) % p
-        out = 0
-        weight = 1
-        for _ in range(self.k):
-            out += ((-a) % p) * weight
-            a //= p
-            weight *= p
-        return out
-
-    def _mul(self, a: int, b: int) -> int:
-        p = self.p
-        if self.k == 1:
-            return (a * b) % p
-        pa = _poly_trim(_digits(a, p, self.k))
-        pb = _poly_trim(_digits(b, p, self.k))
-        return _index(_poly_mod(_poly_mul(pa, pb, p), self.modulus, p), p)
-
-    def _pow(self, a: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul(out, a)
-            a = self._mul(a, a)
-            e >>= 1
-        return out
-
-    # -- checked scalar arithmetic -------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add(a, b)
-
     def neg(self, a: int) -> int:
-        self.check(a)
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        return self._neg(a)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul(a, b)
-
-    def inv(self, a: int) -> int:
-        self.check(a)
-        if a == 0:
-            raise ZeroDivisionError("finite field inverse of zero")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self._pow(a, self.q - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        self.check(a)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        return self._pow(a, e)
+        return self._neg_table[self.check(a)]
 
     # -- unchecked row arithmetic ----------------------------------------------
     #
@@ -282,11 +209,8 @@ class Field:
 
     def scale_row(self, c: int, row) -> tuple[int, ...]:
         """c * row."""
-        if self._mul_table is not None:
-            mc = self._mul_table[c]
-            return tuple([mc[x] for x in row])
-        mul = self._mul
-        return tuple([mul(c, x) for x in row])
+        mc = self._mul_table[c]
+        return tuple([mc[x] for x in row])
 
     def normalize_row(self, row) -> tuple[int, ...]:
         """The row scaled so its first nonzero entry is 1."""
@@ -297,49 +221,51 @@ class Field:
             raise ValueError("cannot normalise the zero vector")
         if lead == 1:
             return tuple(row)
-        if self._inv_table is not None:
-            return self.scale_row(self._inv_table[lead], row)
-        return self.scale_row(self._pow(lead, self.q - 2), row)
+        return self.scale_row(self._inv_table[lead], row)
 
     def add_rows(self, a, b) -> tuple[int, ...]:
         """a + b, entry by entry."""
-        if self._add_table is not None:
-            add = self._add_table
-            return tuple([add[x][y] for x, y in zip(a, b)])
-        _add = self._add
-        return tuple([_add(x, y) for x, y in zip(a, b)])
+        add = self._add_table
+        return tuple([add[x][y] for x, y in zip(a, b)])
 
     def sub_scaled_row(self, a, c: int, b) -> tuple[int, ...]:
         """a - c * b, entry by entry."""
-        if self._add_table is not None:
-            add = self._add_table
-            mc = self._mul_table[self._neg_table[c]]
-            return tuple([add[x][mc[y]] for x, y in zip(a, b)])
-        _add, _mul, nc = self._add, self._mul, self._neg(c)
-        return tuple([_add(x, _mul(nc, y)) for x, y in zip(a, b)])
+        add = self._add_table
+        mc = self._mul_table[self._neg_table[c]]
+        return tuple([add[x][mc[y]] for x, y in zip(a, b)])
 
     def dot(self, a, b) -> int:
         """sum_i a_i * b_i."""
+        add, mul = self._add_table, self._mul_table
         acc = 0
-        if self._add_table is not None:
-            add, mul = self._add_table, self._mul_table
-            for x, y in zip(a, b):
-                acc = add[acc][mul[x][y]]
-            return acc
-        _add, _mul = self._add, self._mul
         for x, y in zip(a, b):
-            acc = _add(acc, _mul(x, y))
+            acc = add[acc][mul[x][y]]
         return acc
 
 
 _FIELD_CACHE: dict[tuple[int, int], Field] = {}
 
 
-def field_make(p: int, k: int = 1, order_limit: int = DEFAULT_ORDER_LIMIT) -> Field:
+def field_make(p: int, k: int = 1) -> Field:
     """Return the canonical GF(p^k); repeated calls share one instance."""
-    key = (p, k)
-    f = _FIELD_CACHE.get(key)
-    if f is None or f.q > order_limit:
-        f = Field(p, k, order_limit)
-        _FIELD_CACHE[key] = f
+    f = _FIELD_CACHE.get((p, k))
+    if f is None:
+        f = _FIELD_CACHE[(p, k)] = Field(p, k)
     return f
+
+
+def field_of_order(q: int) -> Field:
+    """The canonical field of order q.  An order above MAX_ORDER is
+    refused before q is factored."""
+    if q > MAX_ORDER:
+        raise LimitExceededError(f"field order {q} exceeds limit {MAX_ORDER}")
+    for p in range(2, q + 1):
+        if q % p == 0:
+            k, rest = 0, q
+            while rest % p == 0:
+                rest //= p
+                k += 1
+            if rest == 1:
+                return field_make(p, k)
+            break
+    raise ValueError(f"{q} is not a prime power")

@@ -14,6 +14,7 @@ computational finding, not a theorem.
 from __future__ import annotations
 
 import time
+from math import gcd, lcm
 
 from steinergraphs.designs import (
     affine_design,
@@ -64,8 +65,14 @@ def _report(num: int, detail: str) -> None:
 
 
 def _ray_key(f):
-    c = f.canonical()
-    return tuple(sorted(c.values.items()))
+    """The primitive integer representative of the ray of f, first
+    nonzero value positive, as sorted (vertex, value) pairs."""
+    scale = lcm(*(x.denominator for x in f.values.values()))
+    ints = {u: int(x * scale) for u, x in f.values.items()}
+    g = gcd(*ints.values())
+    if ints[f.support[0]] < 0:
+        g = -g
+    return tuple(sorted((u, n // g) for u, n in ints.items()))
 
 
 def _wdbplus2_rays_q2():

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 from dataclasses import replace
 
 import pytest
 
-from steinergraphs import cli, geometry
+from steinergraphs import cli, geometry, gf
 from steinergraphs.designs import PACKED_TABLE_BITS, affine_design, cached_block_graph, projective_design
 from steinergraphs.eigenfunctions import search_min_support
 from steinergraphs.reguli import RegulusPair
@@ -643,18 +644,31 @@ def test_pinned_result_digest(capsys, name):
 
 @pytest.mark.parametrize("space", ["proj", "aff"])
 def test_points_times_lines_limit_refuses_before_any_table(space, monkeypatch, capsys):
-    """PG(2,257) and AG(2,257) have about 66,000 points and as many
-    lines, past the points x lines limit: geometry exits 3 from the
-    closed-form counts, without building the point table (patched here
-    to fail) or any table after it."""
+    """PG(2,41) has 1,723 points and as many lines, AG(2,41) 1,681
+    points and 1,722 lines, past the points x lines limit: geometry exits
+    3 from the closed-form counts, without building the point table
+    (patched here to fail) or any table after it."""
 
     def no_table(self):
         raise AssertionError("a point table was built")
 
     monkeypatch.setattr(geometry.ProjSpace, "_point_table", no_table)
     monkeypatch.setattr(geometry.AffSpace, "_point_table", no_table)
-    code = cli.main(["geometry", "--space", space, "--n", "2", "--q", "257"])
+    code = cli.main(["geometry", "--space", space, "--n", "2", "--q", "41"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert f"exceeds limit {geometry.MAX_INCIDENCES}" in captured.err
+
+
+@pytest.mark.parametrize("q", ["257", "1000000007"])
+def test_field_order_limit_exits_3_before_factoring(q, capsys):
+    """An order above gf.MAX_ORDER is refused before it is factored, so
+    even a large prime exits 3 at once."""
+    start = time.monotonic()
+    code = cli.main(["geometry", "--n", "2", "--q", q])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"field order {q} exceeds limit {gf.MAX_ORDER}" in captured.err
+    assert time.monotonic() - start < 1

@@ -89,15 +89,6 @@ def test_out_of_range_vertex_rejected(g_j2):
         Eigenfunction(g_j2, 3, {99: Fraction(1)})
 
 
-def test_canonical_ray_representative(g_j2):
-    f = Eigenfunction(g_j2, 3, {0: Fraction(-2, 3), 5: Fraction(4, 3)})
-    c = f.canonical()
-    assert [c.value(u) for u in c.support] == [1, -2]
-    g = Eigenfunction(g_j2, 3, {0: Fraction(5), 5: Fraction(-10)})
-    assert g.canonical() == c
-    assert c.canonical() == c
-
-
 def test_algebra(g_j2):
     f = Eigenfunction(g_j2, 3, {0: Fraction(1), 1: Fraction(2)})
     g = Eigenfunction(g_j2, 3, {1: Fraction(-2), 2: Fraction(1)})

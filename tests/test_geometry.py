@@ -34,16 +34,12 @@ from steinergraphs.geometry import (
     span_of_lines,
     vec_add,
 )
-from steinergraphs.gf import field_make
+from steinergraphs.gf import field_of_order
 from steinergraphs.linalg import rref
+from test_gf import Reference
 
 PROJ_CASES = [(2, 2), (3, 2), (3, 3), (2, 3), (3, 4), (4, 2)]
 AFF_CASES = [(2, 2), (3, 2), (3, 3), (2, 3), (3, 4), (4, 2)]
-
-
-def _field(q):
-    p, k = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}[q]
-    return field_make(p, k)
 
 
 # -- counts ------------------------------------------------------------------------
@@ -51,7 +47,7 @@ def _field(q):
 
 @pytest.mark.parametrize("n,q", PROJ_CASES)
 def test_projective_counts(n, q):
-    sp = proj_space(n, _field(q))
+    sp = proj_space(n, field_of_order(q))
     assert len(sp.points) == (q ** (n + 1) - 1) // (q - 1)
     expected_lines = (q ** (n + 1) - 1) * (q ** n - 1) // ((q ** 2 - 1) * (q - 1))
     assert len(sp.lines) == expected_lines
@@ -60,16 +56,16 @@ def test_projective_counts(n, q):
 
 @pytest.mark.parametrize("n,q", AFF_CASES)
 def test_affine_counts(n, q):
-    sp = aff_space(n, _field(q))
+    sp = aff_space(n, field_of_order(q))
     assert len(sp.points) == q ** n
     assert len(sp.lines) == q ** (n - 1) * (q ** n - 1) // (q - 1)
     assert all(len(l.points) == q for l in sp.lines)
 
 
 def test_hyperplane_count():
-    sp = proj_space(3, _field(2))
+    sp = proj_space(3, field_of_order(2))
     assert len(sp.hyperplanes) == 15
-    sp3 = proj_space(3, _field(3))
+    sp3 = proj_space(3, field_of_order(3))
     assert len(sp3.hyperplanes) == 40
 
 
@@ -78,7 +74,7 @@ def test_hyperplane_count():
 
 @pytest.mark.parametrize("make,n,q", [("proj", 3, 2), ("proj", 3, 3), ("aff", 3, 2), ("aff", 3, 3)])
 def test_every_point_pair_on_exactly_one_line(make, n, q):
-    f = _field(q)
+    f = field_of_order(q)
     sp = proj_space(n, f) if make == "proj" else aff_space(n, f)
     npts = len(sp.points)
     seen = {}
@@ -94,7 +90,7 @@ def test_every_point_pair_on_exactly_one_line(make, n, q):
 
 
 def test_line_through_matches_pair_line():
-    sp = proj_space(3, _field(2))
+    sp = proj_space(3, field_of_order(2))
     p1, p2 = sp.points[3], sp.points[11]
     line = sp.line_through(p1, p2)
     i1, i2 = sp.point_index[p1], sp.point_index[p2]
@@ -107,13 +103,13 @@ def test_line_through_matches_pair_line():
 
 
 def test_projective_point_normalisation():
-    f = _field(3)
+    f = field_of_order(3)
     assert normalize_point(f, (0, 2, 1)) == (0, 1, 2)
     assert normalize_point(f, (2, 1, 0)) == (1, 2, 0)
 
 
 def test_projective_line_basis_is_rref():
-    sp = proj_space(3, _field(3))
+    sp = proj_space(3, field_of_order(3))
     for line in sp.lines:
         echelon, rank, _ = rref(sp.field, line.basis)
         assert rank == 2
@@ -121,7 +117,7 @@ def test_projective_line_basis_is_rref():
 
 
 def test_affine_line_key_canonical():
-    sp = aff_space(3, _field(3))
+    sp = aff_space(3, field_of_order(3))
     for line in sp.lines:
         pts = [sp.points[i] for i in line.points]
         assert line.base == min(pts)
@@ -135,7 +131,7 @@ def test_affine_line_key_canonical():
 
 
 def test_line_from_basis_accepts_any_spanning_pair():
-    sp = proj_space(3, _field(2))
+    sp = proj_space(3, field_of_order(2))
     line = sp.lines[7]
     p, r = sp.points[line.points[0]], sp.points[line.points[2]]
     assert sp.line_from_basis((p, r)) is line
@@ -147,7 +143,7 @@ def test_line_from_basis_accepts_any_spanning_pair():
 def test_projective_relation_kinds():
     """Another line of PG(3,2) meets a given line in one point, the bit
     its mask shares with it, or is skew to it."""
-    sp = proj_space(3, _field(2))
+    sp = proj_space(3, field_of_order(2))
     counts = {"meet": 0, "skew": 0}
     l0 = sp.lines[0]
     for other in sp.lines[1:]:
@@ -162,7 +158,7 @@ def test_projective_relation_kinds():
 def test_affine_relation_kinds():
     """Another line of AG(3,2) meets a given line, or misses it with the
     same direction (parallel) or another one (skew)."""
-    sp = aff_space(3, _field(2))
+    sp = aff_space(3, field_of_order(2))
     l0 = sp.lines[0]
     counts = {"meet": 0, "parallel": 0, "skew": 0}
     for other in sp.lines[1:]:
@@ -173,7 +169,7 @@ def test_affine_relation_kinds():
 
 def test_point_table_count_checked(monkeypatch):
     """Unnormalised points overfill the table, also under python -O."""
-    f = _field(3)
+    f = field_of_order(3)
     monkeypatch.setattr(f, "normalize_row", tuple)
     with pytest.raises(WrongCountError, match="points"):
         geometry.ProjSpace(2, f).points
@@ -183,7 +179,7 @@ def test_line_image_checked():
     """A point map that is not a collineation is caught line by line: a
     private PG(2,2) whose point index swaps two points after its line
     table is built maps the identity matrix to a transposition."""
-    sp = geometry.ProjSpace(2, _field(2))
+    sp = geometry.ProjSpace(2, field_of_order(2))
     assert line_permutation(sp, ((1, 0, 0), (0, 1, 0), (0, 0, 1))) == tuple(range(7))
     idx = sp.point_index
     a, b = sp.points[:2]
@@ -196,13 +192,13 @@ def test_line_image_checked():
 
 
 def test_affine_plane_counts():
-    assert len(enumerate_planes(aff_space(3, _field(2)))) == 14
-    assert len(enumerate_planes(aff_space(3, _field(3)))) == 39
+    assert len(enumerate_planes(aff_space(3, field_of_order(2)))) == 14
+    assert len(enumerate_planes(aff_space(3, field_of_order(3)))) == 39
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_parallel_classes_partition_plane(q):
-    sp = aff_space(3, _field(q))
+    sp = aff_space(3, field_of_order(q))
     for plane in enumerate_planes(sp)[:5]:
         classes = parallel_classes(plane)
         assert len(classes) == q + 1
@@ -216,7 +212,7 @@ def test_parallel_classes_partition_plane(q):
 
 
 def test_span_of_lines():
-    sp = aff_space(3, _field(2))
+    sp = aff_space(3, field_of_order(2))
     l0 = sp.lines[0]
     same = span_of_lines(sp, [l0])
     assert same.dim == 1
@@ -231,7 +227,7 @@ def test_span_of_lines():
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_projective_closure_roundtrip(q):
-    asp = aff_space(3, _field(q))
+    asp = aff_space(3, field_of_order(q))
     cm = asp.closure
     psp = cm.pspace
     assert len(psp.points) == len(asp.points) + (q ** 3 - 1) // (q - 1)
@@ -256,7 +252,7 @@ def test_closure_line_table(n, q):
     """The closure table holds, for every affine line, the projective
     line through (1 : base) and (0 : dir); aff_index inverts it and has
     no entry for the lines at infinity.  The map is kept on its space."""
-    asp = aff_space(n, _field(q))
+    asp = aff_space(n, field_of_order(q))
     cm = asp.closure
     assert asp.closure is cm
     psp = cm.pspace
@@ -271,7 +267,7 @@ def test_closure_line_table(n, q):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_affine_restriction_roundtrip(q):
-    psp = proj_space(3, _field(q))
+    psp = proj_space(3, field_of_order(q))
     for hyp in psp.hyperplanes[:4]:
         rm = RestrictionMap(psp, hyp)
         f = psp.field
@@ -285,16 +281,18 @@ def test_affine_restriction_roundtrip(q):
 
 
 def _image(f, matrix, vec):
-    """The normalised row vector vec M, entry by entry with the checked
-    scalar operations: the reference point map of a basis change."""
+    """The normalised row vector vec M, entry by entry with the
+    polynomial reference arithmetic: the reference point map of a basis
+    change."""
+    ref = Reference(f)
     out = []
     for j in range(len(matrix[0])):
         acc = 0
         for i, x in enumerate(vec):
-            acc = f.add(acc, f.mul(x, matrix[i][j]))
+            acc = ref.add(acc, ref.mul(x, matrix[i][j]))
         out.append(acc)
     lead = next(x for x in out if x)
-    return tuple(f.mul(f.inv(lead), x) for x in out)
+    return tuple(ref.mul(ref.inv(lead), x) for x in out)
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2)])
@@ -302,7 +300,7 @@ def test_restriction_table_matches_pointwise_map(n, q):
     """For every hyperplane H, each affine line maps to the projective
     line holding the images (1 : x) M of its points plus one point of H,
     aff_index inverts that, and exactly the lines inside H have no entry."""
-    psp = proj_space(n, _field(q))
+    psp = proj_space(n, field_of_order(q))
     f, idx = psp.field, psp.point_index
     asp = aff_space(n, f)
     for hyp in psp.hyperplanes:
@@ -326,7 +324,7 @@ def test_restriction_table_matches_pointwise_map(n, q):
 
 
 def test_line_permutation_matches_pointwise_map():
-    psp = proj_space(3, _field(3))
+    psp = proj_space(3, field_of_order(3))
     m = ((1, 2, 0, 1), (0, 1, 1, 0), (0, 0, 2, 1), (0, 0, 0, 1))
     perm = line_permutation(psp, m)
     assert sorted(perm) == list(range(len(psp.lines)))
@@ -336,7 +334,7 @@ def test_line_permutation_matches_pointwise_map():
 
 
 def test_line_permutation_rejects_singular_matrix():
-    psp = proj_space(3, _field(2))
+    psp = proj_space(3, field_of_order(2))
     singular = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0))
     with pytest.raises(SteinerError, match="singular"):
         line_permutation(psp, singular)
@@ -346,7 +344,7 @@ def test_line_permutation_rejects_singular_matrix():
 
 def test_restriction_then_closure_identity():
     """Composing restriction with closure fixes every affine object."""
-    asp = aff_space(3, _field(2))
+    asp = aff_space(3, field_of_order(2))
     cm = asp.closure
     rm = RestrictionMap(cm.pspace, Hyperplane(normalize_point(cm.pspace.field, (1, 0, 0, 0))))
     for a in range(len(asp.lines)):
@@ -354,7 +352,7 @@ def test_restriction_then_closure_identity():
 
 
 def test_hyperplane_membership():
-    sp = proj_space(3, _field(2))
+    sp = proj_space(3, field_of_order(2))
     h = sp.hyperplanes[0]
     on = [p for p in sp.points if h.contains_point(sp.field, p)]
     assert len(on) == 7

@@ -26,6 +26,7 @@ from steinergraphs.linalg import (
     row_basis,
     rref,
 )
+from test_gf import Reference
 
 FIELDS = [field_make(2), field_make(3), field_make(2, 2), field_make(5), field_make(3, 2)]
 
@@ -35,16 +36,18 @@ def _random_matrix(f, rows, cols, rng):
 
 
 def _row_op_shuffle(f, rows, rng):
-    """Produce a different matrix with the same rowspace."""
+    """Produce a different matrix with the same rowspace, using the
+    polynomial reference arithmetic."""
+    ref = Reference(f)
     out = [list(r) for r in rows]
     for _ in range(8):
         i = rng.randrange(len(out))
         j = rng.randrange(len(out))
         c = rng.randrange(1, f.q)
         if i == j:
-            out[i] = [f.mul(c, x) for x in out[i]]
+            out[i] = [ref.mul(c, x) for x in out[i]]
         else:
-            out[i] = [f.add(x, f.mul(c, y)) for x, y in zip(out[i], out[j])]
+            out[i] = [ref.add(x, ref.mul(c, y)) for x, y in zip(out[i], out[j])]
     rng.shuffle(out)
     return tuple(tuple(r) for r in out)
 
