@@ -43,7 +43,7 @@ from steinergraphs.eigenfunctions import (
     optimal_from_regulus,
     verify_eigenfunction,
 )
-from steinergraphs.errors import MixedFieldsError
+from steinergraphs.errors import LimitExceededError, MixedFieldsError
 from steinergraphs.geometry import (
     RestrictionMap,
     _coset_rep,
@@ -51,7 +51,7 @@ from steinergraphs.geometry import (
     normalize_point,
     proj_space,
 )
-from steinergraphs.gf import field_make, field_of_order
+from steinergraphs.gf import MAX_ORDER, field_make, field_of_order
 from steinergraphs.linalg import rational_kernel, row_basis, rref
 from steinergraphs.partitions import Partition2, partition_to_eigenfunction, star_line_set
 from steinergraphs.reguli import enumerate_reguli
@@ -282,6 +282,20 @@ def test_rational_kernel_matches_sympy(rows):
 
 # every small order, plus the largest prime field and the largest field
 ROW_FIELDS = [field_of_order(q) for q in PRIME_POWERS] + [field_make(251), field_make(2, 8)]
+
+
+def test_row_fields_cover_both_branches():
+    # the row suites reach the order limit with a prime field and an
+    # extension field, each carrying all four tables; one step past the
+    # limit is refused for both kinds
+    assert all(len(f._mul_table) == len(f._inv_table) == f.q for f in ROW_FIELDS)
+    big = [f for f in ROW_FIELDS if f.q > max(PRIME_POWERS)]
+    assert {f.k > 1 for f in big} == {False, True}
+    assert max(f.q for f in big) == MAX_ORDER
+    with pytest.raises(LimitExceededError):
+        field_make(257)
+    with pytest.raises(LimitExceededError):
+        field_make(2, 9)
 
 
 @pytest.mark.parametrize("f", ROW_FIELDS, ids=lambda f: f"q{f.q}")
