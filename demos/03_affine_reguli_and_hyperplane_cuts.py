@@ -1,6 +1,12 @@
 """Affine reguli: the three-vector construction, the census of all
 pairs, and what happens when a projective regulus is cut by a plane.
 
+One enumeration lists the reguli of PG(3,q) and the affine pairs of
+AG(3,q) by one rule: three pairwise skew lines of AG(3,q) have q common
+transversals when their points at infinity are collinear, and these are
+the opposite family of one affine pair; otherwise they have q - 2 and
+lie in no pair.  Over GF(2) a family is a skew pair, with two opposites.
+
 Deleting a plane of PG(3,q) from a regulus pair leaves either an
 affine regulus (q + q lines, when the plane held one line of each
 family) or a (q+1) + (q+1) configuration whose sign function has
@@ -15,7 +21,7 @@ from steinergraphs.gf import field_make
 from steinergraphs.reguli import (
     affine_regulus_construct,
     classify_skew_family,
-    enumerate_affine_reguli,
+    enumerate_reguli,
     lift_to_projective,
     regulus_restriction,
     regulus_through,
@@ -25,7 +31,7 @@ from steinergraphs.reguli import (
 def main() -> None:
     for q in (2, 3):
         sp = aff_space(3, field_make(q))
-        pairs = enumerate_affine_reguli(sp)
+        pairs = enumerate_reguli(sp)
         formula = q ** 4 * (q ** 3 - 1) * (q + 1)
         print(f"AG(3,{q}): {len(pairs)} ordered affine regulus pairs (formula {formula})")
     print()
@@ -39,6 +45,9 @@ def main() -> None:
     print("  lifts to a projective regulus with one line of each family at infinity")
     cls = classify_skew_family(sp3, [sp3.lines[t] for t in pair.r_ids])
     print(f"  classifying S alone: case {cls.case}, {len(cls.pairs)} completion(s)")
+    keys = (((1, 0, 0), (0, 0, 0)), ((0, 1, 0), (0, 0, 1)), ((0, 0, 1), (1, 1, 0)))
+    cls = classify_skew_family(sp3, [sp3.line_from_key(*key) for key in keys])
+    print(f"  three skew lines with independent directions: case {cls.case}, {len(cls.pairs)} completion(s)")
     print()
 
     psp = proj_space(3, field_make(2))

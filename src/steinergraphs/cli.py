@@ -295,7 +295,7 @@ def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
     space = _space_of("aff", 3, args.q)
     q = args.q
     print(f"enumerating affine reguli of AG(3,{q})", file=sys.stderr)
-    pairs = reguli.enumerate_affine_reguli(space)
+    pairs = reguli.enumerate_reguli(space)
     expected = q ** 4 * (q ** 3 - 1) * (q + 1)
     table = _line_table(space)
     cert.result = {
@@ -388,24 +388,42 @@ def _cmd_wdbplus2(args, cert: _Cert) -> None:
     cert.check("verifies", bool(eigenfunctions.verify_eigenfunction(graph, f)))
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(u) is int for u in value)
+
+
+def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
+    """The checkpoint, functions and families of the certificate of an
+    interrupted run of the same search, each checked for its shape."""
+    with open(path) as fh:
+        prev = json.load(fh)
+    result = prev.get("result") if isinstance(prev, dict) else None
+    if not (isinstance(result, dict) and isinstance(prev.get("parameters"), dict)):
+        raise _UsageError(f"--resume {path} is not the certificate of a search")
+    keys = ("space", "n", "q", "theta", "size", "mode")
+    if prev.get("command") != cert.command or any(
+        prev["parameters"].get(k) != cert.parameters.get(k) for k in keys
+    ):
+        raise _UsageError(f"--resume {path} is a checkpoint of a different search")
+    checkpoint, functions, families = (result.get(k) for k in ("checkpoint", "functions", "families"))
+    done = checkpoint.get("done") if isinstance(checkpoint, dict) else None
+    entries = [e for v in (functions, families) if isinstance(v, list) for e in v]
+    if not (
+        isinstance(done, list) and all(map(_int_list, done))
+        and isinstance(functions, list) and isinstance(families, list)
+        and all(isinstance(e, dict) and _int_list(e.get("support")) for e in entries)
+        and all(isinstance(e.get("structure"), str) and isinstance(e.get("values"), list) for e in functions)
+        and all(isinstance(v, list) and len(v) == 2 and type(v[0]) is int and isinstance(v[1], str)
+                for e in functions for v in e["values"])
+    ):
+        raise _UsageError(f"--resume {path} holds no checkpoint of an interrupted search")
+    print(f"resuming from {path}: {len(done)} prefixes done", file=sys.stderr)
+    return {"done": [tuple(p) for p in done]}, functions, families
+
+
 def _cmd_search_support(args, cert: _Cert) -> None:
     graph = _graph_of(args.space, args.n, args.q)
-    resume = None
-    prior_functions: list[dict] = []
-    prior_families: list[dict] = []
-    if args.resume:
-        with open(args.resume) as fh:
-            prev = json.load(fh)
-        keys = ("space", "n", "q", "theta", "size", "mode")
-        if prev["command"] != cert.command or any(
-            prev["parameters"].get(k) != cert.parameters.get(k) for k in keys
-        ):
-            raise _UsageError(f"{args.resume} is a checkpoint of a different search")
-        prev_result = prev["result"]
-        resume = {"done": [tuple(p) for p in prev_result["checkpoint"]["done"]]}
-        prior_functions = prev_result["functions"]
-        prior_families = prev_result["families"]
-        print(f"resuming from {args.resume}: {len(resume['done'])} prefixes done", file=sys.stderr)
+    resume, prior_functions, prior_families = _resume_arg(args.resume, cert) if args.resume else (None, [], [])
     print(
         f"searching supports of size {args.size} at theta={args.theta} ({args.mode})",
         file=sys.stderr,
@@ -464,7 +482,7 @@ def _cmd_search_support(args, cert: _Cert) -> None:
     cert.check("all_new_functions_verify", verified)
     cert.check("complete", res.complete)
     if limit_hit:
-        raise _LimitSignal(cert)
+        raise _LimitSignal
 
 
 def _cmd_equitable(args, cert: _Cert) -> None:
@@ -564,9 +582,6 @@ def _named_line_set(args, space) -> tuple[int, ...]:
 
 class _LimitSignal(Exception):
     """Raised after a limited search has filled its certificate."""
-
-    def __init__(self, cert: _Cert):
-        self.cert = cert
 
 
 # -- argument parsing and dispatch ---------------------------------------------------

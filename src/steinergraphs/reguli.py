@@ -6,9 +6,7 @@ the common transversals form the opposite regulus R_opp, and the pair
 (R, R_opp) covers a (q+1) x (q+1) grid of points.  The affine analogue
 replaces q+1 by q; removing the hyperplane at infinity from a projective
 regulus pair with one line of each family at infinity produces exactly
-the affine pairs.  A skew triple of affine lines is of case 1 when its
-infinite points are collinear, and then extends to one affine pair;
-otherwise it is of case 2 and extends to none.
+the affine pairs.
 
 A line family is a tuple of ascending indices into ``space.lines``,
 which lists the lines in key order.  RegulusPair and WdbPlus2Config hold
@@ -25,18 +23,20 @@ says whether the families are parallel, which happens only in AG,
 where they are two parallel classes of one plane.  _check_regulus_pair
 is the grid check with parallel families rejected; the grid implies
 the span, so it takes no rank.
-Line meets are read off the block graph's adjacency rows, the one meet
-table: the transversals of disjoint lines are the AND of their rows.
-regulus_through and enumerate_reguli both take the opposite family as
-the transversals of three skew lines and the family as those of three
-opposite lines; the enumeration keys families by mask and converts them
-to index tuples once, at the end.  A hyperplane cut maps line indices
-through the restriction's ``aff_index``, and the projective lift of an
-affine pair maps them through the closure's tables: closures, points at
-infinity and the lines at infinity.  classify_skew_family and
-enumerate_affine_reguli build the affine pairs through a skew triple (a
-pair over GF(2)) by one rule; the enumeration finds each quadric once
-and checks and lifts it once.
+
+Every meet is read off one table, the block graph's adjacency rows:
+the transversals of disjoint lines are the AND of their rows.  One
+rule, _regulus_family, builds the regulus through three pairwise skew
+lines of one 3-flat: their transversals are the opposite family, and
+the transversals of three opposite lines the family.  Three skew lines
+of PG(3,q) have q+1 transversals; three of AG(3,q), q >= 3, have q when
+their points at infinity are collinear (case 1) and q - 2 otherwise
+(case 2, in no regulus).  regulus_through, classify_skew_family and
+enumerate_reguli, which lists both spaces, use the rule; over GF(2) an
+affine family is a skew pair, with two opposites.  A hyperplane cut
+maps line indices through the restriction's ``aff_index``, and the
+projective lift of an affine pair maps them through the closure's
+tables.
 
 Affine pairs are ORDERED (S, S_opp), S being ``r_ids``: over GF(2) a
 skew pair of lines has two distinct valid opposite families, and only
@@ -123,15 +123,11 @@ class RestrictionOutcome:
     reason: str | None = None
 
 
-def _require_skew(space, lines) -> None:
-    """Disjoint point masks, and in an affine space different directions."""
-    affine = isinstance(space, AffSpace)
-    for i, a in enumerate(lines):
-        for b in lines[i + 1 :]:
-            if a.mask & b.mask:
-                raise LinesNotSkewError(f"lines meet, not skew: {a}, {b}")
-            if affine and a.dir == b.dir:
-                raise LinesNotSkewError(f"lines are parallel, not skew: {a}, {b}")
+def _require_skew(space, ids, skew) -> None:
+    """Pairwise skew lines, by index, read off the skew masks."""
+    for a, b in combinations(ids, 2):
+        if not skew[a] >> b & 1:
+            raise LinesNotSkewError(f"lines meet or are parallel: {space.lines[a]}, {space.lines[b]}")
 
 
 def _skew_masks(space) -> list[int]:
@@ -146,25 +142,17 @@ def _skew_masks(space) -> list[int]:
     return [full & ~(row | classes[key]) for row, key in zip(block_graph_of(space).adj, keys)]
 
 
-# -- projective constructions --------------------------------------------------
-
-
-def _transversal_ids(space, a, b, rest=()) -> tuple[int, ...]:
-    """Ascending indices of the lines meeting the disjoint lines a and b
-    and every line of rest: the AND of their rows in the block graph."""
-    adj = block_graph_of(space).adj
-    common = adj[a] & adj[b]
-    for t in rest:
-        common &= adj[t]
-    return tuple(bit_indices(common))
-
-
 def _check_grid(space, fam, opp) -> bool:
     """Recompute the grid of two families of line indices in a
     projective or an affine space: q+1 lines each in PG(n, q) or q in
     AG(n, q), each family pairwise disjoint, each line meeting each
     opposite line in one point.  Returns whether the families are
     parallel, which only happens in AG.
+
+    Meets are read off the block graph's rows: a family is disjoint
+    when its mask has one bit per line and meets no row of its lines,
+    and as two lines share at most one point, a line meets each
+    opposite line once when its row holds the opposite mask.
 
     Disjoint families make the grid points distinct: a point on a and b
     and on a' and b' with a != a' would be common to two lines of one
@@ -177,28 +165,29 @@ def _check_grid(space, fam, opp) -> bool:
     comparison of fam[0] and fam[1] decides the kind of both families.
     """
     q = space.field.q
-    lines = space.lines
     affine = isinstance(space, AffSpace)
     size = q if affine else q + 1
     if len(fam) != size or len(opp) != size:
         raise WrongCountError(
             f"regulus families in {space} need {size} lines each, got {len(fam)} and {len(opp)}"
         )
+    adj = block_graph_of(space).adj
+    masks = []
     for family in (fam, opp):
-        masks = [lines[t].mask for t in family]
-        union = 0
-        for m in masks:
-            union |= m
-        if union.bit_count() != sum(m.bit_count() for m in masks):
+        mask = rows = 0
+        for t in family:
+            mask |= 1 << t
+            rows |= adj[t]
+        if mask.bit_count() != size or rows & mask:
             raise LinesNotSkewError("two lines of one family meet")
+        masks.append(mask)
     for a in fam:
-        am = lines[a].mask
-        for b in opp:
-            if (am & lines[b].mask).bit_count() != 1:
-                raise LinesNotSkewError(
-                    f"regulus line {a} and opposite line {b} do not meet in one point"
-                )
-    return affine and lines[fam[0]].dir == lines[fam[1]].dir
+        missed = masks[1] & ~adj[a]
+        if missed:
+            raise LinesNotSkewError(
+                f"regulus line {a} and opposite line {bit_indices(missed)[0]} do not meet in one point"
+            )
+    return affine and space.lines[fam[0]].dir == space.lines[fam[1]].dir
 
 
 def _check_regulus_pair(space, fam, opp) -> None:
@@ -216,69 +205,37 @@ def _check_regulus_pair(space, fam, opp) -> None:
         raise LinesNotSkewError("the families are parallel classes of a plane, not reguli")
 
 
+def _regulus_family(adj, ids, opp: int, size: int) -> int:
+    """The regulus rule.  ``opp``, the transversals of the three pairwise
+    skew lines ``ids`` of one 3-flat (the AND of their rows), is the
+    opposite family and must hold ``size`` lines; the family is the
+    transversals of three opposite lines, and must hold ``ids``."""
+    if opp.bit_count() != size:
+        raise WrongCountError(f"lines {ids} have {opp.bit_count()} transversals, expected {size}")
+    a, b, c = bit_indices(opp)[:3]
+    fam = adj[a] & adj[b] & adj[c]
+    i, j, k = ids
+    if not fam >> i & fam >> j & fam >> k & 1:
+        raise NotARegulusError(f"lines {ids} are not in their regulus")
+    return fam
+
+
 def regulus_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, l3: ProjLine) -> RegulusPair:
     """The unique regulus pair through three pairwise skew lines of one
-    3-flat: the opposite family is the q+1 transversals of the three
-    lines, the family the transversals of three opposite lines, as in
-    enumerate_reguli, and the grid check verifies the pair."""
+    3-flat, by the regulus rule of enumerate_reguli, and the grid check
+    verifies the pair."""
     f = space.field
-    _require_skew(space, (l1, l2, l3))
+    ids = tuple(map(space.index_of, (l1, l2, l3)))
+    _require_skew(space, ids, _skew_masks(space))
     rows = [row for ln in (l1, l2, l3) for row in ln.basis]
     if len(linalg.row_basis(f, rows)) != 4:
         raise NotCoplanarError("three lines do not lie in a common 3-flat")
-    i1, i2, i3 = map(space.index_of, (l1, l2, l3))
-    opp = _transversal_ids(space, i1, i2, (i3,))
-    if len(opp) != f.q + 1:
-        raise WrongCountError(f"{len(opp)} transversals of three skew lines, expected {f.q + 1}")
-    fam = _transversal_ids(space, opp[0], opp[1], (opp[2],))
-    if not {i1, i2, i3} <= set(fam):
-        raise NotARegulusError("a given line is missing from the regulus of its transversals")
-    _check_regulus_pair(space, fam, opp)
-    return RegulusPair(fam, opp, space)
-
-
-def enumerate_reguli(space: ProjSpace) -> tuple[RegulusPair, ...]:
-    """Every regulus pair of a 3-dimensional projective space, both
-    orientations of each underlying quadric, sorted canonically.  For
-    each skew pair i < j, the k of a regulus found through i, j, k are
-    cleared from the candidates.  Each quadric is checked once: the pair
-    check is symmetric in its two families, so it covers the swapped
-    orientation too."""
-    if space.n != 3:
-        raise WrongCountError("regulus enumeration needs a 3-dimensional space")
-    q = space.field.q
-    if q > MAX_ENUM_Q:
-        raise LimitExceededError(f"regulus enumeration limited to q <= {MAX_ENUM_Q}")
     adj = block_graph_of(space).adj
-    skew = _skew_masks(space)
-    # each family and its opposite as line masks, keyed both ways round
-    by_family: dict[int, int] = {}
-    for i, si in enumerate(skew):
-        si &= -2 << i
-        for j in bit_indices(si):
-            tij = adj[i] & adj[j]
-            cand = si & skew[j] & -2 << j
-            while cand:
-                k = (cand & -cand).bit_length() - 1
-                opp = tij & adj[k]
-                fam = by_family.get(opp)
-                if fam is None:
-                    if opp.bit_count() != q + 1:
-                        raise WrongCountError(f"lines {i}, {j}, {k} have {opp.bit_count()} transversals")
-                    a, b, c = bit_indices(opp)[:3]
-                    fam = adj[a] & adj[b] & adj[c]
-                    if not fam >> i & fam >> j & fam >> k & 1:
-                        raise NotARegulusError(f"lines {i}, {j}, {k} are not in their regulus")
-                    by_family[fam] = opp
-                    by_family[opp] = fam
-                cand &= ~fam
-    ids = {m: tuple(bit_indices(m)) for m in by_family}
-    out = []
-    for fam, opp in sorted((ids[f], ids[o]) for f, o in by_family.items()):
-        if fam < opp:
-            _check_regulus_pair(space, fam, opp)
-        out.append(RegulusPair(fam, opp, space))
-    return tuple(out)
+    opp = adj[ids[0]] & adj[ids[1]] & adj[ids[2]]
+    fam = _regulus_family(adj, ids, opp, f.q + 1)
+    pair = RegulusPair(tuple(bit_indices(fam)), tuple(bit_indices(opp)), space)
+    _check_regulus_pair(space, pair.r_ids, pair.opp_ids)
+    return pair
 
 
 # -- affine constructions ------------------------------------------------------
@@ -361,43 +318,25 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> RegulusPair:
     return pair
 
 
-def _affine_regulus_ids(space: AffSpace, ids) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The affine pairs (family, opposite), as ascending line indices,
-    whose family holds the ascending skew lines ``ids``: over GF(2) a
-    pair, whose two opposites are the skew pairs among its four
-    transversals; for q >= 3 a triple with collinear points at infinity,
-    whose opposite is its transversals, and for q >= 4 the family those
-    of three opposite lines."""
-    lines = space.lines
-    q = space.field.q
-    if q == 2:
-        tij = _transversal_ids(space, ids[0], ids[1])
-        if len(tij) != 4:
-            raise WrongCountError(f"{len(tij)} transversals of a skew pair, expected 4")
-        opps = [
-            (a, b) for a, b in combinations(tij, 2)
-            if not (lines[a].mask & lines[b].mask or lines[a].dir == lines[b].dir)
-        ]
-        if len(opps) != 2:
-            raise WrongCountError(f"{len(opps)} opposites of a skew pair over GF(2), expected 2")
-        return [(tuple(ids), opp) for opp in opps]
-    opp = _transversal_ids(space, ids[0], ids[1], ids[2:])
-    if len(opp) != q:
-        # three skew lines of one 3-flat with collinear points at infinity have q
-        raise NotCoplanarError(f"{len(opp)} transversals of three skew lines, expected {q}")
-    if q == 3:
-        return [(tuple(ids), opp)]
-    fam = _transversal_ids(space, opp[0], opp[1], (opp[2],))
-    if not set(ids) <= set(fam):
-        raise NotARegulusError(f"lines {ids} are not in their regulus")
-    return [(fam, opp)]
+def _gf2_pairs(adj, skew, i, j) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The two affine pairs (family, opposite) over GF(2) whose family is
+    the skew pair i < j: its opposites are the skew pairs among its four
+    transversals."""
+    tij = bit_indices(adj[i] & adj[j])
+    if len(tij) != 4:
+        raise WrongCountError(f"{len(tij)} transversals of a skew pair, expected 4")
+    opps = [(a, b) for a, b in combinations(tij, 2) if skew[a] >> b & 1]
+    if len(opps) != 2:
+        raise WrongCountError(f"{len(opps)} opposites of a skew pair over GF(2), expected 2")
+    return [((i, j), opp) for opp in opps]
 
 
 def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
     """Case 1 when the infinite points of the closures are collinear
     (equivalently the direction vectors span only a plane): the family
-    extends to one affine regulus pair (two over GF(2), where a skew
-    pair of lines has two valid opposites).  Case 2 otherwise."""
+    extends to one affine regulus pair, by the regulus rule (two over
+    GF(2), where a skew pair of lines has two valid opposites).  Case 2
+    otherwise."""
     q = space.field.q
     lines = list(lines)
     need = 2 if q == 2 else 3
@@ -405,73 +344,89 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
         raise WrongCountError(
             f"classification over GF({q}) needs exactly {need} pairwise skew lines"
         )
-    _require_skew(space, lines)
-    if q > 2 and len(linalg.row_basis(space.field, tuple(l.dir for l in lines))) > 2:
+    ids = tuple(sorted(map(space.index_of, lines)))
+    skew = _skew_masks(space)
+    _require_skew(space, ids, skew)
+    adj = block_graph_of(space).adj
+    if q == 2:
+        found = _gf2_pairs(adj, skew, *ids)
+    elif len(linalg.row_basis(space.field, tuple(l.dir for l in lines))) > 2:
         return SkewFamilyClass(2, ())
+    else:
+        opp = adj[ids[0]] & adj[ids[1]] & adj[ids[2]]
+        found = [(tuple(bit_indices(_regulus_family(adj, ids, opp, q))), tuple(bit_indices(opp)))]
     pairs = []
-    for fam, opp in _affine_regulus_ids(space, sorted(map(space.index_of, lines))):
+    for fam, opp in found:
         _check_regulus_pair(space, fam, opp)
         pairs.append(RegulusPair(fam, opp, space))
     return SkewFamilyClass(1, tuple(pairs))
 
 
-def enumerate_affine_reguli(space: AffSpace) -> tuple[RegulusPair, ...]:
-    """Every ordered affine regulus pair (S, S_opp) of a 3-dimensional
-    affine space, sorted canonically.  Each quadric is checked once in
-    the affine space and lifted once to a verified projective pair: both
-    checks are symmetric in the two families, and the lift of the swapped
-    pair is the swap of the lift.
+# -- enumeration ---------------------------------------------------------------
 
-    Over GF(2) a family is a skew pair of lines.  For q >= 3 every triple
-    i < j < k of pairwise skew lines whose points at infinity are
-    collinear lies in one family of one quadric; a triple inside a
-    quadric already found is skipped before any transversal work.  The
-    pairs through a family's first lines come from _affine_regulus_ids,
-    as in classify_skew_family.  Families are tuples of line indices,
-    and lines are stored in key order, so sorting by indices sorts by
-    keys."""
+
+def enumerate_reguli(space: ProjSpace | AffSpace) -> tuple[RegulusPair, ...]:
+    """Every regulus pair of PG(3,q), or every ordered affine pair of
+    AG(3,q), both orientations of each quadric, sorted canonically by
+    line indices, which sorts by line keys.
+
+    For each skew pair i < j the AND of the two rows is taken once, and
+    the transversals of a skew triple i < j < k are that AND with row k:
+    q+1 lines in PG, and in AG q (case 1) or q - 2 (case 2, skipped on
+    its count alone).  A known opposite family is one dict lookup, a new
+    one goes through the regulus rule, and the family is then cleared
+    from the candidate k's, so every other triple of that quadric
+    through i, j is skipped.  Over GF(2) an affine family is a skew
+    pair, with the two opposites of _gf2_pairs.  Each quadric is
+    checked once, and in AG lifted once: both checks are symmetric in
+    the two families, and the lift of the swapped pair is the swap of
+    the lift."""
     if space.n != 3:
-        raise WrongCountError("affine regulus enumeration needs dimension 3")
+        raise WrongCountError("regulus enumeration needs a 3-dimensional space")
     q = space.field.q
     if q > MAX_ENUM_Q:
-        raise LimitExceededError(f"enumeration limited to q <= {MAX_ENUM_Q}")
+        raise LimitExceededError(f"regulus enumeration limited to q <= {MAX_ENUM_Q}")
+    affine = isinstance(space, AffSpace)
+    adj = block_graph_of(space).adj
     skew = _skew_masks(space)
-    cm = space.closure
-    ps = cm.pspace
-    # one (family, opposite) orientation per quadric
-    found = []
-    if q == 2:
-        for i, si in enumerate(skew):
-            for j in bit_indices(si):
-                if j > i:
-                    found.extend(fo for fo in _affine_regulus_ids(space, (i, j)) if fo[0] < fo[1])
+    if affine and q == 2:
+        found = [
+            fo
+            for i, si in enumerate(skew)
+            for j in bit_indices(si & -2 << i)
+            for fo in _gf2_pairs(adj, skew, i, j)
+            if fo[0] < fo[1]
+        ]
     else:
-        # the lines through each point at infinity, and for each pair of
-        # lines a < b the lines of the families found through both
-        with_inf = [0] * len(ps.points)
-        for t, p in enumerate(cm.inf_point):
-            with_inf[p] |= 1 << t
-        covered: dict[tuple[int, int], int] = {}
+        # no skew triple of PG(3,q) is of case 2
+        size, case2 = (q, q - 2) if affine else (q + 1, -1)
+        # each family and its opposite as line masks, keyed both ways round
+        by_family: dict[int, int] = {}
         for i, si in enumerate(skew):
+            si &= -2 << i
             for j in bit_indices(si):
-                if j <= i:
-                    continue
-                a, b = sorted((cm.inf_point[i], cm.inf_point[j]))
-                coplanar = sum(with_inf[p] for p in ps.lines[ps.pair_line[(a, b)]].points)
-                for k in bit_indices(si & skew[j] & coplanar):
-                    if k <= j or covered.get((i, j), 0) >> k & 1:
+                tij = adj[i] & adj[j]
+                cand = si & skew[j] & -2 << j
+                while cand:
+                    k = (cand & -cand).bit_length() - 1
+                    opp = tij & adj[k]
+                    if opp.bit_count() == case2:
+                        cand ^= 1 << k
                         continue
-                    [(fam, opp)] = _affine_regulus_ids(space, (i, j, k))
-                    for family in (fam, opp):
-                        fmask = sum(1 << t for t in family)
-                        for pr in combinations(family, 2):
-                            covered[pr] = covered.get(pr, 0) | fmask
-                    found.append((fam, opp))
+                    fam = by_family.get(opp)
+                    if fam is None:
+                        fam = _regulus_family(adj, (i, j, k), opp, size)
+                        by_family[fam] = opp
+                        by_family[opp] = fam
+                    cand &= ~fam
+        ids = {m: tuple(bit_indices(m)) for m in by_family}
+        found = [(ids[f], ids[o]) for f, o in by_family.items() if ids[f] < ids[o]]
     out = []
     for fam, opp in found:
         pair = RegulusPair(fam, opp, space)
         _check_regulus_pair(space, fam, opp)
-        lift_to_projective(pair)
+        if affine:
+            lift_to_projective(pair)
         out += (pair, pair.swap())
     out.sort(key=lambda pair: (pair.r_ids, pair.opp_ids))
     return tuple(out)

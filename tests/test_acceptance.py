@@ -52,7 +52,6 @@ from steinergraphs.partitions import (
 )
 from steinergraphs.reguli import (
     affine_regulus_construct,
-    enumerate_affine_reguli,
     enumerate_reguli,
     regulus_restriction,
 )
@@ -178,7 +177,7 @@ def test_criterion_04_affine_minimum_support(g_x2, g_x3):
         planes = enumerate_planes(sp)
         class_pairs = (q + 1) * q // 2
         assert counts["Type1"] == len(planes) * class_pairs
-        assert counts["Type2"] == len(enumerate_affine_reguli(sp)) // 2
+        assert counts["Type2"] == len(enumerate_reguli(sp)) // 2
         census[q] = (counts, len(planes))
     assert census[2] == ({"Type1": 42, "Type2": 168}, 14)
     assert census[3] == ({"Type1": 234, "Type2": 4212}, 39)
@@ -193,7 +192,7 @@ def test_criterion_05_affine_regulus_count():
     ordering convention is reported by the enumeration interface."""
     for q, expected in ((2, 336), (3, 8424)):
         sp = aff_space(3, field_make(q))
-        pairs = enumerate_affine_reguli(sp)
+        pairs = enumerate_reguli(sp)
         assert len(pairs) == expected == q ** 4 * (q ** 3 - 1) * (q + 1)
     from steinergraphs import cli
 

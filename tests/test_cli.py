@@ -464,6 +464,42 @@ def test_malformed_cli_input_exit_2(capsys, argv, flag):
     assert flag in err
 
 
+def _search_cert(result: dict) -> dict:
+    """A certificate of the AG(3,2) size-4 search with the given result."""
+    parameters = {"mode": "branch-and-prune", "n": 3, "q": 2, "size": 4, "space": "aff", "theta": -2}
+    return {"command": "search-support", "parameters": parameters, "result": result}
+
+
+# a well-formed function entry of a search certificate
+_FUNCTION = {"support": [0, 1], "values": [[0, "1"], [1, "-1"]], "structure": "CompleteBipartite"}
+
+
+@pytest.mark.parametrize("prev", [
+    [],
+    "x",
+    {"command": "search-support"},
+    _search_cert({"functions": [], "families": []}),
+    _search_cert({"checkpoint": {"done": [[0, 1]]}, "families": []}),
+    _search_cert({"checkpoint": {"done": [5]}, "functions": [], "families": []}),
+    _search_cert({"checkpoint": {"done": []}, "functions": [5], "families": []}),
+    _search_cert({"checkpoint": {"done": []}, "functions": [_FUNCTION | {"values": [[0, "1", 2]]}],
+                  "families": []}),
+    _search_cert({"checkpoint": {"done": []}, "functions": [_FUNCTION | {"structure": 5}], "families": []}),
+    _search_cert({"checkpoint": {"done": []}, "functions": [_FUNCTION], "families": [{"support": "0"}]}),
+], ids=["list", "string", "no-result", "no-checkpoint", "no-functions", "prefix-not-a-list",
+        "function-not-an-object", "value-not-a-pair", "structure-not-a-string", "support-not-a-list"])
+def test_resume_not_a_checkpoint_exit_2(tmp_path, capsys, prev):
+    """--resume takes the certificate of an interrupted run of the same
+    search.  A file whose top level is not an object used to end in a
+    TypeError traceback, and one without result.checkpoint printed only
+    "error: 'checkpoint'"."""
+    path = tmp_path / "resume.json"
+    path.write_text(json.dumps(prev))
+    code, err = _usage_error(capsys, *AG32_SIZE4, "--resume", str(path))
+    assert code == 2
+    assert "--resume" in err
+
+
 def test_cameron_liebler_other_dimension_exit_2(capsys, monkeypatch):
     """The check works in PG(3,q) only; --n 4 used to compute on PG(3,q)
     under a certificate that recorded n = 4."""

@@ -56,7 +56,7 @@ from steinergraphs.geometry import (
 )
 from steinergraphs.gf import field_make
 from steinergraphs.linalg import bareiss_echelon
-from steinergraphs.reguli import enumerate_affine_reguli, regulus_restriction, regulus_through
+from steinergraphs.reguli import enumerate_reguli, regulus_restriction, regulus_through
 
 
 def _standard_regulus(q=2):
@@ -332,7 +332,7 @@ def test_optimal_from_affine_regulus(q):
 
     g = cached_block_graph(affine_design(3, q))
     sp = g.design.space
-    pair = enumerate_affine_reguli(sp)[0]
+    pair = enumerate_reguli(sp)[0]
     f = optimal_from_regulus(pair, g)
     assert f.theta == -q
     assert len(f.support) == 2 * q
@@ -387,7 +387,7 @@ def _build_from_regulus(g_j2, g_x2):
 
 
 def _build_from_affine_regulus(g_j2, g_x2):
-    return optimal_from_regulus(enumerate_affine_reguli(g_x2.design.space)[0], g_x2)
+    return optimal_from_regulus(enumerate_reguli(g_x2.design.space)[0], g_x2)
 
 
 def _build_wdbplus2(g_j2, g_x2):

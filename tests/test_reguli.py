@@ -5,6 +5,7 @@ Pinned counts:
   PG(3,3): 21060 ordered pairs
   AG(3,2): 336 ordered affine pairs,  q^4 (q^3-1)(q+1) = 336
   AG(3,3): 8424 ordered affine pairs, q^4 (q^3-1)(q+1) = 8424
+  AG(3,3) skew triples: 8424 with q = 3 transversals, 50544 with q - 2 = 1
   cutting any PG(3,2) regulus by the 15 planes: 9 affine, 6 wdbplus2
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,10 +39,9 @@ from steinergraphs.linalg import row_basis
 from steinergraphs.reguli import (
     RegulusPair,
     _check_regulus_pair,
-    _transversal_ids,
+    _regulus_family,
     affine_regulus_construct,
     classify_skew_family,
-    enumerate_affine_reguli,
     enumerate_reguli,
     lift_to_projective,
     regulus_restriction,
@@ -62,8 +63,8 @@ def _reguli(q):
 
 @functools.cache
 def _affine_reguli(q):
-    """enumerate_affine_reguli(AG(3,q)), run once for the tests that only read it."""
-    return enumerate_affine_reguli(aff_space(3, field_make(q)))
+    """enumerate_reguli(AG(3,q)), run once for the tests that only read it."""
+    return enumerate_reguli(aff_space(3, field_make(q)))
 
 
 def _proj_lines(sp, triples=STANDARD_TRIPLE):
@@ -92,18 +93,18 @@ def _assert_regulus_grid(pair):
 
 
 def test_common_transversals_count():
-    """The common transversals of three skew lines of PG(3,q): q+1 lines,
-    as ascending indices, each meeting each of the three once; they are
-    the opposite family of the regulus through the three."""
+    """The opposite family of the regulus through three skew lines of
+    PG(3,q) is their common transversals: q+1 lines, as ascending
+    indices, each meeting each of the three once."""
     for q in (2, 3):
         sp = proj_space(3, field_make(q))
         ids = [sp.index_of(l) for l in _proj_lines(sp)]
-        trans = _transversal_ids(sp, ids[0], ids[1], ids[2:])
+        trans = regulus_through(sp, *_proj_lines(sp)).opp_ids
         assert len(trans) == q + 1 and list(trans) == sorted(trans)
         for t in trans:
             for i in ids:
                 assert (sp.lines[t].mask & sp.lines[i].mask).bit_count() == 1
-        assert regulus_through(sp, *_proj_lines(sp)).opp_ids == trans
+        assert trans == _transversals_by_point_pairs(sp, ids[0], ids[1], ids[2:])
 
 
 def _transversals_by_point_pairs(space, a, b, rest=()):
@@ -133,23 +134,53 @@ def test_meet_rows_and_skew_masks_match_point_masks(make, n, q):
 @pytest.mark.parametrize("make", [proj_space, aff_space])
 @pytest.mark.parametrize("q", [2, 3])
 def test_transversals_match_point_pair_reference(make, q):
-    """Seeded property: the meet-row transversals of skew pairs and skew
-    triples of PG(3,q) and AG(3,q) are the lines through their point
-    pairs."""
+    """Seeded property: the transversals of skew pairs and skew triples
+    of PG(3,q) and AG(3,q), the AND of their block-graph rows as every
+    construction takes them, are the lines through their point pairs."""
     sp = make(3, field_make(q))
+    adj = block_graph_of(sp).adj
     skew = reguli._skew_masks(sp)
     rng = random.Random(1000 * q + len(sp.lines))
     triples = 0
     for _ in range(300):
         a = rng.randrange(len(sp.lines))
         b = rng.choice(bit_indices(skew[a]))
-        assert _transversal_ids(sp, a, b) == _transversals_by_point_pairs(sp, a, b)
+        assert tuple(bit_indices(adj[a] & adj[b])) == _transversals_by_point_pairs(sp, a, b)
         third = bit_indices(skew[a] & skew[b])
         if third:
-            c = (rng.choice(third),)
-            assert _transversal_ids(sp, a, b, c) == _transversals_by_point_pairs(sp, a, b, c)
+            c = rng.choice(third)
+            meets = tuple(bit_indices(adj[a] & adj[b] & adj[c]))
+            assert meets == _transversals_by_point_pairs(sp, a, b, (c,))
             triples += 1
     assert triples > 100
+
+
+def _det_mod(p, rows):
+    """The determinant of a 3 x 3 integer matrix, mod p."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
+
+
+def test_skew_triples_of_ag33_have_q_or_q_minus_2_transversals():
+    """The count the enumeration's case-2 skip relies on, recomputed
+    from point masks: every pairwise skew triple i < j < k of AG(3,3) has
+    q common transversals when its points at infinity are collinear
+    (its directions are dependent) and q - 2 otherwise."""
+    q = 3
+    sp = aff_space(3, field_make(q))
+    lines = sp.lines
+    skew = reguli._skew_masks(sp)
+    counts = {}
+    for i, a in enumerate(lines):
+        for j in (j for j in bit_indices(skew[i]) if j > i):
+            b = lines[j]
+            meet_ab = [t.mask for t in lines if t.mask & a.mask and t.mask & b.mask]
+            for k in (k for k in bit_indices(skew[i] & skew[j]) if k > j):
+                c = lines[k]
+                collinear = _det_mod(q, (a.dir, b.dir, c.dir)) == 0
+                n = sum(1 for m in meet_ab if m & c.mask)
+                counts[collinear, n] = counts.get((collinear, n), 0) + 1
+    assert counts == {(True, q): 8424, (False, q - 2): 50544}
 
 
 def test_enumerate_reguli_is_regulus_through_every_skew_triple():
@@ -170,12 +201,12 @@ def test_enumerate_reguli_is_regulus_through_every_skew_triple():
 
 def _returned_families():
     """(label, space, family, opposite) for every family the library
-    returns: both enumerations, regulus_through, lift_to_projective,
-    affine_regulus_construct, classify_skew_family and both kinds of
-    regulus_restriction."""
+    returns: the enumeration of both spaces, regulus_through,
+    lift_to_projective, affine_regulus_construct, classify_skew_family
+    and both kinds of regulus_restriction."""
     out = [("enumerate_reguli", p.space, p.r_ids, p.opp_ids) for p in _reguli(2)]
     for q in (2, 3):
-        out += [("enumerate_affine_reguli", p.space, p.r_ids, p.opp_ids) for p in _affine_reguli(q)]
+        out += [("enumerate_reguli", p.space, p.r_ids, p.opp_ids) for p in _affine_reguli(q)]
     for q in (2, 3):
         sp = proj_space(3, field_make(q))
         pair = regulus_through(sp, *_proj_lines(sp))
@@ -216,7 +247,7 @@ def test_families_are_ascending_line_indices():
         else:
             reguli._check_grid(sp, fam, opp)
     assert labels == {
-        "enumerate_reguli", "enumerate_affine_reguli", "regulus_through", "lift_to_projective",
+        "enumerate_reguli", "regulus_through", "lift_to_projective",
         "regulus_restriction affine_regulus", "regulus_restriction wdbplus2",
         "affine_regulus_construct", "classify_skew_family",
     }
@@ -348,6 +379,20 @@ def test_grid_check_finds_exactly_the_plane_class_pairs(q, parallel):
 
 
 @pytest.mark.parametrize("q", [2, 3])
+def test_grid_check_rejects_a_family_that_meets(q):
+    """q lines of one plane in distinct directions, and a further
+    parallel class of that plane: each line meets each opposite line
+    once, but the lines of the first family meet each other."""
+    sp = aff_space(3, field_make(q))
+    classes = parallel_classes(enumerate_planes(sp)[0])
+    fam = tuple(sorted(c[0] for c in classes[:q]))
+    with pytest.raises(LinesNotSkewError, match="one family meet"):
+        reguli._check_grid(sp, fam, classes[q])
+    with pytest.raises(LinesNotSkewError, match="one family meet"):
+        reguli._check_grid(sp, classes[q], fam)
+
+
+@pytest.mark.parametrize("q", [2, 3])
 def test_pair_check_rejects_parallel_classes(q):
     """Two parallel classes of one plane are a grid but not a regulus
     pair; in PG the grid check never reports parallel families."""
@@ -453,6 +498,36 @@ def test_enumerate_reguli_rejects_a_failing_quadric(which, monkeypatch):
         enumerate_reguli(sp)
 
 
+def test_regulus_rule_checks_count_and_membership():
+    """The rule takes the transversals of three lines as the opposite
+    family, of q+1 lines in PG(3,q), and the transversals of three
+    opposite lines as the family, which must hold the three lines."""
+    sp = proj_space(3, field_make(3))
+    adj = block_graph_of(sp).adj
+    pair = regulus_through(sp, *_proj_lines(sp))
+    opp = sum(1 << t for t in pair.opp_ids)
+    ids = pair.r_ids[:3]
+    assert _regulus_family(adj, ids, opp, 4) == sum(1 << t for t in pair.r_ids)
+    with pytest.raises(WrongCountError, match="3 transversals"):
+        _regulus_family(adj, ids, opp & opp - 1, 4)
+    outside = bit_indices(reguli._skew_masks(sp)[ids[0]] & ~sum(1 << t for t in pair.r_ids))[0]
+    with pytest.raises(NotARegulusError, match="not in their regulus"):
+        _regulus_family(adj, ids[:2] + (outside,), opp, 4)
+
+
+@pytest.mark.parametrize("make,q", [(proj_space, 2), (proj_space, 3), (aff_space, 3)])
+def test_enumeration_rejects_a_wrong_transversal_count(monkeypatch, make, q):
+    """Only the case-2 count of AG(3,q), q - 2, is skipped; any other
+    count that is not the family size raises.  On a meet table where no
+    two lines meet every skew triple has 0 transversals, which is
+    q - 2 in PG(3,2), and still raises there."""
+    sp = make(3, field_make(q))
+    empty = SimpleNamespace(adj=[0] * len(sp.lines))
+    monkeypatch.setattr(reguli, "block_graph_of", lambda space: empty)
+    with pytest.raises(WrongCountError, match="0 transversals"):
+        enumerate_reguli(sp)
+
+
 def test_enumerate_reguli_q3_count():
     assert len(_reguli(3)) == 21060
 
@@ -542,7 +617,7 @@ def test_affine_enumeration_checks_and_lifts_each_quadric_once(monkeypatch, q, q
 
     monkeypatch.setattr(reguli, "_check_regulus_pair", check)
     monkeypatch.setattr(reguli, "lift_to_projective", lift)
-    pairs = enumerate_affine_reguli(aff_space(3, field_make(q)))
+    pairs = enumerate_reguli(aff_space(3, field_make(q)))
     assert len(pairs) == 2 * quadrics
     assert checks == {"AffSpace": quadrics, "ProjSpace": quadrics}
     assert len(lifts) == quadrics
@@ -610,7 +685,7 @@ def test_families_lie_in_parallel_planes():
 
 def test_classify_two_opposites_over_gf2():
     sp = aff_space(3, field_make(2))
-    pair = enumerate_affine_reguli(sp)[0]
+    pair = enumerate_reguli(sp)[0]
     cls = classify_skew_family(sp, _lines(sp, pair.r_ids))
     assert cls.case == 1
     assert len(cls.pairs) == 2  # a skew pair over GF(2) has exactly two opposites
