@@ -10,7 +10,7 @@ Conventions:
     limit reached;
   * bad input fails at this boundary with exit code 2: malformed JSON,
     a --function that is not an object, a --part that is not a list of
-    line indices in range, a --lines or --vectors that is not three
+    distinct line indices in range, a --lines or --vectors that is not three
     lines (each of two basis rows of rank 2) or vectors, a --plane,
     --hyperplane, --direction or --star that is not a list of field
     elements of the space's length (--star also takes a point index in
@@ -24,8 +24,8 @@ Conventions:
     (direction, least point); payloads that refer to vertex indices
     embed the index -> line decoding table, and line families, which
     the library returns as line indices, are rendered through it;
-  * block graphs come from the deterministic builder, once per process
-    (designs.cached_block_graph).
+  * a block graph's rows are its space's meet table (``space.meets``),
+    built once per process and kept on the space (designs.block_graph_of).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 
 from . import designs, eigenfunctions, geometry, gf, partitions, reguli
 from .designs import srg_params_brute, wdb
@@ -47,10 +48,7 @@ SCHEMA_VERSION = "sv1"
 
 
 def _space_of(kind: str, n: int, q: int):
-    field = gf.field_of_order(q)
-    if kind == "proj":
-        return geometry.proj_space(n, field)
-    return geometry.aff_space(n, field)
+    return (geometry.proj_space if kind == "proj" else geometry.aff_space)(n, gf.field_of_order(q))
 
 
 def _graph_of(kind: str, n: int, q: int):
@@ -392,6 +390,14 @@ def _int_list(value) -> bool:
     return isinstance(value, list) and all(type(u) is int for u in value)
 
 
+def _valued(entry) -> bool:
+    """Whether a function entry holds a list of [index, string] values."""
+    values = entry.get("values") if isinstance(entry, dict) else None
+    return isinstance(values, list) and all(
+        isinstance(v, list) and len(v) == 2 and type(v[0]) is int and isinstance(v[1], str) for v in values
+    )
+
+
 def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
     """The checkpoint, functions and families of the certificate of an
     interrupted run of the same search, each checked for its shape."""
@@ -412,13 +418,27 @@ def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
         isinstance(done, list) and all(map(_int_list, done))
         and isinstance(functions, list) and isinstance(families, list)
         and all(isinstance(e, dict) and _int_list(e.get("support")) for e in entries)
-        and all(isinstance(e.get("structure"), str) and isinstance(e.get("values"), list) for e in functions)
-        and all(isinstance(v, list) and len(v) == 2 and type(v[0]) is int and isinstance(v[1], str)
-                for e in functions for v in e["values"])
+        and all(isinstance(e.get("structure"), str) and _valued(e) for e in functions)
+        and all(type(e.get("dimension")) is int and isinstance(e.get("basis"), list) for e in families)
+        and all(_valued(b) for e in families for b in e["basis"])
     ):
         raise _UsageError(f"--resume {path} holds no checkpoint of an interrupted search")
     print(f"resuming from {path}: {len(done)} prefixes done", file=sys.stderr)
     return {"done": [tuple(p) for p in done]}, functions, families
+
+
+def _carried_over_hold(graph, theta: int, functions: list, families: list) -> bool:
+    """Whether what a --resume file carries over holds: every function and
+    family basis function verifies at theta, and each family's dimension,
+    at least 2, is the size of its basis, whose supports cover its support."""
+    def function(entry):
+        return eigenfunctions.Eigenfunction(graph, theta, {u: Fraction(x) for u, x in entry["values"]})
+
+    bases = [[function(b) for b in fam["basis"]] for fam in families]
+    return all(
+        fam["dimension"] == len(basis) >= 2 and {u for f in basis for u in f.support} == set(fam["support"])
+        for fam, basis in zip(families, bases)
+    ) and all(eigenfunctions.verify_eigenfunction(graph, f) for f in [*map(function, functions), *chain(*bases)])
 
 
 def _cmd_search_support(args, cert: _Cert) -> None:
@@ -440,13 +460,7 @@ def _cmd_search_support(args, cert: _Cert) -> None:
         checkpoint = ex.checkpoint
         res = ex.partial
     fn_entries = list(prior_functions)
-    verified = all(
-        eigenfunctions.verify_eigenfunction(
-            graph,
-            eigenfunctions.Eigenfunction(graph, args.theta, {u: Fraction(x) for u, x in e["values"]}),
-        )
-        for e in prior_functions
-    )
+    verified = _carried_over_hold(graph, args.theta, prior_functions, prior_families)
     for f in res.functions:
         structure = eigenfunctions.support_structure(graph, f)
         verified = verified and bool(eigenfunctions.verify_eigenfunction(graph, f))
@@ -515,7 +529,7 @@ def _cmd_equitable(args, cert: _Cert) -> None:
 def _cmd_balance(args, cert: _Cert) -> None:
     space = _space_of("proj", args.n, args.q)
     pair = reguli.regulus_through(space, *_lines_arg(args.lines, space))
-    graph = _graph_of("proj", args.n, args.q)
+    graph = designs.block_graph_of(space)
     f1 = eigenfunctions.optimal_from_regulus(pair, graph)
     part_indices = _named_line_set(args, space)
     part = partitions.Partition2.from_part(graph, part_indices)
@@ -567,6 +581,8 @@ def _named_line_set(args, space) -> tuple[int, ...]:
         bad = next((u for u in data if not 0 <= u < len(space.lines)), None)
         if bad is not None:
             raise _UsageError(f"--part line index {bad} is not in range({len(space.lines)})")
+        if len(set(data)) != len(data):
+            raise _UsageError(f"--part repeats line index {next(u for u in data if data.count(u) > 1)}")
         return tuple(data)
     if kind == "star":
         return partitions.star_line_set(space, _vector_arg(args.star, "--star", space, point=True))

@@ -8,11 +8,11 @@ are strongly regular with integer eigenvalues, and this module computes
 their parameters twice: by exhaustive pair counting and by the closed
 formulas in terms of (N, M), which must agree.
 
-Adjacency is stored as one integer bitmask per vertex, so common
-neighbour counts are popcounts of ANDed rows.  A graph also keeps, per
-field width and up to a fixed budget, its rows spread to one field per
-vertex, on which the eigenvalue check sums a whole function in one
-integer.
+Adjacency is stored as one integer bitmask per vertex, a block graph's
+being its space's meet table ``space.meets``, so common neighbour counts
+are popcounts of ANDed rows.  A graph also keeps, per field width and up
+to a fixed budget, its rows spread to one field per vertex, on which the
+eigenvalue check sums a whole function in one integer.
 """
 
 from __future__ import annotations
@@ -29,22 +29,12 @@ from .errors import (
     NotStronglyRegularError,
     SymmetricDesignError,
 )
-from .geometry import ProjSpace, aff_space, proj_space
+from .geometry import AffSpace, aff_space, bit_indices, proj_space
 from .gf import field_of_order
 
 
 # bits of packed adjacency rows that one graph keeps, over all widths (16 MiB)
 PACKED_TABLE_BITS = 1 << 27
-
-
-def bit_indices(mask: int) -> list[int]:
-    """Indices of the set bits, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class Design:
@@ -58,11 +48,9 @@ class Design:
 
     def __init__(self, space):
         self.space = space
-        self.points = space.points
         self.blocks = tuple(ln.points for ln in space.lines)
-        self.N = len(self.points)
+        self.N = len(space.points)
         self.M = len(self.blocks[0])
-        self.blocks_at = space.lines_at
         self._graph = None
 
     def __repr__(self):
@@ -74,26 +62,22 @@ class Design:
 
 
 def _design_on(space) -> Design:
-    """The one design of a shared space, kept on the space."""
+    """The one design of a space, kept on it; AG(n, q) needs n >= 3."""
     if space._design is None:
+        if isinstance(space, AffSpace) and space.n < 3:
+            raise ValueError("affine design needs n >= 3")
         space._design = Design(space)
     return space._design
 
 
-def projective_design(n: int, q_or_field) -> Design:
+def projective_design(n: int, q: int) -> Design:
     """Steiner system of the lines of PG(n, q)."""
-    if n < 2:
-        raise ValueError("projective design needs n >= 2")
-    field = q_or_field if hasattr(q_or_field, "q") else field_of_order(q_or_field)
-    return _design_on(proj_space(n, field))
+    return _design_on(proj_space(n, field_of_order(q)))
 
 
-def affine_design(n: int, q_or_field) -> Design:
+def affine_design(n: int, q: int) -> Design:
     """Steiner system of the lines of AG(n, q)."""
-    if n < 3:
-        raise ValueError("affine design needs n >= 3")
-    field = q_or_field if hasattr(q_or_field, "q") else field_of_order(q_or_field)
-    return _design_on(aff_space(n, field))
+    return _design_on(aff_space(n, field_of_order(q)))
 
 
 class Graph:
@@ -156,38 +140,19 @@ class Graph:
         return degs.pop()
 
 
-def block_graph(design: Design) -> Graph:
-    """Block graph: blocks adjacent iff they share a point."""
-    nblocks = len(design.blocks)
-    point_masks = [0] * len(design.points)
-    for i, blk in enumerate(design.blocks):
-        for p in blk:
-            point_masks[p] |= 1 << i
-    adj = [0] * nblocks
-    for i, blk in enumerate(design.blocks):
-        m = 0
-        for p in blk:
-            m |= point_masks[p]
-        adj[i] = m & ~(1 << i)
-    return Graph(adj, design=design)
-
-
 def cached_block_graph(design: Design) -> Graph:
-    """The block graph of a design, built once and kept on the design."""
+    """The block graph of a design, on the rows ``space.meets``, kept on the design."""
     if design._graph is None:
-        design._graph = block_graph(design)
+        design._graph = Graph(design.space.meets, design)
     return design._graph
 
 
 def block_graph_of(space, graph: Graph | None = None) -> Graph:
-    """The block graph of the lines of a shared space, or ``graph``
-    checked to be that graph."""
-    if graph is None:
-        make = projective_design if isinstance(space, ProjSpace) else affine_design
-        graph = cached_block_graph(make(space.n, space.field))
-    if graph.design is None or graph.design.space is not space:
+    """The block graph of the lines of a space, or ``graph`` checked to be it."""
+    kept = cached_block_graph(_design_on(space))
+    if graph is not None and graph is not kept:
         raise ValueError("graph is not the block graph of the lines of this space")
-    return graph
+    return kept
 
 
 @dataclass(frozen=True)
@@ -341,8 +306,7 @@ def delsarte_check(g: Graph) -> tuple[int, bool]:
         raise NonIntegralError("Delsarte bound is not integral")
     bound = 1 + params.k // (-params.s)
     ok = True
-    for p in range(len(g.design.points)):
-        pencil = g.design.blocks_at[p]
+    for pencil in g.design.space.lines_at:
         if len(pencil) != bound:
             ok = False
             break

@@ -35,7 +35,7 @@ from math import lcm
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Mapping
 
-from .designs import Graph, bit_indices, block_graph_of, srg_params_brute, wdb
+from .designs import Graph, block_graph_of, srg_params_brute, wdb
 from .errors import (
     HyperplaneHitsLineError,
     LimitExceededError,
@@ -45,7 +45,7 @@ from .errors import (
     WrongCountError,
     ZeroFunctionError,
 )
-from .geometry import AffSpace, ProjSpace
+from .geometry import AffSpace, ProjSpace, bit_indices
 from .linalg import bareiss_echelon, rational_kernel
 from .reguli import RegulusPair, _check_grid, regulus_restriction
 

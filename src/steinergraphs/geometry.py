@@ -13,8 +13,9 @@ table, its closed-form line count (checked against the built table for
 every n) and the canonical key of the line through two points, and the
 shared pair loop builds the line table in key order, the pair-to-line
 dictionary (the 2-design property: every point pair lies on one line),
-the lines through each point and per-line point bitmasks, all lazily and
-once.  proj_space and aff_space share one instance per (n, q), which
+the lines through each point, per-line point bitmasks and ``meets``, per
+line the mask of the lines it meets (the block graph's rows), all lazily
+and once.  proj_space and aff_space share one instance per (n, q), which
 also keeps the space's design and block graph (see designs) and, for an
 affine space, ``AffSpace.closure``: the closure map into PG(n, q) with
 its line table.
@@ -34,8 +35,9 @@ restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, product
+from operator import or_
 
 from . import linalg
 from .errors import (
@@ -51,6 +53,16 @@ from .gf import Field
 MAX_INCIDENCES = 2_000_000
 
 Vec = tuple[int, ...]
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def normalize_point(field: Field, vec) -> Vec:
@@ -147,8 +159,8 @@ class _Space:
     two points, and its line object.  Before any table is built, the
     product of the two counts is held to MAX_INCIDENCES.  The pair loop
     here builds ``lines`` in key order and checks their number against
-    the closed form; ``line_index`` (key to index), ``pair_line`` and
-    ``lines_at`` are read off them.
+    the closed form; ``line_index`` (key to index), ``pair_line``,
+    ``lines_at`` and ``meets`` are read off them.
     """
 
     def __init__(self, n: int, field: Field):
@@ -212,6 +224,12 @@ class _Space:
             for p in ln.points:
                 at[p].append(i)
         return tuple(tuple(x) for x in at)
+
+    @cached_property
+    def meets(self) -> tuple[int, ...]:
+        """For each line index, the mask of the other lines it meets."""
+        at = [sum(1 << i for i in through) for through in self.lines_at]
+        return tuple(reduce(or_, [at[p] for p in ln.points]) & ~(1 << i) for i, ln in enumerate(self.lines))
 
     def line_through(self, p1, p2):
         p1, p2 = self._point(p1), self._point(p2)

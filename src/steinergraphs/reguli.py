@@ -24,8 +24,8 @@ where they are two parallel classes of one plane.  _check_regulus_pair
 is the grid check with parallel families rejected; the grid implies
 the span, so it takes no rank.
 
-Every meet is read off one table, the block graph's adjacency rows:
-the transversals of disjoint lines are the AND of their rows.  One
+Every meet is read off one table, ``space.meets``, the block graph's
+rows: the transversals of disjoint lines are the AND of their rows.  One
 rule, _regulus_family, builds the regulus through three pairwise skew
 lines of one 3-flat: their transversals are the opposite family, and
 the transversals of three opposite lines the family.  Three skew lines
@@ -50,7 +50,6 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from . import linalg
-from .designs import bit_indices, block_graph_of
 from .errors import (
     DependentVectorsError,
     LimitExceededError,
@@ -66,6 +65,7 @@ from .geometry import (
     ProjSpace,
     RestrictionMap,
     _coset_rep,
+    bit_indices,
     normalize_point,
     span_of_lines,
     vec_add,
@@ -139,7 +139,7 @@ def _skew_masks(space) -> list[int]:
     for t, key in enumerate(keys):
         classes[key] = classes.get(key, 0) | 1 << t
     full = (1 << len(keys)) - 1
-    return [full & ~(row | classes[key]) for row, key in zip(block_graph_of(space).adj, keys)]
+    return [full & ~(row | classes[key]) for row, key in zip(space.meets, keys)]
 
 
 def _check_grid(space, fam, opp) -> bool:
@@ -149,7 +149,7 @@ def _check_grid(space, fam, opp) -> bool:
     opposite line in one point.  Returns whether the families are
     parallel, which only happens in AG.
 
-    Meets are read off the block graph's rows: a family is disjoint
+    Meets are read off the meet rows: a family is disjoint
     when its mask has one bit per line and meets no row of its lines,
     and as two lines share at most one point, a line meets each
     opposite line once when its row holds the opposite mask.
@@ -171,7 +171,7 @@ def _check_grid(space, fam, opp) -> bool:
         raise WrongCountError(
             f"regulus families in {space} need {size} lines each, got {len(fam)} and {len(opp)}"
         )
-    adj = block_graph_of(space).adj
+    adj = space.meets
     masks = []
     for family in (fam, opp):
         mask = rows = 0
@@ -230,7 +230,7 @@ def regulus_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, l3: ProjLine) 
     rows = [row for ln in (l1, l2, l3) for row in ln.basis]
     if len(linalg.row_basis(f, rows)) != 4:
         raise NotCoplanarError("three lines do not lie in a common 3-flat")
-    adj = block_graph_of(space).adj
+    adj = space.meets
     opp = adj[ids[0]] & adj[ids[1]] & adj[ids[2]]
     fam = _regulus_family(adj, ids, opp, f.q + 1)
     pair = RegulusPair(tuple(bit_indices(fam)), tuple(bit_indices(opp)), space)
@@ -347,7 +347,7 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
     ids = tuple(sorted(map(space.index_of, lines)))
     skew = _skew_masks(space)
     _require_skew(space, ids, skew)
-    adj = block_graph_of(space).adj
+    adj = space.meets
     if q == 2:
         found = _gf2_pairs(adj, skew, *ids)
     elif len(linalg.row_basis(space.field, tuple(l.dir for l in lines))) > 2:
@@ -387,7 +387,7 @@ def enumerate_reguli(space: ProjSpace | AffSpace) -> tuple[RegulusPair, ...]:
     if q > MAX_ENUM_Q:
         raise LimitExceededError(f"regulus enumeration limited to q <= {MAX_ENUM_Q}")
     affine = isinstance(space, AffSpace)
-    adj = block_graph_of(space).adj
+    adj = space.meets
     skew = _skew_masks(space)
     if affine and q == 2:
         found = [

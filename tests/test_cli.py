@@ -416,13 +416,14 @@ def test_enumerate_affine_reguli_other_dimension_exit_2(capsys, monkeypatch):
     assert "--n 4" in err
 
 
-@pytest.mark.parametrize("part", ["5", "[1.7, 2]", "[true]", '{"3": 1}', "[-1]", "[0,999]"],
-                         ids=["scalar", "float", "bool", "object", "negative-index", "index-too-large"])
+@pytest.mark.parametrize("part", ["5", "[1.7, 2]", "[true]", '{"3": 1}', "[-1]", "[0,999]", "[1,1,2]"],
+                         ids=["scalar", "float", "bool", "object", "negative-index", "index-too-large",
+                              "duplicate-index"])
 def test_part_not_a_list_of_integers_exit_2(capsys, part):
-    """--part is a JSON list of integer line indices in range, in each
-    command that takes it; nothing else is coerced into one.  An index
-    out of range used to fail deeper down, with a message that did not
-    name --part."""
+    """--part is a JSON list of distinct integer line indices in range,
+    in each command that takes it; nothing else is coerced into one.  An
+    index out of range used to fail deeper down, with a message that did
+    not name --part, and a repeated index was taken as one line."""
     for argv in (("cameron-liebler", "--q", "2"),
                  ("balance", "--q", "2", "--lines", REGULUS_LINES),
                  ("equitable", "--space", "proj", "--n", "3", "--q", "2")):
@@ -486,8 +487,11 @@ _FUNCTION = {"support": [0, 1], "values": [[0, "1"], [1, "-1"]], "structure": "C
                   "families": []}),
     _search_cert({"checkpoint": {"done": []}, "functions": [_FUNCTION | {"structure": 5}], "families": []}),
     _search_cert({"checkpoint": {"done": []}, "functions": [_FUNCTION], "families": [{"support": "0"}]}),
+    _search_cert({"checkpoint": {"done": []}, "functions": [],
+                  "families": [{"support": [0, 1], "dimension": 2, "basis": [5]}]}),
 ], ids=["list", "string", "no-result", "no-checkpoint", "no-functions", "prefix-not-a-list",
-        "function-not-an-object", "value-not-a-pair", "structure-not-a-string", "support-not-a-list"])
+        "function-not-an-object", "value-not-a-pair", "structure-not-a-string", "support-not-a-list",
+        "basis-entry-not-an-object"])
 def test_resume_not_a_checkpoint_exit_2(tmp_path, capsys, prev):
     """--resume takes the certificate of an interrupted run of the same
     search.  A file whose top level is not an object used to end in a
@@ -610,6 +614,36 @@ def test_search_resume_reverifies_prior_functions(tmp_path, capsys):
     assert code == 1
     verify = next(c for c in cert["checks"] if c["name"] == "all_new_functions_verify")
     assert verify["passed"] is False
+
+
+def test_search_resume_reverifies_prior_families(tmp_path, capsys):
+    """The families a --resume file carries over are checked again: each
+    basis function verifies, the dimension is the basis size and the
+    basis supports cover the support.  A family with a basis value
+    changed and its dimension set to 5 used to resume with every check
+    passing and exit 0."""
+    size6 = (*AG32_SIZE4[:-1], "6")
+    part_file = tmp_path / "partial.json"
+    code = cli.main([*size6, "--limit", "400000", "--out", str(part_file), "--format", "json"])
+    capsys.readouterr()
+    text = part_file.read_text()
+    assert code == 3 and json.loads(text)["result"]["families"]
+
+    def resume(**edit):
+        """Resume with the first family's fields replaced by ``edit``."""
+        partial = json.loads(text)
+        partial["result"]["families"][0].update(edit)
+        part_file.write_text(json.dumps(partial))
+        code, cert = _run(capsys, *size6, "--resume", str(part_file))
+        return code, next(c["passed"] for c in cert["checks"] if c["name"] == "all_new_functions_verify")
+
+    family = json.loads(text)["result"]["families"][0]
+    basis = family["basis"]
+    basis[0]["values"][0][1] = "7"
+    assert resume() == (0, True)
+    assert resume(basis=basis) == (1, False)
+    assert resume(dimension=5) == (1, False)
+    assert resume(support=family["support"] + [family["support"][-1] + 1]) == (1, False)
 
 
 def test_search_exhaustive_mode_agrees(capsys):

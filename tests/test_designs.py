@@ -19,7 +19,6 @@ from steinergraphs.designs import (
     SrgParams,
     affine_design,
     bit_indices,
-    block_graph,
     block_graph_of,
     cached_block_graph,
     delsarte_check,
@@ -67,7 +66,7 @@ def test_design_pair_uniqueness(make, n, q):
 def test_blocks_at_covers_every_point():
     d = affine_design(3, 2)
     for p in range(d.N):
-        through = d.blocks_at[p]
+        through = d.space.lines_at[p]
         assert len(through) == (2 ** 3 - 1) // (2 - 1)
         for b in through:
             assert p in d.blocks[b]
@@ -77,8 +76,9 @@ def test_blocks_at_covers_every_point():
 
 
 def test_block_graph_adjacency_is_intersection():
+    """Reference: blocks are adjacent iff their point sets intersect."""
     d = projective_design(3, 2)
-    g = block_graph(d)
+    g = cached_block_graph(d)
     for i in range(g.v):
         for j in range(g.v):
             expect = i != j and bool(set(d.blocks[i]) & set(d.blocks[j]))
@@ -90,12 +90,14 @@ def test_cached_block_graph_identity():
     assert cached_block_graph(d) is cached_block_graph(d)
 
 
-def test_block_graph_of_a_space(g_j2, g_x2):
-    """block_graph_of gives the kept block graph of a shared space, and a
-    graph handed in must be that graph; the dimension checks of
-    projective_design and affine_design still apply."""
+def test_block_graph_of_a_space(g_j2, g_x2, g_x3):
+    """block_graph_of gives the kept block graph of a shared space, whose
+    rows are the space's meet table itself, and a graph handed in must
+    be that graph; AG(2,q) has no design."""
     sp = g_j2.design.space
     assert block_graph_of(sp) is g_j2
+    for space in (sp, g_x3.design.space):
+        assert block_graph_of(space).adj is space.meets
     assert block_graph_of(sp, g_j2) is g_j2
     assert block_graph_of(g_x2.design.space) is g_x2
     for wrong in (g_x2, Graph(g_j2.adj), cached_block_graph(projective_design(3, 3))):

@@ -14,12 +14,11 @@ from __future__ import annotations
 import functools
 import random
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 
 from steinergraphs import reguli
-from steinergraphs.designs import affine_design, bit_indices, block_graph_of, cached_block_graph
+from steinergraphs.designs import affine_design, cached_block_graph
 from steinergraphs.eigenfunctions import enumerate_complete_bipartite
 from steinergraphs.errors import (
     DependentVectorsError,
@@ -29,6 +28,7 @@ from steinergraphs.errors import (
 )
 from steinergraphs.geometry import (
     aff_space,
+    bit_indices,
     enumerate_planes,
     parallel_classes,
     proj_space,
@@ -117,11 +117,11 @@ def _transversals_by_point_pairs(space, a, b, rest=()):
 
 @pytest.mark.parametrize("make,n,q", [(proj_space, 3, 2), (proj_space, 3, 3), (aff_space, 3, 3), (aff_space, 4, 2)])
 def test_meet_rows_and_skew_masks_match_point_masks(make, n, q):
-    """The one meet table, the block graph's adjacency rows: lines i != j
-    meet iff their point masks intersect, and the skew masks hold the
-    lines that neither meet nor (in AG) are parallel."""
+    """The one meet table, ``space.meets``: lines i != j meet iff their
+    point masks intersect, and the skew masks hold the lines that
+    neither meet nor (in AG) are parallel."""
     sp = make(n, field_make(q))
-    adj = block_graph_of(sp).adj
+    adj = sp.meets
     skew = reguli._skew_masks(sp)
     for i, a in enumerate(sp.lines):
         for j, b in enumerate(sp.lines):
@@ -135,10 +135,10 @@ def test_meet_rows_and_skew_masks_match_point_masks(make, n, q):
 @pytest.mark.parametrize("q", [2, 3])
 def test_transversals_match_point_pair_reference(make, q):
     """Seeded property: the transversals of skew pairs and skew triples
-    of PG(3,q) and AG(3,q), the AND of their block-graph rows as every
+    of PG(3,q) and AG(3,q), the AND of their meet rows as every
     construction takes them, are the lines through their point pairs."""
     sp = make(3, field_make(q))
-    adj = block_graph_of(sp).adj
+    adj = sp.meets
     skew = reguli._skew_masks(sp)
     rng = random.Random(1000 * q + len(sp.lines))
     triples = 0
@@ -503,7 +503,7 @@ def test_regulus_rule_checks_count_and_membership():
     family, of q+1 lines in PG(3,q), and the transversals of three
     opposite lines as the family, which must hold the three lines."""
     sp = proj_space(3, field_make(3))
-    adj = block_graph_of(sp).adj
+    adj = sp.meets
     pair = regulus_through(sp, *_proj_lines(sp))
     opp = sum(1 << t for t in pair.opp_ids)
     ids = pair.r_ids[:3]
@@ -516,14 +516,15 @@ def test_regulus_rule_checks_count_and_membership():
 
 
 @pytest.mark.parametrize("make,q", [(proj_space, 2), (proj_space, 3), (aff_space, 3)])
-def test_enumeration_rejects_a_wrong_transversal_count(monkeypatch, make, q):
+def test_enumeration_rejects_a_wrong_transversal_count(make, q):
     """Only the case-2 count of AG(3,q), q - 2, is skipped; any other
     count that is not the family size raises.  On a meet table where no
     two lines meet every skew triple has 0 transversals, which is
-    q - 2 in PG(3,2), and still raises there."""
-    sp = make(3, field_make(q))
-    empty = SimpleNamespace(adj=[0] * len(sp.lines))
-    monkeypatch.setattr(reguli, "block_graph_of", lambda space: empty)
+    q - 2 in PG(3,2), and still raises there.  The table is set on an
+    unshared instance of the space, so the shared one keeps its own."""
+    shared = make(3, field_make(q))
+    sp = type(shared)(3, shared.field)
+    sp.meets = (0,) * len(sp.lines)
     with pytest.raises(WrongCountError, match="0 transversals"):
         enumerate_reguli(sp)
 
