@@ -15,8 +15,10 @@ Conventions:
     --hyperplane, --direction or --star that is not a list of field
     elements of the space's length (--star also takes a point index in
     range, and in a projective space any nonzero multiple of a point),
-    a negative --limit, a --jobs below 1, or an --n other than 3 where
-    a command works in dimension 3 only;
+    an option the command does not read (--jobs belongs to search-support,
+    --limit to it and the three enumerations, and enumerate-reguli,
+    enumerate-affine-reguli and cameron-liebler, which work in dimension 3,
+    take no --n), a negative --limit or a --jobs below 1;
   * every named check recomputes what its name claims, and a failed
     check carries a witness;
   * lines are encoded as integer arrays via their canonical forms: a
@@ -144,6 +146,16 @@ def _function_json(f: eigenfunctions.Eigenfunction, structure: str | None = None
     return entry
 
 
+def _family_json(basis) -> dict:
+    """A support family by its basis: its support is the union of the
+    basis supports and its dimension the size of the basis."""
+    return {
+        "support": sorted({u for f in basis for u in f.support}),
+        "dimension": len(basis),
+        "basis": [_function_json(f) for f in basis],
+    }
+
+
 class _UsageError(Exception):
     pass
 
@@ -262,13 +274,7 @@ def _cmd_affine_regulus(args, cert: _Cert) -> None:
     cert.check("projective_lift", witness is None, witness)
 
 
-def _require_dimension_3(args, name: str) -> None:
-    if args.n != 3:
-        raise _UsageError(f"{args.command} works in {name}(3,q) only, got --n {args.n}")
-
-
 def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
-    _require_dimension_3(args, "PG")
     space = _space_of("proj", 3, args.q)
     print(f"enumerating reguli of PG(3,{args.q})", file=sys.stderr)
     pairs = reguli.enumerate_reguli(space)
@@ -289,7 +295,6 @@ def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
 
 
 def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
-    _require_dimension_3(args, "AG")
     space = _space_of("aff", 3, args.q)
     q = args.q
     print(f"enumerating affine reguli of AG(3,{q})", file=sys.stderr)
@@ -332,13 +337,11 @@ def _cmd_enumerate_optimal(args, cert: _Cert) -> None:
         kind = type(cls).__name__
         counts[kind] += 1
         listing.append({"t0": list(t0), "t1": list(t1), "kind": kind})
-    if args.limit is not None:
-        listing = listing[: args.limit]
     cert.result = {
         "part_size": a,
         "count": len(pairs),
         "classification": counts,
-        "pairs": listing,
+        "pairs": listing[: args.limit],
         "lines": _line_table(design.space),
     }
     cert.check("all_pairs_verify", all_verify)
@@ -427,20 +430,6 @@ def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
     return {"done": [tuple(p) for p in done]}, functions, families
 
 
-def _carried_over_hold(graph, theta: int, functions: list, families: list) -> bool:
-    """Whether what a --resume file carries over holds: every function and
-    family basis function verifies at theta, and each family's dimension,
-    at least 2, is the size of its basis, whose supports cover its support."""
-    def function(entry):
-        return eigenfunctions.Eigenfunction(graph, theta, {u: Fraction(x) for u, x in entry["values"]})
-
-    bases = [[function(b) for b in fam["basis"]] for fam in families]
-    return all(
-        fam["dimension"] == len(basis) >= 2 and {u for f in basis for u in f.support} == set(fam["support"])
-        for fam, basis in zip(families, bases)
-    ) and all(eigenfunctions.verify_eigenfunction(graph, f) for f in [*map(function, functions), *chain(*bases)])
-
-
 def _cmd_search_support(args, cert: _Cert) -> None:
     graph = _graph_of(args.space, args.n, args.q)
     resume, prior_functions, prior_families = _resume_arg(args.resume, cert) if args.resume else (None, [], [])
@@ -459,19 +448,23 @@ def _cmd_search_support(args, cert: _Cert) -> None:
         limit_hit = True
         checkpoint = ex.checkpoint
         res = ex.partial
-    fn_entries = list(prior_functions)
-    verified = _carried_over_hold(graph, args.theta, prior_functions, prior_families)
-    for f in res.functions:
-        structure = eigenfunctions.support_structure(graph, f)
-        verified = verified and bool(eigenfunctions.verify_eigenfunction(graph, f))
-        fn_entries.append(_function_json(f, structure.kind))
-    fam_entries = list(prior_families)
-    for fam in res.families:
-        fam_entries.append({
-            "support": list(fam.support),
-            "dimension": fam.dimension,
-            "basis": [_function_json(g) for g in fam.basis],
-        })
+    # what a --resume file carries over is rebuilt from its values and
+    # rendered again; an entry must equal its rendering and verify
+    def rebuild(entry):
+        return eigenfunctions.Eigenfunction(graph, args.theta, dict(entry["values"]))
+
+    carried = [rebuild(e) for e in prior_functions]
+    bases = [[rebuild(b) for b in fam["basis"]] for fam in prior_families]
+    fn_entries = [
+        _function_json(f, eigenfunctions.support_structure(graph, f).kind) for f in [*carried, *res.functions]
+    ]
+    fam_entries = [_family_json(basis) for basis in [*bases, *(fam.basis for fam in res.families)]]
+    verified = (
+        fn_entries[: len(carried)] == prior_functions
+        and fam_entries[: len(bases)] == prior_families
+        and all(len(basis) >= 2 for basis in bases)
+        and all(eigenfunctions.verify_eigenfunction(graph, f) for f in [*carried, *chain(*bases), *res.functions])
+    )
     fn_entries.sort(key=lambda e: e["support"])
     fam_entries.sort(key=lambda e: e["support"])
     census: dict[str, int] = {}
@@ -549,7 +542,6 @@ def _cmd_balance(args, cert: _Cert) -> None:
 
 
 def _cmd_cameron_liebler(args, cert: _Cert) -> None:
-    _require_dimension_3(args, "PG")
     space = _space_of("proj", 3, args.q)
     line_set = _named_line_set(args, space)
     verdict = partitions.cameron_liebler_check(space, line_set)
@@ -570,11 +562,9 @@ def _cmd_cameron_liebler(args, cert: _Cert) -> None:
 
 def _named_line_set(args, space) -> tuple[int, ...]:
     """Resolve --part / --star / --plane / --direction to line indices."""
-    chosen = [x for x in ("part", "star", "plane", "direction") if getattr(args, x, None) is not None]
-    if len(chosen) != 1:
+    if [args.part, args.star, args.plane, args.direction].count(None) != 3:
         raise _UsageError("give exactly one of --part, --star, --plane, --direction")
-    kind = chosen[0]
-    if kind == "part":
+    if args.part is not None:
         data = _parse_json_arg(args.part, "--part")
         if not (isinstance(data, list) and all(type(u) is int for u in data)):
             raise _UsageError("--part must be a JSON list of integer line indices")
@@ -584,9 +574,9 @@ def _named_line_set(args, space) -> tuple[int, ...]:
         if len(set(data)) != len(data):
             raise _UsageError(f"--part repeats line index {next(u for u in data if data.count(u) > 1)}")
         return tuple(data)
-    if kind == "star":
+    if args.star is not None:
         return partitions.star_line_set(space, _vector_arg(args.star, "--star", space, point=True))
-    if kind == "plane":
+    if args.plane is not None:
         if not isinstance(space, geometry.ProjSpace):
             raise _UsageError("--plane needs a projective space")
         normal = _vector_arg(args.plane, "--plane", space)
@@ -621,67 +611,79 @@ _COMMANDS = {
 }
 
 
+def _at_least(least: int):
+    """An argparse type: an integer of at least ``least``.  Anything else
+    exits with code 2, naming the option, before any work."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Each command declares only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="steinergraphs",
         description="exact constructions and verifications on block graphs of line designs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, space_default=None, n_default=3):
+    def base(p):
+        """The options of every command: the field order and the output."""
         p.add_argument("--q", type=int, default=2, help="field order (prime power)")
-        p.add_argument("--n", type=int, default=n_default, help="dimension")
+        p.add_argument("--out", metavar="FILE", help="write the JSON certificate here")
+        p.add_argument("--format", choices=("json", "text"), default="text")
+        return p
+
+    def common(p, space_default=None):
+        """The base options, --n and, where it has a default, --space."""
+        base(p).add_argument("--n", type=int, default=3, help="dimension")
         if space_default is not None:
             p.add_argument("--space", choices=("proj", "aff"), default=space_default)
-        p.add_argument("--out", metavar="FILE", help="write the JSON certificate here")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.add_argument("--limit", type=int, default=None,
-                       help="search-support: one node budget counted in prefix order, whatever"
-                            " --jobs is; enumerations: entries listed")
-        p.add_argument("--format", choices=("json", "text"), default="text")
+        return p
+
+    def listing(p, entries: str) -> None:
+        p.add_argument("--limit", type=_at_least(0), help=f"list only the first LIMIT {entries}")
 
     common(sub.add_parser("geometry", help="enumerate points, lines, planes"), "proj")
     common(sub.add_parser("srg", help="strongly regular parameters, formula vs brute force"), "proj")
-    p = sub.add_parser("wdb", help="weight-distribution bounds")
-    common(p, "proj")
+    p = common(sub.add_parser("wdb", help="weight-distribution bounds"), "proj")
     p.add_argument("--theta", type=int, default=None)
-    p = sub.add_parser("regulus", help="regulus through three pairwise skew lines")
-    common(p)
+    p = common(sub.add_parser("regulus", help="regulus through three pairwise skew lines"))
     p.add_argument("--lines", required=True, help="JSON: three projective lines")
-    p = sub.add_parser("affine-regulus", help="affine regulus from three independent vectors")
-    common(p)
+    p = common(sub.add_parser("affine-regulus", help="affine regulus from three independent vectors"))
     p.add_argument("--vectors", required=True, help="JSON: three vectors")
-    common(sub.add_parser("enumerate-reguli", help="all reguli of PG(3,q)"))
-    common(sub.add_parser("enumerate-affine-reguli", help="all affine reguli of AG(3,q)"))
-    common(sub.add_parser("enumerate-optimal",
-                          help="induced complete bipartite part-pairs and their classification"),
-           "proj")
-    p = sub.add_parser("verify-eigenfunction", help="check the eigenvalue equation vertex-wise")
-    common(p, "proj")
+    listing(base(sub.add_parser("enumerate-reguli", help="all reguli of PG(3,q)")), "ordered pairs")
+    listing(base(sub.add_parser("enumerate-affine-reguli", help="all affine reguli of AG(3,q)")),
+            "ordered pairs")
+    p = common(sub.add_parser("enumerate-optimal",
+                              help="induced complete bipartite part-pairs and their classification"), "proj")
+    listing(p, "part-pairs")
+    p = common(sub.add_parser("verify-eigenfunction", help="check the eigenvalue equation vertex-wise"), "proj")
     p.add_argument("--theta", type=int, required=True)
     p.add_argument("--function", required=True, help='JSON: {"vertex": value, ...}')
-    p = sub.add_parser("wdbplus2", help="sign function from a regulus and an avoiding plane")
-    common(p)
+    p = common(sub.add_parser("wdbplus2", help="sign function from a regulus and an avoiding plane"))
     p.add_argument("--lines", required=True, help="JSON: three projective lines")
     p.add_argument("--hyperplane", required=True, help="JSON: hyperplane normal vector")
-    p = sub.add_parser("search-support", help="all eigenfunctions with a given support size")
-    common(p, "aff")
+    p = common(sub.add_parser("search-support", help="all eigenfunctions with a given support size"), "aff")
     p.add_argument("--theta", type=int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "branch-and-prune"),
                    default="branch-and-prune")
     p.add_argument("--resume", metavar="FILE", help="certificate of an interrupted run")
-    p = sub.add_parser("equitable", help="quotient matrix of a 2-partition")
-    common(p, "proj")
-    _part_flags(p)
-    p = sub.add_parser("balance", help="balance of a regulus sign function on a partition part")
-    common(p)
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
+    p.add_argument("--limit", type=_at_least(0),
+                   help="node budget, counted in prefix order whatever --jobs is; a spent"
+                        " budget exits 3 with a checkpoint")
+    _part_flags(common(sub.add_parser("equitable", help="quotient matrix of a 2-partition"), "proj"))
+    p = common(sub.add_parser("balance", help="balance of a regulus sign function on a partition part"))
     p.add_argument("--lines", required=True, help="JSON: three projective lines")
     p.add_argument("--theta", type=int, default=None)
     _part_flags(p)
-    p = sub.add_parser("cameron-liebler", help="test a line set with both criteria")
-    common(p)
-    _part_flags(p)
+    _part_flags(base(sub.add_parser("cameron-liebler", help="test a line set with both criteria in PG(3,q)")))
     return parser
 
 
@@ -704,10 +706,6 @@ def main(argv=None) -> int:
     start = time.monotonic()
     exit_code = 0
     try:
-        if args.limit is not None and args.limit < 0:
-            raise _UsageError(f"--limit must be >= 0, got {args.limit}")
-        if args.jobs < 1:
-            raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
         _COMMANDS[args.command](args, cert)
     except _LimitSignal:
         exit_code = 3

@@ -158,8 +158,7 @@ def block_graph_of(space, graph: Graph | None = None) -> Graph:
 @dataclass(frozen=True)
 class SrgParams:
     """Parameters and exact spectrum of a strongly regular graph with
-    integer eigenvalues k > r > s, together with the 3x3 matrix whose
-    rows are (multiplicity, eigenvalue, complement eigenvalue)."""
+    integer eigenvalues k > r > s."""
 
     v: int
     k: int
@@ -167,10 +166,8 @@ class SrgParams:
     mu: int
     r: int
     s: int
-    delta: int
     m_r: int
     m_s: int
-    modified: tuple[tuple[int, int, int], ...]
 
 
 def srg_spectrum(v: int, k: int, lmbda: int, mu: int) -> SrgParams:
@@ -193,12 +190,7 @@ def srg_spectrum(v: int, k: int, lmbda: int, mu: int) -> SrgParams:
         raise IrrationalEigenvaluesError("non-integral multiplicities")
     m_r = num_r // (r - s)
     m_s = num_s // (r - s)
-    modified = (
-        (1, k, v - 1 - k),
-        (m_r, r, -1 - r),
-        (m_s, s, -1 - s),
-    )
-    params = SrgParams(v, k, lmbda, mu, r, s, delta, m_r, m_s, modified)
+    params = SrgParams(v, k, lmbda, mu, r, s, m_r, m_s)
     if params.r + params.s != lmbda - mu or params.r * params.s != mu - k:
         raise InconsistentParametersError(
             f"eigenvalues {params.r}, {params.s} do not solve the SRG quadratic"

@@ -220,7 +220,7 @@ def optimal_from_regulus(pair: RegulusPair, graph: Graph | None = None) -> Eigen
     return _line_sign_function(pair.space, graph, pair.r_ids, pair.opp_ids, -a, 2 * a)
 
 
-def wdbplus2_function(pair: RegulusPair, hyperplane, graph: Graph | None = None) -> Eigenfunction:
+def wdbplus2_function(pair: RegulusPair, hyperplane) -> Eigenfunction:
     """Restrict a regulus pair by a hyperplane avoiding all its lines:
     a -q-eigenfunction of the affine line block graph whose support has
     size 2(q+1), two above the minimum, inducing a complete bipartite
@@ -232,7 +232,7 @@ def wdbplus2_function(pair: RegulusPair, hyperplane, graph: Graph | None = None)
         )
     config = outcome.config
     q = config.space.field.q
-    f = _line_sign_function(config.space, graph, config.r_ids, config.opp_ids, -q, 2 * (q + 1))
+    f = _line_sign_function(config.space, None, config.r_ids, config.opp_ids, -q, 2 * (q + 1))
     if support_structure(f.graph, f).kind != "BipartiteMinusMatching":
         raise NotOptimalError("support does not induce a complete bipartite graph minus a matching")
     return f

@@ -212,8 +212,11 @@ def _regulus_family(adj, ids, opp: int, size: int) -> int:
     transversals of three opposite lines, and must hold ``ids``."""
     if opp.bit_count() != size:
         raise WrongCountError(f"lines {ids} have {opp.bit_count()} transversals, expected {size}")
-    a, b, c = bit_indices(opp)[:3]
-    fam = adj[a] & adj[b] & adj[c]
+    fam, rest = -1, opp
+    for _ in range(3):
+        low = rest & -rest
+        fam &= adj[low.bit_length() - 1]
+        rest ^= low
     i, j, k = ids
     if not fam >> i & fam >> j & fam >> k & 1:
         raise NotARegulusError(f"lines {ids} are not in their regulus")

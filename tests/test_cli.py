@@ -8,7 +8,10 @@ pinned by sha256 for a fixed command list.
 
 from __future__ import annotations
 
+import argparse
+import ast
 import hashlib
+import inspect
 import json
 import time
 from fractions import Fraction
@@ -363,25 +366,71 @@ def _usage_error(capsys, *argv):
     return code, captured.err
 
 
-def test_negative_listing_limit_exit_2(capsys):
-    code, err = _usage_error(capsys, "enumerate-reguli", "--q", "2", "--limit", "-1")
-    assert code == 2
-    assert "--limit" in err
+def _refused(capsys, monkeypatch, *argv) -> str:
+    """The stderr of a command line that argparse refuses: SystemExit(2),
+    nothing on stdout and no work started."""
+    _refuse_work(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    return captured.err
 
 
-def test_negative_search_limit_exit_2(capsys):
-    code, err = _usage_error(capsys, "search-support", "--space", "aff", "--n", "3", "--q", "2",
-                             "--theta", "-2", "--size", "4", "--limit", "-5")
-    assert code == 2
+def test_negative_listing_limit_exit_2(capsys, monkeypatch):
+    assert "--limit" in _refused(capsys, monkeypatch, "enumerate-reguli", "--q", "2", "--limit", "-1")
+
+
+def test_negative_search_limit_exit_2(capsys, monkeypatch):
+    err = _refused(capsys, monkeypatch, "search-support", "--space", "aff", "--n", "3", "--q", "2",
+                   "--theta", "-2", "--size", "4", "--limit", "-5")
     assert "--limit" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_jobs_below_one_exit_2(capsys, jobs):
-    code, err = _usage_error(capsys, "search-support", "--space", "aff", "--n", "3", "--q", "2",
-                             "--theta", "-2", "--size", "4", "--jobs", jobs)
-    assert code == 2
+def test_jobs_below_one_exit_2(capsys, monkeypatch, jobs):
+    err = _refused(capsys, monkeypatch, "search-support", "--space", "aff", "--n", "3", "--q", "2",
+                   "--theta", "-2", "--size", "4", "--jobs", jobs)
     assert "--jobs" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("srg", "--jobs", "2"), "--jobs"),
+    (("geometry", "--limit", "0"), "--limit"),
+    (("cameron-liebler", "--n", "3", "--star", "0"), "--n 3"),
+], ids=["srg-jobs", "geometry-limit", "cameron-liebler-n"])
+def test_option_the_command_does_not_take_exit_2(capsys, monkeypatch, argv, flag):
+    """A command declares only the options it reads, so an option it
+    would ignore, or whose one legal value is its default, is refused."""
+    assert flag in _refused(capsys, monkeypatch, *argv)
+
+
+def _args_read(tree: ast.Module, name: str) -> set[str]:
+    """The ``args.X`` that the function ``name`` of cli.py reads, and
+    those of the cli.py functions it passes ``args`` to."""
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    read = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+            read |= _args_read(tree, node.func.id)
+    return read
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    """Every option a command declares is read by its implementation (or,
+    for --out and --format, by main), and every option it reads is
+    declared."""
+    tree = ast.parse(inspect.getsource(cli))
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._COMMANDS)
+    for command, parser in sub.choices.items():
+        declared = {a.dest for a in parser._actions if a.dest != "help"}
+        read = _args_read(tree, cli._COMMANDS[command].__name__) | {"out", "format"}
+        assert declared == read, command
 
 
 def test_function_not_an_object_exit_2(capsys):
@@ -399,21 +448,15 @@ def _refuse_work(monkeypatch):
 
 
 def test_enumerate_reguli_other_dimension_exit_2(capsys, monkeypatch):
-    """The enumeration lists PG(3,q) only; --n 2 used to list PG(3,2)
-    under a certificate that recorded n = 2."""
-    _refuse_work(monkeypatch)
-    code, err = _usage_error(capsys, "enumerate-reguli", "--n", "2", "--q", "2")
-    assert code == 2
-    assert "--n 2" in err
+    """The enumeration lists PG(3,q) only and takes no --n; --n 2 used to
+    list PG(3,2) under a certificate that recorded n = 2."""
+    assert "--n 2" in _refused(capsys, monkeypatch, "enumerate-reguli", "--n", "2", "--q", "2")
 
 
 def test_enumerate_affine_reguli_other_dimension_exit_2(capsys, monkeypatch):
-    """The enumeration lists AG(3,q) only; --n 4 used to fail its
-    enumeration with exit code 1."""
-    _refuse_work(monkeypatch)
-    code, err = _usage_error(capsys, "enumerate-affine-reguli", "--n", "4", "--q", "2")
-    assert code == 2
-    assert "--n 4" in err
+    """The enumeration lists AG(3,q) only and takes no --n; --n 4 used to
+    fail its enumeration with exit code 1."""
+    assert "--n 4" in _refused(capsys, monkeypatch, "enumerate-affine-reguli", "--n", "4", "--q", "2")
 
 
 @pytest.mark.parametrize("part", ["5", "[1.7, 2]", "[true]", '{"3": 1}', "[-1]", "[0,999]", "[1,1,2]"],
@@ -505,12 +548,9 @@ def test_resume_not_a_checkpoint_exit_2(tmp_path, capsys, prev):
 
 
 def test_cameron_liebler_other_dimension_exit_2(capsys, monkeypatch):
-    """The check works in PG(3,q) only; --n 4 used to compute on PG(3,q)
-    under a certificate that recorded n = 4."""
-    _refuse_work(monkeypatch)
-    code, err = _usage_error(capsys, "cameron-liebler", "--n", "4", "--q", "2", "--star", "0")
-    assert code == 2
-    assert "--n 4" in err
+    """The check works in PG(3,q) only and takes no --n; --n 4 used to
+    compute on PG(3,q) under a certificate that recorded n = 4."""
+    assert "--n 4" in _refused(capsys, monkeypatch, "cameron-liebler", "--n", "4", "--q", "2", "--star", "0")
 
 
 # -- search with checkpointing -----------------------------------------------------------------
@@ -614,6 +654,26 @@ def test_search_resume_reverifies_prior_functions(tmp_path, capsys):
     assert code == 1
     verify = next(c for c in cert["checks"] if c["name"] == "all_new_functions_verify")
     assert verify["passed"] is False
+
+
+def test_search_resume_rerenders_prior_functions(tmp_path, capsys):
+    """A carried function is rebuilt from its values and rendered again:
+    its support and structure are not taken from the file.  A function
+    with genuine values, support [0, 1, 2, 3] and structure "Nonsense"
+    used to resume with exit 0 and a census counting "Nonsense"."""
+    part_file = tmp_path / "partial.json"
+    code = cli.main([*AG32_SIZE4, "--limit", "2000", "--out", str(part_file), "--format", "json"])
+    capsys.readouterr()
+    assert code == 3
+    partial = json.loads(part_file.read_text())
+    genuine = partial["result"]["functions"][0]
+    partial["result"]["functions"][0] = genuine | {"support": [0, 1, 2, 3], "structure": "Nonsense"}
+    part_file.write_text(json.dumps(partial))
+    code, cert = _run(capsys, *AG32_SIZE4, "--resume", str(part_file))
+    assert code == 1
+    assert _check(cert, "all_new_functions_verify")["passed"] is False
+    assert cert["result"]["census"] == {"CompleteBipartite": 210}
+    assert genuine in cert["result"]["functions"]
 
 
 def test_search_resume_reverifies_prior_families(tmp_path, capsys):
