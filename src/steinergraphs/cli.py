@@ -27,7 +27,10 @@ Conventions:
     embed the index -> line decoding table, and line families, which
     the library returns as line indices, are rendered through it;
   * a block graph's rows are its space's meet table (``space.meets``),
-    built once per process and kept on the space (designs.block_graph_of).
+    built once per process and kept on the space (designs.block_graph_of);
+  * each line's JSON is encoded once per command, and every line listing
+    and regulus-pair listing is joined from those texts, with the same
+    bytes as encoding the whole certificate at once.
 """
 
 from __future__ import annotations
@@ -63,13 +66,37 @@ def _line_json(line):
     return {"dir": list(line.dir), "base": list(line.base)}
 
 
-def _line_table(space) -> list:
-    return [_line_json(l) for l in space.lines]
+class _Items:
+    """A JSON array of already-encoded texts; not a str or a list, so
+    json.dumps refuses it wherever _dumps does not write it."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items: list[str]):
+        self.items = items
+
+    def __len__(self) -> int:
+        return len(self.items)
 
 
-def _pair_json(pair, table: list, first: str = "r_lines") -> dict:
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, with
+    each _Items written as its joined texts."""
+    if isinstance(obj, _Items):
+        return "[" + ",".join(obj.items) + "]"
+    if isinstance(obj, dict) and all(type(k) is str for k in obj):
+        return "{" + ",".join(json.dumps(k) + ":" + _dumps(obj[k]) for k in sorted(obj)) + "}"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _line_table(space) -> list[str]:
+    """The encoded JSON of each line of the space, by line index."""
+    return [_dumps(_line_json(l)) for l in space.lines]
+
+
+def _pair_json(pair, table: list[str], first: str = "r_lines") -> dict:
     """The two families of a pair, each line rendered by its table entry."""
-    return {first: [table[t] for t in pair.r_ids], "opp_lines": [table[t] for t in pair.opp_ids]}
+    return {first: _Items([table[t] for t in pair.r_ids]), "opp_lines": _Items([table[t] for t in pair.opp_ids])}
 
 
 def _parse_json_arg(text: str, what: str):
@@ -125,6 +152,15 @@ def _lines_arg(text: str, space):
         except DimensionMismatchError as ex:
             raise _UsageError(f"--lines: {ex}, got {json.dumps(d)}") from ex
     return lines
+
+
+def _rational(text: str, what: str) -> Fraction:
+    """A rational value given in ``what``; a malformed value or a zero
+    denominator is a usage error naming it."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as ex:
+        raise _UsageError(f"{what}: {text!r} is not a rational number") from ex
 
 
 def _validator_witness(check, *args) -> str | None:
@@ -286,7 +322,7 @@ def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
         "convention": "ordered (R, R_opp) pairs; the swapped orientation is"
         " counted separately; unordered sets and underlying quadrics each"
         " number half the ordered count",
-        "reguli": [_pair_json(p, table) for p in pairs[: args.limit]],
+        "reguli": _Items([_dumps(_pair_json(p, table)) for p in pairs[: args.limit]]),
     }
     seen = {(p.r_ids, p.opp_ids) for p in pairs}
     cert.check("swap_closed", all((p.opp_ids, p.r_ids) in seen for p in pairs))
@@ -311,7 +347,7 @@ def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
         " unordered-set and lifted-quadric conventions each count half; a"
         " 2-line skew family over GF(2) admits two distinct opposite"
         " families, which stay distinct here",
-        "pairs": [_pair_json(p, table, "s_lines") for p in pairs[: args.limit]],
+        "pairs": _Items([_dumps(_pair_json(p, table, "s_lines")) for p in pairs[: args.limit]]),
     }
     cert.check("count_matches_formula", len(pairs) == expected, {"expected": expected})
 
@@ -342,7 +378,7 @@ def _cmd_enumerate_optimal(args, cert: _Cert) -> None:
         "count": len(pairs),
         "classification": counts,
         "pairs": listing[: args.limit],
-        "lines": _line_table(design.space),
+        "lines": _Items(_line_table(design.space)),
     }
     cert.check("all_pairs_verify", all_verify)
     cert.check(
@@ -355,7 +391,7 @@ def _cmd_verify_eigenfunction(args, cert: _Cert) -> None:
     data = _parse_json_arg(args.function, "--function")
     if not isinstance(data, dict):
         raise _UsageError('--function must be a JSON object {"vertex": value, ...}')
-    values = {int(u): Fraction(str(x)) for u, x in data.items()}
+    values = {int(u): _rational(str(x), "--function") for u, x in data.items()}
     f = eigenfunctions.Eigenfunction(graph, args.theta, values)
     res = eigenfunctions.verify_eigenfunction(graph, f)
     cert.result = {
@@ -381,7 +417,7 @@ def _cmd_wdbplus2(args, cert: _Cert) -> None:
         "theta": f.theta,
         "support_size": len(f.support),
         "function": _function_json(f, structure.kind),
-        "lines": _line_table(graph.design.space),
+        "lines": _Items(_line_table(graph.design.space)),
     }
     q = args.q
     cert.check("support_size_2q_plus_2", len(f.support) == 2 * (q + 1))
@@ -433,6 +469,14 @@ def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
 def _cmd_search_support(args, cert: _Cert) -> None:
     graph = _graph_of(args.space, args.n, args.q)
     resume, prior_functions, prior_families = _resume_arg(args.resume, cert) if args.resume else (None, [], [])
+    # what a --resume file carries over is rebuilt from its values before
+    # any search, and rendered again below; it must equal that and verify
+    def rebuild(entry):
+        values = {u: _rational(x, f"--resume {args.resume}") for u, x in entry["values"]}
+        return eigenfunctions.Eigenfunction(graph, args.theta, values)
+
+    carried = [rebuild(e) for e in prior_functions]
+    bases = [[rebuild(b) for b in fam["basis"]] for fam in prior_families]
     print(
         f"searching supports of size {args.size} at theta={args.theta} ({args.mode})",
         file=sys.stderr,
@@ -448,13 +492,6 @@ def _cmd_search_support(args, cert: _Cert) -> None:
         limit_hit = True
         checkpoint = ex.checkpoint
         res = ex.partial
-    # what a --resume file carries over is rebuilt from its values and
-    # rendered again; an entry must equal its rendering and verify
-    def rebuild(entry):
-        return eigenfunctions.Eigenfunction(graph, args.theta, dict(entry["values"]))
-
-    carried = [rebuild(e) for e in prior_functions]
-    bases = [[rebuild(b) for b in fam["basis"]] for fam in prior_families]
     fn_entries = [
         _function_json(f, eigenfunctions.support_structure(graph, f).kind) for f in [*carried, *res.functions]
     ]
@@ -482,7 +519,7 @@ def _cmd_search_support(args, cert: _Cert) -> None:
             "computational finding: structure census of the eigenfunction "
             "supports found at this size, not a theorem"
         ),
-        "lines": _line_table(graph.design.space),
+        "lines": _Items(_line_table(graph.design.space)),
     }
     if limit_hit:
         cert.result["checkpoint"] = {"done": [list(p) for p in checkpoint["done"]]}
@@ -500,7 +537,7 @@ def _cmd_equitable(args, cert: _Cert) -> None:
     try:
         quotient = partitions.quotient_matrix(graph, part)
     except NotEquitableError as ex:
-        cert.result = {"part": list(part.v1), "lines": _line_table(space)}
+        cert.result = {"part": list(part.v1), "lines": _Items(_line_table(space))}
         cert.check("equitable", False, ex.witness)
         return
     theta = partitions.partition_eigenvalue(quotient)
@@ -509,7 +546,7 @@ def _cmd_equitable(args, cert: _Cert) -> None:
         "quotient": [list(r) for r in quotient.rows()],
         "theta": theta,
         "principal": quotient.is_principal,
-        "lines": _line_table(space),
+        "lines": _Items(_line_table(space)),
     }
     if not quotient.is_principal:
         f = partitions.partition_to_eigenfunction(graph, part)
@@ -536,7 +573,7 @@ def _cmd_balance(args, cert: _Cert) -> None:
         "m_minus": report.m_minus,
         "function": _function_json(f1),
         "part": list(part.v1),
-        "lines": _line_table(space),
+        "lines": _Items(_line_table(space)),
     }
     cert.check("balanced", report.equal, {"m_plus": report.m_plus, "m_minus": report.m_minus})
 
@@ -551,7 +588,7 @@ def _cmd_cameron_liebler(args, cert: _Cert) -> None:
         "is_cameron_liebler": verdict.is_cl_reguli,
         "method_reguli": verdict.is_cl_reguli,
         "method_equitable": verdict.is_cl_equitable,
-        "lines": table,
+        "lines": _Items(table),
     }
     if verdict.quotient is not None:
         cert.result["quotient"] = [list(r) for r in verdict.quotient.rows()]
@@ -723,7 +760,7 @@ def main(argv=None) -> int:
         return 2
     timing_ms = int((time.monotonic() - start) * 1000)
     payload = cert.payload(timing_ms)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = _dumps(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -750,7 +787,7 @@ def _print_summary(payload: dict) -> None:
         ):
             print(f"  {key}: {value}")
         else:
-            print(f"  {key}: [{len(value)} entries]")
+            print(f"  {key}: [{len(value)} entries]" if value else f"  {key}: []")
     for check in payload["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
         print(f"  check {check['name']}: {mark}")

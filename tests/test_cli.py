@@ -66,6 +66,42 @@ def test_text_format_summary(capsys):
     assert "wdb" in out
 
 
+@pytest.mark.parametrize("argv,line", [
+    (("enumerate-affine-reguli", "--q", "2", "--limit", "0"), "  pairs: []"),
+    (("enumerate-reguli", "--q", "2"), "  reguli: [560 entries]"),
+    (("regulus", "--q", "2", "--lines", REGULUS_LINES), "  r_lines: [3 entries]"),
+])
+def test_text_summary_of_listings(capsys, argv, line):
+    """A listing of pre-encoded entries reads in the text summary as a
+    list does: an empty one as [], any other by its number of entries."""
+    assert cli.main(list(argv)) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("obj", [
+    {"b": [1, {"z": None, "a": True}], "a": "x"},
+    {"quote\"s": "back\\slash \u00e9 \n\t \u2028 \ud83d\ude00", "": [[], {}, ""]},
+    {"n": -10 ** 40, "m": [False, 0, "0"]},
+    {"nested": {"deeper": {"deepest": ["a", {"k": "v"}]}}},
+    {3: "int keys", 1: "go to json.dumps"},
+    ["a list", {"b": 1, "a": 2}],
+    "\x00\x1f\"",
+])
+def test_dumps_equals_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def test_dumps_writes_items_verbatim_only_in_dicts():
+    texts = [json.dumps({"basis": [[1, 0], [0, 1]]}, separators=(",", ":")), "7"]
+    assert cli._dumps(cli._Items(texts)) == "[" + ",".join(texts) + "]"
+    assert cli._dumps({"b": cli._Items([]), "a": cli._Items(texts)}) == (
+        '{"a":[{"basis":[[1,0],[0,1]]},7],"b":[]}'
+    )
+    assert len(cli._Items(texts)) == 2
+    with pytest.raises(TypeError):
+        cli._dumps({"witness": [cli._Items(texts)]})
+
+
 def test_out_file_written(tmp_path, capsys):
     path = tmp_path / "cert.json"
     code = cli.main(["srg", "--space", "aff", "--n", "3", "--q", "2", "--out", str(path)])
@@ -330,6 +366,15 @@ def test_verification_failure_exit_1(capsys):
     assert code == 1
     assert cert["result"]["ok"] is False
     assert cert["result"]["witness"]["vertex"] == 0
+
+
+def test_function_zero_denominator_exit_2(capsys):
+    """A value with a zero denominator used to end in a
+    ZeroDivisionError traceback."""
+    code, err = _usage_error(capsys, "verify-eigenfunction", "--q", "2", "--theta", "3",
+                             "--function", '{"0": "1/0"}')
+    assert code == 2
+    assert "--function" in err and "1/0" in err
 
 
 @pytest.mark.parametrize("theta,values", [
@@ -656,6 +701,26 @@ def test_search_resume_reverifies_prior_functions(tmp_path, capsys):
     assert verify["passed"] is False
 
 
+def test_search_resume_zero_denominator_exit_2_before_search(tmp_path, capsys, monkeypatch):
+    """A carried value with a zero denominator exits 2 naming --resume,
+    and before any search work: the carried entries are rebuilt first.
+    It used to end in a ZeroDivisionError traceback after the search."""
+    part_file = tmp_path / "partial.json"
+    cli.main([*AG32_SIZE4, "--limit", "2000", "--out", str(part_file), "--format", "json"])
+    capsys.readouterr()
+    partial = json.loads(part_file.read_text())
+    partial["result"]["functions"][0]["values"][0][1] = "1/0"
+    part_file.write_text(json.dumps(partial))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started before the carried values were read")
+
+    monkeypatch.setattr(cli.eigenfunctions, "search_min_support", no_search)
+    code, err = _usage_error(capsys, *AG32_SIZE4, "--resume", str(part_file))
+    assert code == 2
+    assert "--resume" in err and "1/0" in err
+
+
 def test_search_resume_rerenders_prior_functions(tmp_path, capsys):
     """A carried function is rebuilt from its values and rendered again:
     its support and structure are not taken from the file.  A function
@@ -770,6 +835,20 @@ def test_pinned_result_digest(capsys, name):
     assert all(c["passed"] for c in cert["checks"])
     blob = json.dumps(cert["result"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RESULTS))
+def test_certificate_is_canonical_json(capsys, name):
+    """Stdout is the compact, key-sorted encoding of the certificate it
+    holds, byte for byte, listings of pre-encoded lines included."""
+    argv, _ = PINNED_RESULTS[name]
+    assert cli.main([*argv, "--format", "json"]) == 0
+    text = capsys.readouterr().out.rstrip("\n")
+    canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+    # a bool, so that a failure does not diff two long one-line texts
+    at = next((i for i, (a, b) in enumerate(zip(text, canonical)) if a != b), min(len(text), len(canonical)))
+    same = text == canonical
+    assert same, f"stdout leaves its canonical encoding at byte {at}: {text[max(at - 30, 0):at + 30]!r}"
 
 
 @pytest.mark.parametrize("space", ["proj", "aff"])
