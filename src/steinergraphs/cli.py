@@ -391,7 +391,11 @@ def _cmd_verify_eigenfunction(args, cert: _Cert) -> None:
     data = _parse_json_arg(args.function, "--function")
     if not isinstance(data, dict):
         raise _UsageError('--function must be a JSON object {"vertex": value, ...}')
-    values = {int(u): _rational(str(x), "--function") for u, x in data.items()}
+    vertices = {str(u): u for u in range(graph.v)}
+    for u in data:
+        if u not in vertices:
+            raise _UsageError(f"--function: vertex {u!r} is not an index in 0..{graph.v - 1}")
+    values = {vertices[u]: _rational(str(x), "--function") for u, x in data.items()}
     f = eigenfunctions.Eigenfunction(graph, args.theta, values)
     res = eigenfunctions.verify_eigenfunction(graph, f)
     cert.result = {

@@ -413,28 +413,38 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _pivot(vec) -> tuple[int, tuple[int, ...]] | None:
+def _reduce(vec, pivots) -> list[int]:
+    """A column mod p reduced by the normalised modular rows ``pivots``."""
+    for pi, pv in pivots:
+        c = vec[pi]
+        if c:
+            vec = [(x - c * y) % _SCREEN_PRIME for x, y in zip(vec, pv)]
+    return vec
+
+
+def _pivot(vec) -> tuple[int, list[int]] | None:
     """The first nonzero position of a column mod p and the column scaled
     to 1 there, or None for the zero column."""
-    pi = next((i for i, x in enumerate(vec) if x), -1)
-    if pi < 0:
-        return None
-    inv = pow(vec[pi], -1, _SCREEN_PRIME)
-    return pi, tuple(x * inv % _SCREEN_PRIME for x in vec)
+    for pi, x in enumerate(vec):
+        if x:
+            inv = pow(x, -1, _SCREEN_PRIME)
+            return pi, [y * inv % _SCREEN_PRIME for y in vec]
+    return None
 
 
 class _Search:
-    """The tables of one search_min_support call: adjacency masks, the
-    row basis of A - theta*I and its per-vertex columns mod p, and per
-    vertex w the vertices that can still gain a support neighbour once
-    every vertex up to w is decided (those above w and those with a
-    neighbour above w).  ``limit`` caps the nodes of each shard."""
+    """The tables of one search_min_support call: adjacency masks and
+    closed neighbourhoods, the row basis of A - theta*I and its columns
+    mod p, and per vertex w the vertices that can still gain a support
+    neighbour once every vertex up to w is decided (those above w and
+    those with a neighbour above w).  ``limit`` caps each shard's nodes."""
 
-    __slots__ = ("adj", "rows_int", "cols_mod", "ahead", "v", "target", "theta", "prune", "limit")
+    __slots__ = ("adj", "closed", "rows_int", "cols_mod", "ahead", "v", "target", "theta", "prune", "limit")
 
     def __init__(self, graph: Graph, theta: int, target: int, prune: bool, limit: int | None):
         self.v = v = graph.v
         self.adj = adj = graph.adj
+        self.closed = tuple(a | 1 << u for u, a in enumerate(adj))
         ident = [[-theta if i == j else 0 for j in range(v)] for i in range(v)]
         for u in range(v):
             for w in bit_indices(adj[u]):
@@ -480,27 +490,48 @@ class _Search:
         basis = rational_kernel(mat)
         if not basis:
             return
-        union: set[int] = set()
-        for vec in basis:
-            union.update(j for j, x in enumerate(vec) if x)
-        if len(union) != len(chosen):
-            return
+        if not all(any(vec[j] for vec in basis) for j in range(len(chosen))):
+            return  # the kernel vanishes on a chosen vertex
         if len(basis) == 1:
             found.append((tuple(chosen), tuple(basis[0])))
         else:
             fams.append((tuple(chosen), basis))
 
+    def leaves(self, state: tuple[int, int, int], lo: int, hi: int) -> list[int]:
+        """The leaves lo <= x < hi that ``admit`` accepts after a node of
+        ``state``: x must be or meet each outside vertex with one support
+        neighbour and meet no outside vertex without one, and (theta != 0)
+        have a support neighbour and meet each support vertex without one."""
+        mask, one, two = state
+        adj = self.adj
+        closed = self.closed
+        keep = (1 << hi) - (1 << lo)
+        need = one & ~two & ~mask
+        if self.theta:
+            keep &= one
+            need |= mask & ~one
+        if need:
+            keep &= closed[(need & -need).bit_length() - 1]
+        free = ~(one | mask)
+        return [x for x in bit_indices(keep) if not need & ~closed[x] and not adj[x] & free]
+
     def extend(self, chosen, state, pivots, deps, ws, found, fams, counters) -> None:
         """Try each w of ``ws`` as the next support vertex after ``chosen``.
         ``pivots`` is the normalised modular row basis of the chosen columns
-        and ``deps`` counts the chosen columns it found dependent; a leaf
-        without a dependency has no kernel and skips the exact check."""
+        and ``deps`` is nonzero once one of them was dependent, after which
+        no column is reduced; a leaf without a dependency has no kernel and
+        skips the exact check.  When pruning, a node whose children are
+        leaves counts them at once and checks only those ``leaves`` admits,
+        reducing no column when there is none."""
         target = self.target
         cols_mod = self.cols_mod
         prune = self.prune
         limit = self.limit
         d = len(chosen) + 1
         leaf = d == target
+        bulk = prune and d + 1 == target
+        # columns reduced by ``pivots``, shared by the leaf parents tried here
+        reduced: dict[int, list[int]] = {}
         for w in ws:
             counters["nodes"] += 1
             if limit is not None and counters["nodes"] > limit:
@@ -508,20 +539,30 @@ class _Search:
             nxt = self.admit(w, state, leaf) if prune else state
             if nxt is None:
                 continue
-            if leaf and deps:
-                self.leaf_check(chosen + [w], found, fams, counters)
-                continue
-            vec = cols_mod[w]
-            for pi, pv in pivots:
-                c = vec[pi]
-                if c:
-                    vec = [(x - c * y) % _SCREEN_PRIME for x, y in zip(vec, pv)]
             if leaf:
-                if not any(vec):
+                if deps or not any(_reduce(cols_mod[w], pivots)):
                     self.leaf_check(chosen + [w], found, fams, counters)
                 continue
             kids = range(w + 1, self.v - (target - d) + 1)
-            piv = _pivot(vec)
+            if bulk:
+                # past the budget only the leaves before the one that
+                # passes it are checked, as one node at a time would
+                room = len(kids) if limit is None else limit - counters["nodes"]
+                counters["nodes"] += min(room + 1, len(kids))
+                leaves = self.leaves(nxt, w + 1, w + 1 + min(room, len(kids)))
+                if leaves and not deps:
+                    for x in (w, *leaves):
+                        if x not in reduced:
+                            reduced[x] = _reduce(cols_mod[x], pivots)
+                    piv = _pivot(reduced[w])
+                    if piv is not None:
+                        leaves = [x for x in leaves if not any(_reduce(reduced[x], (piv,)))]
+                for x in leaves:
+                    self.leaf_check(chosen + [w, x], found, fams, counters)
+                if room < len(kids):
+                    raise _BudgetExceeded
+                continue
+            piv = None if deps else _pivot(_reduce(cols_mod[w], pivots))
             if piv is None:
                 self.extend(chosen + [w], nxt, pivots, deps + 1, kids, found, fams, counters)
             else:
@@ -598,7 +639,10 @@ def search_min_support(
     0 = f(s) for that neighbour s), and, when theta != 0, a support
     vertex cannot have none.  A leaf breaking either rule is skipped; an
     interior node is cut when a decided vertex breaks one and has no
-    neighbour left to choose.  Exhaustive mode applies neither.
+    neighbour left to choose.  The leaves below a node are admitted in
+    bulk, by one exact mask filter, before the node's column is reduced,
+    and none is reduced when no leaf passes; they are still counted as
+    nodes, one each.  Exhaustive mode applies neither rule.
 
     The work is split by depth-2 prefix (v0, v1), in ascending order.
     ``limit`` is one node budget for the whole call, counted before
@@ -622,9 +666,7 @@ def search_min_support(
     search = _Search(graph, theta, target, mode == "branch-and-prune", limit)
     v = graph.v
 
-    done_before: set[tuple[int, ...]] = set()
-    if resume:
-        done_before = {tuple(p) for p in resume["done"]}
+    done_before = {tuple(p) for p in resume["done"]} if resume else set()
 
     tasks = []
     if target == 1:
@@ -659,19 +701,12 @@ def search_min_support(
             raw_fams.extend(fams)
             done.append(prefix)
 
-    functions = tuple(
-        Eigenfunction(graph, theta, {s: x for s, x in zip(supp, vec) if x})
-        for supp, vec in sorted(raw_found)
-    )
+    def from_kernel(supp, vec) -> Eigenfunction:
+        return Eigenfunction(graph, theta, {s: x for s, x in zip(supp, vec) if x})
+
+    functions = tuple(from_kernel(supp, vec) for supp, vec in sorted(raw_found))
     families = tuple(
-        SupportFamily(
-            support=supp,
-            dimension=len(basis),
-            basis=tuple(
-                Eigenfunction(graph, theta, {s: x for s, x in zip(supp, vec) if x})
-                for vec in basis
-            ),
-        )
+        SupportFamily(supp, len(basis), tuple(from_kernel(supp, vec) for vec in basis))
         for supp, basis in sorted(raw_fams)
     )
     result = SearchResult(functions, families, nodes, kernel_calls, complete=not exhausted)

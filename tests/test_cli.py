@@ -377,6 +377,17 @@ def test_function_zero_denominator_exit_2(capsys):
     assert "--function" in err and "1/0" in err
 
 
+@pytest.mark.parametrize("key", ["x", "99", "-1", "35", " 3", "07", "٣", "9" * 5000])
+def test_function_bad_vertex_exit_2(capsys, key):
+    """A key that is not a vertex index 0..34 of PG(3,2), written in
+    decimal, exits 2 naming --function; "x" and "99" used to print int()'s
+    message or the range error without it, and "07" used to alias 7."""
+    code, err = _usage_error(capsys, "verify-eigenfunction", "--q", "2", "--theta", "3",
+                             "--function", json.dumps({key: "1"}))
+    assert code == 2
+    assert "--function" in err and repr(key) in err
+
+
 @pytest.mark.parametrize("theta,values", [
     (10 ** 4000, {"0": "1"}),
     (3, {"0": f"1/{10 ** 4000}", "1": f"1/{3 ** 8000}"}),

@@ -583,6 +583,38 @@ def test_search_limit_equal_to_total_completes(g_x2):
     assert res.nodes == full.nodes
 
 
+# nodes, kernel calls and done prefixes of the support-6 search on AG(3,2)
+# at theta = -2 cut at each budget, as the search that admitted every
+# leaf on its own counted them
+CENSUS_PARTIALS = {
+    37: (38, 0, 0),
+    1000: (1001, 4, 0),
+    2000: (2001, 8, 0),
+    4321: (4322, 16, 0),
+    50000: (50001, 700, 3),
+}
+
+
+def test_census_search_counts_pinned(g_x2):
+    """Admitting the leaves in bulk keeps every count of the census search:
+    nodes (counted before pruning), exact kernel calls, rays and families,
+    complete and cut at each budget, serial and on two workers."""
+    full = search_min_support(g_x2, -2, 6)
+    assert (full.nodes, full.kernel_calls, len(full.functions), len(full.families)) == (
+        449301, 6510, 2520, 630
+    )
+    for limit, expected in CENSUS_PARTIALS.items():
+        with pytest.raises(LimitExceededError) as exc:
+            search_min_support(g_x2, -2, 6, limit=limit)
+        partial = exc.value.partial
+        assert (partial.nodes, partial.kernel_calls, len(exc.value.checkpoint["done"])) == expected
+    with pytest.raises(LimitExceededError) as par:
+        search_min_support(g_x2, -2, 6, limit=50000, jobs=2)
+    assert par.value.checkpoint == exc.value.checkpoint
+    assert _outcome(par.value.partial) == _outcome(partial)
+    assert (par.value.partial.nodes, par.value.partial.kernel_calls) == (partial.nodes, partial.kernel_calls)
+
+
 def test_concurrent_searches_keep_their_own_tables(g_x2, g_j2):
     """Searches run from two threads of one process see only their own
     graph, eigenvalue and tables."""
@@ -693,3 +725,76 @@ def test_search_theta_zero_keeps_isolated_support_vertices():
     assert [(fam.support, fam.dimension) for fam in parts.families] == [
         ((0, 1, 2), 2), ((3, 4, 5), 2), ((6, 7, 8), 2)
     ]
+
+
+def _rank_mod(vectors, p):
+    rows = [list(vec) for vec in vectors]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] % p:
+                f = rows[r][col] * inv % p
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _nodes_one_at_a_time(g, theta, size):
+    """The branch-and-prune search tree in search order, one node at a time:
+    per node its first vertex, whether it is a leaf, and whether it makes an
+    exact kernel call (a leaf that ``admit`` accepts and whose columns are
+    dependent mod p)."""
+    search = eigenfunctions._Search(g, theta, size, True, None)
+    nodes = []
+
+    def walk(chosen, state):
+        depth = len(chosen) + 1
+        for w in range(chosen[-1] + 1 if chosen else 0, g.v - size + depth):
+            nodes.append([(chosen or [w])[0], depth == size, False])
+            nxt = search.admit(w, state, depth == size)
+            if nxt is not None and depth == size:
+                cols = [search.cols_mod[x] for x in chosen + [w]]
+                nodes[-1][2] = _rank_mod(cols, eigenfunctions._SCREEN_PRIME) < size
+            elif nxt is not None:
+                walk(chosen + [w], nxt)
+
+    walk([], (0, 0, 0))
+    return nodes
+
+
+@pytest.mark.parametrize("name", SMALL_SRGS)
+def test_search_cut_inside_a_leaf_group(name):
+    """Cut in the middle of a group of leaves, which the search admits in
+    bulk, a partial search counts the nodes and makes the kernel calls of
+    the search taken one node at a time, and its done prefixes hold the
+    rays and families exhaustive mode (which admits nothing) finds there.
+    Every graph here has theta != 0, where a leaf must also meet each
+    support vertex without a support neighbour; K_{3,3,3} has theta = 0."""
+    g = SMALL_SRGS[name]()
+    params = srg_params_brute(g)
+    for theta in (params.r, params.s):
+        for size in (3, 4, 5, 6):
+            nodes = _nodes_one_at_a_time(g, theta, size)
+            full = search_min_support(g, theta, size)
+            assert full.nodes == len(nodes), (theta, size)
+            assert full.kernel_calls == sum(call for _, _, call in nodes), (theta, size)
+            ref = search_min_support(g, theta, size, "exhaustive")
+            # budgets inside the first shard that stop the search at a leaf
+            # following another leaf
+            cuts = [i for i in range(1, len(nodes)) if nodes[i][0] == 0 and nodes[i][1] and nodes[i - 1][1]]
+            for limit in cuts[:: max(1, len(cuts) // 8)]:
+                with pytest.raises(LimitExceededError) as exc:
+                    search_min_support(g, theta, size, limit=limit)
+                partial = exc.value.partial
+                calls = sum(call for _, _, call in nodes[:limit])
+                assert (partial.nodes, partial.kernel_calls) == (limit + 1, calls), (theta, size, limit)
+                done = {tuple(p) for p in exc.value.checkpoint["done"]}
+                rays = [sorted(f.values.items()) for f in ref.functions if f.support[:2] in done]
+                fams = [(fam.support, [sorted(f.values.items()) for f in fam.basis])
+                        for fam in ref.families if fam.support[:2] in done]
+                assert _outcome(partial) == (rays, fams), (theta, size, limit)
