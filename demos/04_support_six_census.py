@@ -2,7 +2,8 @@
 graph whose support has size exactly 6, two above the minimum of 4.
 
 The search reduces the eigenspace condition to exact rational kernels
-of column subsets, pruned by a modular rank screen, and returns both
+of column subsets of A - theta*I, decided by one incremental
+fraction-free elimination with no modular screen, and returns both
 isolated rays and positive-dimensional support families.  The census by
 support structure is a computational finding of this run.
 """

@@ -99,10 +99,18 @@ def _pair_json(pair, table: list[str], first: str = "r_lines") -> dict:
     return {first: _Items([table[t] for t in pair.r_ids]), "opp_lines": _Items([table[t] for t in pair.opp_ids])}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused when it repeats a key (json keeps the last)."""
+    keys = [k for k, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return dict(pairs)
+
+
 def _parse_json_arg(text: str, what: str):
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as ex:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as ex:
         raise _UsageError(f"invalid JSON for {what}: {ex}") from ex
 
 
@@ -445,7 +453,7 @@ def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
     """The checkpoint, functions and families of the certificate of an
     interrupted run of the same search, each checked for its shape."""
     with open(path) as fh:
-        prev = json.load(fh)
+        prev = _parse_json_arg(fh.read(), f"--resume {path}")
     result = prev.get("result") if isinstance(prev, dict) else None
     if not (isinstance(result, dict) and isinstance(prev.get("parameters"), dict)):
         raise _UsageError(f"--resume {path} is not the certificate of a search")
@@ -481,11 +489,7 @@ def _cmd_search_support(args, cert: _Cert) -> None:
 
     carried = [rebuild(e) for e in prior_functions]
     bases = [[rebuild(b) for b in fam["basis"]] for fam in prior_families]
-    print(
-        f"searching supports of size {args.size} at theta={args.theta} ({args.mode})",
-        file=sys.stderr,
-    )
-    limit_hit = False
+    print(f"searching supports of size {args.size} at theta={args.theta} ({args.mode})", file=sys.stderr)
     checkpoint = None
     try:
         res = eigenfunctions.search_min_support(
@@ -493,7 +497,6 @@ def _cmd_search_support(args, cert: _Cert) -> None:
             limit=args.limit, resume=resume, jobs=args.jobs,
         )
     except LimitExceededError as ex:
-        limit_hit = True
         checkpoint = ex.checkpoint
         res = ex.partial
     fn_entries = [
@@ -525,11 +528,11 @@ def _cmd_search_support(args, cert: _Cert) -> None:
         ),
         "lines": _Items(_line_table(graph.design.space)),
     }
-    if limit_hit:
+    if checkpoint is not None:
         cert.result["checkpoint"] = {"done": [list(p) for p in checkpoint["done"]]}
     cert.check("all_new_functions_verify", verified)
     cert.check("complete", res.complete)
-    if limit_hit:
+    if checkpoint is not None:
         raise _LimitSignal
 
 

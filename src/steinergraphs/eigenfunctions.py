@@ -9,9 +9,9 @@ Conventions:
     positive;
   * vertices of a block graph are block indices, which coincide with
     line indices of the underlying space;
-  * the support search screens candidate supports by rank modulo the
-    prime 2**31 - 1 and re-checks every screened-in support with an exact
-    integer kernel, so results never depend on the screen;
+  * the support search decides linear dependence exactly, by one
+    fraction-free elimination of the chosen columns of A - theta*I, and
+    reads each kernel vector off the column that it finds dependent;
   * values are Fractions at the API; the hot checks (the eigenvalue
     equation and the kernel of a support) run in exact scaled-integer
     arithmetic, the eigenvalue equation at all vertices at once as one
@@ -31,7 +31,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Mapping
 
@@ -46,11 +46,10 @@ from .errors import (
     ZeroFunctionError,
 )
 from .geometry import AffSpace, ProjSpace, bit_indices
-from .linalg import bareiss_echelon, rational_kernel
+from .linalg import bareiss_echelon, primitive
 from .reguli import RegulusPair, _check_grid, regulus_restriction
 
 MAX_BICLIQUE_VERTICES = 512
-_SCREEN_PRIME = 2147483647
 
 
 class Eigenfunction:
@@ -400,7 +399,8 @@ class SupportFamily:
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of search_min_support: one canonical function per support
-    with a one-dimensional kernel, plus families for larger kernels."""
+    with a one-dimensional kernel, plus families for larger kernels.
+    ``kernel_calls`` counts the admitted leaves with dependent columns."""
 
     functions: tuple[Eigenfunction, ...]
     families: tuple[SupportFamily, ...]
@@ -414,46 +414,35 @@ class _BudgetExceeded(Exception):
 
 
 def _reduce(vec, pivots) -> list[int]:
-    """A column mod p reduced by the normalised modular rows ``pivots``."""
+    """``vec`` cleared at i, fraction-free, by each pivot column (i, pv) in
+    turn: vec -> pv[i] * vec - vec[i] * pv; a bare head ignores pv's tail."""
     for pi, pv in pivots:
         c = vec[pi]
         if c:
-            vec = [(x - c * y) % _SCREEN_PRIME for x, y in zip(vec, pv)]
+            p = pv[pi]
+            vec = [p * x - c * y for x, y in zip(vec, pv)]
     return vec
-
-
-def _pivot(vec) -> tuple[int, list[int]] | None:
-    """The first nonzero position of a column mod p and the column scaled
-    to 1 there, or None for the zero column."""
-    for pi, x in enumerate(vec):
-        if x:
-            inv = pow(x, -1, _SCREEN_PRIME)
-            return pi, [y * inv % _SCREEN_PRIME for y in vec]
-    return None
 
 
 class _Search:
     """The tables of one search_min_support call: adjacency masks and
-    closed neighbourhoods, the row basis of A - theta*I and its columns
-    mod p, and per vertex w the vertices that can still gain a support
-    neighbour once every vertex up to w is decided (those above w and
-    those with a neighbour above w).  ``limit`` caps each shard's nodes."""
+    closed neighbourhoods, the heads (the columns of A - theta*I on rows
+    that form a basis of its row space) and per vertex w the vertices that
+    can still gain a support neighbour once every vertex up to w is
+    decided (those above w and those with a neighbour above w).  ``limit``
+    caps each shard's nodes."""
 
-    __slots__ = ("adj", "closed", "rows_int", "cols_mod", "ahead", "v", "target", "theta", "prune", "limit")
+    __slots__ = ("adj", "closed", "heads", "ahead", "v", "target", "theta", "prune", "limit")
 
     def __init__(self, graph: Graph, theta: int, target: int, prune: bool, limit: int | None):
         self.v = v = graph.v
         self.adj = adj = graph.adj
         self.closed = tuple(a | 1 << u for u, a in enumerate(adj))
-        ident = [[-theta if i == j else 0 for j in range(v)] for i in range(v)]
-        for u in range(v):
-            for w in bit_indices(adj[u]):
-                ident[u][w] += 1
-        ech, pivots = bareiss_echelon(ident)
-        self.rows_int = rows_int = tuple(tuple(row) for row in ech[: len(pivots)])
-        self.cols_mod = tuple(
-            tuple(row[w] % _SCREEN_PRIME for row in rows_int) for w in range(v)
-        )
+        m = [[(adj[u] >> w & 1) - (theta if u == w else 0) for w in range(v)] for u in range(v)]
+        # A - theta*I is symmetric, so its pivot columns also index
+        # independent rows; their entries are 0, 1 and -theta
+        _, pivots = bareiss_echelon(m)
+        self.heads = tuple(tuple(row[s] for s in pivots) for row in m)
         ahead = [0] * v
         for u in range(v):
             for w in range(max(u, adj[u].bit_length() - 1)):
@@ -484,18 +473,34 @@ class _Search:
             return None
         return mask, one, two
 
-    def leaf_check(self, chosen: list[int], found: list, fams: list, counters: dict) -> None:
-        counters["kernel_calls"] += 1
-        mat = [[row[s] for s in chosen] for row in self.rows_int]
-        basis = rational_kernel(mat)
-        if not basis:
+    def place(self, w: int, depth: int, pivots) -> tuple[tuple | None, tuple | None]:
+        """Column w with its tail (the unit vector at ``depth``) reduced by
+        ``pivots``: ((i, it over its content), None), i its first nonzero
+        head entry, or (None, its primitive tail) when its head is zero."""
+        r = len(self.heads[w])
+        vec = [*self.heads[w], *[0] * self.target]
+        vec[r + depth] = 1
+        vec = _reduce(vec, pivots)
+        pi = next((i for i in range(r) if vec[i]), None)
+        if pi is None:
+            return None, primitive(vec[r:])
+        g = gcd(*vec)
+        return (pi, [x // g for x in vec]), None
+
+    def leaf_check(self, support, kers, pivots, dependent, found, fams, counters) -> None:
+        """Record ``support`` when its kernel has no common zero, given the
+        ``kers`` and ``pivots`` of all but its ``dependent`` last column."""
+        if dependent:
+            kers = (*kers, self.place(support[-1], len(support) - 1, pivots)[1])
+        elif not kers:
             return
-        if not all(any(vec[j] for vec in basis) for j in range(len(chosen))):
+        counters["kernel_calls"] += 1
+        if not all(any(vec[j] for vec in kers) for j in range(self.target)):
             return  # the kernel vanishes on a chosen vertex
-        if len(basis) == 1:
-            found.append((tuple(chosen), tuple(basis[0])))
+        if len(kers) == 1:
+            found.append((support, kers[0]))
         else:
-            fams.append((tuple(chosen), basis))
+            fams.append((support, kers))
 
     def leaves(self, state: tuple[int, int, int], lo: int, hi: int) -> list[int]:
         """The leaves lo <= x < hi that ``admit`` accepts after a node of
@@ -515,22 +520,21 @@ class _Search:
         free = ~(one | mask)
         return [x for x in bit_indices(keep) if not need & ~closed[x] and not adj[x] & free]
 
-    def extend(self, chosen, state, pivots, deps, ws, found, fams, counters) -> None:
+    def extend(self, chosen, state, pivots, kers, ws, found, fams, counters) -> None:
         """Try each w of ``ws`` as the next support vertex after ``chosen``.
-        ``pivots`` is the normalised modular row basis of the chosen columns
-        and ``deps`` is nonzero once one of them was dependent, after which
-        no column is reduced; a leaf without a dependency has no kernel and
-        skips the exact check.  When pruning, a node whose children are
-        leaves counts them at once and checks only those ``leaves`` admits,
-        reducing no column when there is none."""
+        ``pivots`` are the reduced independent columns of ``chosen`` and
+        ``kers`` the kernel vectors of its dependent ones, one each.  When
+        pruning, a node whose children are leaves counts them at once and
+        checks only those ``leaves`` admits, reducing no column when there
+        is none."""
         target = self.target
-        cols_mod = self.cols_mod
+        heads = self.heads
         prune = self.prune
         limit = self.limit
         d = len(chosen) + 1
         leaf = d == target
         bulk = prune and d + 1 == target
-        # columns reduced by ``pivots``, shared by the leaf parents tried here
+        # heads reduced by ``pivots``, shared by the leaf parents tried here
         reduced: dict[int, list[int]] = {}
         for w in ws:
             counters["nodes"] += 1
@@ -540,8 +544,8 @@ class _Search:
             if nxt is None:
                 continue
             if leaf:
-                if deps or not any(_reduce(cols_mod[w], pivots)):
-                    self.leaf_check(chosen + [w], found, fams, counters)
+                dependent = not any(_reduce(heads[w], pivots))
+                self.leaf_check((*chosen, w), kers, pivots, dependent, found, fams, counters)
                 continue
             kids = range(w + 1, self.v - (target - d) + 1)
             if bulk:
@@ -550,24 +554,29 @@ class _Search:
                 room = len(kids) if limit is None else limit - counters["nodes"]
                 counters["nodes"] += min(room + 1, len(kids))
                 leaves = self.leaves(nxt, w + 1, w + 1 + min(room, len(kids)))
-                if leaves and not deps:
+                if leaves:
                     for x in (w, *leaves):
                         if x not in reduced:
-                            reduced[x] = _reduce(cols_mod[x], pivots)
-                    piv = _pivot(reduced[w])
-                    if piv is not None:
-                        leaves = [x for x in leaves if not any(_reduce(reduced[x], (piv,)))]
-                for x in leaves:
-                    self.leaf_check(chosen + [w, x], found, fams, counters)
+                            reduced[x] = _reduce(heads[x], pivots)
+                    # w's head screens the leaves; w is placed with its tail
+                    # only when a kernel vector needs it
+                    hw = reduced[w]
+                    wpiv = [(i, hw) for i in range(len(hw)) if hw[i]][:1]
+                    ks = kers if wpiv else (*kers, self.place(w, d - 1, pivots)[1])
+                    for x in leaves:
+                        dep = not any(_reduce(reduced[x], wpiv))
+                        if dep or ks:
+                            tails = [*pivots, self.place(w, d - 1, pivots)[0]] if dep and wpiv else pivots
+                            self.leaf_check((*chosen, w, x), ks, tails, dep, found, fams, counters)
                 if room < len(kids):
                     raise _BudgetExceeded
                 continue
-            piv = None if deps else _pivot(_reduce(cols_mod[w], pivots))
+            piv, ker = self.place(w, d - 1, pivots)
             if piv is None:
-                self.extend(chosen + [w], nxt, pivots, deps + 1, kids, found, fams, counters)
+                self.extend(chosen + [w], nxt, pivots, (*kers, ker), kids, found, fams, counters)
             else:
                 pivots.append(piv)
-                self.extend(chosen + [w], nxt, pivots, deps, kids, found, fams, counters)
+                self.extend(chosen + [w], nxt, pivots, kers, kids, found, fams, counters)
                 pivots.pop()
 
     def run_shard(self, task) -> Iterator[tuple]:
@@ -584,15 +593,14 @@ class _Search:
         if state is None:
             yield from (((v0, v1), int(i == 0), 0, (), (), True) for i, v1 in enumerate(v1_list))
             return
-        piv = _pivot(self.cols_mod[v0])
-        pivots, deps = ([], 1) if piv is None else ([piv], 0)
+        piv, ker = self.place(v0, 0, [])
+        pivots, kers = ([], (ker,)) if piv is None else ([piv], ())
         counters = {"nodes": 1, "kernel_calls": 0}
         before = (0, 0)
         for v1 in v1_list:
-            found: list = []
-            fams: list = []
+            found, fams = [], []
             try:
-                self.extend([v0], state, pivots, deps, (v1,), found, fams, counters)
+                self.extend([v0], state, pivots, kers, (v1,), found, fams, counters)
                 finished = True
             except _BudgetExceeded:
                 finished = False
@@ -633,16 +641,26 @@ def search_min_support(
 
     A candidate support survives iff the kernel of the columns of
     A - theta*I indexed by it contains a vector with no zero entry.  The
-    search runs over ascending supports.  Branch-and-prune mode applies
-    two local rules before any modular work: a vertex outside the support
-    cannot have exactly one support neighbour (its equation would read
-    0 = f(s) for that neighbour s), and, when theta != 0, a support
-    vertex cannot have none.  A leaf breaking either rule is skipped; an
-    interior node is cut when a decided vertex breaks one and has no
-    neighbour left to choose.  The leaves below a node are admitted in
-    bulk, by one exact mask filter, before the node's column is reduced,
-    and none is reduced when no leaf passes; they are still counted as
-    nodes, one each.  Exhaustive mode applies neither rule.
+    search runs over ascending supports and decides dependence exactly:
+    the heads of the chosen columns (their entries on the rows of the
+    symmetric A - theta*I that its echelon form's pivot columns index) are
+    eliminated fraction-free, one per depth, each carrying its tail, the
+    combination of chosen columns it equals.  A column whose head becomes
+    zero is dependent and its primitive tail is a kernel vector.  It is
+    reduced only by earlier pivot columns, so these vectors, in depth
+    order, are the rational_kernel basis: one per free column, ascending.
+
+    Branch-and-prune mode applies two local rules before any elimination:
+    a vertex outside the support cannot have exactly one support neighbour
+    (its equation would read 0 = f(s) for that neighbour s), and, when
+    theta != 0, a support vertex cannot have none.  A leaf breaking either
+    rule is skipped; an interior node is cut when a decided vertex breaks
+    one and has no neighbour left to choose.  The leaves below a node are
+    admitted in bulk, by one exact mask filter, before the node's column
+    is reduced, and none is reduced when no leaf passes; they are still
+    counted as nodes, one each.  A leaf is screened on its head, and its
+    tail is built only when the head is zero.  Exhaustive mode applies
+    neither rule.
 
     The work is split by depth-2 prefix (v0, v1), in ascending order.
     ``limit`` is one node budget for the whole call, counted before
@@ -668,21 +686,14 @@ def search_min_support(
 
     done_before = {tuple(p) for p in resume["done"]} if resume else set()
 
-    tasks = []
     if target == 1:
-        for v0 in range(v):
-            if (v0,) not in done_before:
-                tasks.append((v0, ()))
+        tasks = [(v0, ()) for v0 in range(v) if (v0,) not in done_before]
     else:
-        for v0 in range(v - target + 1):
-            v1s = tuple(
-                v1 for v1 in range(v0 + 1, v - target + 2) if (v0, v1) not in done_before
-            )
-            if v1s:
-                tasks.append((v0, v1s))
+        todo = {v0: tuple(v1 for v1 in range(v0 + 1, v - target + 2) if (v0, v1) not in done_before)
+                for v0 in range(v - target + 1)}
+        tasks = [(v0, v1s) for v0, v1s in todo.items() if v1s]
 
-    raw_found: list = []
-    raw_fams: list = []
+    raw_found, raw_fams = [], []
     done: list[tuple[int, ...]] = sorted(done_before)
     nodes = kernel_calls = 0
     exhausted = False

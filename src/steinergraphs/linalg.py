@@ -159,7 +159,8 @@ def bareiss_echelon(rows) -> tuple[list[list[int]], list[int]]:
     return m[:r], pivots
 
 
-def _primitive(vec) -> tuple[int, ...]:
+def primitive(vec) -> tuple[int, ...]:
+    """``vec`` divided by its content, first nonzero entry positive."""
     g = 0
     for x in vec:
         g = gcd(g, x)
@@ -198,5 +199,5 @@ def rational_kernel(rows) -> tuple[tuple[int, ...], ...]:
                 if m != 1:
                     x = [xi * m for xi in x]
                 x[c] = -acc // g
-        basis.append(_primitive(x))
+        basis.append(primitive(x))
     return tuple(basis)

@@ -377,6 +377,15 @@ def test_function_zero_denominator_exit_2(capsys):
     assert "--function" in err and "1/0" in err
 
 
+def test_function_repeated_key_exit_2(capsys):
+    """A vertex named twice exits 2 naming --function and the key; json
+    used to keep the last value and verify the function with support [7]."""
+    code, err = _usage_error(capsys, "verify-eigenfunction", "--q", "2", "--theta", "3",
+                             "--function", '{"7": "1", "7": "-1"}')
+    assert code == 2
+    assert "--function" in err and "'7'" in err
+
+
 @pytest.mark.parametrize("key", ["x", "99", "-1", "35", " 3", "07", "٣", "9" * 5000])
 def test_function_bad_vertex_exit_2(capsys, key):
     """A key that is not a vertex index 0..34 of PG(3,2), written in
@@ -730,6 +739,20 @@ def test_search_resume_zero_denominator_exit_2_before_search(tmp_path, capsys, m
     code, err = _usage_error(capsys, *AG32_SIZE4, "--resume", str(part_file))
     assert code == 2
     assert "--resume" in err and "1/0" in err
+
+
+def test_search_resume_repeated_key_exit_2(tmp_path, capsys):
+    """A --resume file whose object repeats a key exits 2 naming the file
+    and the key, before any search work; json used to keep the last value."""
+    part_file = tmp_path / "partial.json"
+    cli.main([*AG32_SIZE4, "--limit", "2000", "--out", str(part_file), "--format", "json"])
+    capsys.readouterr()
+    text = part_file.read_text()
+    assert text.startswith('{"checks":')
+    part_file.write_text('{"command":"search-support",' + text[1:])
+    code, err = _usage_error(capsys, *AG32_SIZE4, "--resume", str(part_file))
+    assert code == 2
+    assert str(part_file) in err and "'command'" in err
 
 
 def test_search_resume_rerenders_prior_functions(tmp_path, capsys):

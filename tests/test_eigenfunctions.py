@@ -55,7 +55,7 @@ from steinergraphs.geometry import (
     proj_space,
 )
 from steinergraphs.gf import field_make
-from steinergraphs.linalg import bareiss_echelon
+from steinergraphs.linalg import bareiss_echelon, rational_kernel
 from steinergraphs.reguli import enumerate_reguli, regulus_restriction, regulus_through
 
 
@@ -642,12 +642,13 @@ def test_concurrent_searches_keep_their_own_tables(g_x2, g_j2):
 
 def test_search_leaves_no_tables_in_the_module(g_x2):
     """Once a search returns, no attribute of the module (nor a dict or
-    object it holds) references the row basis of A - theta*I."""
+    object it holds) references its heads: the columns of A - theta*I on
+    the rows that its echelon form's pivot columns index."""
     search_min_support(g_x2, -2, 4)
-    v = g_x2.v
-    ident = [[(g_x2.adj[u] >> w & 1) + (2 if u == w else 0) for w in range(v)] for u in range(v)]
-    ech, pivots = bareiss_echelon(ident)
-    basis = tuple(tuple(row) for row in ech[: len(pivots)])
+    m = _columns(g_x2, -2, range(g_x2.v))
+    _, pivots = bareiss_echelon(m)
+    basis = tuple(tuple(row[s] for s in pivots) for row in m)
+    assert basis == eigenfunctions._Search(g_x2, -2, 4, True, None).heads
 
     def members(x):
         if isinstance(x, dict):
@@ -727,28 +728,47 @@ def test_search_theta_zero_keeps_isolated_support_vertices():
     ]
 
 
-def _rank_mod(vectors, p):
-    rows = [list(vec) for vec in vectors]
-    rank = 0
-    for col in range(len(rows[0])):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col] * inv % p
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def _columns(g, theta, support):
+    """The columns of A - theta*I indexed by ``support``, built from the
+    adjacency masks."""
+    return [[(g.adj[u] >> x & 1) - (theta if u == x else 0) for x in support] for u in range(g.v)]
+
+
+def _assert_kernels_match(g, theta, res):
+    """Each ray is the one primitive rational_kernel vector of its
+    support's columns of A - theta*I, and each family's basis is that
+    kernel's basis, vector by vector."""
+    for f in res.functions:
+        assert rational_kernel(_columns(g, theta, f.support)) == (tuple(f.values[s] for s in f.support),)
+    for fam in res.families:
+        basis = tuple(tuple(b.value(s) for s in fam.support) for b in fam.basis)
+        assert rational_kernel(_columns(g, theta, fam.support)) == basis
+        assert fam.dimension == len(basis) >= 2
+
+
+def test_census_kernels_match_rational_kernel(g_x2):
+    """The search reads its kernels off one fraction-free elimination; every
+    ray and family of the support-6 census equals the exact kernel that
+    rational_kernel computes afresh."""
+    res = search_min_support(g_x2, -2, 6)
+    assert (len(res.functions), len(res.families)) == (2520, 630)
+    _assert_kernels_match(g_x2, -2, res)
+
+
+@pytest.mark.parametrize("name", SMALL_SRGS)
+def test_small_srg_kernels_match_rational_kernel(name):
+    g = SMALL_SRGS[name]()
+    params = srg_params_brute(g)
+    for theta in (params.r, params.s):
+        for size in range(3, 7):
+            _assert_kernels_match(g, theta, search_min_support(g, theta, size))
 
 
 def _nodes_one_at_a_time(g, theta, size):
     """The branch-and-prune search tree in search order, one node at a time:
     per node its first vertex, whether it is a leaf, and whether it makes an
-    exact kernel call (a leaf that ``admit`` accepts and whose columns are
-    dependent mod p)."""
+    exact kernel call (a leaf that ``admit`` accepts and whose columns of
+    A - theta*I are dependent, by rational_kernel)."""
     search = eigenfunctions._Search(g, theta, size, True, None)
     nodes = []
 
@@ -758,8 +778,7 @@ def _nodes_one_at_a_time(g, theta, size):
             nodes.append([(chosen or [w])[0], depth == size, False])
             nxt = search.admit(w, state, depth == size)
             if nxt is not None and depth == size:
-                cols = [search.cols_mod[x] for x in chosen + [w]]
-                nodes[-1][2] = _rank_mod(cols, eigenfunctions._SCREEN_PRIME) < size
+                nodes[-1][2] = bool(rational_kernel(_columns(g, theta, chosen + [w])))
             elif nxt is not None:
                 walk(chosen + [w], nxt)
 
