@@ -67,10 +67,9 @@ def main() -> None:
         h for h in psp.hyperplanes if regulus_restriction(reg, h).kind == "wdbplus2"
     )
     f = wdbplus2_function(reg, avoiding)
-    st = support_structure(f.graph, f)
     print(
         f"avoided-plane sign function: theta={f.theta}, support {len(f.support)} "
-        f"(bound + 2), structure {st.kind}"
+        f"(bound + 2), structure {support_structure(f.graph, f)}"
     )
 
 

@@ -16,9 +16,11 @@ Conventions:
     elements of the space's length (--star also takes a point index in
     range, and in a projective space any nonzero multiple of a point),
     an option the command does not read (--jobs belongs to search-support,
-    --limit to it and the three enumerations, and enumerate-reguli,
-    enumerate-affine-reguli and cameron-liebler, which work in dimension 3,
-    take no --n), a negative --limit or a --jobs below 1;
+    --limit to it and the three enumerations, --theta to it, wdb and
+    verify-eigenfunction, and enumerate-reguli, enumerate-affine-reguli
+    and cameron-liebler, which work in dimension 3, take no --n), a
+    negative --limit, a --jobs below 1, or a --resume file that cannot be
+    read or carries a support the resumed search cannot have found;
   * every named check recomputes what its name claims, and a failed
     check carries a witness;
   * lines are encoded as integer arrays via their canonical forms: a
@@ -428,12 +430,12 @@ def _cmd_wdbplus2(args, cert: _Cert) -> None:
     cert.result = {
         "theta": f.theta,
         "support_size": len(f.support),
-        "function": _function_json(f, structure.kind),
+        "function": _function_json(f, structure),
         "lines": _Items(_line_table(graph.design.space)),
     }
     q = args.q
     cert.check("support_size_2q_plus_2", len(f.support) == 2 * (q + 1))
-    cert.check("structure_bipartite_minus_matching", structure.kind == "BipartiteMinusMatching")
+    cert.check("structure_bipartite_minus_matching", structure == "BipartiteMinusMatching")
     cert.check("verifies", bool(eigenfunctions.verify_eigenfunction(graph, f)))
 
 
@@ -451,7 +453,8 @@ def _valued(entry) -> bool:
 
 def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
     """The checkpoint, functions and families of the certificate of an
-    interrupted run of the same search, each checked for its shape."""
+    interrupted run of the same search, each checked for its shape; every
+    carried support must be one the search can have found."""
     with open(path) as fh:
         prev = _parse_json_arg(fh.read(), f"--resume {path}")
     result = prev.get("result") if isinstance(prev, dict) else None
@@ -474,6 +477,14 @@ def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
         and all(_valued(b) for e in families for b in e["basis"])
     ):
         raise _UsageError(f"--resume {path} holds no checkpoint of an interrupted search")
+    size, prefixes, seen = cert.parameters["size"], {tuple(p) for p in done}, set()
+    for support in (tuple(e["support"]) for e in entries):
+        if len(support) != size or support[:2] not in prefixes or support in seen:
+            raise _UsageError(
+                f"--resume {path} carries support {list(support)}, which the search cannot have found:"
+                f" it finds each support of --size {size} once, below a done prefix"
+            )
+        seen.add(support)
     print(f"resuming from {path}: {len(done)} prefixes done", file=sys.stderr)
     return {"done": [tuple(p) for p in done]}, functions, families
 
@@ -500,14 +511,15 @@ def _cmd_search_support(args, cert: _Cert) -> None:
         checkpoint = ex.checkpoint
         res = ex.partial
     fn_entries = [
-        _function_json(f, eigenfunctions.support_structure(graph, f).kind) for f in [*carried, *res.functions]
+        _function_json(f, eigenfunctions.support_structure(graph, f)) for f in [*carried, *res.functions]
     ]
-    fam_entries = [_family_json(basis) for basis in [*bases, *(fam.basis for fam in res.families)]]
+    bases += [fam.basis for fam in res.families]
+    fam_entries = [_family_json(basis) for basis in bases]
     verified = (
         fn_entries[: len(carried)] == prior_functions
-        and fam_entries[: len(bases)] == prior_families
+        and fam_entries[: len(prior_families)] == prior_families
         and all(len(basis) >= 2 for basis in bases)
-        and all(eigenfunctions.verify_eigenfunction(graph, f) for f in [*carried, *chain(*bases), *res.functions])
+        and all(eigenfunctions.verify_eigenfunction(graph, f) for f in [*carried, *res.functions, *chain(*bases)])
     )
     fn_entries.sort(key=lambda e: e["support"])
     fam_entries.sort(key=lambda e: e["support"])
@@ -570,9 +582,7 @@ def _cmd_balance(args, cert: _Cert) -> None:
     f1 = eigenfunctions.optimal_from_regulus(pair, graph)
     part_indices = _named_line_set(args, space)
     part = partitions.Partition2.from_part(graph, part_indices)
-    theta = args.theta
-    if theta is None:
-        theta = partitions.partition_eigenvalue(partitions.quotient_matrix(graph, part))
+    theta = partitions.partition_eigenvalue(partitions.quotient_matrix(graph, part))
     report = partitions.balance_check(graph, f1, [f1], part, theta)
     cert.result = {
         "theta": theta,
@@ -725,7 +735,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _part_flags(common(sub.add_parser("equitable", help="quotient matrix of a 2-partition"), "proj"))
     p = common(sub.add_parser("balance", help="balance of a regulus sign function on a partition part"))
     p.add_argument("--lines", required=True, help="JSON: three projective lines")
-    p.add_argument("--theta", type=int, default=None)
     _part_flags(p)
     _part_flags(base(sub.add_parser("cameron-liebler", help="test a line set with both criteria in PG(3,q)")))
     return parser

@@ -111,9 +111,6 @@ class Graph:
     def is_edge(self, u: int, w: int) -> bool:
         return bool(self.adj[u] & (1 << w))
 
-    def common_count(self, u: int, w: int) -> int:
-        return (self.adj[u] & self.adj[w]).bit_count()
-
     def packed_rows(self, bits: int) -> tuple[tuple[int, ...] | None, int]:
         """Adjacency rows spread to fields of at least ``bits`` bits,
         rounded up to a whole number of bytes: row w is the sum of
@@ -244,9 +241,10 @@ def srg_params_brute(g: Graph) -> SrgParams:
                 witness=(u, g.degree(u), k),
             )
     lmbda = mu = None
+    adj = g.adj
     for u in range(v):
         for w in range(u + 1, v):
-            c = g.common_count(u, w)
+            c = (adj[u] & adj[w]).bit_count()
             if g.is_edge(u, w):
                 if lmbda is None:
                     lmbda = c

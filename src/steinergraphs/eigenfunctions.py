@@ -81,26 +81,6 @@ class Eigenfunction:
     def value(self, u: int) -> Fraction:
         return self.values.get(u, Fraction(0))
 
-    def __neg__(self) -> Eigenfunction:
-        return Eigenfunction(self.graph, self.theta, {u: -x for u, x in self.values.items()})
-
-    def __add__(self, other: Eigenfunction) -> Eigenfunction:
-        if self.graph is not other.graph or self.theta != other.theta:
-            raise ValueError("can only add eigenfunctions of one graph and eigenvalue")
-        vals = dict(self.values)
-        for u, x in other.values.items():
-            vals[u] = vals.get(u, Fraction(0)) + x
-        return Eigenfunction(self.graph, self.theta, vals)
-
-    def __sub__(self, other: Eigenfunction) -> Eigenfunction:
-        return self + (-other)
-
-    def __mul__(self, c) -> Eigenfunction:
-        c = Fraction(c)
-        return Eigenfunction(self.graph, self.theta, {u: c * x for u, x in self.values.items()})
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return (
             isinstance(other, Eigenfunction)
@@ -232,7 +212,7 @@ def wdbplus2_function(pair: RegulusPair, hyperplane) -> Eigenfunction:
     config = outcome.config
     q = config.space.field.q
     f = _line_sign_function(config.space, None, config.r_ids, config.opp_ids, -q, 2 * (q + 1))
-    if support_structure(f.graph, f).kind != "BipartiteMinusMatching":
+    if support_structure(f.graph, f) != "BipartiteMinusMatching":
         raise NotOptimalError("support does not induce a complete bipartite graph minus a matching")
     return f
 
@@ -240,24 +220,14 @@ def wdbplus2_function(pair: RegulusPair, hyperplane) -> Eigenfunction:
 # -- support structure ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportStructure:
-    """Shape of the subgraph induced on a support: the two parts are the
-    sign classes of the function, positive first."""
-
-    kind: str
-    t0: tuple[int, ...]
-    t1: tuple[int, ...]
-
-
-def support_structure(graph: Graph, f: Eigenfunction) -> SupportStructure:
-    """Classify the induced subgraph on the support into CompleteBipartite,
-    IsolatedCliquePair, BipartiteMinusMatching or Other, with the sign
-    classes of f as parts."""
+def support_structure(graph: Graph, f: Eigenfunction) -> str:
+    """The shape of the subgraph induced on the support, with the sign
+    classes of f (positive first) as its two parts: "CompleteBipartite",
+    "IsolatedCliquePair", "BipartiteMinusMatching" or "Other"."""
     t0 = tuple(u for u in f.support if f.values[u] > 0)
     t1 = tuple(u for u in f.support if f.values[u] < 0)
     if not t0 or not t1 or len(t0) != len(t1):
-        return SupportStructure("Other", t0, t1)
+        return "Other"
     m0 = m1 = 0
     for u in t0:
         m0 |= 1 << u
@@ -269,16 +239,16 @@ def support_structure(graph: Graph, f: Eigenfunction) -> SupportStructure:
     cross0 = [(adj[u] & m1).bit_count() for u in t0]
     cross1 = [(adj[u] & m0).bit_count() for u in t1]
     if not within and all(c == a for c in cross0):
-        return SupportStructure("CompleteBipartite", t0, t1)
+        return "CompleteBipartite"
     if all(c == 0 for c in cross0):
         cliques = all((adj[u] & m0).bit_count() == a - 1 for u in t0) and all(
             (adj[u] & m1).bit_count() == a - 1 for u in t1
         )
         if cliques:
-            return SupportStructure("IsolatedCliquePair", t0, t1)
+            return "IsolatedCliquePair"
     if not within and all(c == a - 1 for c in cross0) and all(c == a - 1 for c in cross1):
-        return SupportStructure("BipartiteMinusMatching", t0, t1)
-    return SupportStructure("Other", t0, t1)
+        return "BipartiteMinusMatching"
+    return "Other"
 
 
 def enumerate_complete_bipartite(graph: Graph, a: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Everything raised deliberately by this package derives from SteinerError,
-so callers can catch one type.  Errors that carry a counterexample expose
-it as the ``witness`` attribute.
+so callers can catch one type.  Every SteinerError has a ``witness``
+attribute: the counterexample, for the errors that carry one, else None.
 """
 
 from __future__ import annotations
@@ -10,6 +10,10 @@ from __future__ import annotations
 
 class SteinerError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NonPrimeError(SteinerError):
@@ -97,10 +101,6 @@ class NotStronglyRegularError(SteinerError):
     """The graph is not strongly regular; ``witness`` names the offending
     vertex pair and counts."""
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NotAnEigenvalueError(SteinerError):
     """A number that is not an eigenvalue of the graph in question."""
@@ -114,10 +114,6 @@ class NotAnEigenfunctionError(SteinerError):
     """The function fails the vertex-wise eigenvalue equation; ``witness``
     is (vertex, lhs, rhs)."""
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NotOptimalError(SteinerError):
     """An eigenfunction whose support is not of the minimum size, where
@@ -128,10 +124,6 @@ class NotOptimalError(SteinerError):
 class NotEquitableError(SteinerError):
     """The partition is not equitable; ``witness`` is a vertex pair with
     differing counts, (part_index, (vertex_a, count_a), (vertex_b, count_b))."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class InconsistentQuotientError(SteinerError):

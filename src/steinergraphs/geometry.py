@@ -70,18 +70,6 @@ def normalize_point(field: Field, vec) -> Vec:
     return field.normalize_row(field.check_row(vec))
 
 
-def vec_add(field: Field, a, b) -> Vec:
-    return field.add_rows(field.check_row(a), field.check_row(b))
-
-
-def vec_scale(field: Field, c: int, a) -> Vec:
-    return field.scale_row(field.check(c), field.check_row(a))
-
-
-def dot(field: Field, a, b) -> int:
-    return field.dot(field.check_row(a), field.check_row(b))
-
-
 class _Line:
     """Identity of a line is its canonical ``key``; ``points`` are indices
     into the ambient space's point table and ``mask`` their bitmask."""
@@ -132,7 +120,7 @@ class Hyperplane:
     normal: Vec
 
     def contains_point(self, field: Field, p) -> bool:
-        return dot(field, self.normal, p) == 0
+        return field.dot(field.check_row(self.normal), field.check_row(p)) == 0
 
     def contains_line(self, field: Field, line: ProjLine) -> bool:
         normal = field.check_row(self.normal)
@@ -319,10 +307,11 @@ class AffSpace(_Space):
 
     def line_from_key(self, direction, base) -> AffLine:
         d = normalize_point(self.field, direction)
-        i = self.line_index.get((d, tuple(base)))
+        base = tuple(self.field.check_row(base))
+        i = self.line_index.get((d, base))
         if i is None:
             # base may not be the smallest point; renormalise through it
-            return self.line_through(tuple(base), vec_add(self.field, tuple(base), d))
+            return self.line_through(base, self.field.add_rows(base, d))
         return self.lines[i]
 
 

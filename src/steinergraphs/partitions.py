@@ -64,15 +64,6 @@ class Partition2:
         rest = sorted(set(range(graph.v)) - set(part))
         return cls(part, rest)
 
-    def __eq__(self, other):
-        return isinstance(other, Partition2) and self.v1 == other.v1 and self.v2 == other.v2
-
-    def __hash__(self):
-        return hash((self.v1, self.v2))
-
-    def __repr__(self):
-        return f"Partition2(|V1|={len(self.v1)}, |V2|={len(self.v2)})"
-
 
 @dataclass(frozen=True)
 class QuotientMatrix:
@@ -89,14 +80,6 @@ class QuotientMatrix:
         for x in (self.p11, self.p12, self.p21, self.p22):
             if x < 0:
                 raise ValueError("quotient entries must be non-negative")
-
-    @property
-    def k(self) -> int:
-        if self.p11 + self.p12 != self.p21 + self.p22:
-            raise InconsistentQuotientError(
-                f"row sums differ: {self.p11 + self.p12} != {self.p21 + self.p22}"
-            )
-        return self.p11 + self.p12
 
     @property
     def is_principal(self) -> bool:

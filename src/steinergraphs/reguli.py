@@ -68,8 +68,6 @@ from .geometry import (
     bit_indices,
     normalize_point,
     span_of_lines,
-    vec_add,
-    vec_scale,
 )
 
 MAX_ENUM_Q = 4
@@ -299,11 +297,11 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> RegulusPair:
         raise DependentVectorsError("v1, v2, v3 must be linearly independent")
     s1 = []
     s2 = []
+    # row_basis has checked the vectors, so the unchecked row operations apply
     for c in f.elements():
-        d1 = vec_add(f, vec_scale(f, c, v3), v1)
-        d2 = vec_add(f, vec_scale(f, c, v3), v2)
-        s1.append(space.line_from_key(d1, vec_scale(f, c, v2)))
-        s2.append(space.line_from_key(d2, vec_scale(f, c, v1)))
+        cv3 = f.scale_row(c, v3)
+        s1.append(space.line_from_key(f.add_rows(cv3, v1), f.scale_row(c, v2)))
+        s2.append(space.line_from_key(f.add_rows(cv3, v2), f.scale_row(c, v1)))
     pair = RegulusPair(*(tuple(sorted(map(space.index_of, s))) for s in (s1, s2)), space)
     _check_regulus_pair(space, pair.r_ids, pair.opp_ids)
     for fam, dplane in ((s1, (v1, v3)), (s2, (v2, v3))):

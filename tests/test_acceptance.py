@@ -88,7 +88,7 @@ def _wdbplus2_rays_q2():
                 f = wdbplus2_function(pair, hyp)
                 assert f.theta == -2
                 assert len(f.support) == 6
-                assert support_structure(f.graph, f).kind == "BipartiteMinusMatching"
+                assert support_structure(f.graph, f) == "BipartiteMinusMatching"
                 assert verify_eigenfunction(f.graph, f).ok
                 rays.add(_ray_key(f))
                 instances += 1
@@ -250,7 +250,7 @@ def test_criterion_07_wdbplus2_functions():
             f = wdbplus2_function(pair, hyp)
             assert f.theta == -3
             assert len(f.support) == 8
-            assert support_structure(f.graph, f).kind == "BipartiteMinusMatching"
+            assert support_structure(f.graph, f) == "BipartiteMinusMatching"
             done += 1
     assert done >= 100
     _report(7, f"3360 q=2 instances (112 rays) and {done} q=3 instances, zero failures")
@@ -270,7 +270,7 @@ def test_criterion_08_support_six_search(g_x2):
     census: dict[str, int] = {}
     for f in res.functions:
         assert verify_eigenfunction(g_x2, f).ok
-        kind = support_structure(g_x2, f).kind
+        kind = support_structure(g_x2, f)
         census[kind] = census.get(kind, 0) + 1
     _, instance_rays = _wdbplus2_rays_q2()
     assert instance_rays <= set(ray_keys), "every avoided-plane instance is found"

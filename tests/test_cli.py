@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import time
 from fractions import Fraction
@@ -227,6 +229,35 @@ def test_equitable_direction_class(capsys):
     assert code == 0
     assert cert["result"]["quotient"] == [[0, 12], [2, 10]]
     assert cert["result"]["theta"] == -2
+
+
+def test_plane_names_the_lines_of_a_plane(capsys):
+    """--plane names the lines inside a hyperplane of PG(3,q): in
+    equitable and cameron-liebler alike, the seven lines of the plane
+    x3 = 0 of PG(3,2), dual to a star, with the star's quotient matrix."""
+    code, cert = _run(capsys, "equitable", "--q", "2", "--plane", "[0,0,0,1]")
+    assert code == 0
+    part, lines = cert["result"]["part"], cert["result"]["lines"]
+    assert part == [t for t, line in enumerate(lines) if all(row[3] == 0 for row in line["basis"])]
+    assert len(part) == 7
+    assert cert["result"]["quotient"] == [[6, 12], [3, 15]]
+    code, cl = _run(capsys, "cameron-liebler", "--q", "2", "--plane", "[0,0,0,1]")
+    assert code == 0
+    assert cl["result"]["line_set"] == part
+    assert cl["result"]["is_cameron_liebler"] is True
+    assert cl["result"]["method_equitable"] is True
+
+
+@pytest.mark.parametrize("flags", [(), ("--star", "0", "--part", "[0]"), ("--plane", "[0,0,0,1]", "--star", "0")],
+                         ids=["none", "star-and-part", "plane-and-star"])
+def test_line_set_needs_exactly_one_option_exit_2(capsys, flags):
+    """equitable, balance and cameron-liebler each name one line set."""
+    for argv in (("equitable", "--q", "2"),
+                 ("balance", "--q", "2", "--lines", REGULUS_LINES),
+                 ("cameron-liebler", "--q", "2")):
+        code, err = _usage_error(capsys, *argv, *flags)
+        assert code == 2
+        assert "exactly one of --part, --star, --plane, --direction" in err
 
 
 def test_balance_command(capsys):
@@ -464,7 +495,8 @@ def test_jobs_below_one_exit_2(capsys, monkeypatch, jobs):
     (("srg", "--jobs", "2"), "--jobs"),
     (("geometry", "--limit", "0"), "--limit"),
     (("cameron-liebler", "--n", "3", "--star", "0"), "--n 3"),
-], ids=["srg-jobs", "geometry-limit", "cameron-liebler-n"])
+    (("balance", "--lines", REGULUS_LINES, "--star", "0", "--theta", "3"), "--theta"),
+], ids=["srg-jobs", "geometry-limit", "cameron-liebler-n", "balance-theta"])
 def test_option_the_command_does_not_take_exit_2(capsys, monkeypatch, argv, flag):
     """A command declares only the options it reads, so an option it
     would ignore, or whose one legal value is its default, is refused."""
@@ -548,6 +580,9 @@ def test_part_not_a_list_of_integers_exit_2(capsys, part):
       "[[[1,0,0,0],[1,0,0,0]],[[0,0,1,0],[0,0,0,1]],[[1,0,1,0],[0,1,0,1]]]"), "--lines"),
     (("affine-regulus", "--q", "2", "--vectors", "[[1,0,0],[0,1,0],5]"), "--vectors"),
     (("affine-regulus", "--q", "2", "--vectors", "[[1,0],[0,1],[1,1]]"), "--vectors"),
+    (("affine-regulus", "--q", "2", "--vectors", "[[1,0,0],[0,1,0]]"), "--vectors"),
+    (("regulus", "--q", "2", "--lines",
+      "[[[1,0,0,0]],[[0,0,1,0],[0,0,0,1]],[[1,0,1,0],[0,1,0,1]]]"), "--lines"),
     (("wdbplus2", "--q", "2", "--lines", REGULUS_LINES, "--hyperplane", "5"), "--hyperplane"),
     (("equitable", "--q", "2", "--plane", "5"), "--plane"),
     (("equitable", "--q", "2", "--plane", "[0,1]"), "--plane"),
@@ -559,7 +594,7 @@ def test_part_not_a_list_of_integers_exit_2(capsys, part):
     (("equitable", "--q", "2", "--star", "-1"), "--star"),
     (("equitable", "--q", "2", "--star", "[0,0,0,0]"), "--star"),
 ], ids=["wdbplus2-lines-scalar", "balance-lines-scalar", "lines-rows-too-short", "lines-basis-rank-1",
-        "vectors-scalar-entry", "vectors-too-short",
+        "vectors-scalar-entry", "vectors-too-short", "vectors-two", "lines-one-row",
         "hyperplane-scalar", "plane-scalar", "plane-too-short", "plane-in-affine-space",
         "direction-scalar", "direction-in-projective-space", "star-object",
         "star-index-too-large", "star-index-negative", "star-not-a-point"])
@@ -802,7 +837,96 @@ def test_search_resume_reverifies_prior_families(tmp_path, capsys):
     assert resume() == (0, True)
     assert resume(basis=basis) == (1, False)
     assert resume(dimension=5) == (1, False)
-    assert resume(support=family["support"] + [family["support"][-1] + 1]) == (1, False)
+    assert resume(support=family["support"][:-1] + [family["support"][-1] + 1]) == (1, False)
+
+
+def _forbid_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started before the --resume file was checked")
+
+    monkeypatch.setattr(cli.eigenfunctions, "search_min_support", no_search)
+
+
+@pytest.fixture(scope="module")
+def search_certs(tmp_path_factory):
+    """The certificates of the complete AG(3,2) size-4 search (theta -2)
+    and of its size-4 and size-6 searches cut by --limit."""
+    runs = {"full4": AG32_SIZE4, "cut4": (*AG32_SIZE4, "--limit", "2000"),
+            "cut6": (*AG32_SIZE4[:-1], "6", "--limit", "400000")}
+    certs = {}
+    for name, argv in runs.items():
+        path = tmp_path_factory.mktemp("search") / f"{name}.json"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main([*argv, "--out", str(path)])
+        certs[name] = json.loads(path.read_text())
+    return certs
+
+
+@pytest.mark.parametrize("case", ["undone-prefix", "other-size", "family-other-size", "repeated-function",
+                                  "repeated-family"])
+def test_search_resume_refuses_what_the_search_cannot_have_found(tmp_path, capsys, monkeypatch, search_certs,
+                                                                 case):
+    """A search finds each support once, of --size, below a done prefix,
+    so a --resume file carrying any other support exits 2 naming
+    --resume, before any search.  A ray of an undone prefix added to a
+    checkpoint used to be listed with the 210 rays the search finds (211
+    in all), and a support-4 function carried into a size-6 search was
+    listed among its rays, both with exit 0."""
+    size6 = "family" in case or case == "other-size"
+    prev = json.loads(json.dumps(search_certs["cut6" if size6 else "cut4"]))
+    result = prev["result"]
+    done = {tuple(p) for p in result["checkpoint"]["done"]}
+    if case == "undone-prefix":
+        result["functions"].append(next(
+            e for e in search_certs["full4"]["result"]["functions"] if tuple(e["support"][:2]) not in done
+        ))
+    elif case == "other-size":
+        result["functions"].append(next(
+            e for e in search_certs["cut4"]["result"]["functions"] if tuple(e["support"][:2]) in done
+        ))
+    elif case == "family-other-size":
+        support = result["families"][0]["support"]
+        support.append(support[-1] + 1)
+    else:
+        entries = result["functions" if case == "repeated-function" else "families"]
+        entries.append(entries[-1])
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(prev))
+    _forbid_search(monkeypatch)
+    code, err = _usage_error(capsys, *AG32_SIZE4[:-1], "6" if size6 else "4", "--resume", str(path))
+    assert code == 2
+    assert f"--resume {path}" in err and "cannot have found" in err
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_search_resume_unreadable_exit_2(tmp_path, capsys, monkeypatch, where):
+    """A --resume file that cannot be read exits 2, naming the path."""
+    path = tmp_path / "missing.json" if where == "missing" else tmp_path
+    _forbid_search(monkeypatch)
+    code, err = _usage_error(capsys, *AG32_SIZE4, "--resume", str(path))
+    assert code == 2
+    assert str(path) in err
+
+
+def test_search_verifies_the_families_it_finds(capsys, monkeypatch):
+    """all_new_functions_verify checks the basis of each family the run
+    finds, as it does those a --resume file carries.  A family with a
+    wrong basis vector from the search itself used to pass every check."""
+    real = cli.eigenfunctions.search_min_support
+
+    def wrong_basis(graph, theta, *args, **kwargs):
+        res = real(graph, theta, *args, **kwargs)
+        fam = res.families[0]
+        f = fam.basis[0]
+        u = f.support[0]
+        bad = cli.eigenfunctions.Eigenfunction(graph, theta, f.values | {u: 2 * f.values[u]})
+        return replace(res, families=(replace(fam, basis=(bad, *fam.basis[1:])), *res.families[1:]))
+
+    monkeypatch.setattr(cli.eigenfunctions, "search_min_support", wrong_basis)
+    code, cert = _run(capsys, *AG32_SIZE4[:-1], "6")
+    assert code == 1
+    assert _check(cert, "all_new_functions_verify")["passed"] is False
+    assert _check(cert, "complete")["passed"] is True
 
 
 def test_search_exhaustive_mode_agrees(capsys):

@@ -25,7 +25,6 @@ from steinergraphs.designs import Graph, bit_indices, srg_params_brute
 from steinergraphs.eigenfunctions import (
     Eigenfunction,
     GrassmannRegulus,
-    SupportStructure,
     Type1,
     Type2,
     classify_optimal,
@@ -69,7 +68,7 @@ def _standard_regulus(q=2):
     )
 
 
-# -- Eigenfunction values and algebra ---------------------------------------------------
+# -- Eigenfunction values ---------------------------------------------------------------
 
 
 def test_eigenfunction_drops_zeros(g_j2):
@@ -87,16 +86,6 @@ def test_zero_function_rejected(g_j2):
 def test_out_of_range_vertex_rejected(g_j2):
     with pytest.raises(ValueError):
         Eigenfunction(g_j2, 3, {99: Fraction(1)})
-
-
-def test_algebra(g_j2):
-    f = Eigenfunction(g_j2, 3, {0: Fraction(1), 1: Fraction(2)})
-    g = Eigenfunction(g_j2, 3, {1: Fraction(-2), 2: Fraction(1)})
-    assert (f + g).support == (0, 2)
-    assert (f - g).value(1) == 4
-    assert (-f).value(0) == -1
-    assert (3 * f).value(1) == 6
-    assert (f * Fraction(1, 2)).value(0) == Fraction(1, 2)
 
 
 def test_inner_product_and_orthogonality(g_j2):
@@ -352,7 +341,7 @@ def test_wdbplus2_function_q2(g_j2):
             f = wdbplus2_function(pair, hyp)
             assert f.theta == -2
             assert len(f.support) == 6  # WDB + 2 on the affine graph
-            assert support_structure(f.graph, f).kind == "BipartiteMinusMatching"
+            assert support_structure(f.graph, f) == "BipartiteMinusMatching"
             assert verify_eigenfunction(f.graph, f).ok
             hits += 1
         else:
@@ -371,7 +360,7 @@ def test_wdbplus2_function_q3():
         f = wdbplus2_function(pair, hyp)
         assert f.theta == -3
         assert len(f.support) == 8
-        assert support_structure(f.graph, f).kind == "BipartiteMinusMatching"
+        assert support_structure(f.graph, f) == "BipartiteMinusMatching"
         done += 1
         if done == 3:
             break
@@ -412,7 +401,7 @@ def test_construction_support_size_checked(g_j2, g_x2, monkeypatch, build):
 def test_wdbplus2_structure_checked(monkeypatch):
     pair = _standard_regulus()
     hyp = _first_wdbplus2_hyperplane(pair)
-    monkeypatch.setattr(eigenfunctions, "support_structure", lambda g, f: SupportStructure("Other", (), ()))
+    monkeypatch.setattr(eigenfunctions, "support_structure", lambda g, f: "Other")
     with pytest.raises(NotOptimalError, match="matching"):
         wdbplus2_function(pair, hyp)
 
@@ -423,9 +412,7 @@ def test_wdbplus2_structure_checked(monkeypatch):
 def test_structure_complete_bipartite(g_x2):
     pairs = enumerate_complete_bipartite(g_x2, 2)
     f = from_bipartite_pair(g_x2, *pairs[0], -2)
-    st = support_structure(g_x2, f)
-    assert st.kind == "CompleteBipartite"
-    assert (st.t0, st.t1) == pairs[0]
+    assert support_structure(g_x2, f) == "CompleteBipartite"
 
 
 def test_structure_isolated_clique_pair():
@@ -433,7 +420,7 @@ def test_structure_isolated_clique_pair():
     adj = (0b000110, 0b000101, 0b000011, 0b110000, 0b101000, 0b011000)
     g = Graph(adj)
     f = Eigenfunction(g, 2, {u: Fraction(1) for u in (0, 1, 2)} | {u: Fraction(-1) for u in (3, 4, 5)})
-    assert support_structure(g, f).kind == "IsolatedCliquePair"
+    assert support_structure(g, f) == "IsolatedCliquePair"
 
 
 def test_structure_other(g_x2):
@@ -441,7 +428,7 @@ def test_structure_other(g_x2):
     f = Eigenfunction(
         g_x2, -2, {0: Fraction(1), 1: Fraction(1), 2: Fraction(-1), 27: Fraction(-1)}
     )
-    assert support_structure(g_x2, f).kind == "Other"
+    assert support_structure(g_x2, f) == "Other"
 
 
 # -- complete bipartite enumeration -----------------------------------------------------------
@@ -491,7 +478,7 @@ def test_classify_rejects_non_minimum_support(g_j2):
     for p in pairs[1:]:
         f2 = optimal_from_regulus(p, g_j2)
         if not set(f1.support) & set(f2.support):
-            f = f1 + f2
+            f = Eigenfunction(g_j2, f1.theta, f1.values | f2.values)
             with pytest.raises(NotOptimalError):
                 classify_optimal(g_j2, f)
             return
@@ -526,7 +513,7 @@ def test_search_at_bound_finds_all_rays(g_x2):
     assert len(supports) == 210  # duplicate-free
     for f in res.functions:
         assert verify_eigenfunction(g_x2, f).ok
-        assert support_structure(g_x2, f).kind == "CompleteBipartite"
+        assert support_structure(g_x2, f) == "CompleteBipartite"
         first = f.value(f.support[0])
         assert first > 0  # ray normalisation
 
@@ -581,6 +568,29 @@ def test_search_limit_equal_to_total_completes(g_x2):
     assert res.complete
     assert len(res.functions) == 210
     assert res.nodes == full.nodes
+
+
+@pytest.mark.parametrize("limit", [1, 50, 1000, 5000])
+def test_exhaustive_search_budget_spent_at_a_node(g_x2, limit):
+    """Exhaustive mode admits no leaves in bulk, so its budget runs out at
+    one node: one and two workers give the same checkpoint and partial
+    result, and resuming the checkpoint finds the rest of the 210 rays."""
+    cut = []
+    for jobs in (1, 2):
+        with pytest.raises(LimitExceededError) as exc:
+            search_min_support(g_x2, -2, 4, "exhaustive", limit=limit, jobs=jobs)
+        cut.append(exc.value)
+    serial, parallel = cut
+    assert parallel.checkpoint == serial.checkpoint
+    assert _outcome(parallel.partial) == _outcome(serial.partial)
+    assert (parallel.partial.nodes, parallel.partial.kernel_calls) == (serial.partial.nodes, serial.partial.kernel_calls)
+    assert serial.partial.nodes > limit
+    rest = search_min_support(g_x2, -2, 4, "exhaustive", resume=serial.checkpoint)
+    key = lambda f: sorted(f.values.items())
+    merged = sorted(key(f) for f in (*serial.partial.functions, *rest.functions))
+    full = search_min_support(g_x2, -2, 4)
+    assert len(merged) == 210
+    assert merged == sorted(key(f) for f in full.functions)
 
 
 # nodes, kernel calls and done prefixes of the support-6 search on AG(3,2)

@@ -25,14 +25,12 @@ from steinergraphs.geometry import (
     ProjLine,
     RestrictionMap,
     aff_space,
-    dot,
     enumerate_planes,
     line_permutation,
     normalize_point,
     parallel_classes,
     proj_space,
     span_of_lines,
-    vec_add,
 )
 from steinergraphs.gf import field_of_order
 from steinergraphs.linalg import rref
@@ -125,7 +123,7 @@ def test_affine_line_key_canonical():
         computed = {line.base}
         cur = line.base
         for _ in range(sp.field.q - 1):
-            cur = vec_add(sp.field, cur, line.dir)
+            cur = sp.field.add_rows(cur, line.dir)
             computed.add(cur)
         assert computed == set(pts)
 
@@ -359,4 +357,4 @@ def test_hyperplane_membership():
     inside = [l for l in sp.lines if h.contains_line(sp.field, l)]
     assert len(inside) == 7
     for l in inside:
-        assert all(dot(sp.field, h.normal, p) == 0 for p in (sp.points[j] for j in l.points))
+        assert all(sp.field.dot(h.normal, p) == 0 for p in (sp.points[j] for j in l.points))

@@ -70,11 +70,11 @@ def test_partition_validation(g_j2):
 
 def test_quotient_matrix_invariants():
     q = QuotientMatrix(6, 12, 3, 15)
-    assert q.k == 18
+    assert partition_eigenvalue(q) == 3
     assert not q.is_principal
     assert q.rows() == ((6, 12), (3, 15))
     with pytest.raises(InconsistentQuotientError):
-        QuotientMatrix(6, 12, 3, 14).k
+        partition_eigenvalue(QuotientMatrix(6, 12, 3, 14))
     with pytest.raises(ValueError):
         QuotientMatrix(-1, 2, 3, 4)
 

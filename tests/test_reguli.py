@@ -754,6 +754,24 @@ def test_restriction_census_q3_single():
     assert kinds == {"affine_regulus": 16, "wdbplus2": 24, "not_restrictable": 0}
 
 
+def test_restriction_by_a_hyperplane_holding_the_solid():
+    """In PG(4, q) the hyperplane of the regulus's solid holds every line
+    of the pair, so nothing is left to restrict; the other hyperplanes
+    meet the solid in a plane and cut the pair as in PG(3, q)."""
+    sp = proj_space(4, field_make(2))
+    rows = [[(*r, 0) for r in basis] for basis in (((1, 0, 0, 0), (0, 1, 0, 0)),
+                                                   ((0, 0, 1, 0), (0, 0, 0, 1)),
+                                                   ((1, 0, 1, 0), (0, 1, 0, 1)))]
+    pair = regulus_through(sp, *(sp.line_from_basis(r) for r in rows))
+    kinds = {"affine_regulus": 0, "wdbplus2": 0, "not_restrictable": 0}
+    for hyp in sp.hyperplanes:
+        out = regulus_restriction(pair, hyp)
+        kinds[out.kind] += 1
+        if hyp.normal == (0, 0, 0, 0, 1):
+            assert (out.kind, out.reason) == ("not_restrictable", "hyperplane contains the whole 3-flat")
+    assert kinds == {"affine_regulus": 9 * 2, "wdbplus2": 6 * 2, "not_restrictable": 1}
+
+
 def test_restriction_roundtrip_with_classify():
     """Cutting a regulus by a tangent plane and classifying the affine
     part recovers the same opposite family."""
