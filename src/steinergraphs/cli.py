@@ -19,8 +19,9 @@ Conventions:
     --limit to it and the three enumerations, --theta to it, wdb and
     verify-eigenfunction, and enumerate-reguli, enumerate-affine-reguli
     and cameron-liebler, which work in dimension 3, take no --n), a
-    negative --limit, a --jobs below 1, or a --resume file that cannot be
-    read or carries a support the resumed search cannot have found;
+    negative --limit, a --jobs below 1, a --resume file that cannot be
+    read or carries a support the resumed search cannot have found, or an
+    --out file that cannot be written;
   * every named check recomputes what its name claims, and a failed
     check carries a witness;
   * lines are encoded as integer arrays via their canonical forms: a
@@ -183,10 +184,7 @@ def _validator_witness(check, *args) -> str | None:
 
 
 def _function_json(f: eigenfunctions.Eigenfunction, structure: str | None = None) -> dict:
-    entry = {
-        "support": list(f.support),
-        "values": [[u, str(f.values[u])] for u in f.support],
-    }
+    entry = {"support": list(f.support), "values": [[u, str(f.values[u])] for u in f.support]}
     if structure is not None:
         entry["structure"] = structure
     return entry
@@ -265,8 +263,7 @@ def _cmd_geometry(args, cert: _Cert) -> None:
 
 def _cmd_srg(args, cert: _Cert) -> None:
     graph = _graph_of(args.space, args.n, args.q)
-    design = graph.design
-    formula = design.params
+    formula = graph.design.params
     brute = srg_params_brute(graph)
     as_dict = lambda p: {"v": p.v, "k": p.k, "lambda": p.lmbda, "mu": p.mu,
                          "r": p.r, "s": p.s, "m_r": p.m_r, "m_s": p.m_s}
@@ -364,8 +361,7 @@ def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
 
 def _cmd_enumerate_optimal(args, cert: _Cert) -> None:
     graph = _graph_of(args.space, args.n, args.q)
-    design = graph.design
-    params = design.params
+    params = graph.design.params
     a = -params.s
     print(f"enumerating induced K_{{{a},{a}}} part-pairs", file=sys.stderr)
     pairs = eigenfunctions.enumerate_complete_bipartite(graph, a)
@@ -388,12 +384,10 @@ def _cmd_enumerate_optimal(args, cert: _Cert) -> None:
         "count": len(pairs),
         "classification": counts,
         "pairs": listing[: args.limit],
-        "lines": _Items(_line_table(design.space)),
+        "lines": _Items(_line_table(graph.design.space)),
     }
     cert.check("all_pairs_verify", all_verify)
-    cert.check(
-        "classification_total", sum(counts.values()) == len(pairs), {"count": len(pairs)}
-    )
+    cert.check("classification_total", sum(counts.values()) == len(pairs), {"count": len(pairs)})
 
 
 def _cmd_verify_eigenfunction(args, cert: _Cert) -> None:
@@ -408,11 +402,7 @@ def _cmd_verify_eigenfunction(args, cert: _Cert) -> None:
     values = {vertices[u]: _rational(str(x), "--function") for u, x in data.items()}
     f = eigenfunctions.Eigenfunction(graph, args.theta, values)
     res = eigenfunctions.verify_eigenfunction(graph, f)
-    cert.result = {
-        "theta": args.theta,
-        "support": list(f.support),
-        "ok": res.ok,
-    }
+    cert.result = {"theta": args.theta, "support": list(f.support), "ok": res.ok}
     if res.witness is not None:
         u, lhs, rhs = res.witness
         cert.result["witness"] = {"vertex": u, "lhs": str(lhs), "rhs": str(rhs)}
@@ -433,8 +423,7 @@ def _cmd_wdbplus2(args, cert: _Cert) -> None:
         "function": _function_json(f, structure),
         "lines": _Items(_line_table(graph.design.space)),
     }
-    q = args.q
-    cert.check("support_size_2q_plus_2", len(f.support) == 2 * (q + 1))
+    cert.check("support_size_2q_plus_2", len(f.support) == 2 * (args.q + 1))
     cert.check("structure_bipartite_minus_matching", structure == "BipartiteMinusMatching")
     cert.check("verifies", bool(eigenfunctions.verify_eigenfunction(graph, f)))
 
@@ -455,8 +444,11 @@ def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
     """The checkpoint, functions and families of the certificate of an
     interrupted run of the same search, each checked for its shape; every
     carried support must be one the search can have found."""
-    with open(path) as fh:
-        prev = _parse_json_arg(fh.read(), f"--resume {path}")
+    try:
+        with open(path) as fh:
+            prev = _parse_json_arg(fh.read(), f"--resume {path}")
+    except OSError as ex:
+        raise _UsageError(f"--resume {path}: {ex.strerror or ex}") from ex
     result = prev.get("result") if isinstance(prev, dict) else None
     if not (isinstance(result, dict) and isinstance(prev.get("parameters"), dict)):
         raise _UsageError(f"--resume {path} is not the certificate of a search")
@@ -582,7 +574,9 @@ def _cmd_balance(args, cert: _Cert) -> None:
     f1 = eigenfunctions.optimal_from_regulus(pair, graph)
     part_indices = _named_line_set(args, space)
     part = partitions.Partition2.from_part(graph, part_indices)
-    theta = partitions.partition_eigenvalue(partitions.quotient_matrix(graph, part))
+    # the sign function's eigenvalue is s, and balance_check refuses s and
+    # k, so r is the one eigenvalue at which a partition can balance it
+    theta = graph.design.params.r
     report = partitions.balance_check(graph, f1, [f1], part, theta)
     cert.result = {
         "theta": theta,
@@ -778,8 +772,12 @@ def main(argv=None) -> int:
     payload = cert.payload(timing_ms)
     text = _dumps(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as ex:
+            print(f"error: --out {args.out}: {ex.strerror or ex}", file=sys.stderr)
+            return 2
     if args.format == "json":
         print(text)
     else:

@@ -27,7 +27,6 @@ Conventions:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import chain
@@ -423,14 +422,13 @@ class _Search:
         self.prune = prune
         self.limit = limit
 
-    def admit(self, w: int, state: tuple[int, int, int], leaf: bool) -> tuple[int, int, int] | None:
-        """Add w to the support.  ``state`` is (support, vertices with at
-        least one support neighbour, vertices with at least two).  Returns
-        the new state, or None when every support extending it fails the
-        local rules: a vertex outside the support has exactly one support
-        neighbour, or (theta != 0) a support vertex has none.  Above the
-        leaves a vertex is spared while it can still gain a support
-        neighbour."""
+    def admit(self, w: int, state: tuple[int, int, int]) -> tuple[int, int, int] | None:
+        """Add w, not a leaf, to the support.  ``state`` is (support,
+        vertices with at least one support neighbour, vertices with at least
+        two).  Returns the new state, or None when every support extending
+        it fails the local rules: a vertex outside the support has exactly
+        one support neighbour, or (theta != 0) a support vertex has none.  A
+        vertex is spared while it can still gain a support neighbour."""
         mask, one, two = state
         aw = self.adj[w]
         mask |= 1 << w
@@ -439,7 +437,7 @@ class _Search:
         bad = one & ~two & ~mask
         if self.theta:
             bad |= mask & ~one
-        if bad and (leaf or bad & ~self.ahead[w]):
+        if bad & ~self.ahead[w]:
             return None
         return mask, one, two
 
@@ -457,29 +455,16 @@ class _Search:
         g = gcd(*vec)
         return (pi, [x // g for x in vec]), None
 
-    def leaf_check(self, support, kers, pivots, dependent, found, fams, counters) -> None:
-        """Record ``support`` when its kernel has no common zero, given the
-        ``kers`` and ``pivots`` of all but its ``dependent`` last column."""
-        if dependent:
-            kers = (*kers, self.place(support[-1], len(support) - 1, pivots)[1])
-        elif not kers:
-            return
-        counters["kernel_calls"] += 1
-        if not all(any(vec[j] for vec in kers) for j in range(self.target)):
-            return  # the kernel vanishes on a chosen vertex
-        if len(kers) == 1:
-            found.append((support, kers[0]))
-        else:
-            fams.append((support, kers))
-
     def leaves(self, state: tuple[int, int, int], lo: int, hi: int) -> list[int]:
         """The leaves lo <= x < hi that ``admit`` accepts after a node of
         ``state``: x must be or meet each outside vertex with one support
         neighbour and meet no outside vertex without one, and (theta != 0)
-        have a support neighbour and meet each support vertex without one."""
+        have a support neighbour and meet each support vertex without one.
+        Without pruning every leaf is admitted."""
+        if not self.prune:
+            return list(range(lo, hi))
         mask, one, two = state
-        adj = self.adj
-        closed = self.closed
+        adj, closed = self.adj, self.closed
         keep = (1 << hi) - (1 << lo)
         need = one & ~two & ~mask
         if self.theta:
@@ -490,56 +475,62 @@ class _Search:
         free = ~(one | mask)
         return [x for x in bit_indices(keep) if not need & ~closed[x] and not adj[x] & free]
 
+    def leaf_group(self, chosen, w, state, pivots, kers, kids, reduced, found, fams, counters) -> None:
+        """Count the leaves ``kids`` below the node w after ``chosen`` at
+        once, and record each that ``leaves`` admits after w's ``state`` and
+        whose kernel has no common zero, reducing no column if none is
+        admitted.  ``pivots`` and ``kers`` are those of ``chosen``; ``reduced``
+        holds heads reduced by ``pivots``, shared by one node's leaf parents."""
+        # past the budget only the leaves before the one that passes it
+        # are checked, as one node at a time would
+        room = len(kids) if self.limit is None else self.limit - counters["nodes"]
+        counters["nodes"] += min(room + 1, len(kids))
+        leaves = self.leaves(state, kids.start, kids.start + min(room, len(kids)))
+        if leaves:
+            for x in (w, *leaves):
+                if x not in reduced:
+                    reduced[x] = _reduce(self.heads[x], pivots)
+            # w's head screens the leaves; w is placed with its tail only
+            # when a kernel vector needs it
+            depth = len(chosen)
+            hw = reduced[w]
+            wpiv = [(i, hw) for i in range(len(hw)) if hw[i]][:1]
+            ks = kers if wpiv else (*kers, self.place(w, depth, pivots)[1])
+            for x in leaves:
+                kx = ks
+                if not any(_reduce(reduced[x], wpiv)):
+                    tails = [*pivots, self.place(w, depth, pivots)[0]] if wpiv else pivots
+                    kx = (*ks, self.place(x, depth + 1, tails)[1])
+                if not kx:
+                    continue  # independent columns
+                counters["kernel_calls"] += 1
+                if not all(any(vec[j] for vec in kx) for j in range(self.target)):
+                    continue  # the kernel vanishes on a chosen vertex
+                if len(kx) == 1:
+                    found.append(((*chosen, w, x), kx[0]))
+                else:
+                    fams.append(((*chosen, w, x), kx))
+        if room < len(kids):
+            raise _BudgetExceeded
+
     def extend(self, chosen, state, pivots, kers, ws, found, fams, counters) -> None:
-        """Try each w of ``ws`` as the next support vertex after ``chosen``.
-        ``pivots`` are the reduced independent columns of ``chosen`` and
-        ``kers`` the kernel vectors of its dependent ones, one each.  When
-        pruning, a node whose children are leaves counts them at once and
-        checks only those ``leaves`` admits, reducing no column when there
-        is none."""
-        target = self.target
-        heads = self.heads
-        prune = self.prune
+        """Try each w of ``ws`` as the next support vertex after ``chosen``,
+        above the leaves.  ``pivots`` are the reduced independent columns of
+        ``chosen`` and ``kers`` the kernel vectors of its dependent ones, one
+        each.  The leaves below a node are one ``leaf_group``."""
         limit = self.limit
         d = len(chosen) + 1
-        leaf = d == target
-        bulk = prune and d + 1 == target
-        # heads reduced by ``pivots``, shared by the leaf parents tried here
         reduced: dict[int, list[int]] = {}
         for w in ws:
             counters["nodes"] += 1
             if limit is not None and counters["nodes"] > limit:
                 raise _BudgetExceeded
-            nxt = self.admit(w, state, leaf) if prune else state
+            nxt = self.admit(w, state) if self.prune else state
             if nxt is None:
                 continue
-            if leaf:
-                dependent = not any(_reduce(heads[w], pivots))
-                self.leaf_check((*chosen, w), kers, pivots, dependent, found, fams, counters)
-                continue
-            kids = range(w + 1, self.v - (target - d) + 1)
-            if bulk:
-                # past the budget only the leaves before the one that
-                # passes it are checked, as one node at a time would
-                room = len(kids) if limit is None else limit - counters["nodes"]
-                counters["nodes"] += min(room + 1, len(kids))
-                leaves = self.leaves(nxt, w + 1, w + 1 + min(room, len(kids)))
-                if leaves:
-                    for x in (w, *leaves):
-                        if x not in reduced:
-                            reduced[x] = _reduce(heads[x], pivots)
-                    # w's head screens the leaves; w is placed with its tail
-                    # only when a kernel vector needs it
-                    hw = reduced[w]
-                    wpiv = [(i, hw) for i in range(len(hw)) if hw[i]][:1]
-                    ks = kers if wpiv else (*kers, self.place(w, d - 1, pivots)[1])
-                    for x in leaves:
-                        dep = not any(_reduce(reduced[x], wpiv))
-                        if dep or ks:
-                            tails = [*pivots, self.place(w, d - 1, pivots)[0]] if dep and wpiv else pivots
-                            self.leaf_check((*chosen, w, x), ks, tails, dep, found, fams, counters)
-                if room < len(kids):
-                    raise _BudgetExceeded
+            kids = range(w + 1, self.v - (self.target - d) + 1)
+            if d + 1 == self.target:
+                self.leaf_group(chosen, w, nxt, pivots, kers, kids, reduced, found, fams, counters)
                 continue
             piv, ker = self.place(w, d - 1, pivots)
             if piv is None:
@@ -553,13 +544,14 @@ class _Search:
         """Search the depth-2 prefixes (v0, v1) of one first vertex v0 in
         order, yielding a record (prefix, nodes, kernel calls, rays,
         families, finished) for each; the first record also counts the
-        node of v0.  The shard stops after the first prefix during which
-        its own node count passes the limit, so no shard runs unbounded."""
+        node of v0.  At size 2 the leaf v1 is a ``leaf_group`` of its own.
+        The shard stops after the first prefix during which its own node
+        count passes the limit, so no shard runs unbounded."""
         v0, v1_list = task
         if self.target == 1:
             yield (v0,), 1, 0, (), (), True
             return
-        state = self.admit(v0, (0, 0, 0), False) if self.prune else (0, 0, 0)
+        state = self.admit(v0, (0, 0, 0)) if self.prune else (0, 0, 0)
         if state is None:
             yield from (((v0, v1), int(i == 0), 0, (), (), True) for i, v1 in enumerate(v1_list))
             return
@@ -570,7 +562,10 @@ class _Search:
         for v1 in v1_list:
             found, fams = [], []
             try:
-                self.extend([v0], state, pivots, kers, (v1,), found, fams, counters)
+                if self.target == 2:
+                    self.leaf_group([], v0, state, [], (), range(v1, v1 + 1), {}, found, fams, counters)
+                else:
+                    self.extend([v0], state, pivots, kers, (v1,), found, fams, counters)
                 finished = True
             except _BudgetExceeded:
                 finished = False
@@ -625,12 +620,13 @@ def search_min_support(
     (its equation would read 0 = f(s) for that neighbour s), and, when
     theta != 0, a support vertex cannot have none.  A leaf breaking either
     rule is skipped; an interior node is cut when a decided vertex breaks
-    one and has no neighbour left to choose.  The leaves below a node are
-    admitted in bulk, by one exact mask filter, before the node's column
-    is reduced, and none is reduced when no leaf passes; they are still
-    counted as nodes, one each.  A leaf is screened on its head, and its
-    tail is built only when the head is zero.  Exhaustive mode applies
-    neither rule.
+    one and has no neighbour left to choose.  Exhaustive mode applies
+    neither rule.  In both modes and at every size the leaves below a node
+    are counted and screened as one group: pruning admits them by one
+    exact mask filter before the node's column is reduced, and none is
+    reduced when no leaf passes; they are still counted as nodes, one
+    each.  A leaf is screened on its head, and its tail is built only
+    when the head is zero.
 
     The work is split by depth-2 prefix (v0, v1), in ascending order.
     ``limit`` is one node budget for the whole call, counted before
@@ -669,9 +665,10 @@ def search_min_support(
     exhausted = False
     pool = None
     if jobs > 1 and len(tasks) > 1:
-        pool = get_context("fork").Pool(jobs, _init_worker, (search,))
-    with pool or nullcontext():
-        shards = pool.imap(_worker_shard, tasks) if pool else map(search.run_shard, tasks)
+        from concurrent.futures import ProcessPoolExecutor  # a serial search imports none of it
+        pool = ProcessPoolExecutor(jobs, get_context("fork"), _init_worker, (search,))
+    try:
+        shards = pool.map(_worker_shard, tasks) if pool else map(search.run_shard, tasks)
         for prefix, n, calls, found, fams, finished in chain.from_iterable(shards):
             nodes += n
             kernel_calls += calls
@@ -681,6 +678,11 @@ def search_min_support(
             raw_found.extend(found)
             raw_fams.extend(fams)
             done.append(prefix)
+    finally:
+        # no worker is killed: multiprocessing.Pool.terminate() could kill one
+        # holding the result queue's lock, then wait on that lock for ever
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
     def from_kernel(supp, vec) -> Eigenfunction:
         return Eigenfunction(graph, theta, {s: x for s, x in zip(supp, vec) if x})

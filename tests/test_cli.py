@@ -112,6 +112,17 @@ def test_out_file_written(tmp_path, capsys):
     assert cert["result"]["brute"]["v"] == 28
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_out_file_unwritable_exit_2(tmp_path, capsys, where):
+    """An --out file that cannot be written exits 2 with a message naming
+    the option, and prints nothing on stdout."""
+    path = tmp_path / "missing" / "cert.json" if where == "missing-dir" else tmp_path
+    code, err = _usage_error(capsys, "srg", "--q", "2", "--out", str(path))
+    assert code == 2
+    assert f"--out {path}" in err
+    assert "Traceback" not in err
+
+
 # -- subcommand results ------------------------------------------------------------------
 
 
@@ -264,6 +275,30 @@ def test_balance_command(capsys):
     code, cert = _run(capsys, "balance", "--q", "2", "--lines", REGULUS_LINES, "--star", "0")
     assert code == 0
     assert cert["result"]["m_plus"] == cert["result"]["m_minus"] == 1
+
+
+def test_balance_builds_one_quotient_matrix(capsys, monkeypatch):
+    """balance reads theta off the graph (r), so only balance_check builds
+    the partition's quotient matrix."""
+    real, calls = cli.partitions.quotient_matrix, []
+    monkeypatch.setattr(cli.partitions, "quotient_matrix", lambda *a: calls.append(a) or real(*a))
+    code, cert = _run(capsys, "balance", "--q", "2", "--lines", REGULUS_LINES, "--star", "0")
+    assert code == 0
+    assert cert["result"]["theta"] == 3
+    assert len(calls) == 1
+
+
+def test_balance_refuses_a_partition_equitable_at_s(capsys):
+    """A spread of PG(3,2) is equitable with quotient [[0, 18], [3, 15]],
+    at eigenvalue -3 = s; balance needs it at r = 3, and says so."""
+    spread = "[0,10,22,27,19]"
+    _, cert = _run(capsys, "equitable", "--q", "2", "--part", spread)
+    assert (cert["result"]["quotient"], cert["result"]["theta"]) == ([[0, 18], [3, 15]], -3)
+    code, cert = _run(capsys, "balance", "--q", "2", "--lines", REGULUS_LINES, "--part", spread)
+    assert code == 1
+    assert _check(cert, "no_errors") == {
+        "name": "no_errors", "passed": False, "witness": "partition is equitable with eigenvalue -3, not 3"
+    }
 
 
 def test_cameron_liebler_star_and_regulus(capsys):
@@ -905,7 +940,7 @@ def test_search_resume_unreadable_exit_2(tmp_path, capsys, monkeypatch, where):
     _forbid_search(monkeypatch)
     code, err = _usage_error(capsys, *AG32_SIZE4, "--resume", str(path))
     assert code == 2
-    assert str(path) in err
+    assert f"--resume {path}" in err
 
 
 def test_search_verifies_the_families_it_finds(capsys, monkeypatch):

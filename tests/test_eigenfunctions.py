@@ -14,6 +14,7 @@ import sys
 import threading
 import types
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -572,9 +573,10 @@ def test_search_limit_equal_to_total_completes(g_x2):
 
 @pytest.mark.parametrize("limit", [1, 50, 1000, 5000])
 def test_exhaustive_search_budget_spent_at_a_node(g_x2, limit):
-    """Exhaustive mode admits no leaves in bulk, so its budget runs out at
-    one node: one and two workers give the same checkpoint and partial
-    result, and resuming the checkpoint finds the rest of the 210 rays."""
+    """Exhaustive mode counts each group of leaves at once too, and its
+    budget runs out at one node: one and two workers give the same
+    checkpoint and partial result, and resuming the checkpoint finds the
+    rest of the 210 rays."""
     cut = []
     for jobs in (1, 2):
         with pytest.raises(LimitExceededError) as exc:
@@ -698,6 +700,8 @@ SMALL_SRGS = {
     "K333": lambda: _graph_from(range(9), lambda a, b: a // 3 != b // 3),
 }
 
+MODES = ("branch-and-prune", "exhaustive")
+
 
 def _outcome(res):
     rays = [sorted(f.values.items()) for f in res.functions]
@@ -769,61 +773,77 @@ def test_census_kernels_match_rational_kernel(g_x2):
 def test_small_srg_kernels_match_rational_kernel(name):
     g = SMALL_SRGS[name]()
     params = srg_params_brute(g)
-    for theta in (params.r, params.s):
-        for size in range(3, 7):
-            _assert_kernels_match(g, theta, search_min_support(g, theta, size))
+    for mode, theta, size in product(MODES, (params.r, params.s), range(2, 7)):
+        _assert_kernels_match(g, theta, search_min_support(g, theta, size, mode))
 
 
-def _nodes_one_at_a_time(g, theta, size):
-    """The branch-and-prune search tree in search order, one node at a time:
-    per node its first vertex, whether it is a leaf, and whether it makes an
-    exact kernel call (a leaf that ``admit`` accepts and whose columns of
-    A - theta*I are dependent, by rational_kernel)."""
-    search = eigenfunctions._Search(g, theta, size, True, None)
+def _admits(g, theta, chosen, leaf):
+    """The local rules of branch-and-prune mode at the node ``chosen``: no
+    vertex outside the support has exactly one support neighbour and (theta
+    != 0) no support vertex has none.  Above the leaves a vertex breaking
+    them is spared while it or a neighbour of it lies above the last chosen
+    vertex."""
+    w = chosen[-1]
+    for u in range(g.v):
+        n = sum(g.adj[u] >> s & 1 for s in chosen)
+        bad = (n == 1 and u not in chosen) or (theta != 0 and n == 0 and u in chosen)
+        if bad and (leaf or not (u > w or g.adj[u] >> w + 1)):
+            return False
+    return True
+
+
+def _nodes_one_at_a_time(g, theta, size, mode):
+    """The search tree in search order, one node at a time: per node its
+    first vertex, whether it is a leaf, and whether it makes an exact
+    kernel call (an admitted leaf whose columns of A - theta*I are
+    dependent, by rational_kernel).  Exhaustive mode admits every node."""
     nodes = []
 
-    def walk(chosen, state):
+    def walk(chosen):
         depth = len(chosen) + 1
         for w in range(chosen[-1] + 1 if chosen else 0, g.v - size + depth):
-            nodes.append([(chosen or [w])[0], depth == size, False])
-            nxt = search.admit(w, state, depth == size)
-            if nxt is not None and depth == size:
+            leaf = depth == size
+            nodes.append([(chosen or [w])[0], leaf, False])
+            if mode == "branch-and-prune" and not _admits(g, theta, chosen + [w], leaf):
+                continue
+            if leaf:
                 nodes[-1][2] = bool(rational_kernel(_columns(g, theta, chosen + [w])))
-            elif nxt is not None:
-                walk(chosen + [w], nxt)
+            else:
+                walk(chosen + [w])
 
-    walk([], (0, 0, 0))
+    walk([])
     return nodes
 
 
 @pytest.mark.parametrize("name", SMALL_SRGS)
 def test_search_cut_inside_a_leaf_group(name):
-    """Cut in the middle of a group of leaves, which the search admits in
-    bulk, a partial search counts the nodes and makes the kernel calls of
-    the search taken one node at a time, and its done prefixes hold the
-    rays and families exhaustive mode (which admits nothing) finds there.
-    Every graph here has theta != 0, where a leaf must also meet each
-    support vertex without a support neighbour; K_{3,3,3} has theta = 0."""
+    """Cut in the middle of a group of leaves, which the search counts at
+    once, a partial search counts the nodes and makes the kernel calls of
+    the search taken one node at a time, in both modes and at size 2,
+    where each leaf is a group of its own, and its done prefixes hold the
+    rays and families exhaustive mode finds there.  Every graph here has
+    theta != 0, where a leaf must also meet each support vertex without a
+    support neighbour; K_{3,3,3} has theta = 0."""
     g = SMALL_SRGS[name]()
     params = srg_params_brute(g)
-    for theta in (params.r, params.s):
-        for size in (3, 4, 5, 6):
-            nodes = _nodes_one_at_a_time(g, theta, size)
-            full = search_min_support(g, theta, size)
-            assert full.nodes == len(nodes), (theta, size)
-            assert full.kernel_calls == sum(call for _, _, call in nodes), (theta, size)
-            ref = search_min_support(g, theta, size, "exhaustive")
+    for theta, size in product((params.r, params.s), (2, 3, 4, 5, 6)):
+        ref = search_min_support(g, theta, size, "exhaustive")
+        for mode in MODES:
+            nodes = _nodes_one_at_a_time(g, theta, size, mode)
+            full = search_min_support(g, theta, size, mode)
+            assert full.nodes == len(nodes), (mode, theta, size)
+            assert full.kernel_calls == sum(call for _, _, call in nodes), (mode, theta, size)
             # budgets inside the first shard that stop the search at a leaf
             # following another leaf
             cuts = [i for i in range(1, len(nodes)) if nodes[i][0] == 0 and nodes[i][1] and nodes[i - 1][1]]
             for limit in cuts[:: max(1, len(cuts) // 8)]:
                 with pytest.raises(LimitExceededError) as exc:
-                    search_min_support(g, theta, size, limit=limit)
+                    search_min_support(g, theta, size, mode, limit=limit)
                 partial = exc.value.partial
                 calls = sum(call for _, _, call in nodes[:limit])
-                assert (partial.nodes, partial.kernel_calls) == (limit + 1, calls), (theta, size, limit)
+                assert (partial.nodes, partial.kernel_calls) == (limit + 1, calls), (mode, theta, size, limit)
                 done = {tuple(p) for p in exc.value.checkpoint["done"]}
                 rays = [sorted(f.values.items()) for f in ref.functions if f.support[:2] in done]
                 fams = [(fam.support, [sorted(f.values.items()) for f in fam.basis])
                         for fam in ref.families if fam.support[:2] in done]
-                assert _outcome(partial) == (rays, fams), (theta, size, limit)
+                assert _outcome(partial) == (rays, fams), (mode, theta, size, limit)
