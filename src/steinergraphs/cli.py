@@ -29,8 +29,8 @@ Conventions:
     (direction, least point); payloads that refer to vertex indices
     embed the index -> line decoding table, and line families, which
     the library returns as line indices, are rendered through it;
-  * a block graph's rows are its space's meet table (``space.meets``),
-    built once per process and kept on the space (designs.block_graph_of);
+  * a block graph's rows are its space's meet table (``space.meets``);
+    spaces and designs are memoised, and a design keeps its block graph;
   * each line's JSON is encoded once per command, and every line listing
     and regulus-pair listing is joined from those texts, with the same
     bytes as encoding the whole certificate at once.

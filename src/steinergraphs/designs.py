@@ -18,7 +18,7 @@ eigenvalue check sums a whole function in one integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import isqrt
 
 from .errors import (
@@ -42,8 +42,9 @@ class Design:
 
     Blocks are point-index tuples in canonical line order, so block i of
     the design is line i of the underlying space.  The design keeps its
-    block graph once cached_block_graph has built it, and ``params``,
-    the block graph's parameters by the closed formulas, once read.
+    block ``graph`` and ``params``, the block graph's parameters by the
+    closed formulas, once read; projective_design and affine_design
+    memoise one design per space.
     """
 
     def __init__(self, space):
@@ -51,7 +52,6 @@ class Design:
         self.blocks = tuple(ln.points for ln in space.lines)
         self.N = len(space.points)
         self.M = len(self.blocks[0])
-        self._graph = None
 
     def __repr__(self):
         return f"Design(N={self.N}, M={self.M}, blocks={len(self.blocks)}, space={self.space!r})"
@@ -60,14 +60,17 @@ class Design:
     def params(self) -> SrgParams:
         return srg_params_formula(self.N, self.M)
 
+    @cached_property
+    def graph(self) -> Graph:
+        return Graph(self.space.meets, self)
 
+
+@cache
 def _design_on(space) -> Design:
-    """The one design of a space, kept on it; AG(n, q) needs n >= 3."""
-    if space._design is None:
-        if isinstance(space, AffSpace) and space.n < 3:
-            raise ValueError("affine design needs n >= 3")
-        space._design = Design(space)
-    return space._design
+    """The one design of a space; AG(n, q) needs n >= 3."""
+    if isinstance(space, AffSpace) and space.n < 3:
+        raise ValueError("affine design needs n >= 3")
+    return Design(space)
 
 
 def projective_design(n: int, q: int) -> Design:
@@ -139,14 +142,12 @@ class Graph:
 
 def cached_block_graph(design: Design) -> Graph:
     """The block graph of a design, on the rows ``space.meets``, kept on the design."""
-    if design._graph is None:
-        design._graph = Graph(design.space.meets, design)
-    return design._graph
+    return design.graph
 
 
 def block_graph_of(space, graph: Graph | None = None) -> Graph:
     """The block graph of the lines of a space, or ``graph`` checked to be it."""
-    kept = cached_block_graph(_design_on(space))
+    kept = _design_on(space).graph
     if graph is not None and graph is not kept:
         raise ValueError("graph is not the block graph of the lines of this space")
     return kept

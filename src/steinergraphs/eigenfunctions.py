@@ -80,6 +80,13 @@ class Eigenfunction:
     def value(self, u: int) -> Fraction:
         return self.values.get(u, Fraction(0))
 
+    def sign_classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The positive and the negative part of the support, each ascending."""
+        return (
+            tuple(u for u in self.support if self.values[u] > 0),
+            tuple(u for u in self.support if self.values[u] < 0),
+        )
+
     def __eq__(self, other):
         return (
             isinstance(other, Eigenfunction)
@@ -223,8 +230,7 @@ def support_structure(graph: Graph, f: Eigenfunction) -> str:
     """The shape of the subgraph induced on the support, with the sign
     classes of f (positive first) as its two parts: "CompleteBipartite",
     "IsolatedCliquePair", "BipartiteMinusMatching" or "Other"."""
-    t0 = tuple(u for u in f.support if f.values[u] > 0)
-    t1 = tuple(u for u in f.support if f.values[u] < 0)
+    t0, t1 = f.sign_classes()
     if not t0 or not t1 or len(t0) != len(t1):
         return "Other"
     m0 = m1 = 0
@@ -340,9 +346,7 @@ def classify_optimal(graph: Graph, f: Eigenfunction):
         raise NotAnEigenfunctionError("function fails the eigenvalue equation", witness=res.witness)
     if len(f.support) != bound:
         raise NotOptimalError(f"support size {len(f.support)} is not the bound {bound}")
-    # the support ascends, so each sign class is ascending line indices
-    t0 = tuple(u for u in f.support if f.values[u] > 0)
-    t1 = tuple(u for u in f.support if f.values[u] < 0)
+    t0, t1 = f.sign_classes()
     if len(t0) != len(t1):
         raise NotOptimalError("sign classes of an optimal function must have equal size")
     if _check_grid(space, t0, t1):
@@ -490,16 +494,18 @@ class _Search:
             for x in (w, *leaves):
                 if x not in reduced:
                     reduced[x] = _reduce(self.heads[x], pivots)
-            # w's head screens the leaves; w is placed with its tail only
-            # when a kernel vector needs it
+            # w's head screens the leaves; w is placed with its tail once,
+            # when a kernel vector first needs it
             depth = len(chosen)
             hw = reduced[w]
             wpiv = [(i, hw) for i in range(len(hw)) if hw[i]][:1]
             ks = kers if wpiv else (*kers, self.place(w, depth, pivots)[1])
+            tails = None if wpiv else pivots
             for x in leaves:
                 kx = ks
                 if not any(_reduce(reduced[x], wpiv)):
-                    tails = [*pivots, self.place(w, depth, pivots)[0]] if wpiv else pivots
+                    if tails is None:
+                        tails = [*pivots, self.place(w, depth, pivots)[0]]
                     kx = (*ks, self.place(x, depth + 1, tails)[1])
                 if not kx:
                     continue  # independent columns

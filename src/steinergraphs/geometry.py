@@ -15,10 +15,10 @@ shared pair loop builds the line table in key order, the pair-to-line
 dictionary (the 2-design property: every point pair lies on one line),
 the lines through each point, per-line point bitmasks and ``meets``, per
 line the mask of the lines it meets (the block graph's rows), all lazily
-and once.  proj_space and aff_space share one instance per (n, q), which
-also keeps the space's design and block graph (see designs) and, for an
-affine space, ``AffSpace.closure``: the closure map into PG(n, q) with
-its line table.
+and once.  proj_space and aff_space are memoised: one shared instance
+per (n, q), on whose tables the closure and restriction maps build.  An
+affine space keeps ``AffSpace.closure``, the closure map into PG(n, q)
+with its line table.
 
 A line is named by its index in ``lines`` wherever the package passes
 lines around; the line objects hold what the index stands for.
@@ -35,7 +35,7 @@ restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import combinations, product
 from operator import or_
 
@@ -89,7 +89,6 @@ class ProjLine(_Line):
     basis: tuple[Vec, Vec]
     points: tuple[int, ...]
     mask: int
-    space: "ProjSpace" = dc_field(repr=False)
 
     @property
     def key(self) -> tuple[Vec, Vec]:
@@ -105,7 +104,6 @@ class AffLine(_Line):
     base: Vec
     points: tuple[int, ...]
     mask: int
-    space: "AffSpace" = dc_field(repr=False)
 
     @property
     def key(self) -> tuple[Vec, Vec]:
@@ -156,7 +154,6 @@ class _Space:
             raise ValueError(f"{type(self).__name__} needs dimension n >= 2, got {n}")
         self.n = n
         self.field = field
-        self._design = None  # the Steiner system of the lines, kept here by designs
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, q={self.field.q})"
@@ -257,7 +254,7 @@ class ProjSpace(_Space):
         return (r0, r1), tuple(sorted(ids))
 
     def _line(self, key, ids, mask) -> ProjLine:
-        return ProjLine(basis=key, points=ids, mask=mask, space=self)
+        return ProjLine(basis=key, points=ids, mask=mask)
 
     def _point(self, p) -> Vec:
         return normalize_point(self.field, p)
@@ -296,7 +293,7 @@ class AffSpace(_Space):
         return (d, pts[0]), tuple(sorted(idx[p] for p in pts))
 
     def _line(self, key, ids, mask) -> AffLine:
-        return AffLine(dir=key[0], base=key[1], points=ids, mask=mask, space=self)
+        return AffLine(dir=key[0], base=key[1], points=ids, mask=mask)
 
     def _point(self, p) -> Vec:
         return tuple(p)
@@ -516,21 +513,16 @@ class RestrictionMap:
         self.aff_index = {p: a for a, p in enumerate(self.proj_index)}
 
 
-_SPACE_CACHE: dict[tuple, _Space] = {}
-
-
-def _shared(cls, n: int, field: Field):
-    key = (cls, n, field.p, field.k)
-    if key not in _SPACE_CACHE:
-        _SPACE_CACHE[key] = cls(n, field)
-    return _SPACE_CACHE[key]
+# memoised constructors, keyed on (n, field) as passed, so both are
+# always passed positionally
+_proj_memo, _aff_memo = cache(ProjSpace), cache(AffSpace)
 
 
 def proj_space(n: int, field: Field) -> ProjSpace:
-    """Shared ProjSpace(n, q) instance, so its tables and design are built once."""
-    return _shared(ProjSpace, n, field)
+    """Shared ProjSpace(n, q) instance, so its tables are built once."""
+    return _proj_memo(n, field)
 
 
 def aff_space(n: int, field: Field) -> AffSpace:
-    """Shared AffSpace(n, q) instance, so its tables and design are built once."""
-    return _shared(AffSpace, n, field)
+    """Shared AffSpace(n, q) instance, so its tables are built once."""
+    return _aff_memo(n, field)

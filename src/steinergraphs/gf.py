@@ -33,6 +33,8 @@ q = 37.  The q x q tables of GF(256) take well under a second to build.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import LimitExceededError, MixedFieldsError, NonPrimeError
 
 MAX_ORDER = 256
@@ -243,15 +245,13 @@ class Field:
         return acc
 
 
-_FIELD_CACHE: dict[tuple[int, int], Field] = {}
+_field_memo = cache(Field)
 
 
 def field_make(p: int, k: int = 1) -> Field:
     """Return the canonical GF(p^k); repeated calls share one instance."""
-    f = _FIELD_CACHE.get((p, k))
-    if f is None:
-        f = _FIELD_CACHE[(p, k)] = Field(p, k)
-    return f
+    # the memo is keyed on (p, k) as passed, so both are always passed
+    return _field_memo(p, k)
 
 
 def field_of_order(q: int) -> Field:

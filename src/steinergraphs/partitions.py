@@ -176,8 +176,7 @@ def balance_check(
     vals = set(f1.values.values())
     if not vals <= {Fraction(1), Fraction(-1)}:
         raise NotSignFunctionError(f"values {sorted(map(str, vals))} are not within {{1, -1}}")
-    plus = [u for u in f1.support if f1.values[u] > 0]
-    minus = [u for u in f1.support if f1.values[u] < 0]
+    plus, minus = f1.sign_classes()
     if len(plus) != len(minus):
         raise NotSignFunctionError(
             f"support halves have sizes {len(plus)} and {len(minus)}"

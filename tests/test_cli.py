@@ -591,6 +591,16 @@ def test_enumerate_affine_reguli_other_dimension_exit_2(capsys, monkeypatch):
     assert "--n 4" in _refused(capsys, monkeypatch, "enumerate-affine-reguli", "--n", "4", "--q", "2")
 
 
+def test_refused_design_is_not_kept(capsys):
+    """The affine design needs n >= 3; the memoised constructors keep no
+    result of a refused call, so the same command line is refused again
+    in the same process."""
+    for _ in range(2):
+        code, err = _usage_error(capsys, "srg", "--space", "aff", "--n", "2", "--q", "3")
+        assert code == 2
+        assert "affine design needs n >= 3" in err
+
+
 @pytest.mark.parametrize("part", ["5", "[1.7, 2]", "[true]", '{"3": 1}', "[-1]", "[0,999]", "[1,1,2]"],
                          ids=["scalar", "float", "bool", "object", "negative-index", "index-too-large",
                               "duplicate-index"])

@@ -87,7 +87,7 @@ def test_block_graph_adjacency_is_intersection():
 
 def test_cached_block_graph_identity():
     d = affine_design(3, 2)
-    assert cached_block_graph(d) is cached_block_graph(d)
+    assert cached_block_graph(d) is cached_block_graph(design=d) is d.graph
 
 
 def test_block_graph_of_a_space(g_j2, g_x2, g_x3):

@@ -627,6 +627,25 @@ def test_census_search_counts_pinned(g_x2):
     assert (par.value.partial.nodes, par.value.partial.kernel_calls) == (partial.nodes, partial.kernel_calls)
 
 
+def test_census_search_places_each_leaf_parent_once(g_x2, monkeypatch):
+    """A leaf group places its parent w at most once, not once for each
+    dependent leaf below it: the census search makes 26,601 column
+    placements, with every count of the search unchanged."""
+    calls = [0]
+    real = eigenfunctions._Search.place
+
+    def counted(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(eigenfunctions._Search, "place", counted)
+    full = search_min_support(g_x2, -2, 6)
+    assert (full.nodes, full.kernel_calls, len(full.functions), len(full.families)) == (
+        449301, 6510, 2520, 630
+    )
+    assert calls[0] == 26601
+
+
 def test_concurrent_searches_keep_their_own_tables(g_x2, g_j2):
     """Searches run from two threads of one process see only their own
     graph, eigenvalue and tables."""

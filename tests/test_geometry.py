@@ -32,12 +32,22 @@ from steinergraphs.geometry import (
     proj_space,
     span_of_lines,
 )
-from steinergraphs.gf import field_of_order
+from steinergraphs.gf import field_make, field_of_order
 from steinergraphs.linalg import rref
 from test_gf import Reference
 
 PROJ_CASES = [(2, 2), (3, 2), (3, 3), (2, 3), (3, 4), (4, 2)]
 AFF_CASES = [(2, 2), (3, 2), (3, 3), (2, 3), (3, 4), (4, 2)]
+
+
+def test_spaces_shared_however_called():
+    """proj_space and aff_space give one instance per (n, q), whether the
+    arguments are passed by position or by keyword."""
+    f = field_make(2)
+    assert field_make(p=2, k=1) is f
+    assert proj_space(n=3, field=field_of_order(2)) is proj_space(3, f)
+    assert aff_space(n=3, field=f) is aff_space(3, field_make(2, 1))
+    assert proj_space(3, f) is not proj_space(2, f)
 
 
 # -- counts ------------------------------------------------------------------------
