@@ -147,10 +147,11 @@ def _vector_arg(text: str, flag: str, space, point: bool = False):
     return vec
 
 
-def _lines_arg(text: str, space):
-    """--lines: a JSON list of three projective lines, each given by two
-    basis rows."""
-    data = _parse_json_arg(text, "--lines")
+def _regulus_arg(args):
+    """PG(--n, --q) and the regulus pair through --lines: a JSON list of
+    three projective lines, each given by two basis rows."""
+    space = _space_of("proj", args.n, args.q)
+    data = _parse_json_arg(args.lines, "--lines")
     if not (isinstance(data, list) and len(data) == 3):
         raise _UsageError("--lines must hold exactly three lines")
     lines = []
@@ -162,7 +163,7 @@ def _lines_arg(text: str, space):
             lines.append(space.line_from_basis(rows))
         except DimensionMismatchError as ex:
             raise _UsageError(f"--lines: {ex}, got {json.dumps(d)}") from ex
-    return lines
+    return space, reguli.regulus_through(space, *lines)
 
 
 def _rational(text: str, what: str) -> Fraction:
@@ -172,15 +173,6 @@ def _rational(text: str, what: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as ex:
         raise _UsageError(f"{what}: {text!r} is not a rational number") from ex
-
-
-def _validator_witness(check, *args) -> str | None:
-    """None when the validator accepts its input, else why it does not."""
-    try:
-        check(*args)
-    except SteinerError as ex:
-        return str(ex)
-    return None
 
 
 def _function_json(f: eigenfunctions.Eigenfunction, structure: str | None = None) -> dict:
@@ -219,6 +211,16 @@ class _Cert:
             entry["witness"] = witness
         self.checks.append(entry)
         return passed
+
+    def validate(self, name: str, validator, *args) -> None:
+        """The check ``name``: whether the validator accepts its input,
+        with why it does not as the witness."""
+        try:
+            validator(*args)
+        except SteinerError as ex:
+            self.check(name, False, str(ex))
+        else:
+            self.check(name, True)
 
     def payload(self, timing_ms: int) -> dict:
         return {
@@ -289,15 +291,13 @@ def _cmd_wdb(args, cert: _Cert) -> None:
 
 
 def _cmd_regulus(args, cert: _Cert) -> None:
-    space = _space_of("proj", args.n, args.q)
-    pair = reguli.regulus_through(space, *_lines_arg(args.lines, space))
+    space, pair = _regulus_arg(args)
     cert.result = dict(
         _pair_json(pair, _line_table(space)),
         r_indices=list(pair.r_ids),
         opp_indices=list(pair.opp_ids),
     )
-    witness = _validator_witness(reguli._check_regulus_pair, space, pair.r_ids, pair.opp_ids)
-    cert.check("regulus_axioms", witness is None, witness)
+    cert.validate("regulus_axioms", reguli._check_regulus_pair, space, pair.r_ids, pair.opp_ids)
 
 
 def _cmd_affine_regulus(args, cert: _Cert) -> None:
@@ -311,10 +311,8 @@ def _cmd_affine_regulus(args, cert: _Cert) -> None:
         _pair_json(pair, _line_table(space), "s_lines"),
         projective_lift=_pair_json(rp, _line_table(rp.space)),
     )
-    witness = _validator_witness(reguli._check_regulus_pair, space, pair.r_ids, pair.opp_ids)
-    cert.check("affine_regulus_axioms", witness is None, witness)
-    witness = _validator_witness(reguli._check_lift, pair, rp)
-    cert.check("projective_lift", witness is None, witness)
+    cert.validate("affine_regulus_axioms", reguli._check_regulus_pair, space, pair.r_ids, pair.opp_ids)
+    cert.validate("projective_lift", reguli._check_lift, pair, rp)
 
 
 def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
@@ -410,8 +408,7 @@ def _cmd_verify_eigenfunction(args, cert: _Cert) -> None:
 
 
 def _cmd_wdbplus2(args, cert: _Cert) -> None:
-    space = _space_of("proj", args.n, args.q)
-    pair = reguli.regulus_through(space, *_lines_arg(args.lines, space))
+    space, pair = _regulus_arg(args)
     normal = _vector_arg(args.hyperplane, "--hyperplane", space)
     hyp = geometry.Hyperplane(geometry.normalize_point(space.field, normal))
     f = eigenfunctions.wdbplus2_function(pair, hyp)
@@ -481,7 +478,7 @@ def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
     return {"done": [tuple(p) for p in done]}, functions, families
 
 
-def _cmd_search_support(args, cert: _Cert) -> None:
+def _cmd_search_support(args, cert: _Cert) -> int:
     graph = _graph_of(args.space, args.n, args.q)
     resume, prior_functions, prior_families = _resume_arg(args.resume, cert) if args.resume else (None, [], [])
     # what a --resume file carries over is rebuilt from its values before
@@ -493,15 +490,9 @@ def _cmd_search_support(args, cert: _Cert) -> None:
     carried = [rebuild(e) for e in prior_functions]
     bases = [[rebuild(b) for b in fam["basis"]] for fam in prior_families]
     print(f"searching supports of size {args.size} at theta={args.theta} ({args.mode})", file=sys.stderr)
-    checkpoint = None
-    try:
-        res = eigenfunctions.search_min_support(
-            graph, args.theta, args.size, args.mode,
-            limit=args.limit, resume=resume, jobs=args.jobs,
-        )
-    except LimitExceededError as ex:
-        checkpoint = ex.checkpoint
-        res = ex.partial
+    res = eigenfunctions.search_min_support(
+        graph, args.theta, args.size, args.mode, limit=args.limit, resume=resume, jobs=args.jobs
+    )
     fn_entries = [
         _function_json(f, eigenfunctions.support_structure(graph, f)) for f in [*carried, *res.functions]
     ]
@@ -532,12 +523,11 @@ def _cmd_search_support(args, cert: _Cert) -> None:
         ),
         "lines": _Items(_line_table(graph.design.space)),
     }
-    if checkpoint is not None:
-        cert.result["checkpoint"] = {"done": [list(p) for p in checkpoint["done"]]}
+    if not res.complete:
+        cert.result["checkpoint"] = res.checkpoint
     cert.check("all_new_functions_verify", verified)
     cert.check("complete", res.complete)
-    if checkpoint is not None:
-        raise _LimitSignal
+    return 0 if res.complete else 3
 
 
 def _cmd_equitable(args, cert: _Cert) -> None:
@@ -568,8 +558,7 @@ def _cmd_equitable(args, cert: _Cert) -> None:
 
 
 def _cmd_balance(args, cert: _Cert) -> None:
-    space = _space_of("proj", args.n, args.q)
-    pair = reguli.regulus_through(space, *_lines_arg(args.lines, space))
+    space, pair = _regulus_arg(args)
     graph = designs.block_graph_of(space)
     f1 = eigenfunctions.optimal_from_regulus(pair, graph)
     part_indices = _named_line_set(args, space)
@@ -632,10 +621,6 @@ def _named_line_set(args, space) -> tuple[int, ...]:
     if not isinstance(space, geometry.AffSpace):
         raise _UsageError("--direction needs an affine space")
     return partitions.direction_class_line_set(space, _vector_arg(args.direction, "--direction", space))
-
-
-class _LimitSignal(Exception):
-    """Raised after a limited search has filled its certificate."""
 
 
 # -- argument parsing and dispatch ---------------------------------------------------
@@ -753,9 +738,8 @@ def main(argv=None) -> int:
     start = time.monotonic()
     exit_code = 0
     try:
-        _COMMANDS[args.command](args, cert)
-    except _LimitSignal:
-        exit_code = 3
+        # a command returns 3 when it filled its certificate but reached a limit
+        exit_code = _COMMANDS[args.command](args, cert) or 0
     except _UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -11,7 +11,9 @@ Conventions:
     line indices of the underlying space;
   * the support search decides linear dependence exactly, by one
     fraction-free elimination of the chosen columns of A - theta*I, and
-    reads each kernel vector off the column that it finds dependent;
+    reads each kernel vector off the column that it finds dependent; a
+    search whose node budget runs out returns its result, not complete,
+    with the checkpoint that resumes it, and raises nothing;
   * values are Fractions at the API; the hot checks (the eigenvalue
     equation and the kernel of a support) run in exact scaled-integer
     arithmetic, the eigenvalue equation at all vertices at once as one
@@ -44,7 +46,7 @@ from .errors import (
     WrongCountError,
     ZeroFunctionError,
 )
-from .geometry import AffSpace, ProjSpace, bit_indices
+from .geometry import AffSpace, ProjSpace, bit_indices, index_mask
 from .linalg import bareiss_echelon, primitive
 from .reguli import RegulusPair, _check_grid, regulus_restriction
 
@@ -165,6 +167,18 @@ def verify_eigenfunction(graph: Graph, f: Eigenfunction) -> VerifyResult:
     return VerifyResult(False, (u, Fraction(lhs, scale), Fraction(rhs, scale)))
 
 
+def verified(graph: Graph, f: Eigenfunction) -> Eigenfunction:
+    """f, once verify_eigenfunction accepts it; else NotAnEigenfunctionError
+    with its witness."""
+    res = verify_eigenfunction(graph, f)
+    if not res:
+        u, lhs, rhs = res.witness
+        raise NotAnEigenfunctionError(
+            f"vertex {u}: theta*f(u) = {lhs} but neighbour sum = {rhs}", witness=res.witness
+        )
+    return f
+
+
 def from_bipartite_pair(graph: Graph, t0: Iterable[int], t1: Iterable[int], theta: int) -> Eigenfunction:
     """The (+1 on t0, -1 on t1) function, verified before return."""
     t0 = tuple(dict.fromkeys(int(u) for u in t0))
@@ -175,14 +189,7 @@ def from_bipartite_pair(graph: Graph, t0: Iterable[int], t1: Iterable[int], thet
         raise ValueError("parts overlap")
     vals: dict[int, int] = {u: 1 for u in t0}
     vals.update({u: -1 for u in t1})
-    f = Eigenfunction(graph, theta, vals)
-    res = verify_eigenfunction(graph, f)
-    if not res:
-        u, lhs, rhs = res.witness
-        raise NotAnEigenfunctionError(
-            f"vertex {u}: theta*f(u) = {lhs} but neighbour sum = {rhs}", witness=res.witness
-        )
-    return f
+    return verified(graph, Eigenfunction(graph, theta, vals))
 
 
 # -- constructions from geometric data -----------------------------------------
@@ -233,11 +240,7 @@ def support_structure(graph: Graph, f: Eigenfunction) -> str:
     t0, t1 = f.sign_classes()
     if not t0 or not t1 or len(t0) != len(t1):
         return "Other"
-    m0 = m1 = 0
-    for u in t0:
-        m0 |= 1 << u
-    for u in t1:
-        m1 |= 1 << u
+    m0, m1 = index_mask(t0), index_mask(t1)
     adj = graph.adj
     a = len(t0)
     within = any(adj[u] & m0 for u in t0) or any(adj[u] & m1 for u in t1)
@@ -341,9 +344,7 @@ def classify_optimal(graph: Graph, f: Eigenfunction):
         raise ValueError("graph has no underlying design")
     space = graph.design.space
     bound = wdb(graph.design.params, f.theta)
-    res = verify_eigenfunction(graph, f)
-    if not res:
-        raise NotAnEigenfunctionError("function fails the eigenvalue equation", witness=res.witness)
+    verified(graph, f)
     if len(f.support) != bound:
         raise NotOptimalError(f"support size {len(f.support)} is not the bound {bound}")
     t0, t1 = f.sign_classes()
@@ -373,13 +374,17 @@ class SupportFamily:
 class SearchResult:
     """Outcome of search_min_support: one canonical function per support
     with a one-dimensional kernel, plus families for larger kernels.
-    ``kernel_calls`` counts the admitted leaves with dependent columns."""
+    ``kernel_calls`` counts the admitted leaves with dependent columns.
+    A search cut by its node budget is not ``complete``: it holds what
+    its done prefixes found, and ``checkpoint``, {"done": [prefixes]},
+    is what ``resume`` accepts to search the rest."""
 
     functions: tuple[Eigenfunction, ...]
     families: tuple[SupportFamily, ...]
     nodes: int
     kernel_calls: int
     complete: bool
+    checkpoint: dict
 
 
 class _BudgetExceeded(Exception):
@@ -582,18 +587,26 @@ class _Search:
             before = nodes, calls
 
 
-# the search of a fork worker, set by the pool initializer; the parent
-# process never sets it
+# the search and the stop event of a fork worker, set by the pool
+# initializer; the parent process never sets them
 _worker_search: _Search | None = None
+_worker_stop = None
 
 
-def _init_worker(search: _Search) -> None:
-    global _worker_search
-    _worker_search = search
+def _init_worker(search: _Search, stop) -> None:
+    global _worker_search, _worker_stop
+    _worker_search, _worker_stop = search, stop
 
 
 def _worker_shard(task) -> list[tuple]:
-    return list(_worker_search.run_shard(task))
+    """The records of one shard, up to the one during which the parent
+    set the stop event: once set, the parent reads no further record."""
+    records = []
+    for record in _worker_search.run_shard(task):
+        records.append(record)
+        if _worker_stop.is_set():
+            break
+    return records
 
 
 def search_min_support(
@@ -638,13 +651,14 @@ def search_min_support(
     ``limit`` is one node budget for the whole call, counted before
     pruning and in prefix order, whatever ``jobs`` is: a prefix is done
     when the running node total is still at most ``limit`` after its
-    subtree.  When one is not, LimitExceededError is raised; its
-    ``checkpoint`` lists the done prefixes and its ``partial`` holds their
-    results, with the nodes and kernel calls counted up to and including
-    the prefix that did not fit.  ``resume`` accepts such a checkpoint
-    and skips the done prefixes.  ``jobs`` > 1 searches the prefixes of
-    each first vertex in a pool of forked workers, with the same results
-    and checkpoints.
+    subtree.  When one is not, the search stops there and returns a
+    result that is not ``complete``: it holds the results of the done
+    prefixes, its ``checkpoint`` lists them, and its nodes and kernel
+    calls are counted up to and including the prefix that did not fit.
+    ``resume`` accepts a checkpoint and skips the done prefixes.  ``jobs``
+    > 1 searches the prefixes of each first vertex in a pool of forked
+    workers, with the same results and checkpoints; after a cut the
+    running shards stop at their next prefix.
     """
     if mode not in ("exhaustive", "branch-and-prune"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -672,7 +686,9 @@ def search_min_support(
     pool = None
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial search imports none of it
-        pool = ProcessPoolExecutor(jobs, get_context("fork"), _init_worker, (search,))
+        context = get_context("fork")
+        stop = context.Event()
+        pool = ProcessPoolExecutor(jobs, context, _init_worker, (search, stop))
     try:
         shards = pool.map(_worker_shard, tasks) if pool else map(search.run_shard, tasks)
         for prefix, n, calls, found, fams, finished in chain.from_iterable(shards):
@@ -688,6 +704,7 @@ def search_min_support(
         # no worker is killed: multiprocessing.Pool.terminate() could kill one
         # holding the result queue's lock, then wait on that lock for ever
         if pool:
+            stop.set()
             pool.shutdown(cancel_futures=True)
 
     def from_kernel(supp, vec) -> Eigenfunction:
@@ -698,11 +715,4 @@ def search_min_support(
         SupportFamily(supp, len(basis), tuple(from_kernel(supp, vec) for vec in basis))
         for supp, basis in sorted(raw_fams)
     )
-    result = SearchResult(functions, families, nodes, kernel_calls, complete=not exhausted)
-    if exhausted:
-        raise LimitExceededError(
-            f"node budget exhausted after {nodes} nodes",
-            checkpoint={"done": sorted(done)},
-            partial=result,
-        )
-    return result
+    return SearchResult(functions, families, nodes, kernel_calls, not exhausted, {"done": sorted(done)})

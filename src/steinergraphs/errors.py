@@ -21,16 +21,9 @@ class NonPrimeError(SteinerError):
 
 
 class LimitExceededError(SteinerError):
-    """An enumeration or search exceeded its configured resource limit.
-
-    For resumable searches the ``checkpoint`` attribute holds the state
-    needed to continue and ``partial`` holds results gathered so far.
-    """
-
-    def __init__(self, message: str, checkpoint=None, partial=None):
-        super().__init__(message)
-        self.checkpoint = checkpoint
-        self.partial = partial
+    """An input refused before any work because it exceeds a resource
+    limit.  A search whose node budget runs out raises nothing: it
+    returns an incomplete result with its checkpoint."""
 
 
 class MixedFieldsError(SteinerError):

@@ -65,6 +65,14 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
+def index_mask(indices) -> int:
+    """The mask with the bits of ``indices`` set: bit_indices inverted."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
 def normalize_point(field: Field, vec) -> Vec:
     """Scale a nonzero vector so its first nonzero coordinate is 1."""
     return field.normalize_row(field.check_row(vec))
@@ -189,7 +197,7 @@ class _Space:
                     covered.update(combinations(ids, 2))
         if len(ids_of) != expected:
             raise WrongCountError(f"{len(ids_of)} lines, expected {expected}")
-        return tuple(self._line(key, ids, sum(1 << p for p in ids)) for key, ids in sorted(ids_of.items()))
+        return tuple(self._line(key, ids, index_mask(ids)) for key, ids in sorted(ids_of.items()))
 
     @cached_property
     def line_index(self) -> dict[tuple[Vec, Vec], int]:
@@ -213,7 +221,7 @@ class _Space:
     @cached_property
     def meets(self) -> tuple[int, ...]:
         """For each line index, the mask of the other lines it meets."""
-        at = [sum(1 << i for i in through) for through in self.lines_at]
+        at = [index_mask(through) for through in self.lines_at]
         return tuple(reduce(or_, [at[p] for p in ln.points]) & ~(1 << i) for i, ln in enumerate(self.lines))
 
     def line_through(self, p1, p2):
@@ -383,7 +391,7 @@ def _plane(space: AffSpace, dirbasis, base: Vec) -> AffPlane:
         for a in range(f.q)
         for b in range(f.q)
     }))
-    return AffPlane(dirbasis=(d0, d1), base=base, points=pts, mask=sum(1 << p for p in pts), space=space)
+    return AffPlane(dirbasis=(d0, d1), base=base, points=pts, mask=index_mask(pts), space=space)
 
 
 def enumerate_planes(space: AffSpace) -> tuple[AffPlane, ...]:
@@ -470,22 +478,21 @@ class ClosureMap:
     (1 : base) and (0 : dir), and ``aff_index`` inverts it on the lines
     outside infinity; ``inf_point`` maps it to the index of its point at
     infinity (0 : dir), and ``inf_lines`` is the bitmask of the
-    projective line indices at infinity.  ``AffSpace.closure`` keeps one
+    projective line indices at infinity: every projective line outside
+    {x_0 = 0} is the closure of exactly one affine line, so they are
+    the lines without an affine index.  ``AffSpace.closure`` keeps one
     map per affine space."""
 
     def __init__(self, aspace: AffSpace):
         self.aspace = aspace
         self.pspace = ps = proj_space(aspace.n, aspace.field)
-        self.infinity = Hyperplane((1,) + (0,) * aspace.n)
         self.proj_index = tuple(
             ps.index_of(ps.line_from_basis(((1,) + l.base, (0,) + l.dir))) for l in aspace.lines
         )
         self.aff_index = {p: a for a, p in enumerate(self.proj_index)}
         # directions are normalised, so (0 : dir) is a point of the table
         self.inf_point = tuple(ps.point_index[(0,) + l.dir] for l in aspace.lines)
-        self.inf_lines = sum(
-            1 << i for i, l in enumerate(ps.lines) if self.infinity.contains_line(ps.field, l)
-        )
+        self.inf_lines = (1 << len(ps.lines)) - 1 - index_mask(self.proj_index)
 
 
 class RestrictionMap:

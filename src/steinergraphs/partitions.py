@@ -22,17 +22,16 @@ from math import gcd
 from typing import Iterable
 
 from .designs import Graph, block_graph_of
-from .eigenfunctions import Eigenfunction, verify_eigenfunction
+from .eigenfunctions import Eigenfunction, verified, verify_eigenfunction
 from .errors import (
     BadDecompositionError,
     EigenvalueClashError,
     InconsistentQuotientError,
-    NotAnEigenfunctionError,
     NotEquitableError,
     NotSignFunctionError,
     NotTwoValuedError,
 )
-from .geometry import Hyperplane, ProjSpace, normalize_point
+from .geometry import Hyperplane, ProjSpace, index_mask, normalize_point
 from .reguli import RegulusPair, enumerate_reguli
 
 
@@ -50,13 +49,8 @@ class Partition2:
             raise ValueError("both parts must be nonempty")
         if set(self.v1) & set(self.v2):
             raise ValueError("parts must be disjoint")
-        m1 = m2 = 0
-        for u in self.v1:
-            m1 |= 1 << u
-        for u in self.v2:
-            m2 |= 1 << u
-        self.mask1 = m1
-        self.mask2 = m2
+        self.mask1 = index_mask(self.v1)
+        self.mask2 = index_mask(self.v2)
 
     @classmethod
     def from_part(cls, graph: Graph, part: Iterable[int]) -> Partition2:
@@ -135,13 +129,7 @@ def partition_to_eigenfunction(graph: Graph, part: Partition2) -> Eigenfunction:
         raise InconsistentQuotientError(f"({x1}, {x2}) is not a {theta}-eigenvector of {q.rows()}")
     vals = {u: x1 for u in part.v1}
     vals.update({u: x2 for u in part.v2})
-    f = Eigenfunction(graph, theta, vals)
-    res = verify_eigenfunction(graph, f)
-    if not res:
-        raise NotAnEigenfunctionError(
-            f"partition function fails at vertex {res.witness[0]}", witness=res.witness
-        )
-    return f
+    return verified(graph, Eigenfunction(graph, theta, vals))
 
 
 # -- the balance condition -------------------------------------------------------

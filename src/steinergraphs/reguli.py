@@ -66,7 +66,6 @@ from .geometry import (
     RestrictionMap,
     _coset_rep,
     bit_indices,
-    normalize_point,
     span_of_lines,
 )
 
@@ -221,6 +220,18 @@ def _regulus_family(adj, ids, opp: int, size: int) -> int:
     return fam
 
 
+def _pair_through(space, ids, size: int) -> RegulusPair:
+    """The regulus pair, families of ``size`` lines, through the three
+    pairwise skew lines ``ids`` of one 3-flat, by the regulus rule and
+    verified by the grid check."""
+    adj = space.meets
+    opp = adj[ids[0]] & adj[ids[1]] & adj[ids[2]]
+    fam = _regulus_family(adj, ids, opp, size)
+    pair = RegulusPair(tuple(bit_indices(fam)), tuple(bit_indices(opp)), space)
+    _check_regulus_pair(space, pair.r_ids, pair.opp_ids)
+    return pair
+
+
 def regulus_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, l3: ProjLine) -> RegulusPair:
     """The unique regulus pair through three pairwise skew lines of one
     3-flat, by the regulus rule of enumerate_reguli, and the grid check
@@ -231,12 +242,7 @@ def regulus_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, l3: ProjLine) 
     rows = [row for ln in (l1, l2, l3) for row in ln.basis]
     if len(linalg.row_basis(f, rows)) != 4:
         raise NotCoplanarError("three lines do not lie in a common 3-flat")
-    adj = space.meets
-    opp = adj[ids[0]] & adj[ids[1]] & adj[ids[2]]
-    fam = _regulus_family(adj, ids, opp, f.q + 1)
-    pair = RegulusPair(tuple(bit_indices(fam)), tuple(bit_indices(opp)), space)
-    _check_regulus_pair(space, pair.r_ids, pair.opp_ids)
-    return pair
+    return _pair_through(space, ids, f.q + 1)
 
 
 # -- affine constructions ------------------------------------------------------
@@ -348,16 +354,12 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
     ids = tuple(sorted(map(space.index_of, lines)))
     skew = _skew_masks(space)
     _require_skew(space, ids, skew)
-    adj = space.meets
-    if q == 2:
-        found = _gf2_pairs(adj, skew, *ids)
-    elif len(linalg.row_basis(space.field, tuple(l.dir for l in lines))) > 2:
-        return SkewFamilyClass(2, ())
-    else:
-        opp = adj[ids[0]] & adj[ids[1]] & adj[ids[2]]
-        found = [(tuple(bit_indices(_regulus_family(adj, ids, opp, q))), tuple(bit_indices(opp)))]
+    if q > 2:
+        if len(linalg.row_basis(space.field, tuple(l.dir for l in lines))) > 2:
+            return SkewFamilyClass(2, ())
+        return SkewFamilyClass(1, (_pair_through(space, ids, q),))
     pairs = []
-    for fam, opp in found:
+    for fam, opp in _gf2_pairs(space.meets, skew, *ids):
         _check_regulus_pair(space, fam, opp)
         pairs.append(RegulusPair(fam, opp, space))
     return SkewFamilyClass(1, tuple(pairs))
@@ -448,10 +450,10 @@ def regulus_restriction(pair: RegulusPair, hyperplane: Hyperplane) -> Restrictio
     space = pair.space
     if not isinstance(space, ProjSpace):
         raise NotARegulusError(f"regulus_restriction needs a projective pair, got one in {space}")
-    f, lines = space.field, space.lines
-    h = Hyperplane(normalize_point(f, hyperplane.normal))
-    in_r = [t for t in pair.r_ids if h.contains_line(f, lines[t])]
-    in_o = [t for t in pair.opp_ids if h.contains_line(f, lines[t])]
+    # the lines inside H are those without an affine index
+    rm = RestrictionMap(space, hyperplane)
+    in_r = [t for t in pair.r_ids if t not in rm.aff_index]
+    in_o = [t for t in pair.opp_ids if t not in rm.aff_index]
     if len(in_r) + len(in_o) == 2 * len(pair.r_ids):
         return RestrictionOutcome(
             kind="not_restrictable", reason="hyperplane contains the whole 3-flat"
@@ -461,11 +463,8 @@ def regulus_restriction(pair: RegulusPair, hyperplane: Hyperplane) -> Restrictio
             kind="not_restrictable",
             reason=f"hyperplane contains {len(in_r)} lines of R and {len(in_o)} of R_opp",
         )
-    # the lines outside H are those with an affine index
-    rm = RestrictionMap(space, hyperplane)
     r_ids, opp_ids = (
-        tuple(sorted(rm.aff_index[t] for t in fam if t not in inside))
-        for fam, inside in ((pair.r_ids, in_r), (pair.opp_ids, in_o))
+        tuple(sorted(rm.aff_index[t] for t in fam if t in rm.aff_index)) for fam in (pair.r_ids, pair.opp_ids)
     )
     if in_r:
         _check_regulus_pair(rm.aspace, r_ids, opp_ids)

@@ -541,17 +541,19 @@ def test_search_rejects_bad_mode_and_target(g_x2):
 
 
 def test_search_resume_roundtrip(g_x2):
-    with pytest.raises(LimitExceededError) as exc:
-        search_min_support(g_x2, -2, 4, limit=2000)
-    checkpoint = exc.value.checkpoint
-    partial = exc.value.partial
+    """A spent budget returns the cut result with its checkpoint, which
+    resumes the rest; a complete search's checkpoint holds every prefix."""
+    partial = search_min_support(g_x2, -2, 4, limit=2000)
+    checkpoint = partial.checkpoint
     assert not partial.complete
     assert checkpoint["done"]
     rest = search_min_support(g_x2, -2, 4, resume=checkpoint)
+    assert rest.complete
     key = lambda f: sorted(f.values.items())
     merged = sorted([key(f) for f in partial.functions] + [key(f) for f in rest.functions])
     full = search_min_support(g_x2, -2, 4)
     assert merged == sorted(key(f) for f in full.functions)
+    assert search_min_support(g_x2, -2, 4, resume=rest.checkpoint).functions == ()
 
 
 def test_search_parallel_matches_serial(g_x2):
@@ -577,19 +579,15 @@ def test_exhaustive_search_budget_spent_at_a_node(g_x2, limit):
     budget runs out at one node: one and two workers give the same
     checkpoint and partial result, and resuming the checkpoint finds the
     rest of the 210 rays."""
-    cut = []
-    for jobs in (1, 2):
-        with pytest.raises(LimitExceededError) as exc:
-            search_min_support(g_x2, -2, 4, "exhaustive", limit=limit, jobs=jobs)
-        cut.append(exc.value)
-    serial, parallel = cut
+    serial, parallel = (search_min_support(g_x2, -2, 4, "exhaustive", limit=limit, jobs=jobs) for jobs in (1, 2))
+    assert not serial.complete and not parallel.complete
     assert parallel.checkpoint == serial.checkpoint
-    assert _outcome(parallel.partial) == _outcome(serial.partial)
-    assert (parallel.partial.nodes, parallel.partial.kernel_calls) == (serial.partial.nodes, serial.partial.kernel_calls)
-    assert serial.partial.nodes > limit
+    assert _outcome(parallel) == _outcome(serial)
+    assert (parallel.nodes, parallel.kernel_calls) == (serial.nodes, serial.kernel_calls)
+    assert serial.nodes > limit
     rest = search_min_support(g_x2, -2, 4, "exhaustive", resume=serial.checkpoint)
     key = lambda f: sorted(f.values.items())
-    merged = sorted(key(f) for f in (*serial.partial.functions, *rest.functions))
+    merged = sorted(key(f) for f in (*serial.functions, *rest.functions))
     full = search_min_support(g_x2, -2, 4)
     assert len(merged) == 210
     assert merged == sorted(key(f) for f in full.functions)
@@ -616,15 +614,14 @@ def test_census_search_counts_pinned(g_x2):
         449301, 6510, 2520, 630
     )
     for limit, expected in CENSUS_PARTIALS.items():
-        with pytest.raises(LimitExceededError) as exc:
-            search_min_support(g_x2, -2, 6, limit=limit)
-        partial = exc.value.partial
-        assert (partial.nodes, partial.kernel_calls, len(exc.value.checkpoint["done"])) == expected
-    with pytest.raises(LimitExceededError) as par:
-        search_min_support(g_x2, -2, 6, limit=50000, jobs=2)
-    assert par.value.checkpoint == exc.value.checkpoint
-    assert _outcome(par.value.partial) == _outcome(partial)
-    assert (par.value.partial.nodes, par.value.partial.kernel_calls) == (partial.nodes, partial.kernel_calls)
+        partial = search_min_support(g_x2, -2, 6, limit=limit)
+        assert not partial.complete
+        assert (partial.nodes, partial.kernel_calls, len(partial.checkpoint["done"])) == expected
+    par = search_min_support(g_x2, -2, 6, limit=50000, jobs=2)
+    assert not par.complete
+    assert par.checkpoint == partial.checkpoint
+    assert _outcome(par) == _outcome(partial)
+    assert (par.nodes, par.kernel_calls) == (partial.nodes, partial.kernel_calls)
 
 
 def test_census_search_places_each_leaf_parent_once(g_x2, monkeypatch):
@@ -644,6 +641,19 @@ def test_census_search_places_each_leaf_parent_once(g_x2, monkeypatch):
         449301, 6510, 2520, 630
     )
     assert calls[0] == 26601
+
+
+def test_worker_shard_stops_after_the_record_of_a_cut(g_x2, monkeypatch):
+    """A pool worker's shard runs to its end until the parent sets the
+    stop event after a cut; from then on it returns after the record
+    during which the event is set, not at its own node budget."""
+    task = (0, tuple(range(1, 6)))
+    stop = threading.Event()
+    monkeypatch.setattr(eigenfunctions, "_worker_search", eigenfunctions._Search(g_x2, -2, 4, True, None))
+    monkeypatch.setattr(eigenfunctions, "_worker_stop", stop)
+    assert [r[0] for r in eigenfunctions._worker_shard(task)] == [(0, v1) for v1 in range(1, 6)]
+    stop.set()
+    assert [r[0] for r in eigenfunctions._worker_shard(task)] == [(0, 1)]
 
 
 def test_concurrent_searches_keep_their_own_tables(g_x2, g_j2):
@@ -856,12 +866,11 @@ def test_search_cut_inside_a_leaf_group(name):
             # following another leaf
             cuts = [i for i in range(1, len(nodes)) if nodes[i][0] == 0 and nodes[i][1] and nodes[i - 1][1]]
             for limit in cuts[:: max(1, len(cuts) // 8)]:
-                with pytest.raises(LimitExceededError) as exc:
-                    search_min_support(g, theta, size, mode, limit=limit)
-                partial = exc.value.partial
+                partial = search_min_support(g, theta, size, mode, limit=limit)
+                assert not partial.complete, (mode, theta, size, limit)
                 calls = sum(call for _, _, call in nodes[:limit])
                 assert (partial.nodes, partial.kernel_calls) == (limit + 1, calls), (mode, theta, size, limit)
-                done = {tuple(p) for p in exc.value.checkpoint["done"]}
+                done = {tuple(p) for p in partial.checkpoint["done"]}
                 rays = [sorted(f.values.items()) for f in ref.functions if f.support[:2] in done]
                 fams = [(fam.support, [sorted(f.values.items()) for f in fam.basis])
                         for fam in ref.families if fam.support[:2] in done]

@@ -255,11 +255,12 @@ def test_projective_closure_roundtrip(q):
     assert len(at_inf) + len(asp.lines) == len(psp.lines)
 
 
-@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (2, 3)])
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (2, 3), (2, 5), (4, 2)])
 def test_closure_line_table(n, q):
     """The closure table holds, for every affine line, the projective
     line through (1 : base) and (0 : dir); aff_index inverts it and has
-    no entry for the lines at infinity.  The map is kept on its space."""
+    no entry for the lines at infinity, which inf_lines, the lines
+    without an affine index, holds.  The map is kept on its space."""
     asp = aff_space(n, field_of_order(q))
     cm = asp.closure
     assert asp.closure is cm
@@ -268,9 +269,11 @@ def test_closure_line_table(n, q):
         pline = psp.line_from_basis(((1,) + line.base, (0,) + line.dir))
         assert psp.lines[cm.proj_index[i]] is pline
         assert cm.aff_index[psp.index_of(pline)] == i
-    at_inf = [t for t, l in enumerate(psp.lines) if cm.infinity.contains_line(psp.field, l)]
+    infinity = Hyperplane((1,) + (0,) * n)
+    at_inf = [t for t, l in enumerate(psp.lines) if infinity.contains_line(psp.field, l)]
     assert len(at_inf) + len(asp.lines) == len(psp.lines)
     assert not set(at_inf) & set(cm.aff_index)
+    assert cm.inf_lines == sum(1 << t for t in at_inf)
 
 
 @pytest.mark.parametrize("q", [2, 3])

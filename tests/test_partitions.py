@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from steinergraphs import partitions
+from steinergraphs import eigenfunctions, partitions
 from steinergraphs.designs import Graph, srg_params_brute
 from steinergraphs.eigenfunctions import Eigenfunction, VerifyResult, optimal_from_regulus, verify_eigenfunction
 from steinergraphs.errors import (
@@ -147,7 +147,7 @@ def test_partition_to_eigenfunction_checks_quotient_eigenvector(g_j2, monkeypatc
 
 def test_partition_to_eigenfunction_checks_eigenvalue_equation(g_j2, monkeypatch):
     witness = (0, Fraction(12), Fraction(11))
-    monkeypatch.setattr(partitions, "verify_eigenfunction", lambda g, f: VerifyResult(False, witness))
+    monkeypatch.setattr(eigenfunctions, "verify_eigenfunction", lambda g, f: VerifyResult(False, witness))
     part = Partition2.from_part(g_j2, star_line_set(g_j2.design.space, 0))
     with pytest.raises(NotAnEigenfunctionError) as exc:
         partition_to_eigenfunction(g_j2, part)

@@ -45,6 +45,7 @@ from steinergraphs.eigenfunctions import (
 )
 from steinergraphs.errors import LimitExceededError, MixedFieldsError
 from steinergraphs.geometry import (
+    Hyperplane,
     RestrictionMap,
     _coset_rep,
     aff_space,
@@ -168,7 +169,7 @@ def test_closure_restriction_identity(q):
     lines."""
     asp = aff_space(3, field_make(q))
     cm = asp.closure
-    rm = RestrictionMap(cm.pspace, cm.infinity)
+    rm = RestrictionMap(cm.pspace, Hyperplane((1, 0, 0, 0)))
     assert rm.proj_index == cm.proj_index and rm.aff_index == cm.aff_index
     for a in range(len(asp.lines)):
         assert rm.aff_index[cm.proj_index[a]] == a

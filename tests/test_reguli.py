@@ -27,6 +27,7 @@ from steinergraphs.errors import (
     WrongCountError,
 )
 from steinergraphs.geometry import (
+    Hyperplane,
     aff_space,
     bit_indices,
     enumerate_planes,
@@ -556,8 +557,9 @@ def test_lift_to_projective_one_line_at_infinity(q):
     cm = pair.space.closure
     psp = lifted.space
     assert psp is cm.pspace
+    infinity = Hyperplane((1, 0, 0, 0))
     for fam, lifted_fam in ((pair.r_ids, lifted.r_ids), (pair.opp_ids, lifted.opp_ids)):
-        at_inf = [t for t in lifted_fam if cm.infinity.contains_line(psp.field, psp.lines[t])]
+        at_inf = [t for t in lifted_fam if infinity.contains_line(psp.field, psp.lines[t])]
         assert len(at_inf) == 1
         assert sorted(cm.proj_index[t] for t in fam) == [t for t in lifted_fam if t not in at_inf]
 
@@ -588,7 +590,8 @@ def test_lift_rejects_a_corrupted_infinity_table(monkeypatch):
     lifted = lift_to_projective(pair)
     cm, psp = sp.closure, lifted.space
     # the line at infinity of S holds the points at infinity of S_opp
-    at_inf = next(t for t in lifted.r_ids if cm.infinity.contains_line(psp.field, psp.lines[t]))
+    infinity = Hyperplane((1, 0, 0, 0))
+    at_inf = next(t for t in lifted.r_ids if infinity.contains_line(psp.field, psp.lines[t]))
     table = list(cm.inf_point)
     table[pair.opp_ids[-1]] = next(p for p in sorted(table) if not psp.lines[at_inf].mask >> p & 1)
     monkeypatch.setattr(cm, "inf_point", tuple(table))
