@@ -47,7 +47,7 @@ from itertools import chain
 
 from . import designs, eigenfunctions, geometry, gf, partitions, reguli
 from .designs import srg_params_brute, wdb
-from .errors import DimensionMismatchError, LimitExceededError, NotAnEigenfunctionError, NotEquitableError, SteinerError
+from .errors import LimitExceededError, NotAnEigenfunctionError, NotEquitableError, SteinerError
 
 SCHEMA_VERSION = "sv1"
 
@@ -161,7 +161,7 @@ def _regulus_arg(args):
         rows = tuple(_vector(row, "--lines basis row", space) for row in d)
         try:
             lines.append(space.line_from_basis(rows))
-        except DimensionMismatchError as ex:
+        except SteinerError as ex:
             raise _UsageError(f"--lines: {ex}, got {json.dumps(d)}") from ex
     return space, reguli.regulus_through(space, *lines)
 
@@ -437,10 +437,11 @@ def _valued(entry) -> bool:
     )
 
 
-def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
+def _resume_arg(path: str, cert: _Cert, v: int) -> tuple[dict, list, list]:
     """The checkpoint, functions and families of the certificate of an
-    interrupted run of the same search, each checked for its shape; every
-    carried support must be one the search can have found."""
+    interrupted run of the same search on ``v`` vertices, each checked for
+    its shape; every done prefix must be one of the search's prefixes, and
+    every carried support one the search can have found."""
     try:
         with open(path) as fh:
             prev = _parse_json_arg(fh.read(), f"--resume {path}")
@@ -456,7 +457,7 @@ def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
         raise _UsageError(f"--resume {path} is a checkpoint of a different search")
     checkpoint, functions, families = (result.get(k) for k in ("checkpoint", "functions", "families"))
     done = checkpoint.get("done") if isinstance(checkpoint, dict) else None
-    entries = [e for v in (functions, families) if isinstance(v, list) for e in v]
+    entries = [e for part in (functions, families) if isinstance(part, list) for e in part]
     if not (
         isinstance(done, list) and all(map(_int_list, done))
         and isinstance(functions, list) and isinstance(families, list)
@@ -466,7 +467,17 @@ def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
         and all(_valued(b) for e in families for b in e["basis"])
     ):
         raise _UsageError(f"--resume {path} holds no checkpoint of an interrupted search")
-    size, prefixes, seen = cert.parameters["size"], {tuple(p) for p in done}, set()
+    size, prefixes, seen = cert.parameters["size"], set(), set()
+    # the prefixes search_min_support splits its work by, each done once
+    last = v - 1 if size == 1 else v - size + 1
+    for p in done:
+        if len(p) != min(size, 2) or not 0 <= p[0] <= p[-1] <= last or p != sorted(set(p)) or tuple(p) in prefixes:
+            form = f"[v0] with 0 <= v0 <= {last}" if size == 1 else f"[v0, v1] with 0 <= v0 < v1 <= {last}"
+            raise _UsageError(
+                f"--resume {path} lists done prefix {p}, which is not a prefix of this search or is listed twice:"
+                f" a prefix of --size {size} is {form}"
+            )
+        prefixes.add(tuple(p))
     for support in (tuple(e["support"]) for e in entries):
         if len(support) != size or support[:2] not in prefixes or support in seen:
             raise _UsageError(
@@ -480,7 +491,9 @@ def _resume_arg(path: str, cert: _Cert) -> tuple[dict, list, list]:
 
 def _cmd_search_support(args, cert: _Cert) -> int:
     graph = _graph_of(args.space, args.n, args.q)
-    resume, prior_functions, prior_families = _resume_arg(args.resume, cert) if args.resume else (None, [], [])
+    resume, prior_functions, prior_families = (
+        _resume_arg(args.resume, cert, graph.v) if args.resume else (None, [], [])
+    )
     # what a --resume file carries over is rebuilt from its values before
     # any search, and rendered again below; it must equal that and verify
     def rebuild(entry):
@@ -773,22 +786,28 @@ def main(argv=None) -> int:
 
 def _print_summary(payload: dict) -> None:
     print(f"{payload['command']}: schema {payload['schema_version']}, {payload['timing_ms']} ms")
-    result = payload["result"]
-    for key in sorted(result):
-        value = result[key]
-        if isinstance(value, (int, str, bool)):
-            print(f"  {key}: {value}")
-        elif isinstance(value, dict) and all(isinstance(v, (int, str, bool)) for v in value.values()):
-            print(f"  {key}: {value}")
-        elif isinstance(value, list) and len(value) <= 4 and all(
-            isinstance(v, (int, str)) for v in value
-        ):
-            print(f"  {key}: {value}")
-        else:
-            print(f"  {key}: [{len(value)} entries]" if value else f"  {key}: []")
+    _print_entries("", payload["result"])
     for check in payload["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
         print(f"  check {check['name']}: {mark}")
+
+
+def _print_entries(prefix: str, entries: dict) -> None:
+    """One summary line per entry: a scalar, a dict of scalars or a short
+    list of scalars as it is, another dict one level down under
+    ``key.``, anything else by its number of entries."""
+    for key in sorted(entries):
+        value = entries[key]
+        if (
+            isinstance(value, (int, str, bool))
+            or isinstance(value, dict) and all(isinstance(v, (int, str, bool)) for v in value.values())
+            or isinstance(value, list) and len(value) <= 4 and all(isinstance(v, (int, str)) for v in value)
+        ):
+            print(f"  {prefix}{key}: {value}")
+        elif isinstance(value, dict):
+            _print_entries(f"{prefix}{key}.", value)
+        else:
+            print(f"  {prefix}{key}: [{len(value)} entries]" if value else f"  {prefix}{key}: []")
 
 
 if __name__ == "__main__":

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from math import isqrt
 
-from .errors import (
-    InconsistentParametersError,
-    IrrationalEigenvaluesError,
-    NonIntegralError,
-    NotAnEigenvalueError,
-    NotStronglyRegularError,
-    SymmetricDesignError,
-)
+from .errors import SteinerError
 from .geometry import AffSpace, aff_space, bit_indices, proj_space
 from .gf import field_of_order
 
@@ -173,30 +166,24 @@ def srg_spectrum(v: int, k: int, lmbda: int, mu: int) -> SrgParams:
     disc = (lmbda - mu) ** 2 + 4 * (k - mu)
     delta = isqrt(disc)
     if delta * delta != disc:
-        raise IrrationalEigenvaluesError(
-            f"discriminant {disc} is not a perfect square"
-        )
+        raise SteinerError(f"discriminant {disc} is not a perfect square")
     if (lmbda - mu + delta) % 2 != 0:
-        raise IrrationalEigenvaluesError("eigenvalues are not integers")
+        raise SteinerError("eigenvalues are not integers")
     r = (lmbda - mu + delta) // 2
     s = (lmbda - mu - delta) // 2
     if r == s:
-        raise IrrationalEigenvaluesError("degenerate spectrum r = s")
+        raise SteinerError("degenerate spectrum r = s")
     num_r = -((v - 1) * s + k)
     num_s = (v - 1) * r + k
     if num_r % (r - s) or num_s % (r - s):
-        raise IrrationalEigenvaluesError("non-integral multiplicities")
+        raise SteinerError("non-integral multiplicities")
     m_r = num_r // (r - s)
     m_s = num_s // (r - s)
     params = SrgParams(v, k, lmbda, mu, r, s, m_r, m_s)
     if params.r + params.s != lmbda - mu or params.r * params.s != mu - k:
-        raise InconsistentParametersError(
-            f"eigenvalues {params.r}, {params.s} do not solve the SRG quadratic"
-        )
+        raise SteinerError(f"eigenvalues {params.r}, {params.s} do not solve the SRG quadratic")
     if 1 + params.m_r + params.m_s != v or k + params.m_r * params.r + params.m_s * params.s != 0:
-        raise InconsistentParametersError(
-            f"multiplicities {params.m_r}, {params.m_s} break v = 1 + m_r + m_s or trace 0"
-        )
+        raise SteinerError(f"multiplicities {params.m_r}, {params.m_s} break v = 1 + m_r + m_s or trace 0")
     return params
 
 
@@ -209,35 +196,32 @@ def srg_params_formula(N: int, M: int) -> SrgParams:
     if M < 2 or N <= M:
         raise ValueError(f"invalid design parameters N={N}, M={M}")
     if N == M * M - M + 1:
-        raise SymmetricDesignError(
-            f"2-({N},{M},1) is symmetric; its block graph is complete"
-        )
+        raise SteinerError(f"2-({N},{M},1) is symmetric; its block graph is complete")
     if (N - 1) % (M - 1):
-        raise NonIntegralError(f"replication number (N-1)/(M-1) not integral")
+        raise SteinerError(f"replication number (N-1)/(M-1) not integral")
     if (N * (N - 1)) % (M * (M - 1)):
-        raise NonIntegralError(f"block count N(N-1)/(M(M-1)) not integral")
+        raise SteinerError(f"block count N(N-1)/(M(M-1)) not integral")
     v = N * (N - 1) // (M * (M - 1))
     k = M * (N - M) // (M - 1)
     lmbda = (M - 1) ** 2 + (N - 1) // (M - 1) - 2
     mu = M * M
     params = srg_spectrum(v, k, lmbda, mu)
     if params.s != -M:
-        raise InconsistentParametersError(
-            f"smallest eigenvalue {params.s} of a block graph is not -M = {-M}"
-        )
+        raise SteinerError(f"smallest eigenvalue {params.s} of a block graph is not -M = {-M}")
     return params
 
 
 def srg_params_brute(g: Graph) -> SrgParams:
     """Parameters obtained by exhaustive scanning of all vertex pairs;
-    raises NotStronglyRegularError with a witness on any violation."""
+    raises SteinerError on any violation, with the offending vertex or
+    pair and its counts as the witness where one breaks regularity."""
     v = g.v
     if v < 2:
-        raise NotStronglyRegularError("graph too small", witness=None)
+        raise SteinerError("graph too small")
     k = g.degree(0)
     for u in range(1, v):
         if g.degree(u) != k:
-            raise NotStronglyRegularError(
+            raise SteinerError(
                 f"degree of vertex {u} is {g.degree(u)} != {k}",
                 witness=(u, g.degree(u), k),
             )
@@ -250,7 +234,7 @@ def srg_params_brute(g: Graph) -> SrgParams:
                 if lmbda is None:
                     lmbda = c
                 elif c != lmbda:
-                    raise NotStronglyRegularError(
+                    raise SteinerError(
                         f"edge {u},{w} has {c} common neighbours, expected {lmbda}",
                         witness=(u, w, c, lmbda),
                     )
@@ -258,15 +242,12 @@ def srg_params_brute(g: Graph) -> SrgParams:
                 if mu is None:
                     mu = c
                 elif c != mu:
-                    raise NotStronglyRegularError(
+                    raise SteinerError(
                         f"non-edge {u},{w} has {c} common neighbours, expected {mu}",
                         witness=(u, w, c, mu),
                     )
     if lmbda is None or mu is None:
-        raise NotStronglyRegularError(
-            "graph is complete or empty; not strongly regular in the usual sense",
-            witness=None,
-        )
+        raise SteinerError("graph is complete or empty; not strongly regular in the usual sense")
     return srg_spectrum(v, k, lmbda, mu)
 
 
@@ -274,16 +255,14 @@ def wdb(params: SrgParams, theta: int) -> int:
     """Minimum support size of a theta-eigenfunction (weight-distribution
     bound): 1 + |theta| + |((theta - lambda).theta - k) / mu|."""
     if theta not in (params.r, params.s):
-        raise NotAnEigenvalueError(
-            f"{theta} is not a non-principal eigenvalue of {params}"
-        )
+        raise SteinerError(f"{theta} is not a non-principal eigenvalue of {params}")
     num = (theta - params.lmbda) * theta - params.k
     if num % params.mu:
-        raise NonIntegralError("weight-distribution bound is not integral")
+        raise SteinerError("weight-distribution bound is not integral")
     bound = 1 + abs(theta) + abs(num // params.mu)
     closed = -2 * params.s if theta == params.s else 2 * (params.r + 1)
     if bound != closed:
-        raise InconsistentParametersError(f"bound formula gives {bound} but the closed form {closed}")
+        raise SteinerError(f"bound formula gives {bound} but the closed form {closed}")
     return bound
 
 
@@ -294,7 +273,7 @@ def delsarte_check(g: Graph) -> tuple[int, bool]:
     if g.design is None:
         raise ValueError("delsarte_check needs a block graph with its design")
     if params.k % (-params.s):
-        raise NonIntegralError("Delsarte bound is not integral")
+        raise SteinerError("Delsarte bound is not integral")
     bound = 1 + params.k // (-params.s)
     ok = True
     for pencil in g.design.space.lines_at:

@@ -37,15 +37,7 @@ from multiprocessing import get_context
 from typing import Iterable, Iterator, Mapping
 
 from .designs import Graph, block_graph_of, srg_params_brute, wdb
-from .errors import (
-    HyperplaneHitsLineError,
-    LimitExceededError,
-    NotAnEigenfunctionError,
-    NotAnEigenvalueError,
-    NotOptimalError,
-    WrongCountError,
-    ZeroFunctionError,
-)
+from .errors import LimitExceededError, NotAnEigenfunctionError, SteinerError
 from .geometry import AffSpace, ProjSpace, bit_indices, index_mask
 from .linalg import bareiss_echelon, primitive
 from .reguli import RegulusPair, _check_grid, regulus_restriction
@@ -73,7 +65,7 @@ class Eigenfunction:
             if x:
                 vals[u] = x
         if not vals:
-            raise ZeroFunctionError("the zero function is not an eigenfunction")
+            raise SteinerError("the zero function is not an eigenfunction")
         self.graph = graph
         self.theta = int(theta)
         self.values = vals
@@ -142,7 +134,7 @@ def verify_eigenfunction(graph: Graph, f: Eigenfunction) -> VerifyResult:
     the closed neighbourhood of the support (a_u = 0 elsewhere), which
     gives the same verdict and witness."""
     if not f.values:
-        raise ZeroFunctionError("the zero function is not an eigenfunction")
+        raise SteinerError("the zero function is not an eigenfunction")
     scale = lcm(*(x.denominator for x in f.values.values()))
     scaled = {w: x.numerator * (scale // x.denominator) for w, x in f.values.items()}
     theta = f.theta
@@ -184,7 +176,7 @@ def from_bipartite_pair(graph: Graph, t0: Iterable[int], t1: Iterable[int], thet
     t0 = tuple(dict.fromkeys(int(u) for u in t0))
     t1 = tuple(dict.fromkeys(int(u) for u in t1))
     if len(t0) != len(t1):
-        raise WrongCountError(f"parts have sizes {len(t0)} and {len(t1)}")
+        raise SteinerError(f"parts have sizes {len(t0)} and {len(t1)}")
     if set(t0) & set(t1):
         raise ValueError("parts overlap")
     vals: dict[int, int] = {u: 1 for u in t0}
@@ -200,7 +192,7 @@ def _line_sign_function(space, graph: Graph | None, pos, neg, theta: int, size: 
     of ``space``, verified by from_bipartite_pair, with support ``size``."""
     f = from_bipartite_pair(block_graph_of(space, graph), pos, neg, theta)
     if len(f.support) != size:
-        raise NotOptimalError(f"support size {len(f.support)}, expected {size}")
+        raise SteinerError(f"support size {len(f.support)}, expected {size}")
     return f
 
 
@@ -219,14 +211,12 @@ def wdbplus2_function(pair: RegulusPair, hyperplane) -> Eigenfunction:
     graph minus a perfect matching."""
     outcome = regulus_restriction(pair, hyperplane)
     if outcome.kind != "wdbplus2":
-        raise HyperplaneHitsLineError(
-            f"hyperplane does not avoid the regulus pair: {outcome.reason or outcome.kind}"
-        )
+        raise SteinerError(f"hyperplane does not avoid the regulus pair: {outcome.reason or outcome.kind}")
     config = outcome.config
     q = config.space.field.q
     f = _line_sign_function(config.space, None, config.r_ids, config.opp_ids, -q, 2 * (q + 1))
     if support_structure(f.graph, f) != "BipartiteMinusMatching":
-        raise NotOptimalError("support does not induce a complete bipartite graph minus a matching")
+        raise SteinerError("support does not induce a complete bipartite graph minus a matching")
     return f
 
 
@@ -346,10 +336,10 @@ def classify_optimal(graph: Graph, f: Eigenfunction):
     bound = wdb(graph.design.params, f.theta)
     verified(graph, f)
     if len(f.support) != bound:
-        raise NotOptimalError(f"support size {len(f.support)} is not the bound {bound}")
+        raise SteinerError(f"support size {len(f.support)} is not the bound {bound}")
     t0, t1 = f.sign_classes()
     if len(t0) != len(t1):
-        raise NotOptimalError("sign classes of an optimal function must have equal size")
+        raise SteinerError("sign classes of an optimal function must have equal size")
     if _check_grid(space, t0, t1):
         return Type1((t0, t1), space)
     pair = RegulusPair(t0, t1, space)
@@ -666,7 +656,7 @@ def search_min_support(
         raise ValueError("target support size must be positive")
     params = graph.design.params if graph.design is not None else srg_params_brute(graph)
     if theta not in (params.r, params.s) or theta == params.k:
-        raise NotAnEigenvalueError(f"{theta} is not a non-principal eigenvalue of the graph")
+        raise SteinerError(f"{theta} is not a non-principal eigenvalue of the graph")
     search = _Search(graph, theta, target, mode == "branch-and-prune", limit)
     v = graph.v
 

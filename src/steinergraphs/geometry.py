@@ -40,13 +40,7 @@ from itertools import combinations, product
 from operator import or_
 
 from . import linalg
-from .errors import (
-    DimensionMismatchError,
-    EqualPointsError,
-    IncidenceError,
-    LimitExceededError,
-    WrongCountError,
-)
+from .errors import LimitExceededError, SteinerError
 from .gf import Field
 
 # points x lines: the line masks' bits, at least twice pair_line's entries
@@ -196,7 +190,7 @@ class _Space:
                     ids_of[key] = ids
                     covered.update(combinations(ids, 2))
         if len(ids_of) != expected:
-            raise WrongCountError(f"{len(ids_of)} lines, expected {expected}")
+            raise SteinerError(f"{len(ids_of)} lines, expected {expected}")
         return tuple(self._line(key, ids, index_mask(ids)) for key, ids in sorted(ids_of.items()))
 
     @cached_property
@@ -227,7 +221,7 @@ class _Space:
     def line_through(self, p1, p2):
         p1, p2 = self._point(p1), self._point(p2)
         if p1 == p2:
-            raise EqualPointsError(f"points coincide: {p1}")
+            raise SteinerError(f"points coincide: {p1}")
         i, j = sorted((self.point_index[p1], self.point_index[p2]))
         return self.lines[self.pair_line[(i, j)]]
 
@@ -246,7 +240,7 @@ class ProjSpace(_Space):
         q, n, f = self.field.q, self.n, self.field
         pts = {f.normalize_row(vec) for vec in product(range(q), repeat=n + 1) if any(vec)}
         if len(pts) != self.point_count():
-            raise WrongCountError(f"{len(pts)} points, expected {self.point_count()}")
+            raise SteinerError(f"{len(pts)} points, expected {self.point_count()}")
         return tuple(sorted(pts))
 
     def line_count(self) -> int:
@@ -274,7 +268,7 @@ class ProjSpace(_Space):
     def line_from_basis(self, rows) -> ProjLine:
         basis = linalg.row_basis(self.field, rows)
         if len(basis) != 2:
-            raise DimensionMismatchError("line basis must have rank 2")
+            raise SteinerError("line basis must have rank 2")
         i = self.line_index.get((basis[0], basis[1]))
         if i is None:
             raise ValueError("basis does not span a line of this space")
@@ -426,7 +420,7 @@ def parallel_classes(plane: AffPlane) -> tuple[tuple[int, ...], ...]:
             j = idx[f.add_rows(space.points[i], d)]
             cls.add(space.pair_line[(i, j) if i < j else (j, i)])
         if len(cls) != q or any(lines[t].mask & plane.mask != lines[t].mask for t in cls):
-            raise IncidenceError(f"parallel class of direction {d} is not {q} lines of the plane")
+            raise SteinerError(f"parallel class of direction {d} is not {q} lines of the plane")
         classes.append(tuple(sorted(cls)))
     return tuple(classes)
 
@@ -445,7 +439,7 @@ def line_permutation(pspace: ProjSpace, matrix) -> tuple[int, ...]:
     its points, checked to hold the images of all of them."""
     f = pspace.field
     if len(matrix) != pspace.n + 1:
-        raise DimensionMismatchError(f"a collineation of PG({pspace.n}, q) needs {pspace.n + 1} rows")
+        raise SteinerError(f"a collineation of PG({pspace.n}, q) needs {pspace.n + 1} rows")
     linalg.inverse(f, matrix)
     # x M is the sum of the rows M_i scaled by x_i, read from a table
     scaled = [[f.scale_row(c, row) for c in range(f.q)] for row in matrix]
@@ -466,7 +460,7 @@ def line_permutation(pspace: ProjSpace, matrix) -> tuple[int, ...]:
         mask = lines[j].mask
         for p in pts[2:]:
             if not mask >> image[p] & 1:
-                raise IncidenceError(f"the image of line {ln.basis} is not a line")
+                raise SteinerError(f"the image of line {ln.basis} is not a line")
         perm.append(j)
     return tuple(perm)
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .errors import LimitExceededError, MixedFieldsError, NonPrimeError
+from .errors import LimitExceededError, SteinerError
 
 MAX_ORDER = 256
 
@@ -142,7 +142,7 @@ class Field:
         if q > MAX_ORDER:
             raise LimitExceededError(f"field order {q} exceeds limit {MAX_ORDER}")
         if not is_prime(p):
-            raise NonPrimeError(f"characteristic {p} is not prime")
+            raise SteinerError(f"characteristic {p} is not prime")
         self.p = p
         self.k = k
         self.q = q
@@ -190,7 +190,7 @@ class Field:
 
     def check(self, a: int) -> int:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
-            raise MixedFieldsError(f"{a!r} is not an element index of {self!r}")
+            raise SteinerError(f"{a!r} is not an element index of {self!r}")
         return a
 
     def check_row(self, row):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import DependentVectorsError, DimensionMismatchError
+from .errors import SteinerError
 from .gf import Field
 
 Row = tuple[int, ...]
@@ -26,11 +26,11 @@ Rows = tuple[Row, ...]
 
 def _check_rect(rows) -> int:
     if not rows:
-        raise DimensionMismatchError("matrix needs at least one row")
+        raise SteinerError("matrix needs at least one row")
     ncols = len(rows[0])
     for r in rows:
         if len(r) != ncols:
-            raise DimensionMismatchError("ragged matrix")
+            raise SteinerError("ragged matrix")
     return ncols
 
 
@@ -98,28 +98,25 @@ def kernel(field: Field, rows) -> Rows:
 
 
 def inverse(field: Field, rows) -> Rows:
-    """Inverse of a square matrix over the field.
-
-    Raises DimensionMismatchError for non-square input and
-    DependentVectorsError for singular matrices.
-    """
+    """Inverse of a square matrix over the field; raises SteinerError on
+    non-square or singular input."""
     ncols = _check_rect(rows)
     n = len(rows)
     if n != ncols:
-        raise DimensionMismatchError("inverse needs a square matrix")
+        raise SteinerError("inverse needs a square matrix")
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     aug = tuple(tuple(r) + ident[i] for i, r in enumerate(rows))
     # [M | I] always has rank n; M is invertible when its pivots lie in M
     m, _, pivots = rref(field, aug)
     if pivots[-1] >= n:
-        raise DependentVectorsError("matrix is singular")
+        raise SteinerError("matrix is singular")
     return tuple(row[n:] for row in m[:n])
 
 
 def in_rowspace(field: Field, rows, vec) -> bool:
     ncols = _check_rect(rows)
     if len(vec) != ncols:
-        raise DimensionMismatchError("vector length mismatch")
+        raise SteinerError("vector length mismatch")
     base = row_basis(field, rows)
     return rank(field, base + (tuple(vec),)) == len(base)
 

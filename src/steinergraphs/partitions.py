@@ -23,14 +23,7 @@ from typing import Iterable
 
 from .designs import Graph, block_graph_of
 from .eigenfunctions import Eigenfunction, verified, verify_eigenfunction
-from .errors import (
-    BadDecompositionError,
-    EigenvalueClashError,
-    InconsistentQuotientError,
-    NotEquitableError,
-    NotSignFunctionError,
-    NotTwoValuedError,
-)
+from .errors import NotEquitableError, SteinerError
 from .geometry import Hyperplane, ProjSpace, index_mask, normalize_point
 from .reguli import RegulusPair, enumerate_reguli
 
@@ -109,9 +102,7 @@ def partition_eigenvalue(q: QuotientMatrix) -> int:
     """The non-principal eigenvalue p11 - p21 of the quotient matrix,
     with the consistency check p11 - p21 = p22 - p12."""
     if q.p11 - q.p21 != q.p22 - q.p12:
-        raise InconsistentQuotientError(
-            f"p11 - p21 = {q.p11 - q.p21} but p22 - p12 = {q.p22 - q.p12}"
-        )
+        raise SteinerError(f"p11 - p21 = {q.p11 - q.p21} but p22 - p12 = {q.p22 - q.p12}")
     return q.p11 - q.p21
 
 
@@ -120,13 +111,11 @@ def partition_to_eigenfunction(graph: Graph, part: Partition2) -> Eigenfunction:
     q = quotient_matrix(graph, part)
     theta = partition_eigenvalue(q)
     if q.is_principal:
-        raise NotTwoValuedError(
-            "principal partition: p12 = p21 = 0 gives the zero vector, not two values"
-        )
+        raise SteinerError("principal partition: p12 = p21 = 0 gives the zero vector, not two values")
     g = gcd(q.p12, q.p21)
     x1, x2 = q.p12 // g, -(q.p21 // g)
     if q.p11 * x1 + q.p12 * x2 != theta * x1 or q.p21 * x1 + q.p22 * x2 != theta * x2:
-        raise InconsistentQuotientError(f"({x1}, {x2}) is not a {theta}-eigenvector of {q.rows()}")
+        raise SteinerError(f"({x1}, {x2}) is not a {theta}-eigenvector of {q.rows()}")
     vals = {u: x1 for u in part.v1}
     vals.update({u: x2 for u in part.v2})
     return verified(graph, Eigenfunction(graph, theta, vals))
@@ -163,28 +152,24 @@ def balance_check(
     """
     vals = set(f1.values.values())
     if not vals <= {Fraction(1), Fraction(-1)}:
-        raise NotSignFunctionError(f"values {sorted(map(str, vals))} are not within {{1, -1}}")
+        raise SteinerError(f"values {sorted(map(str, vals))} are not within {{1, -1}}")
     plus, minus = f1.sign_classes()
     if len(plus) != len(minus):
-        raise NotSignFunctionError(
-            f"support halves have sizes {len(plus)} and {len(minus)}"
-        )
+        raise SteinerError(f"support halves have sizes {len(plus)} and {len(minus)}")
     k = graph.k
     total: dict[int, Fraction] = {}
     for fi in decomposition:
         if fi.theta == theta or fi.theta == k:
-            raise EigenvalueClashError(
-                f"decomposition eigenvalue {fi.theta} clashes with theta={theta} or k={k}"
-            )
+            raise SteinerError(f"decomposition eigenvalue {fi.theta} clashes with theta={theta} or k={k}")
         res = verify_eigenfunction(graph, fi)
         if not res:
-            raise BadDecompositionError(
+            raise SteinerError(
                 f"summand with eigenvalue {fi.theta} fails verification at vertex {res.witness[0]}"
             )
         for u, x in fi.values.items():
             total[u] = total.get(u, Fraction(0)) + x
     if {u: x for u, x in total.items() if x} != f1.values:
-        raise BadDecompositionError("decomposition does not sum to the function")
+        raise SteinerError("decomposition does not sum to the function")
     q = quotient_matrix(graph, part)
     theta_pi = partition_eigenvalue(q)
     if theta_pi != theta:

@@ -50,14 +50,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from . import linalg
-from .errors import (
-    DependentVectorsError,
-    LimitExceededError,
-    LinesNotSkewError,
-    NotARegulusError,
-    NotCoplanarError,
-    WrongCountError,
-)
+from .errors import LimitExceededError, SteinerError
 from .geometry import (
     AffSpace,
     Hyperplane,
@@ -124,7 +117,7 @@ def _require_skew(space, ids, skew) -> None:
     """Pairwise skew lines, by index, read off the skew masks."""
     for a, b in combinations(ids, 2):
         if not skew[a] >> b & 1:
-            raise LinesNotSkewError(f"lines meet or are parallel: {space.lines[a]}, {space.lines[b]}")
+            raise SteinerError(f"lines meet or are parallel: {space.lines[a]}, {space.lines[b]}")
 
 
 def _skew_masks(space) -> list[int]:
@@ -165,7 +158,7 @@ def _check_grid(space, fam, opp) -> bool:
     affine = isinstance(space, AffSpace)
     size = q if affine else q + 1
     if len(fam) != size or len(opp) != size:
-        raise WrongCountError(
+        raise SteinerError(
             f"regulus families in {space} need {size} lines each, got {len(fam)} and {len(opp)}"
         )
     adj = space.meets
@@ -176,12 +169,12 @@ def _check_grid(space, fam, opp) -> bool:
             mask |= 1 << t
             rows |= adj[t]
         if mask.bit_count() != size or rows & mask:
-            raise LinesNotSkewError("two lines of one family meet")
+            raise SteinerError("two lines of one family meet")
         masks.append(mask)
     for a in fam:
         missed = masks[1] & ~adj[a]
         if missed:
-            raise LinesNotSkewError(
+            raise SteinerError(
                 f"regulus line {a} and opposite line {bit_indices(missed)[0]} do not meet in one point"
             )
     return affine and space.lines[fam[0]].dir == space.lines[fam[1]].dir
@@ -199,7 +192,7 @@ def _check_regulus_pair(space, fam, opp) -> None:
     in two distinct points, so it lies in S too.
     """
     if _check_grid(space, fam, opp):
-        raise LinesNotSkewError("the families are parallel classes of a plane, not reguli")
+        raise SteinerError("the families are parallel classes of a plane, not reguli")
 
 
 def _regulus_family(adj, ids, opp: int, size: int) -> int:
@@ -208,7 +201,7 @@ def _regulus_family(adj, ids, opp: int, size: int) -> int:
     opposite family and must hold ``size`` lines; the family is the
     transversals of three opposite lines, and must hold ``ids``."""
     if opp.bit_count() != size:
-        raise WrongCountError(f"lines {ids} have {opp.bit_count()} transversals, expected {size}")
+        raise SteinerError(f"lines {ids} have {opp.bit_count()} transversals, expected {size}")
     fam, rest = -1, opp
     for _ in range(3):
         low = rest & -rest
@@ -216,7 +209,7 @@ def _regulus_family(adj, ids, opp: int, size: int) -> int:
         rest ^= low
     i, j, k = ids
     if not fam >> i & fam >> j & fam >> k & 1:
-        raise NotARegulusError(f"lines {ids} are not in their regulus")
+        raise SteinerError(f"lines {ids} are not in their regulus")
     return fam
 
 
@@ -241,7 +234,7 @@ def regulus_through(space: ProjSpace, l1: ProjLine, l2: ProjLine, l3: ProjLine) 
     _require_skew(space, ids, _skew_masks(space))
     rows = [row for ln in (l1, l2, l3) for row in ln.basis]
     if len(linalg.row_basis(f, rows)) != 4:
-        raise NotCoplanarError("three lines do not lie in a common 3-flat")
+        raise SteinerError("three lines do not lie in a common 3-flat")
     return _pair_through(space, ids, f.q + 1)
 
 
@@ -261,7 +254,7 @@ def lift_to_projective(pair: RegulusPair) -> RegulusPair:
     lines at infinity of each lifted family."""
     space = pair.space
     if not isinstance(space, AffSpace):
-        raise NotARegulusError(f"lift_to_projective needs an affine pair, got one in {space}")
+        raise SteinerError(f"lift_to_projective needs an affine pair, got one in {space}")
     cm = space.closure
     ps = cm.pspace
     lines, inf_point = ps.lines, cm.inf_point
@@ -271,10 +264,10 @@ def lift_to_projective(pair: RegulusPair) -> RegulusPair:
         a, b = sorted(pts[:2])
         at_inf = ps.pair_line.get((a, b))
         if at_inf is None or any(not lines[at_inf].mask >> p & 1 for p in pts):
-            raise NotARegulusError("the infinite points of a family are not distinct points of one line")
+            raise SteinerError("the infinite points of a family are not distinct points of one line")
         ids = tuple(sorted([cm.proj_index[t] for t in fam] + [at_inf]))
         if sum(cm.inf_lines >> t & 1 for t in ids) != 1:
-            raise WrongCountError("the lift needs exactly one line of each family at infinity")
+            raise SteinerError("the lift needs exactly one line of each family at infinity")
         fams.append(ids)
     _check_regulus_pair(ps, *fams)
     return RegulusPair(*fams, ps)
@@ -289,7 +282,7 @@ def _check_lift(pair: RegulusPair, lifted: RegulusPair) -> None:
         for fam in (lifted.r_ids, lifted.opp_ids)
     )
     if finite != (pair.r_ids, pair.opp_ids):
-        raise NotARegulusError("the lift without its lines at infinity is not the affine pair")
+        raise SteinerError("the lift without its lines at infinity is not the affine pair")
 
 
 def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> RegulusPair:
@@ -300,7 +293,7 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> RegulusPair:
     f = space.field
     v1, v2, v3 = tuple(v1), tuple(v2), tuple(v3)
     if len(linalg.row_basis(f, (v1, v2, v3))) != 3:
-        raise DependentVectorsError("v1, v2, v3 must be linearly independent")
+        raise SteinerError("v1, v2, v3 must be linearly independent")
     s1 = []
     s2 = []
     # row_basis has checked the vectors, so the unchecked row operations apply
@@ -315,13 +308,13 @@ def affine_regulus_construct(space: AffSpace, v1, v2, v3) -> RegulusPair:
         cosets = set()
         for ln in fam:
             if not linalg.in_rowspace(f, dbasis, ln.dir):
-                raise NotARegulusError(f"direction {ln.dir} lies outside the plane class")
+                raise SteinerError(f"direction {ln.dir} lies outside the plane class")
             cosets.add(_coset_rep(f, dbasis, ln.base))
         if len(cosets) != f.q:
-            raise WrongCountError("family lines must lie in distinct parallel planes")
+            raise SteinerError("family lines must lie in distinct parallel planes")
     flat = span_of_lines(space, s1 + s2)
     if flat.basis != linalg.row_basis(f, (v1, v2, v3)):
-        raise NotCoplanarError("the pair does not span the flat of v1, v2, v3")
+        raise SteinerError("the pair does not span the flat of v1, v2, v3")
     return pair
 
 
@@ -331,10 +324,10 @@ def _gf2_pairs(adj, skew, i, j) -> list[tuple[tuple[int, ...], tuple[int, ...]]]
     transversals."""
     tij = bit_indices(adj[i] & adj[j])
     if len(tij) != 4:
-        raise WrongCountError(f"{len(tij)} transversals of a skew pair, expected 4")
+        raise SteinerError(f"{len(tij)} transversals of a skew pair, expected 4")
     opps = [(a, b) for a, b in combinations(tij, 2) if skew[a] >> b & 1]
     if len(opps) != 2:
-        raise WrongCountError(f"{len(opps)} opposites of a skew pair over GF(2), expected 2")
+        raise SteinerError(f"{len(opps)} opposites of a skew pair over GF(2), expected 2")
     return [((i, j), opp) for opp in opps]
 
 
@@ -348,9 +341,7 @@ def classify_skew_family(space: AffSpace, lines) -> SkewFamilyClass:
     lines = list(lines)
     need = 2 if q == 2 else 3
     if len(lines) != need:
-        raise WrongCountError(
-            f"classification over GF({q}) needs exactly {need} pairwise skew lines"
-        )
+        raise SteinerError(f"classification over GF({q}) needs exactly {need} pairwise skew lines")
     ids = tuple(sorted(map(space.index_of, lines)))
     skew = _skew_masks(space)
     _require_skew(space, ids, skew)
@@ -385,7 +376,7 @@ def enumerate_reguli(space: ProjSpace | AffSpace) -> tuple[RegulusPair, ...]:
     the two families, and the lift of the swapped pair is the swap of
     the lift."""
     if space.n != 3:
-        raise WrongCountError("regulus enumeration needs a 3-dimensional space")
+        raise SteinerError("regulus enumeration needs a 3-dimensional space")
     q = space.field.q
     if q > MAX_ENUM_Q:
         raise LimitExceededError(f"regulus enumeration limited to q <= {MAX_ENUM_Q}")
@@ -449,7 +440,7 @@ def regulus_restriction(pair: RegulusPair, hyperplane: Hyperplane) -> Restrictio
     """
     space = pair.space
     if not isinstance(space, ProjSpace):
-        raise NotARegulusError(f"regulus_restriction needs a projective pair, got one in {space}")
+        raise SteinerError(f"regulus_restriction needs a projective pair, got one in {space}")
     # the lines inside H are those without an affine index
     rm = RestrictionMap(space, hyperplane)
     in_r = [t for t in pair.r_ids if t not in rm.aff_index]

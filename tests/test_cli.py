@@ -943,6 +943,54 @@ def test_search_resume_refuses_what_the_search_cannot_have_found(tmp_path, capsy
     assert f"--resume {path}" in err and "cannot have found" in err
 
 
+@pytest.mark.parametrize("size, prefix", [
+    (4, [0, 26]), (4, [5, 2]), (4, [3, 3]), (4, [-1, 3]), (4, [7]), (4, [0, 1, 2]), (4, "repeated"),
+    (1, [28]), (1, [-1]), (1, [0, 1]),
+], ids=["second-past-the-last", "descending", "equal", "negative", "one-vertex", "three-vertices", "repeated",
+        "size1-past-the-last", "size1-negative", "size1-pair"])
+def test_search_resume_refuses_a_done_prefix_the_search_does_not_have(tmp_path, capsys, monkeypatch, search_certs,
+                                                                     size, prefix):
+    """A done prefix is one the search splits its work by, listed once:
+    [v0] with 0 <= v0 < v at size 1, else [v0, v1] with 0 <= v0 < v1 <=
+    v - size + 1 (here v = 28).  [0, 999], [5, 2] and [7] added to the
+    checkpoint of a cut size-4 search used to be accepted, reported among
+    "10 prefixes done" and copied into the new checkpoint."""
+    if size == 4:
+        prev = json.loads(json.dumps(search_certs["cut4"]))
+        done = prev["result"]["checkpoint"]["done"]
+        done.append(done[0] if prefix == "repeated" else prefix)
+    else:
+        prev = _search_cert({"checkpoint": {"done": [prefix]}, "functions": [], "families": []})
+        prev["parameters"]["size"] = 1
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(prev))
+    _forbid_search(monkeypatch)
+    code, err = _usage_error(capsys, *AG32_SIZE4[:-1], str(size), "--resume", str(path))
+    assert code == 2
+    assert f"--resume {path}" in err and "not a prefix of this search" in err
+
+
+@pytest.mark.parametrize("size, done", [(4, [[0, 1], [24, 25]]), (1, [[0], [27]])], ids=["size4", "size1"])
+def test_search_resume_accepts_the_first_and_last_prefixes(tmp_path, capsys, size, done):
+    path = tmp_path / "partial.json"
+    prev = _search_cert({"checkpoint": {"done": done}, "functions": [], "families": []})
+    prev["parameters"]["size"] = size
+    path.write_text(json.dumps(prev))
+    code, cert = _run(capsys, *AG32_SIZE4[:-1], str(size), "--resume", str(path))
+    assert code == 0
+    assert cert["result"]["complete"] is True
+
+
+def test_text_summary_of_a_cut_search_counts_its_done_prefixes(capsys):
+    """The text summary lists a dict of listings one level down: the
+    checkpoint of a cut search used to read "checkpoint: [1 entries]",
+    counting its one key "done", whatever the number of done prefixes."""
+    assert cli.main([*AG32_SIZE4, "--limit", "2000"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "  checkpoint.done: [7 entries]" in lines
+    assert "  functions: [18 entries]" in lines
+
+
 @pytest.mark.parametrize("where", ["missing", "directory"])
 def test_search_resume_unreadable_exit_2(tmp_path, capsys, monkeypatch, where):
     """A --resume file that cannot be read exits 2, naming the path."""
