@@ -20,8 +20,9 @@ Conventions:
     verify-eigenfunction, and enumerate-reguli, enumerate-affine-reguli
     and cameron-liebler, which work in dimension 3, take no --n), a
     negative --limit, a --jobs below 1, a --resume file that cannot be
-    read or carries a support the resumed search cannot have found, or an
-    --out file that cannot be written;
+    read, lists a done prefix the search does not have or carries a
+    support it cannot have found, or an --out file that cannot be
+    written; past the parser each is a ValueError;
   * every named check recomputes what its name claims, and a failed
     check carries a witness;
   * lines are encoded as integer arrays via their canonical forms: a
@@ -114,7 +115,7 @@ def _parse_json_arg(text: str, what: str):
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as ex:
-        raise _UsageError(f"invalid JSON for {what}: {ex}") from ex
+        raise ValueError(f"invalid JSON for {what}: {ex}") from ex
 
 
 def _vector(data, what: str, space) -> tuple[int, ...]:
@@ -123,7 +124,7 @@ def _vector(data, what: str, space) -> tuple[int, ...]:
     length, q = len(space.points[0]), space.field.q
     if not (isinstance(data, list) and len(data) == length
             and all(type(x) is int and 0 <= x < q for x in data)):
-        raise _UsageError(f"{what} must be a list of {length} integers in range({q}), got {json.dumps(data)}")
+        raise ValueError(f"{what} must be a list of {length} integers in range({q}), got {json.dumps(data)}")
     return tuple(data)
 
 
@@ -135,14 +136,14 @@ def _vector_arg(text: str, flag: str, space, point: bool = False):
     data = _parse_json_arg(text, flag)
     if point and type(data) is int:
         if not 0 <= data < len(space.points):
-            raise _UsageError(f"{flag} point index {data} is not in range({len(space.points)})")
+            raise ValueError(f"{flag} point index {data} is not in range({len(space.points)})")
         return data
     vec = _vector(data, flag, space)
     if point:
         if isinstance(space, geometry.ProjSpace) and any(vec):
             vec = space.field.normalize_row(vec)
         if vec not in space.point_index:
-            raise _UsageError(f"{flag} {list(vec)} is not a point of {space}")
+            raise ValueError(f"{flag} {list(vec)} is not a point of {space}")
         return space.point_index[vec]
     return vec
 
@@ -153,16 +154,16 @@ def _regulus_arg(args):
     space = _space_of("proj", args.n, args.q)
     data = _parse_json_arg(args.lines, "--lines")
     if not (isinstance(data, list) and len(data) == 3):
-        raise _UsageError("--lines must hold exactly three lines")
+        raise ValueError("--lines must hold exactly three lines")
     lines = []
     for d in data:
         if not (isinstance(d, list) and len(d) == 2):
-            raise _UsageError("--lines: a projective line is [[...], [...]] basis rows")
+            raise ValueError("--lines: a projective line is [[...], [...]] basis rows")
         rows = tuple(_vector(row, "--lines basis row", space) for row in d)
         try:
             lines.append(space.line_from_basis(rows))
         except SteinerError as ex:
-            raise _UsageError(f"--lines: {ex}, got {json.dumps(d)}") from ex
+            raise ValueError(f"--lines: {ex}, got {json.dumps(d)}") from ex
     return space, reguli.regulus_through(space, *lines)
 
 
@@ -172,7 +173,7 @@ def _rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as ex:
-        raise _UsageError(f"{what}: {text!r} is not a rational number") from ex
+        raise ValueError(f"{what}: {text!r} is not a rational number") from ex
 
 
 def _function_json(f: eigenfunctions.Eigenfunction, structure: str | None = None) -> dict:
@@ -190,10 +191,6 @@ def _family_json(basis) -> dict:
         "dimension": len(basis),
         "basis": [_function_json(f) for f in basis],
     }
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Cert:
@@ -304,7 +301,7 @@ def _cmd_affine_regulus(args, cert: _Cert) -> None:
     space = _space_of("aff", args.n, args.q)
     data = _parse_json_arg(args.vectors, "--vectors")
     if not (isinstance(data, list) and len(data) == 3):
-        raise _UsageError("--vectors must hold exactly three vectors")
+        raise ValueError("--vectors must hold exactly three vectors")
     pair = reguli.affine_regulus_construct(space, *(_vector(v, "--vectors entry", space) for v in data))
     rp = reguli.lift_to_projective(pair)
     cert.result = dict(
@@ -392,11 +389,11 @@ def _cmd_verify_eigenfunction(args, cert: _Cert) -> None:
     graph = _graph_of(args.space, args.n, args.q)
     data = _parse_json_arg(args.function, "--function")
     if not isinstance(data, dict):
-        raise _UsageError('--function must be a JSON object {"vertex": value, ...}')
+        raise ValueError('--function must be a JSON object {"vertex": value, ...}')
     vertices = {str(u): u for u in range(graph.v)}
     for u in data:
         if u not in vertices:
-            raise _UsageError(f"--function: vertex {u!r} is not an index in 0..{graph.v - 1}")
+            raise ValueError(f"--function: vertex {u!r} is not an index in 0..{graph.v - 1}")
     values = {vertices[u]: _rational(str(x), "--function") for u, x in data.items()}
     f = eigenfunctions.Eigenfunction(graph, args.theta, values)
     res = eigenfunctions.verify_eigenfunction(graph, f)
@@ -440,21 +437,21 @@ def _valued(entry) -> bool:
 def _resume_arg(path: str, cert: _Cert, v: int) -> tuple[dict, list, list]:
     """The checkpoint, functions and families of the certificate of an
     interrupted run of the same search on ``v`` vertices, each checked for
-    its shape; every done prefix must be one of the search's prefixes, and
-    every carried support one the search can have found."""
+    its shape; search_prefixes checks the done prefixes, and every carried
+    support must lie below one (search_prefix), once."""
     try:
         with open(path) as fh:
             prev = _parse_json_arg(fh.read(), f"--resume {path}")
     except OSError as ex:
-        raise _UsageError(f"--resume {path}: {ex.strerror or ex}") from ex
+        raise ValueError(f"--resume {path}: {ex.strerror or ex}") from ex
     result = prev.get("result") if isinstance(prev, dict) else None
     if not (isinstance(result, dict) and isinstance(prev.get("parameters"), dict)):
-        raise _UsageError(f"--resume {path} is not the certificate of a search")
+        raise ValueError(f"--resume {path} is not the certificate of a search")
     keys = ("space", "n", "q", "theta", "size", "mode")
     if prev.get("command") != cert.command or any(
         prev["parameters"].get(k) != cert.parameters.get(k) for k in keys
     ):
-        raise _UsageError(f"--resume {path} is a checkpoint of a different search")
+        raise ValueError(f"--resume {path} is a checkpoint of a different search")
     checkpoint, functions, families = (result.get(k) for k in ("checkpoint", "functions", "families"))
     done = checkpoint.get("done") if isinstance(checkpoint, dict) else None
     entries = [e for part in (functions, families) if isinstance(part, list) for e in part]
@@ -466,21 +463,15 @@ def _resume_arg(path: str, cert: _Cert, v: int) -> tuple[dict, list, list]:
         and all(type(e.get("dimension")) is int and isinstance(e.get("basis"), list) for e in families)
         and all(_valued(b) for e in families for b in e["basis"])
     ):
-        raise _UsageError(f"--resume {path} holds no checkpoint of an interrupted search")
-    size, prefixes, seen = cert.parameters["size"], set(), set()
-    # the prefixes search_min_support splits its work by, each done once
-    last = v - 1 if size == 1 else v - size + 1
-    for p in done:
-        if len(p) != min(size, 2) or not 0 <= p[0] <= p[-1] <= last or p != sorted(set(p)) or tuple(p) in prefixes:
-            form = f"[v0] with 0 <= v0 <= {last}" if size == 1 else f"[v0, v1] with 0 <= v0 < v1 <= {last}"
-            raise _UsageError(
-                f"--resume {path} lists done prefix {p}, which is not a prefix of this search or is listed twice:"
-                f" a prefix of --size {size} is {form}"
-            )
-        prefixes.add(tuple(p))
+        raise ValueError(f"--resume {path} holds no checkpoint of an interrupted search")
+    size, prefixes, seen = cert.parameters["size"], set(map(tuple, done)), set()
+    try:
+        eigenfunctions.search_prefixes(v, size, done)
+    except ValueError as ex:
+        raise ValueError(f"--resume {path}: {ex}") from ex
     for support in (tuple(e["support"]) for e in entries):
-        if len(support) != size or support[:2] not in prefixes or support in seen:
-            raise _UsageError(
+        if len(support) != size or eigenfunctions.search_prefix(support) not in prefixes or support in seen:
+            raise ValueError(
                 f"--resume {path} carries support {list(support)}, which the search cannot have found:"
                 f" it finds each support of --size {size} once, below a done prefix"
             )
@@ -613,26 +604,26 @@ def _cmd_cameron_liebler(args, cert: _Cert) -> None:
 def _named_line_set(args, space) -> tuple[int, ...]:
     """Resolve --part / --star / --plane / --direction to line indices."""
     if [args.part, args.star, args.plane, args.direction].count(None) != 3:
-        raise _UsageError("give exactly one of --part, --star, --plane, --direction")
+        raise ValueError("give exactly one of --part, --star, --plane, --direction")
     if args.part is not None:
         data = _parse_json_arg(args.part, "--part")
         if not (isinstance(data, list) and all(type(u) is int for u in data)):
-            raise _UsageError("--part must be a JSON list of integer line indices")
+            raise ValueError("--part must be a JSON list of integer line indices")
         bad = next((u for u in data if not 0 <= u < len(space.lines)), None)
         if bad is not None:
-            raise _UsageError(f"--part line index {bad} is not in range({len(space.lines)})")
+            raise ValueError(f"--part line index {bad} is not in range({len(space.lines)})")
         if len(set(data)) != len(data):
-            raise _UsageError(f"--part repeats line index {next(u for u in data if data.count(u) > 1)}")
+            raise ValueError(f"--part repeats line index {next(u for u in data if data.count(u) > 1)}")
         return tuple(data)
     if args.star is not None:
         return partitions.star_line_set(space, _vector_arg(args.star, "--star", space, point=True))
     if args.plane is not None:
         if not isinstance(space, geometry.ProjSpace):
-            raise _UsageError("--plane needs a projective space")
+            raise ValueError("--plane needs a projective space")
         normal = _vector_arg(args.plane, "--plane", space)
         return partitions.plane_line_set(space, geometry.Hyperplane(normal))
     if not isinstance(space, geometry.AffSpace):
-        raise _UsageError("--direction needs an affine space")
+        raise ValueError("--direction needs an affine space")
     return partitions.direction_class_line_set(space, _vector_arg(args.direction, "--direction", space))
 
 
@@ -753,9 +744,6 @@ def main(argv=None) -> int:
     try:
         # a command returns 3 when it filled its certificate but reached a limit
         exit_code = _COMMANDS[args.command](args, cert) or 0
-    except _UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
     except LimitExceededError as ex:
         print(f"resource limit: {ex}", file=sys.stderr)
         return 3

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations, groupby
 from math import gcd, lcm
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Mapping
@@ -541,26 +541,27 @@ class _Search:
                 self.extend(chosen + [w], nxt, pivots, kers, kids, found, fams, counters)
                 pivots.pop()
 
-    def run_shard(self, task) -> Iterator[tuple]:
-        """Search the depth-2 prefixes (v0, v1) of one first vertex v0 in
-        order, yielding a record (prefix, nodes, kernel calls, rays,
-        families, finished) for each; the first record also counts the
-        node of v0.  At size 2 the leaf v1 is a ``leaf_group`` of its own.
-        The shard stops after the first prefix during which its own node
-        count passes the limit, so no shard runs unbounded."""
-        v0, v1_list = task
+    def run_shard(self, prefixes) -> Iterator[tuple]:
+        """Search the ``prefixes`` of one first vertex v0 in order, yielding
+        a record (prefix, nodes, kernel calls, rays, families, finished) for
+        each; the first record also counts the node of v0.  At size 2 the
+        leaf v1 of (v0, v1) is a ``leaf_group`` of its own.  The shard stops
+        after the first prefix during which its own node count passes the
+        limit, so no shard runs unbounded."""
+        v0 = prefixes[0][0]
         if self.target == 1:
-            yield (v0,), 1, 0, (), (), True
+            yield prefixes[0], 1, 0, (), (), True
             return
         state = self.admit(v0, (0, 0, 0)) if self.prune else (0, 0, 0)
         if state is None:
-            yield from (((v0, v1), int(i == 0), 0, (), (), True) for i, v1 in enumerate(v1_list))
+            yield from ((p, int(i == 0), 0, (), (), True) for i, p in enumerate(prefixes))
             return
         piv, ker = self.place(v0, 0, [])
         pivots, kers = ([], (ker,)) if piv is None else ([piv], ())
         counters = {"nodes": 1, "kernel_calls": 0}
         before = (0, 0)
-        for v1 in v1_list:
+        for prefix in prefixes:
+            v1 = prefix[1]
             found, fams = [], []
             try:
                 if self.target == 2:
@@ -571,7 +572,7 @@ class _Search:
             except _BudgetExceeded:
                 finished = False
             nodes, calls = counters["nodes"], counters["kernel_calls"]
-            yield (v0, v1), nodes - before[0], calls - before[1], tuple(found), tuple(fams), finished
+            yield prefix, nodes - before[0], calls - before[1], tuple(found), tuple(fams), finished
             if not finished:
                 return
             before = nodes, calls
@@ -588,15 +589,38 @@ def _init_worker(search: _Search, stop) -> None:
     _worker_search, _worker_stop = search, stop
 
 
-def _worker_shard(task) -> list[tuple]:
+def _worker_shard(prefixes) -> list[tuple]:
     """The records of one shard, up to the one during which the parent
     set the stop event: once set, the parent reads no further record."""
     records = []
-    for record in _worker_search.run_shard(task):
+    for record in _worker_search.run_shard(prefixes):
         records.append(record)
         if _worker_stop.is_set():
             break
     return records
+
+
+def search_prefixes(v: int, target: int, done: Iterable = ()) -> list[tuple[int, ...]]:
+    """The prefixes search_min_support splits its work by, less those in
+    ``done``, in search order: the first min(target, 2) vertices of the
+    ascending supports of size ``target`` on ``v`` vertices.  ValueError
+    names a done entry that is not one of them or is listed twice."""
+    depth = min(target, 2)
+    end = v - target + depth
+    todo = dict.fromkeys(combinations(range(end), depth), True)
+    for p in map(tuple, done):
+        if not todo.get(p):
+            raise ValueError(f"done prefix {list(p)} is not a prefix of this search or is listed twice:"
+                             f" its prefixes are the ascending {depth}-tuples of range({end})")
+        todo[p] = False
+    return [p for p, undone in todo.items() if undone]
+
+
+def search_prefix(support) -> tuple[int, ...]:
+    """The prefix below which the search finds the ascending ``support``:
+    that of the one support of its size on its own vertices."""
+    (first,) = search_prefixes(len(support), len(support))
+    return tuple(support[i] for i in first)
 
 
 def search_min_support(
@@ -637,7 +661,7 @@ def search_min_support(
     each.  A leaf is screened on its head, and its tail is built only
     when the head is zero.
 
-    The work is split by depth-2 prefix (v0, v1), in ascending order.
+    The work is split by the prefixes of search_prefixes, in order.
     ``limit`` is one node budget for the whole call, counted before
     pruning and in prefix order, whatever ``jobs`` is: a prefix is done
     when the running node total is still at most ``limit`` after its
@@ -645,7 +669,8 @@ def search_min_support(
     result that is not ``complete``: it holds the results of the done
     prefixes, its ``checkpoint`` lists them, and its nodes and kernel
     calls are counted up to and including the prefix that did not fit.
-    ``resume`` accepts a checkpoint and skips the done prefixes.  ``jobs``
+    ``resume`` accepts a checkpoint and skips the done prefixes, or
+    refuses a bad one, before any work, by search_prefixes.  ``jobs``
     > 1 searches the prefixes of each first vertex in a pool of forked
     workers, with the same results and checkpoints; after a cut the
     running shards stop at their next prefix.
@@ -654,23 +679,15 @@ def search_min_support(
         raise ValueError(f"unknown mode {mode!r}")
     if target < 1:
         raise ValueError("target support size must be positive")
+    prefixes = search_prefixes(graph.v, target, resume["done"] if resume else ())
     params = graph.design.params if graph.design is not None else srg_params_brute(graph)
     if theta not in (params.r, params.s) or theta == params.k:
         raise SteinerError(f"{theta} is not a non-principal eigenvalue of the graph")
     search = _Search(graph, theta, target, mode == "branch-and-prune", limit)
-    v = graph.v
-
-    done_before = {tuple(p) for p in resume["done"]} if resume else set()
-
-    if target == 1:
-        tasks = [(v0, ()) for v0 in range(v) if (v0,) not in done_before]
-    else:
-        todo = {v0: tuple(v1 for v1 in range(v0 + 1, v - target + 2) if (v0, v1) not in done_before)
-                for v0 in range(v - target + 1)}
-        tasks = [(v0, v1s) for v0, v1s in todo.items() if v1s]
+    tasks = [tuple(group) for _, group in groupby(prefixes, lambda p: p[0])]
 
     raw_found, raw_fams = [], []
-    done: list[tuple[int, ...]] = sorted(done_before)
+    done = [tuple(p) for p in resume["done"]] if resume else []
     nodes = kernel_calls = 0
     exhausted = False
     pool = None

@@ -360,21 +360,6 @@ class AffPlane:
     space: AffSpace = dc_field(repr=False, compare=False)
 
 
-def _direction_planes(space: AffSpace) -> list[tuple[Vec, Vec]]:
-    f = space.field
-    n, q = space.n, f.q
-    reps = sorted(
-        {f.normalize_row(v) for v in product(range(q), repeat=n) if any(v)}
-    )
-    seen = set()
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            basis = linalg.row_basis(f, (reps[i], reps[j]))
-            if len(basis) == 2:
-                seen.add((basis[0], basis[1]))
-    return sorted(seen)
-
-
 def _plane(space: AffSpace, dirbasis, base: Vec) -> AffPlane:
     """The 2-flat base + span(dirbasis), from its canonical direction
     basis and coset representative."""
@@ -389,32 +374,28 @@ def _plane(space: AffSpace, dirbasis, base: Vec) -> AffPlane:
 
 
 def enumerate_planes(space: AffSpace) -> tuple[AffPlane, ...]:
-    """All 2-flats, grouped per direction plane into its q^(n-2) cosets."""
+    """All 2-flats, grouped per direction plane into its q^(n-2) cosets.
+    The directions of AG(n, q) are the points of PG(n-1, q) and its
+    direction planes are the lines, in their order, so n >= 3."""
+    if space.n < 3:
+        raise ValueError(f"planes are listed in AG(n, q) with n >= 3, got n = {space.n}")
     planes = []
-    for dirbasis in _direction_planes(space):
-        reps = sorted({_coset_rep(space.field, dirbasis, pt) for pt in space.points})
-        planes.extend(_plane(space, dirbasis, rep) for rep in reps)
+    for ln in proj_space(space.n - 1, space.field).lines:
+        reps = sorted({_coset_rep(space.field, ln.basis, pt) for pt in space.points})
+        planes.extend(_plane(space, ln.basis, rep) for rep in reps)
     return tuple(planes)
 
 
 def parallel_classes(plane: AffPlane) -> tuple[tuple[int, ...], ...]:
     """The q+1 parallel classes of q lines partitioning the plane, each
-    as ascending line indices."""
+    as ascending line indices, one per point of its direction plane, the
+    line of PG(n-1, q)."""
     space = plane.space
-    f, lines, idx = space.field, space.lines, space.point_index
-    q = f.q
-    dirs = sorted(
-        {
-            f.normalize_row(
-                f.add_rows(f.scale_row(a, plane.dirbasis[0]), f.scale_row(b, plane.dirbasis[1]))
-            )
-            for a in range(q)
-            for b in range(q)
-            if a or b
-        }
-    )
+    f, lines, idx, q = space.field, space.lines, space.point_index, space.field.q
+    directions = proj_space(space.n - 1, f)
     classes = []
-    for d in dirs:
+    for p in directions.lines[directions.line_index[plane.dirbasis]].points:
+        d = directions.points[p]
         cls = set()
         for i in plane.points:
             j = idx[f.add_rows(space.points[i], d)]

@@ -22,7 +22,7 @@ from math import gcd
 from typing import Iterable
 
 from .designs import Graph, block_graph_of
-from .eigenfunctions import Eigenfunction, verified, verify_eigenfunction
+from .eigenfunctions import Eigenfunction, verified
 from .errors import NotEquitableError, SteinerError
 from .geometry import Hyperplane, ProjSpace, index_mask, normalize_point
 from .reguli import RegulusPair, enumerate_reguli
@@ -161,11 +161,7 @@ def balance_check(
     for fi in decomposition:
         if fi.theta == theta or fi.theta == k:
             raise SteinerError(f"decomposition eigenvalue {fi.theta} clashes with theta={theta} or k={k}")
-        res = verify_eigenfunction(graph, fi)
-        if not res:
-            raise SteinerError(
-                f"summand with eigenvalue {fi.theta} fails verification at vertex {res.witness[0]}"
-            )
+        verified(graph, fi)
         for u, x in fi.values.items():
             total[u] = total.get(u, Fraction(0)) + x
     if {u: x for u, x in total.items() if x} != f1.values:

@@ -33,6 +33,8 @@ from steinergraphs.eigenfunctions import (
     from_bipartite_pair,
     optimal_from_regulus,
     search_min_support,
+    search_prefix,
+    search_prefixes,
     support_structure,
     verify_eigenfunction,
     wdbplus2_function,
@@ -548,6 +550,50 @@ def test_search_resume_roundtrip(g_x2):
     assert search_min_support(g_x2, -2, 4, resume=rest.checkpoint).functions == ()
 
 
+def test_search_prefixes_pinned_on_ag32(g_x2):
+    """The search splits its work by search_prefixes, in order: on the 28
+    vertices of the AG(3,2) graph each vertex at size 1, the 325 pairs
+    from (0, 1) to (24, 25) at size 4 and 276 pairs at size 6.  A complete
+    search's checkpoint lists them all, and each of its supports lies
+    below the prefix that search_prefix gives it."""
+    assert search_prefixes(28, 1) == [(v0,) for v0 in range(28)]
+    at4 = search_prefixes(28, 4)
+    assert (len(at4), at4[0], at4[-1]) == (325, (0, 1), (24, 25))
+    assert len(search_prefixes(28, 6)) == 276
+    full = search_min_support(g_x2, -2, 4)
+    assert full.checkpoint == {"done": at4}
+    assert {search_prefix(f.support) for f in full.functions} <= set(at4)
+    assert search_prefixes(28, 4, at4[:-1]) == [(24, 25)]
+
+
+def _no_search(*args):
+    raise AssertionError("the search started before its resume was checked")
+
+
+@pytest.mark.parametrize("size, prefix", [
+    (4, (0, 26)), (4, (5, 2)), (4, (3, 3)), (4, (-1, 3)), (4, (7,)), (4, (0, 1, 2)), (4, "repeated"),
+    (1, (28,)), (1, (-1,)), (1, (0, 1)),
+], ids=["second-past-the-last", "descending", "equal", "negative", "one-vertex", "three-vertices", "repeated",
+        "size1-past-the-last", "size1-negative", "size1-pair"])
+def test_search_resume_refuses_a_done_prefix_the_search_does_not_have(g_x2, monkeypatch, size, prefix):
+    """search_min_support refuses, before any work, a done entry that is
+    not one of its prefixes or is listed twice, as the CLI's --resume
+    does; it used to skip nothing for such an entry and copy it into its
+    checkpoint."""
+    done = [(0, 1), (0, 1)] if prefix == "repeated" else [prefix]
+    monkeypatch.setattr(eigenfunctions, "_Search", _no_search)
+    with pytest.raises(ValueError, match="not a prefix of this search"):
+        search_min_support(g_x2, -2, size, resume={"done": done})
+
+
+def test_search_resume_refuses_bogus_entries_among_good_ones(g_x2):
+    """The done list [(0, 999), (5, 2), (7,), (0, 1), (0, 1)] used to
+    give a complete result with 208 of the 210 rays and a checkpoint of
+    328 entries, the three bogus ones among them."""
+    with pytest.raises(ValueError, match=r"done prefix \[0, 999\] is not a prefix of this search"):
+        search_min_support(g_x2, -2, 4, resume={"done": [(0, 999), (5, 2), (7,), (0, 1), (0, 1)]})
+
+
 def test_search_parallel_matches_serial(g_x2):
     serial = search_min_support(g_x2, -2, 4)
     parallel = search_min_support(g_x2, -2, 4, jobs=2)
@@ -639,7 +685,7 @@ def test_worker_shard_stops_after_the_record_of_a_cut(g_x2, monkeypatch):
     """A pool worker's shard runs to its end until the parent sets the
     stop event after a cut; from then on it returns after the record
     during which the event is set, not at its own node budget."""
-    task = (0, tuple(range(1, 6)))
+    task = tuple((0, v1) for v1 in range(1, 6))
     stop = threading.Event()
     monkeypatch.setattr(eigenfunctions, "_worker_search", eigenfunctions._Search(g_x2, -2, 4, True, None))
     monkeypatch.setattr(eigenfunctions, "_worker_stop", stop)

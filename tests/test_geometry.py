@@ -199,6 +199,14 @@ def test_affine_plane_counts():
 
 
 @pytest.mark.parametrize("q", [2, 3])
+def test_planes_refused_in_the_affine_plane(q):
+    """The direction planes of AG(n, q) are the lines of PG(n-1, q), so
+    planes are listed only at n >= 3; AG(2, q) is refused by name."""
+    with pytest.raises(ValueError, match="n >= 3"):
+        enumerate_planes(aff_space(2, field_of_order(q)))
+
+
+@pytest.mark.parametrize("q", [2, 3])
 def test_parallel_classes_partition_plane(q):
     sp = aff_space(3, field_of_order(q))
     for plane in enumerate_planes(sp)[:5]:

@@ -181,6 +181,20 @@ def test_balance_eigenvalue_clash(g_j2):
         balance_check(g_j2, f1, [f1], part, -3)
 
 
+def test_balance_refuses_a_summand_that_fails_verification(g_j2):
+    """Each summand is verified by eigenfunctions.verified: a summand
+    with f1's values but eigenvalue 1 sums to f1 and avoids theta and k,
+    and is refused with the witness of its failing vertex."""
+    f1 = _regulus_function(g_j2)
+    bad = Eigenfunction(g_j2, 1, f1.values)
+    witness = verify_eigenfunction(g_j2, bad).witness
+    assert witness is not None
+    part = Partition2.from_part(g_j2, star_line_set(g_j2.design.space, 0))
+    with pytest.raises(NotAnEigenfunctionError, match=f"vertex {witness[0]}:") as info:
+        balance_check(g_j2, f1, [bad], part, 3)
+    assert info.value.witness == witness
+
+
 def test_balance_bad_decomposition(g_j2):
     f1 = _regulus_function(g_j2)
     pairs = enumerate_reguli(g_j2.design.space)
