@@ -578,7 +578,7 @@ def _no_search(*args):
 def test_search_resume_refuses_a_done_prefix_the_search_does_not_have(g_x2, monkeypatch, size, prefix):
     """search_min_support refuses, before any work, a done entry that is
     not one of its prefixes or is listed twice, as the CLI's --resume
-    does; it used to skip nothing for such an entry and copy it into its
+    does; such an entry used to be accepted and copied into its
     checkpoint."""
     done = [(0, 1), (0, 1)] if prefix == "repeated" else [prefix]
     monkeypatch.setattr(eigenfunctions, "_Search", _no_search)
