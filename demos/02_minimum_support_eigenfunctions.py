@@ -36,9 +36,9 @@ def main() -> None:
 
     f = optimal_from_regulus(pair, graph)
     print(f"  sign function: theta={f.theta}, support size {len(f.support)}")
-    print("  verifies:", verify_eigenfunction(graph, f).ok)
+    print("  verifies:", verify_eigenfunction(f).ok)
 
-    cls = classify_optimal(graph, f)
+    cls = classify_optimal(f)
     print("  classification recovers the pair:", cls.pair == pair)
     print()
 

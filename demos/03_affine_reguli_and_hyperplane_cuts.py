@@ -69,7 +69,7 @@ def main() -> None:
     f = wdbplus2_function(reg, avoiding)
     print(
         f"avoided-plane sign function: theta={f.theta}, support {len(f.support)} "
-        f"(bound + 2), structure {support_structure(f.graph, f)}"
+        f"(bound + 2), structure {support_structure(f)}"
     )
 
 

@@ -24,7 +24,7 @@ def main() -> None:
 
     census: dict[str, int] = {}
     for f in result.functions:
-        kind = support_structure(graph, f)
+        kind = support_structure(f)
         census[kind] = census.get(kind, 0) + 1
 
     print(f"search over {graph.v} vertices finished in {elapsed:.1f}s")

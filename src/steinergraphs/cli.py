@@ -20,9 +20,9 @@ Conventions:
     verify-eigenfunction, and enumerate-reguli, enumerate-affine-reguli
     and cameron-liebler, which work in dimension 3, take no --n), a
     negative --limit, a --jobs below 1, a --resume file that cannot be
-    read, lists a done prefix the search does not have or carries a
-    support it cannot have found, or an --out file that cannot be
-    written; past the parser each is a ValueError;
+    read or that the search refuses to resume from (a done prefix it does
+    not have, a support it cannot have found), or an --out file that
+    cannot be written; past the parser each is a ValueError;
   * every named check recomputes what its name claims, and a failed
     check carries a witness;
   * lines are encoded as integer arrays via their canonical forms: a
@@ -367,7 +367,7 @@ def _cmd_enumerate_optimal(args, cert: _Cert) -> None:
         # classify_optimal verifies the eigenvalue equation, once
         values = dict.fromkeys(t0, 1) | dict.fromkeys(t1, -1)
         try:
-            cls = eigenfunctions.classify_optimal(graph, eigenfunctions.Eigenfunction(graph, params.s, values))
+            cls = eigenfunctions.classify_optimal(eigenfunctions.Eigenfunction(graph, params.s, values))
         except NotAnEigenfunctionError:
             all_verify = False
             continue
@@ -396,7 +396,7 @@ def _cmd_verify_eigenfunction(args, cert: _Cert) -> None:
             raise ValueError(f"--function: vertex {u!r} is not an index in 0..{graph.v - 1}")
     values = {vertices[u]: _rational(str(x), "--function") for u, x in data.items()}
     f = eigenfunctions.Eigenfunction(graph, args.theta, values)
-    res = eigenfunctions.verify_eigenfunction(graph, f)
+    res = eigenfunctions.verify_eigenfunction(f)
     cert.result = {"theta": args.theta, "support": list(f.support), "ok": res.ok}
     if res.witness is not None:
         u, lhs, rhs = res.witness
@@ -410,7 +410,7 @@ def _cmd_wdbplus2(args, cert: _Cert) -> None:
     hyp = geometry.Hyperplane(geometry.normalize_point(space.field, normal))
     f = eigenfunctions.wdbplus2_function(pair, hyp)
     graph = f.graph
-    structure = eigenfunctions.support_structure(graph, f)
+    structure = eigenfunctions.support_structure(f)
     cert.result = {
         "theta": f.theta,
         "support_size": len(f.support),
@@ -419,7 +419,7 @@ def _cmd_wdbplus2(args, cert: _Cert) -> None:
     }
     cert.check("support_size_2q_plus_2", len(f.support) == 2 * (args.q + 1))
     cert.check("structure_bipartite_minus_matching", structure == "BipartiteMinusMatching")
-    cert.check("verifies", bool(eigenfunctions.verify_eigenfunction(graph, f)))
+    cert.check("verifies", bool(eigenfunctions.verify_eigenfunction(f)))
 
 
 def _int_list(value) -> bool:
@@ -434,11 +434,11 @@ def _valued(entry) -> bool:
     )
 
 
-def _resume_arg(path: str, cert: _Cert, v: int) -> tuple[dict, list, list]:
-    """The checkpoint, functions and families of the certificate of an
-    interrupted run of the same search on ``v`` vertices, each checked for
-    its shape; search_prefixes checks the done prefixes, and every carried
-    support must lie below one (search_prefix), once."""
+def _resume_arg(path: str, cert: _Cert, graph) -> tuple[eigenfunctions.SearchResult, list]:
+    """The certificate of an interrupted run of the same search on
+    ``graph``, checked for its shape and rebuilt into the cut SearchResult
+    that search_min_support resumes (which checks its prefixes and
+    supports), with the carried function and family entries as read."""
     try:
         with open(path) as fh:
             prev = _parse_json_arg(fh.read(), f"--resume {path}")
@@ -464,52 +464,38 @@ def _resume_arg(path: str, cert: _Cert, v: int) -> tuple[dict, list, list]:
         and all(_valued(b) for e in families for b in e["basis"])
     ):
         raise ValueError(f"--resume {path} holds no checkpoint of an interrupted search")
-    size, prefixes, seen = cert.parameters["size"], set(map(tuple, done)), set()
-    try:
-        eigenfunctions.search_prefixes(v, size, done)
-    except ValueError as ex:
-        raise ValueError(f"--resume {path}: {ex}") from ex
-    for support in (tuple(e["support"]) for e in entries):
-        if len(support) != size or eigenfunctions.search_prefix(support) not in prefixes or support in seen:
-            raise ValueError(
-                f"--resume {path} carries support {list(support)}, which the search cannot have found:"
-                f" it finds each support of --size {size} once, below a done prefix"
-            )
-        seen.add(support)
+
+    # a carried entry is rebuilt from its values, and must come back
+    # verbatim among the entries rendered from the search's result
+    def rebuild(entry):
+        values = {u: _rational(x, f"--resume {path}") for u, x in entry["values"]}
+        return eigenfunctions.Eigenfunction(graph, cert.parameters["theta"], values)
+
+    cut = eigenfunctions.SearchResult(tuple(map(rebuild, functions)), tuple(
+        eigenfunctions.SupportFamily(tuple(e["support"]), e["dimension"], tuple(map(rebuild, e["basis"])))
+        for e in families), 0, 0, False, {"done": done})
     print(f"resuming from {path}: {len(done)} prefixes done", file=sys.stderr)
-    return {"done": [tuple(p) for p in done]}, functions, families
+    return cut, entries
 
 
 def _cmd_search_support(args, cert: _Cert) -> int:
     graph = _graph_of(args.space, args.n, args.q)
-    resume, prior_functions, prior_families = (
-        _resume_arg(args.resume, cert, graph.v) if args.resume else (None, [], [])
-    )
-    # what a --resume file carries over is rebuilt from its values before
-    # any search, and rendered again below; it must equal that and verify
-    def rebuild(entry):
-        values = {u: _rational(x, f"--resume {args.resume}") for u, x in entry["values"]}
-        return eigenfunctions.Eigenfunction(graph, args.theta, values)
-
-    carried = [rebuild(e) for e in prior_functions]
-    bases = [[rebuild(b) for b in fam["basis"]] for fam in prior_families]
+    cut, carried = _resume_arg(args.resume, cert, graph) if args.resume else (None, [])
     print(f"searching supports of size {args.size} at theta={args.theta} ({args.mode})", file=sys.stderr)
-    res = eigenfunctions.search_min_support(
-        graph, args.theta, args.size, args.mode, limit=args.limit, resume=resume, jobs=args.jobs
-    )
-    fn_entries = [
-        _function_json(f, eigenfunctions.support_structure(graph, f)) for f in [*carried, *res.functions]
-    ]
-    bases += [fam.basis for fam in res.families]
+    try:
+        res = eigenfunctions.search_min_support(graph, args.theta, args.size, args.mode, limit=args.limit,
+                                                resume=cut, jobs=args.jobs)
+    except ValueError as ex:
+        raise ValueError(f"--resume {args.resume}: {ex}") if cut else ex
+    fn_entries = [_function_json(f, eigenfunctions.support_structure(f)) for f in res.functions]
+    bases = [fam.basis for fam in res.families]
     fam_entries = [_family_json(basis) for basis in bases]
+    rendered = {tuple(e["support"]): e for e in (*fn_entries, *fam_entries)}
     verified = (
-        fn_entries[: len(carried)] == prior_functions
-        and fam_entries[: len(prior_families)] == prior_families
+        all(rendered.get(tuple(e["support"])) == e for e in carried)
         and all(len(basis) >= 2 for basis in bases)
-        and all(eigenfunctions.verify_eigenfunction(graph, f) for f in [*carried, *res.functions, *chain(*bases)])
+        and all(map(eigenfunctions.verify_eigenfunction, chain(res.functions, *bases)))
     )
-    fn_entries.sort(key=lambda e: e["support"])
-    fam_entries.sort(key=lambda e: e["support"])
     census: dict[str, int] = {}
     for entry in fn_entries:
         census[entry["structure"]] = census.get(entry["structure"], 0) + 1

@@ -109,8 +109,9 @@ class VerifyResult:
         return self.ok
 
 
-def verify_eigenfunction(graph: Graph, f: Eigenfunction) -> VerifyResult:
-    """Check theta * f(u) = sum of f over neighbours of u at every vertex.
+def verify_eigenfunction(f: Eigenfunction) -> VerifyResult:
+    """Check theta * f(u) = sum of f over neighbours of u at every vertex
+    of f's graph.
 
     f is scaled to integers c_w by the lcm of its denominators, and all v
     equations are checked at once as one packed integer.  With fields of
@@ -135,6 +136,7 @@ def verify_eigenfunction(graph: Graph, f: Eigenfunction) -> VerifyResult:
     gives the same verdict and witness."""
     if not f.values:
         raise SteinerError("the zero function is not an eigenfunction")
+    graph = f.graph
     scale = lcm(*(x.denominator for x in f.values.values()))
     scaled = {w: x.numerator * (scale // x.denominator) for w, x in f.values.items()}
     theta = f.theta
@@ -159,10 +161,10 @@ def verify_eigenfunction(graph: Graph, f: Eigenfunction) -> VerifyResult:
     return VerifyResult(False, (u, Fraction(lhs, scale), Fraction(rhs, scale)))
 
 
-def verified(graph: Graph, f: Eigenfunction) -> Eigenfunction:
+def verified(f: Eigenfunction) -> Eigenfunction:
     """f, once verify_eigenfunction accepts it; else NotAnEigenfunctionError
     with its witness."""
-    res = verify_eigenfunction(graph, f)
+    res = verify_eigenfunction(f)
     if not res:
         u, lhs, rhs = res.witness
         raise NotAnEigenfunctionError(
@@ -181,7 +183,7 @@ def from_bipartite_pair(graph: Graph, t0: Iterable[int], t1: Iterable[int], thet
         raise ValueError("parts overlap")
     vals: dict[int, int] = {u: 1 for u in t0}
     vals.update({u: -1 for u in t1})
-    return verified(graph, Eigenfunction(graph, theta, vals))
+    return verified(Eigenfunction(graph, theta, vals))
 
 
 # -- constructions from geometric data -----------------------------------------
@@ -215,7 +217,7 @@ def wdbplus2_function(pair: RegulusPair, hyperplane) -> Eigenfunction:
     config = outcome.config
     q = config.space.field.q
     f = _line_sign_function(config.space, None, config.r_ids, config.opp_ids, -q, 2 * (q + 1))
-    if support_structure(f.graph, f) != "BipartiteMinusMatching":
+    if support_structure(f) != "BipartiteMinusMatching":
         raise SteinerError("support does not induce a complete bipartite graph minus a matching")
     return f
 
@@ -223,15 +225,16 @@ def wdbplus2_function(pair: RegulusPair, hyperplane) -> Eigenfunction:
 # -- support structure ----------------------------------------------------------
 
 
-def support_structure(graph: Graph, f: Eigenfunction) -> str:
-    """The shape of the subgraph induced on the support, with the sign
-    classes of f (positive first) as its two parts: "CompleteBipartite",
-    "IsolatedCliquePair", "BipartiteMinusMatching" or "Other"."""
+def support_structure(f: Eigenfunction) -> str:
+    """The shape of the subgraph of f's graph induced on its support,
+    with the sign classes of f (positive first) as its two parts:
+    "CompleteBipartite", "IsolatedCliquePair", "BipartiteMinusMatching"
+    or "Other"."""
     t0, t1 = f.sign_classes()
     if not t0 or not t1 or len(t0) != len(t1):
         return "Other"
     m0, m1 = index_mask(t0), index_mask(t1)
-    adj = graph.adj
+    adj = f.graph.adj
     a = len(t0)
     within = any(adj[u] & m0 for u in t0) or any(adj[u] & m1 for u in t1)
     cross0 = [(adj[u] & m1).bit_count() for u in t0]
@@ -320,21 +323,23 @@ class GrassmannRegulus:
     pair: RegulusPair
 
 
-def classify_optimal(graph: Graph, f: Eigenfunction):
-    """Decode a minimum-support eigenfunction back to the geometry that
-    carries it: two parallel classes of a plane (Type1), an affine
-    regulus pair (Type2), or a projective regulus pair (GrassmannRegulus).
+def classify_optimal(f: Eigenfunction):
+    """Decode a minimum-support eigenfunction of its graph back to the
+    geometry that carries it: two parallel classes of a plane (Type1), an
+    affine regulus pair (Type2), or a projective regulus pair
+    (GrassmannRegulus).
 
     All three are a grid, the sign classes being two families of
     pairwise disjoint lines with each line meeting each opposite line
     once, and one grid check decides the type.  A mixed grid, with
     parallel and skew lines in its families, cannot occur: two parallel
     lines of either family put the whole grid into their plane."""
-    if graph.design is None:
+    design = f.graph.design
+    if design is None:
         raise ValueError("graph has no underlying design")
-    space = graph.design.space
-    bound = wdb(graph.design.params, f.theta)
-    verified(graph, f)
+    space = design.space
+    bound = wdb(design.params, f.theta)
+    verified(f)
     if len(f.support) != bound:
         raise SteinerError(f"support size {len(f.support)} is not the bound {bound}")
     t0, t1 = f.sign_classes()
@@ -364,10 +369,11 @@ class SupportFamily:
 class SearchResult:
     """Outcome of search_min_support: one canonical function per support
     with a one-dimensional kernel, plus families for larger kernels.
-    ``kernel_calls`` counts the admitted leaves with dependent columns.
-    A search cut by its node budget is not ``complete``: it holds what
-    its done prefixes found, and ``checkpoint``, {"done": [prefixes]},
-    is what ``resume`` accepts to search the rest."""
+    ``nodes`` and ``kernel_calls`` (the admitted leaves with dependent
+    columns) count the work of one call.  A search cut by its node budget
+    is not ``complete``: it holds what its done prefixes found, and
+    ``checkpoint``, {"done": [prefixes]}, lists them; ``resume`` takes the
+    cut result itself to search the rest."""
 
     functions: tuple[Eigenfunction, ...]
     families: tuple[SupportFamily, ...]
@@ -630,7 +636,7 @@ def search_min_support(
     mode: str = "branch-and-prune",
     *,
     limit: int | None = None,
-    resume: Mapping | None = None,
+    resume: SearchResult | None = None,
     jobs: int = 1,
 ) -> SearchResult:
     """All theta-eigenfunctions with support of exactly the target size,
@@ -669,8 +675,14 @@ def search_min_support(
     result that is not ``complete``: it holds the results of the done
     prefixes, its ``checkpoint`` lists them, and its nodes and kernel
     calls are counted up to and including the prefix that did not fit.
-    ``resume`` accepts a checkpoint and skips the done prefixes, or
-    refuses a bad one, before any work, by search_prefixes.  ``jobs``
+    ``resume`` takes such a cut result: the search skips the done prefixes
+    of its checkpoint and returns the whole answer, its functions and
+    families among those found now, in support order.  Before any work it
+    refuses, with ValueError, a done prefix that search_prefixes does not
+    have, and a carried function or family this search cannot have found:
+    one not of the target size, not below a done prefix (search_prefix),
+    listed twice, or with a function of another graph or theta; ``nodes``
+    and ``kernel_calls`` count this call's work only.  ``jobs``
     > 1 searches the prefixes of each first vertex in a pool of forked
     workers, with the same results and checkpoints; after a cut the
     running shards stop at their next prefix.
@@ -679,15 +691,26 @@ def search_min_support(
         raise ValueError(f"unknown mode {mode!r}")
     if target < 1:
         raise ValueError("target support size must be positive")
-    prefixes = search_prefixes(graph.v, target, resume["done"] if resume else ())
+    done = [tuple(p) for p in resume.checkpoint["done"]] if resume else []
+    prefixes = search_prefixes(graph.v, target, done)
+    functions, families = (list(resume.functions), list(resume.families)) if resume else ([], [])
+    placed, seen = set(done), set()
+    for x in chain(functions, families):
+        s = x.support
+        if (len(s) != target or search_prefix(s) not in placed or s in seen
+                or any(f.graph is not graph or f.theta != theta for f in getattr(x, "basis", (x,)))):
+            raise ValueError(f"carried support {list(s)} is one this search cannot have found: it finds each"
+                             f" support of size {target} once, below a done prefix, on its graph at theta {theta}")
+        seen.add(s)
     params = graph.design.params if graph.design is not None else srg_params_brute(graph)
     if theta not in (params.r, params.s) or theta == params.k:
         raise SteinerError(f"{theta} is not a non-principal eigenvalue of the graph")
     search = _Search(graph, theta, target, mode == "branch-and-prune", limit)
     tasks = [tuple(group) for _, group in groupby(prefixes, lambda p: p[0])]
 
-    raw_found, raw_fams = [], []
-    done = [tuple(p) for p in resume["done"]] if resume else []
+    def from_kernel(supp, vec) -> Eigenfunction:
+        return Eigenfunction(graph, theta, {s: x for s, x in zip(supp, vec) if x})
+
     nodes = kernel_calls = 0
     exhausted = False
     pool = None
@@ -704,8 +727,9 @@ def search_min_support(
             if not finished or (limit is not None and nodes > limit):
                 exhausted = True
                 break
-            raw_found.extend(found)
-            raw_fams.extend(fams)
+            functions += (from_kernel(supp, vec) for supp, vec in found)
+            families += (SupportFamily(supp, len(basis), tuple(from_kernel(supp, vec) for vec in basis))
+                         for supp, basis in fams)
             done.append(prefix)
     finally:
         # no worker is killed: multiprocessing.Pool.terminate() could kill one
@@ -713,13 +737,6 @@ def search_min_support(
         if pool:
             stop.set()
             pool.shutdown(cancel_futures=True)
-
-    def from_kernel(supp, vec) -> Eigenfunction:
-        return Eigenfunction(graph, theta, {s: x for s, x in zip(supp, vec) if x})
-
-    functions = tuple(from_kernel(supp, vec) for supp, vec in sorted(raw_found))
-    families = tuple(
-        SupportFamily(supp, len(basis), tuple(from_kernel(supp, vec) for vec in basis))
-        for supp, basis in sorted(raw_fams)
-    )
-    return SearchResult(functions, families, nodes, kernel_calls, not exhausted, {"done": sorted(done)})
+    by_support = lambda x: x.support
+    return SearchResult(tuple(sorted(functions, key=by_support)), tuple(sorted(families, key=by_support)),
+                        nodes, kernel_calls, not exhausted, {"done": sorted(done)})

@@ -414,14 +414,15 @@ def line_permutation(pspace: ProjSpace, matrix) -> tuple[int, ...]:
     x -> x M of PG(n, q), for an invertible (n+1) x (n+1) matrix M: entry
     i is the index of the image of line i.
 
-    The matrix is validated once (``linalg.inverse`` raises on a singular
-    one); each point is then mapped once with the unchecked row
-    operations, and each line by ``pair_line`` on the images of two of
-    its points, checked to hold the images of all of them."""
-    f = pspace.field
-    if len(matrix) != pspace.n + 1:
-        raise SteinerError(f"a collineation of PG({pspace.n}, q) needs {pspace.n + 1} rows")
-    linalg.inverse(f, matrix)
+    The matrix is validated once (n+1 rows of length n+1, of full rank);
+    each point is then mapped once with the unchecked row operations, and
+    each line by ``pair_line`` on the images of two of its points,
+    checked to hold the images of all of them."""
+    f, m = pspace.field, pspace.n + 1
+    if len(matrix) != m or any(len(row) != m for row in matrix):
+        raise SteinerError(f"a collineation of PG({pspace.n}, q) needs {m} rows of length {m}")
+    if linalg.rank(f, matrix) != m:
+        raise SteinerError("matrix is singular")
     # x M is the sum of the rows M_i scaled by x_i, read from a table
     scaled = [[f.scale_row(c, row) for c in range(f.q)] for row in matrix]
     idx, add, normalize = pspace.point_index, f.add_rows, f.normalize_row

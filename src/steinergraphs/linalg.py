@@ -10,7 +10,7 @@ their ``row_basis`` tuples are equal.
 Finite-field entries are validated once, when a matrix enters ``rref``;
 elimination then runs on the field's unchecked row operations, which
 index its arithmetic tables.  Every routine over GF(q) (row bases, ranks,
-kernels, inverses, row-space membership) goes through ``rref``.
+kernels, row-space membership) goes through ``rref``.
 """
 
 from __future__ import annotations
@@ -95,22 +95,6 @@ def kernel(field: Field, rows) -> Rows:
     if not basis:
         return ()
     return row_basis(field, basis)
-
-
-def inverse(field: Field, rows) -> Rows:
-    """Inverse of a square matrix over the field; raises SteinerError on
-    non-square or singular input."""
-    ncols = _check_rect(rows)
-    n = len(rows)
-    if n != ncols:
-        raise SteinerError("inverse needs a square matrix")
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    aug = tuple(tuple(r) + ident[i] for i, r in enumerate(rows))
-    # [M | I] always has rank n; M is invertible when its pivots lie in M
-    m, _, pivots = rref(field, aug)
-    if pivots[-1] >= n:
-        raise SteinerError("matrix is singular")
-    return tuple(row[n:] for row in m[:n])
 
 
 def in_rowspace(field: Field, rows, vec) -> bool:

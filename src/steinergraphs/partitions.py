@@ -118,7 +118,7 @@ def partition_to_eigenfunction(graph: Graph, part: Partition2) -> Eigenfunction:
         raise SteinerError(f"({x1}, {x2}) is not a {theta}-eigenvector of {q.rows()}")
     vals = {u: x1 for u in part.v1}
     vals.update({u: x2 for u in part.v2})
-    return verified(graph, Eigenfunction(graph, theta, vals))
+    return verified(Eigenfunction(graph, theta, vals))
 
 
 # -- the balance condition -------------------------------------------------------
@@ -149,7 +149,11 @@ def balance_check(
     sum to f1 with every summand a verified eigenfunction whose
     eigenvalue avoids both theta and the degree, and the partition must
     be theta-equitable.  Under these hypotheses the two counts agree.
+    f1 and every summand must be functions on ``graph`` (ValueError).
     """
+    decomposition = tuple(decomposition)
+    if any(f.graph is not graph for f in (f1, *decomposition)):
+        raise ValueError("f1 and every summand must be functions on the given graph")
     vals = set(f1.values.values())
     if not vals <= {Fraction(1), Fraction(-1)}:
         raise SteinerError(f"values {sorted(map(str, vals))} are not within {{1, -1}}")
@@ -161,7 +165,7 @@ def balance_check(
     for fi in decomposition:
         if fi.theta == theta or fi.theta == k:
             raise SteinerError(f"decomposition eigenvalue {fi.theta} clashes with theta={theta} or k={k}")
-        verified(graph, fi)
+        verified(fi)
         for u, x in fi.values.items():
             total[u] = total.get(u, Fraction(0)) + x
     if {u: x for u, x in total.items() if x} != f1.values:

@@ -88,8 +88,8 @@ def _wdbplus2_rays_q2():
                 f = wdbplus2_function(pair, hyp)
                 assert f.theta == -2
                 assert len(f.support) == 6
-                assert support_structure(f.graph, f) == "BipartiteMinusMatching"
-                assert verify_eigenfunction(f.graph, f).ok
+                assert support_structure(f) == "BipartiteMinusMatching"
+                assert verify_eigenfunction(f).ok
                 rays.add(_ray_key(f))
                 instances += 1
         _CACHE["rays_q2"] = (instances, rays)
@@ -143,13 +143,13 @@ def test_criterion_03_projective_minimum_support(g_j2, g_j3):
     for t0, t1 in pairs:
         f = from_bipartite_pair(g_j2, t0, t1, -3)
         assert len(f.support) == 6
-        assert verify_eigenfunction(g_j2, f).ok
+        assert verify_eigenfunction(f).ok
     sp = g_j2.design.space
     ordered = enumerate_reguli(sp)
     assert len(ordered) == 560
     for pair in ordered:
         f = optimal_from_regulus(pair, g_j2)
-        cls = classify_optimal(g_j2, f)
+        cls = classify_optimal(f)
         assert type(cls).__name__ == "GrassmannRegulus"
         assert cls.pair == pair
     big_pairs = enumerate_complete_bipartite(g_j3, 4)
@@ -172,8 +172,8 @@ def test_criterion_04_affine_minimum_support(g_x2, g_x3):
         for t0, t1 in enumerate_complete_bipartite(g, q):
             f = from_bipartite_pair(g, t0, t1, -q)
             assert len(f.support) == 2 * q
-            assert verify_eigenfunction(g, f).ok
-            counts[type(classify_optimal(g, f)).__name__] += 1
+            assert verify_eigenfunction(f).ok
+            counts[type(classify_optimal(f)).__name__] += 1
         planes = enumerate_planes(sp)
         class_pairs = (q + 1) * q // 2
         assert counts["Type1"] == len(planes) * class_pairs
@@ -250,7 +250,7 @@ def test_criterion_07_wdbplus2_functions():
             f = wdbplus2_function(pair, hyp)
             assert f.theta == -3
             assert len(f.support) == 8
-            assert support_structure(f.graph, f) == "BipartiteMinusMatching"
+            assert support_structure(f) == "BipartiteMinusMatching"
             done += 1
     assert done >= 100
     _report(7, f"3360 q=2 instances (112 rays) and {done} q=3 instances, zero failures")
@@ -269,8 +269,8 @@ def test_criterion_08_support_six_search(g_x2):
     assert len(set(ray_keys)) == len(res.functions), "duplicate-free"
     census: dict[str, int] = {}
     for f in res.functions:
-        assert verify_eigenfunction(g_x2, f).ok
-        kind = support_structure(g_x2, f)
+        assert verify_eigenfunction(f).ok
+        kind = support_structure(f)
         census[kind] = census.get(kind, 0) + 1
     _, instance_rays = _wdbplus2_rays_q2()
     assert instance_rays <= set(ray_keys), "every avoided-plane instance is found"

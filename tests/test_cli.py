@@ -889,7 +889,7 @@ def _forbid_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the search started before the --resume file was checked")
 
-    monkeypatch.setattr(cli.eigenfunctions, "search_min_support", no_search)
+    monkeypatch.setattr(cli.eigenfunctions, "_Search", no_search)
 
 
 @pytest.fixture(scope="module")

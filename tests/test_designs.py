@@ -113,7 +113,7 @@ def test_design_params_computed_once(g_x2, monkeypatch):
     monkeypatch.setattr(designs, "srg_spectrum", lambda *args: calls.append(args) or real(*args))
     pairs = enumerate_complete_bipartite(g_x2, 2)
     for t0, t1 in pairs:
-        classify_optimal(g_x2, from_bipartite_pair(g_x2, t0, t1, -2))
+        classify_optimal(from_bipartite_pair(g_x2, t0, t1, -2))
     assert len(pairs) == 210 and calls == []
 
 

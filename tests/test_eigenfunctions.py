@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 import threading
 import types
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -32,6 +33,8 @@ from steinergraphs.eigenfunctions import (
     enumerate_complete_bipartite,
     from_bipartite_pair,
     optimal_from_regulus,
+    SearchResult,
+    SupportFamily,
     search_min_support,
     search_prefix,
     search_prefixes,
@@ -100,14 +103,14 @@ def test_inner_product_and_orthogonality(g_j2):
 
 def test_verify_accepts_true_eigenfunction(g_j2):
     f = optimal_from_regulus(_standard_regulus(), g_j2)
-    res = verify_eigenfunction(g_j2, f)
+    res = verify_eigenfunction(f)
     assert res.ok and res.witness is None
     assert bool(res)
 
 
 def test_verify_reports_first_failure(g_j2):
     f = Eigenfunction(g_j2, 3, {0: Fraction(1)})
-    res = verify_eigenfunction(g_j2, f)
+    res = verify_eigenfunction(f)
     assert not res.ok
     u, lhs, rhs = res.witness
     assert u == 0 and lhs == 3 and rhs == 0
@@ -209,7 +212,7 @@ def test_packed_verify_matches_popcount_loop(case):
     reference loop, on random graphs, theta = 0, Fraction values and
     numerators up to 2^70, eigenfunctions and broken functions alike."""
     kind, graph, f = case
-    res = verify_eigenfunction(graph, f)
+    res = verify_eigenfunction(f)
     assert (res.ok, res.witness) == _popcount_verify(graph, f)
     if kind == "twins":
         assert res.ok
@@ -223,7 +226,7 @@ def test_unkept_width_verify_matches_popcount_loop(case):
     _, graph, f = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(designs, "PACKED_TABLE_BITS", 0)
-        res = verify_eigenfunction(graph, f)
+        res = verify_eigenfunction(f)
     assert not graph._packed
     assert (res.ok, res.witness) == _popcount_verify(graph, f)
 
@@ -283,8 +286,8 @@ def test_optimal_from_regulus(q):
     f = optimal_from_regulus(_standard_regulus(q), g)
     assert f.theta == -(q + 1)
     assert len(f.support) == 2 * (q + 1)  # the WDB for the negative eigenvalue
-    assert verify_eigenfunction(g, f).ok
-    cls = classify_optimal(g, f)
+    assert verify_eigenfunction(f).ok
+    cls = classify_optimal(f)
     assert isinstance(cls, GrassmannRegulus)
     assert cls.pair == _standard_regulus(q)
 
@@ -302,7 +305,7 @@ def test_optimal_from_parallel_classes(q):
     c1, c2 = parallel_classes(plane)[:2]
     f = from_bipartite_pair(g, c1, c2, -q)
     assert len(f.support) == 2 * q
-    cls = classify_optimal(g, f)
+    cls = classify_optimal(f)
     assert cls == Type1((c1, c2), sp)
     # the same indices in AG(4,q) are other lines
     assert cls != Type1((c1, c2), aff_space(4, sp.field))
@@ -320,8 +323,8 @@ def test_optimal_from_affine_regulus(q):
     f = optimal_from_regulus(pair, g)
     assert f.theta == -q
     assert len(f.support) == 2 * q
-    assert verify_eigenfunction(g, f).ok
-    cls = classify_optimal(g, f)
+    assert verify_eigenfunction(f).ok
+    cls = classify_optimal(f)
     assert isinstance(cls, Type2)
     assert cls.pair in (pair, pair.swap())
 
@@ -336,8 +339,8 @@ def test_wdbplus2_function_q2(g_j2):
             f = wdbplus2_function(pair, hyp)
             assert f.theta == -2
             assert len(f.support) == 6  # WDB + 2 on the affine graph
-            assert support_structure(f.graph, f) == "BipartiteMinusMatching"
-            assert verify_eigenfunction(f.graph, f).ok
+            assert support_structure(f) == "BipartiteMinusMatching"
+            assert verify_eigenfunction(f).ok
             hits += 1
         else:
             with pytest.raises(SteinerError, match="hyperplane does not avoid"):
@@ -355,7 +358,7 @@ def test_wdbplus2_function_q3():
         f = wdbplus2_function(pair, hyp)
         assert f.theta == -3
         assert len(f.support) == 8
-        assert support_structure(f.graph, f) == "BipartiteMinusMatching"
+        assert support_structure(f) == "BipartiteMinusMatching"
         done += 1
         if done == 3:
             break
@@ -396,7 +399,7 @@ def test_construction_support_size_checked(g_j2, g_x2, monkeypatch, build):
 def test_wdbplus2_structure_checked(monkeypatch):
     pair = _standard_regulus()
     hyp = _first_wdbplus2_hyperplane(pair)
-    monkeypatch.setattr(eigenfunctions, "support_structure", lambda g, f: "Other")
+    monkeypatch.setattr(eigenfunctions, "support_structure", lambda f: "Other")
     with pytest.raises(SteinerError, match="matching"):
         wdbplus2_function(pair, hyp)
 
@@ -407,7 +410,7 @@ def test_wdbplus2_structure_checked(monkeypatch):
 def test_structure_complete_bipartite(g_x2):
     pairs = enumerate_complete_bipartite(g_x2, 2)
     f = from_bipartite_pair(g_x2, *pairs[0], -2)
-    assert support_structure(g_x2, f) == "CompleteBipartite"
+    assert support_structure(f) == "CompleteBipartite"
 
 
 def test_structure_isolated_clique_pair():
@@ -415,7 +418,7 @@ def test_structure_isolated_clique_pair():
     adj = (0b000110, 0b000101, 0b000011, 0b110000, 0b101000, 0b011000)
     g = Graph(adj)
     f = Eigenfunction(g, 2, {u: Fraction(1) for u in (0, 1, 2)} | {u: Fraction(-1) for u in (3, 4, 5)})
-    assert support_structure(g, f) == "IsolatedCliquePair"
+    assert support_structure(f) == "IsolatedCliquePair"
 
 
 def test_structure_other(g_x2):
@@ -423,7 +426,7 @@ def test_structure_other(g_x2):
     f = Eigenfunction(
         g_x2, -2, {0: Fraction(1), 1: Fraction(1), 2: Fraction(-1), 27: Fraction(-1)}
     )
-    assert support_structure(g_x2, f) == "Other"
+    assert support_structure(f) == "Other"
 
 
 # -- complete bipartite enumeration -----------------------------------------------------------
@@ -475,7 +478,7 @@ def test_classify_rejects_non_minimum_support(g_j2):
         if not set(f1.support) & set(f2.support):
             f = Eigenfunction(g_j2, f1.theta, f1.values | f2.values)
             with pytest.raises(SteinerError, match="is not the bound"):
-                classify_optimal(g_j2, f)
+                classify_optimal(f)
             return
     pytest.fail("no disjoint regulus pair found")
 
@@ -484,7 +487,7 @@ def test_classification_census_q2(g_x2):
     counts = {"Type1": 0, "Type2": 0}
     for t0, t1 in enumerate_complete_bipartite(g_x2, 2):
         f = from_bipartite_pair(g_x2, t0, t1, -2)
-        cls = classify_optimal(g_x2, f)
+        cls = classify_optimal(f)
         counts[type(cls).__name__] += 1
     assert counts == {"Type1": 42, "Type2": 168}
 
@@ -507,8 +510,8 @@ def test_search_at_bound_finds_all_rays(g_x2):
     supports = {f.support for f in res.functions}
     assert len(supports) == 210  # duplicate-free
     for f in res.functions:
-        assert verify_eigenfunction(g_x2, f).ok
-        assert support_structure(g_x2, f) == "CompleteBipartite"
+        assert verify_eigenfunction(f).ok
+        assert support_structure(f) == "CompleteBipartite"
         first = f.value(f.support[0])
         assert first > 0  # ray normalisation
 
@@ -535,19 +538,34 @@ def test_search_rejects_bad_mode_and_target(g_x2):
 
 
 def test_search_resume_roundtrip(g_x2):
-    """A spent budget returns the cut result with its checkpoint, which
-    resumes the rest; a complete search's checkpoint holds every prefix."""
+    """A spent budget returns the cut result with its checkpoint; resumed
+    from that result the search returns the whole answer, and resumed
+    from a complete result it does no work."""
     partial = search_min_support(g_x2, -2, 4, limit=2000)
-    checkpoint = partial.checkpoint
     assert not partial.complete
-    assert checkpoint["done"]
-    rest = search_min_support(g_x2, -2, 4, resume=checkpoint)
-    assert rest.complete
-    key = lambda f: sorted(f.values.items())
-    merged = sorted([key(f) for f in partial.functions] + [key(f) for f in rest.functions])
+    assert partial.checkpoint["done"]
+    rest = search_min_support(g_x2, -2, 4, resume=partial)
     full = search_min_support(g_x2, -2, 4)
-    assert merged == sorted(key(f) for f in full.functions)
-    assert search_min_support(g_x2, -2, 4, resume=rest.checkpoint).functions == ()
+    assert rest.complete
+    assert (rest.functions, rest.checkpoint) == (full.functions, full.checkpoint)
+    again = search_min_support(g_x2, -2, 4, resume=rest)
+    assert (again.functions, again.checkpoint, again.nodes) == (full.functions, full.checkpoint, 0)
+
+
+@pytest.mark.parametrize("mode", ["branch-and-prune", "exhaustive"])
+@pytest.mark.parametrize("size, limit", [(6, 400000), (4, 2000)])
+def test_search_resumed_from_a_cut_result_is_the_uncut_search(g_x2, mode, size, limit):
+    """Resumed from its cut result, a search returns the uncut search's
+    functions, families and checkpoint, the carried ones in support order
+    among the new; its nodes count only the resumed work.  A resume used
+    to take only the done list and return only what was found after it."""
+    cut = search_min_support(g_x2, -2, size, mode, limit=limit)
+    assert not cut.complete and cut.functions and (size == 4 or cut.families)
+    rest = search_min_support(g_x2, -2, size, mode, resume=cut)
+    full = search_min_support(g_x2, -2, size, mode)
+    assert rest.complete
+    assert (rest.functions, rest.families, rest.checkpoint) == (full.functions, full.families, full.checkpoint)
+    assert rest.nodes < full.nodes
 
 
 def test_search_prefixes_pinned_on_ag32(g_x2):
@@ -583,7 +601,7 @@ def test_search_resume_refuses_a_done_prefix_the_search_does_not_have(g_x2, monk
     done = [(0, 1), (0, 1)] if prefix == "repeated" else [prefix]
     monkeypatch.setattr(eigenfunctions, "_Search", _no_search)
     with pytest.raises(ValueError, match="not a prefix of this search"):
-        search_min_support(g_x2, -2, size, resume={"done": done})
+        search_min_support(g_x2, -2, size, resume=SearchResult((), (), 0, 0, False, {"done": done}))
 
 
 def test_search_resume_refuses_bogus_entries_among_good_ones(g_x2):
@@ -591,7 +609,47 @@ def test_search_resume_refuses_bogus_entries_among_good_ones(g_x2):
     give a complete result with 208 of the 210 rays and a checkpoint of
     328 entries, the three bogus ones among them."""
     with pytest.raises(ValueError, match=r"done prefix \[0, 999\] is not a prefix of this search"):
-        search_min_support(g_x2, -2, 4, resume={"done": [(0, 999), (5, 2), (7,), (0, 1), (0, 1)]})
+        done = [(0, 999), (5, 2), (7,), (0, 1), (0, 1)]
+        search_min_support(g_x2, -2, 4, resume=SearchResult((), (), 0, 0, False, {"done": done}))
+
+
+@pytest.fixture(scope="module")
+def cut_searches(g_x2):
+    """The complete AG(3,2) size-4 search at theta -2, and its size-4 and
+    size-6 searches cut at 2000 and 400000 nodes."""
+    return {"full4": search_min_support(g_x2, -2, 4), "cut4": search_min_support(g_x2, -2, 4, limit=2000),
+            "cut6": search_min_support(g_x2, -2, 6, limit=400000)}
+
+
+@pytest.mark.parametrize("case", ["undone-prefix", "other-size", "family-other-size", "repeated-function",
+                                  "repeated-family", "other-theta", "other-graph"])
+def test_search_resume_refuses_what_the_search_cannot_have_found(g_x2, monkeypatch, cut_searches, case):
+    """A search finds each support once, of its size, below a done prefix,
+    as functions of its graph at its theta; search_min_support refuses,
+    before any work, a cut result carrying any other function or family,
+    as the CLI's --resume does.  Only the CLI used to check them."""
+    size6 = "family" in case or case == "other-size"
+    cut = cut_searches["cut6" if size6 else "cut4"]
+    done = set(cut.checkpoint["done"])
+    functions, families = cut.functions, cut.families
+    if case == "undone-prefix":
+        functions += (next(f for f in cut_searches["full4"].functions if search_prefix(f.support) not in done),)
+    elif case == "other-size":
+        functions += (next(f for f in cut_searches["cut4"].functions if search_prefix(f.support) in done),)
+    elif case == "family-other-size":
+        fam = families[0]
+        families = (replace(fam, support=(*fam.support, fam.support[-1] + 1)), *families[1:])
+    elif case == "repeated-function":
+        functions += functions[-1:]
+    elif case == "repeated-family":
+        families += families[-1:]
+    else:
+        f = functions[0]
+        graph = Graph(g_x2.adj) if case == "other-graph" else g_x2
+        functions = (Eigenfunction(graph, 4 if case == "other-theta" else -2, f.values), *functions[1:])
+    monkeypatch.setattr(eigenfunctions, "_Search", _no_search)
+    with pytest.raises(ValueError, match="cannot have found"):
+        search_min_support(g_x2, -2, 6 if size6 else 4, resume=replace(cut, functions=functions, families=families))
 
 
 def test_search_parallel_matches_serial(g_x2):
@@ -615,20 +673,18 @@ def test_search_limit_equal_to_total_completes(g_x2):
 def test_exhaustive_search_budget_spent_at_a_node(g_x2, limit):
     """Exhaustive mode counts each group of leaves at once too, and its
     budget runs out at one node: one and two workers give the same
-    checkpoint and partial result, and resuming the checkpoint finds the
-    rest of the 210 rays."""
+    checkpoint and partial result, and resumed from the cut result the
+    search returns the uncut search's 210 rays."""
     serial, parallel = (search_min_support(g_x2, -2, 4, "exhaustive", limit=limit, jobs=jobs) for jobs in (1, 2))
     assert not serial.complete and not parallel.complete
     assert parallel.checkpoint == serial.checkpoint
     assert _outcome(parallel) == _outcome(serial)
     assert (parallel.nodes, parallel.kernel_calls) == (serial.nodes, serial.kernel_calls)
     assert serial.nodes > limit
-    rest = search_min_support(g_x2, -2, 4, "exhaustive", resume=serial.checkpoint)
-    key = lambda f: sorted(f.values.items())
-    merged = sorted(key(f) for f in (*serial.functions, *rest.functions))
+    rest = search_min_support(g_x2, -2, 4, "exhaustive", resume=serial)
     full = search_min_support(g_x2, -2, 4)
-    assert len(merged) == 210
-    assert merged == sorted(key(f) for f in full.functions)
+    assert len(rest.functions) == 210
+    assert (rest.functions, rest.checkpoint) == (full.functions, full.checkpoint)
 
 
 # nodes, kernel calls and done prefixes of the support-6 search on AG(3,2)

@@ -353,6 +353,8 @@ def test_line_permutation_rejects_singular_matrix():
         line_permutation(psp, singular)
     with pytest.raises(SteinerError, match="needs 4 rows"):
         line_permutation(psp, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(SteinerError, match="needs 4 rows of length 4"):
+        line_permutation(psp, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
 
 def test_restriction_then_closure_identity():

@@ -19,7 +19,6 @@ from steinergraphs.gf import field_make
 from steinergraphs.linalg import (
     bareiss_echelon,
     in_rowspace,
-    inverse,
     kernel,
     rank,
     rational_kernel,
@@ -187,38 +186,7 @@ def test_bareiss_echelon_rowspace_preserved():
         assert len(pivots2) == len(pivots)
 
 
-# -- inverse / subspace operations ---------------------------------------------------
-
-
-def _product(f, a, b):
-    """The matrix product a b over the field, through Field.dot."""
-    return tuple(tuple(f.dot(row, col) for col in zip(*b)) for row in a)
-
-
-def test_inverse_pinned_example():
-    """Over GF(5) the inverse of [[1, 2], [3, 4]] is (-2)^-1 [[4, -2], [-3, 1]]."""
-    f = field_make(5)
-    m = ((1, 2), (3, 4))
-    inv = inverse(f, m)
-    assert inv == ((3, 1), (4, 2))
-    assert _product(f, m, inv) == _product(f, inv, m) == ((1, 0), (0, 1))
-
-
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_inverse_rejects_singular(q):
-    """[M | I] has full rank for every M, so singularity shows only in
-    where the pivots fall."""
-    f = field_make(2, 2) if q == 4 else field_make(q)
-    rng = random.Random(q)
-    for _ in range(40):
-        m = _random_matrix(f, 3, 3, rng)
-        if rank(f, m) == 3:
-            assert _product(f, m, inverse(f, m)) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        else:
-            with pytest.raises(SteinerError, match="singular"):
-                inverse(f, m)
-    with pytest.raises(SteinerError, match="singular"):
-        inverse(f, ((1, 1), (1, 1)))
+# -- subspace operations ---------------------------------------------------------
 
 
 def test_dimension_mismatch_raised():
@@ -227,5 +195,3 @@ def test_dimension_mismatch_raised():
         in_rowspace(f, ((1, 0), (0, 1)), (1, 0, 1))
     with pytest.raises(SteinerError, match="ragged"):
         rref(f, ((1, 0), (0, 1, 1)))
-    with pytest.raises(SteinerError, match="square matrix"):
-        inverse(f, ((1, 0, 0), (0, 1, 0)))

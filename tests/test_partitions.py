@@ -110,7 +110,7 @@ def test_partition_to_eigenfunction_star(g_j2):
     assert f.theta == 3
     assert f.value(part.v1[0]) == 4
     assert f.value(part.v2[0]) == -1
-    assert verify_eigenfunction(g_j2, f).ok
+    assert verify_eigenfunction(f).ok
 
 
 def test_partition_to_eigenfunction_direction(g_x2):
@@ -139,7 +139,7 @@ def test_partition_to_eigenfunction_checks_quotient_eigenvector(g_j2, monkeypatc
 
 def test_partition_to_eigenfunction_checks_eigenvalue_equation(g_j2, monkeypatch):
     witness = (0, Fraction(12), Fraction(11))
-    monkeypatch.setattr(eigenfunctions, "verify_eigenfunction", lambda g, f: VerifyResult(False, witness))
+    monkeypatch.setattr(eigenfunctions, "verify_eigenfunction", lambda f: VerifyResult(False, witness))
     part = Partition2.from_part(g_j2, star_line_set(g_j2.design.space, 0))
     with pytest.raises(NotAnEigenfunctionError) as exc:
         partition_to_eigenfunction(g_j2, part)
@@ -187,12 +187,26 @@ def test_balance_refuses_a_summand_that_fails_verification(g_j2):
     and is refused with the witness of its failing vertex."""
     f1 = _regulus_function(g_j2)
     bad = Eigenfunction(g_j2, 1, f1.values)
-    witness = verify_eigenfunction(g_j2, bad).witness
+    witness = verify_eigenfunction(bad).witness
     assert witness is not None
     part = Partition2.from_part(g_j2, star_line_set(g_j2.design.space, 0))
     with pytest.raises(NotAnEigenfunctionError, match=f"vertex {witness[0]}:") as info:
         balance_check(g_j2, f1, [bad], part, 3)
     assert info.value.witness == witness
+
+
+def test_balance_refuses_a_function_of_another_graph(g_j2, g_x2):
+    """f1 and each summand must be functions on the given graph.  An
+    optimal function of the AG(3,2) graph, checked on the PG(3,2) graph,
+    used to be reported as failing its eigenvalue equation at vertex 0."""
+    t0, t1 = eigenfunctions.enumerate_complete_bipartite(g_x2, 2)[0]
+    f = eigenfunctions.from_bipartite_pair(g_x2, t0, t1, -2)
+    f1 = _regulus_function(g_j2)
+    twin = Eigenfunction(Graph(g_j2.adj), f1.theta, f1.values)
+    part = Partition2.from_part(g_j2, star_line_set(g_j2.design.space, 0))
+    for f1, summands in ((f, [f]), (f1, [twin])):
+        with pytest.raises(ValueError, match="on the given graph"):
+            balance_check(g_j2, f1, summands, part, 3)
 
 
 def test_balance_bad_decomposition(g_j2):

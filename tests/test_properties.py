@@ -136,7 +136,7 @@ def test_eigenfunction_linearity():
     f2 = optimal_from_regulus(pairs[7], g)
     for a, b in ((1, 1), (1, -1), (5, 0), (Fraction(2, 3), 0)):
         values = {u: a * f1.value(u) + b * f2.value(u) for u in {*f1.support, *f2.support}}
-        assert verify_eigenfunction(g, Eigenfunction(g, f1.theta, values)).ok
+        assert verify_eigenfunction(Eigenfunction(g, f1.theta, values)).ok
 
 
 def inner_product(f: Eigenfunction, g: Eigenfunction) -> Fraction:
@@ -238,7 +238,7 @@ def vertex_functions(draw):
 @example(("random", Eigenfunction(G_AG32, -2, {0: Fraction(-5, 3), 27: Fraction(2, 7)})))
 def test_verify_matches_fraction_reference(case):
     kind, f = case
-    res = verify_eigenfunction(f.graph, f)
+    res = verify_eigenfunction(f)
     assert (res.ok, res.witness) == _reference_verify(f.graph, f)
     if kind == "eigen":
         assert res.ok
