@@ -201,10 +201,10 @@ def test_balance_refuses_a_function_of_another_graph(g_j2, g_x2):
     used to be reported as failing its eigenvalue equation at vertex 0."""
     t0, t1 = eigenfunctions.enumerate_complete_bipartite(g_x2, 2)[0]
     f = eigenfunctions.from_bipartite_pair(g_x2, t0, t1, -2)
-    f1 = _regulus_function(g_j2)
-    twin = Eigenfunction(Graph(g_j2.adj), f1.theta, f1.values)
+    own = _regulus_function(g_j2)
+    twin = Eigenfunction(Graph(g_j2.adj), own.theta, own.values)
     part = Partition2.from_part(g_j2, star_line_set(g_j2.design.space, 0))
-    for f1, summands in ((f, [f]), (f1, [twin])):
+    for f1, summands in ((f, [f]), (own, [twin])):
         with pytest.raises(ValueError, match="on the given graph"):
             balance_check(g_j2, f1, summands, part, 3)
 
