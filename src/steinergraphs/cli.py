@@ -20,8 +20,9 @@ Conventions:
     verify-eigenfunction, and enumerate-reguli, enumerate-affine-reguli
     and cameron-liebler, which work in dimension 3, take no --n), a
     negative --limit, a --jobs below 1, a --resume file that cannot be
-    read or that the search refuses to resume from (a done prefix it does
-    not have, a support it cannot have found), or an --out file that
+    read, that carries an entry which is no function of the graph, or
+    that the search refuses to resume from (a done prefix it does not
+    have, a support it cannot have found), or an --out file that
     cannot be written; past the parser each is a ValueError;
   * every named check recomputes what its name claims, and a failed
     check carries a witness;
@@ -32,9 +33,9 @@ Conventions:
     the library returns as line indices, are rendered through it;
   * a block graph's rows are its space's meet table (``space.meets``);
     spaces and designs are memoised, and a design keeps its block graph;
-  * each line's JSON is encoded once per command, and every line listing
-    and regulus-pair listing is joined from those texts, with the same
-    bytes as encoding the whole certificate at once.
+  * each line's JSON is encoded once per command; line listings are joined
+    from those texts and each listed regulus pair is written in one step
+    from that table, with the same bytes as encoding the whole certificate.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ def _line_table(space) -> list[str]:
 def _pair_json(pair, table: list[str], first: str = "r_lines") -> dict:
     """The two families of a pair, each line rendered by its table entry."""
     return {first: _Items([table[t] for t in pair.r_ids]), "opp_lines": _Items([table[t] for t in pair.opp_ids])}
+
+
+def _pair_text(pair, table: list[str], first: str = "r_lines") -> str:
+    """``_dumps(_pair_json(pair, table, first))`` in one join, keys sorted."""
+    return "".join(('{"opp_lines":[', ",".join([table[t] for t in pair.opp_ids]), '],"', first, '":[',
+                    ",".join([table[t] for t in pair.r_ids]), "]}"))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -324,7 +331,7 @@ def _cmd_enumerate_reguli(args, cert: _Cert) -> None:
         "convention": "ordered (R, R_opp) pairs; the swapped orientation is"
         " counted separately; unordered sets and underlying quadrics each"
         " number half the ordered count",
-        "reguli": _Items([_dumps(_pair_json(p, table)) for p in pairs[: args.limit]]),
+        "reguli": _Items([_pair_text(p, table) for p in pairs[: args.limit]]),
     }
     seen = {(p.r_ids, p.opp_ids) for p in pairs}
     cert.check("swap_closed", all((p.opp_ids, p.r_ids) in seen for p in pairs))
@@ -349,7 +356,7 @@ def _cmd_enumerate_affine_reguli(args, cert: _Cert) -> None:
         " unordered-set and lifted-quadric conventions each count half; a"
         " 2-line skew family over GF(2) admits two distinct opposite"
         " families, which stay distinct here",
-        "pairs": _Items([_dumps(_pair_json(p, table, "s_lines")) for p in pairs[: args.limit]]),
+        "pairs": _Items([_pair_text(p, table, "s_lines") for p in pairs[: args.limit]]),
     }
     cert.check("count_matches_formula", len(pairs) == expected, {"expected": expected})
 
@@ -469,7 +476,10 @@ def _resume_arg(path: str, cert: _Cert, graph) -> tuple[eigenfunctions.SearchRes
     # verbatim among the entries rendered from the search's result
     def rebuild(entry):
         values = {u: _rational(x, f"--resume {path}") for u, x in entry["values"]}
-        return eigenfunctions.Eigenfunction(graph, cert.parameters["theta"], values)
+        try:
+            return eigenfunctions.Eigenfunction(graph, cert.parameters["theta"], values)
+        except (ValueError, SteinerError) as ex:
+            raise ValueError(f"--resume {path}: {ex}") from ex
 
     cut = eigenfunctions.SearchResult(tuple(map(rebuild, functions)), tuple(
         eigenfunctions.SupportFamily(tuple(e["support"]), e["dimension"], tuple(map(rebuild, e["basis"])))

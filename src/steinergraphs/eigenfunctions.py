@@ -475,10 +475,15 @@ class _Search:
         if self.theta:
             keep &= one
             need |= mask & ~one
-        if need:
-            keep &= closed[(need & -need).bit_length() - 1]
+        # closed neighbourhoods are symmetric: x meets or is each need vertex
+        while need and keep:
+            low = need & -need
+            keep &= closed[low.bit_length() - 1]
+            need ^= low
+        if not keep:
+            return []
         free = ~(one | mask)
-        return [x for x in bit_indices(keep) if not need & ~closed[x] and not adj[x] & free]
+        return [x for x in bit_indices(keep) if not adj[x] & free]
 
     def leaf_group(self, chosen, w, state, pivots, kers, kids, reduced, found, fams, counters) -> None:
         """Count the leaves ``kids`` below the node w after ``chosen`` at

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import pytest
 
-from steinergraphs import cli, geometry, gf
+from steinergraphs import cli, geometry, gf, reguli
 from steinergraphs.designs import PACKED_TABLE_BITS, affine_design, cached_block_graph, projective_design
 from steinergraphs.eigenfunctions import search_min_support
 from steinergraphs.reguli import RegulusPair
@@ -102,6 +102,22 @@ def test_dumps_writes_items_verbatim_only_in_dicts():
     assert len(cli._Items(texts)) == 2
     with pytest.raises(TypeError):
         cli._dumps({"witness": [cli._Items(texts)]})
+
+
+@pytest.mark.parametrize("first", ["r_lines", "s_lines"])
+@pytest.mark.parametrize("kind, q", [("proj", 2), ("aff", 2), ("proj", 3), ("aff", 3)])
+def test_pair_text_is_canonical_json(kind, q, first):
+    """Every pair the listings write, written in one join, is the compact
+    key-sorted encoding of its plain families and equals _dumps of the
+    pair's _pair_json, under either name of the first family."""
+    space = cli._space_of(kind, 3, q)
+    table = cli._line_table(space)
+    plain = [cli._line_json(line) for line in space.lines]
+    for pair in reguli.enumerate_reguli(space):
+        text = cli._pair_text(pair, table, first)
+        families = {first: [plain[t] for t in pair.r_ids], "opp_lines": [plain[t] for t in pair.opp_ids]}
+        assert text == json.dumps(families, sort_keys=True, separators=(",", ":"))
+        assert text == cli._dumps(cli._pair_json(pair, table, first))
 
 
 def test_out_file_written(tmp_path, capsys):
@@ -821,6 +837,33 @@ def test_search_resume_zero_denominator_exit_2_before_search(tmp_path, capsys, m
     assert "--resume" in err and "1/0" in err
 
 
+@pytest.mark.parametrize("tamper, message", [
+    (lambda values: [[u, "0"] for u, _ in values], "zero function"),
+    (lambda values: [[99, values[0][1]], *values[1:]], "vertex 99"),
+])
+def test_search_resume_bad_entry_exit_2_before_search(tmp_path, capsys, monkeypatch, tamper, message):
+    """A carried entry that is no function of the graph, all of whose
+    values are zero or one of whose vertices is out of range, exits 2
+    naming --resume, before any search work.  The zero function used to
+    exit 1 with a failed no_errors check, and the vertex out of range to
+    exit 2 without naming the option."""
+    part_file = tmp_path / "partial.json"
+    cli.main([*AG32_SIZE4, "--limit", "2000", "--out", str(part_file), "--format", "json"])
+    capsys.readouterr()
+    partial = json.loads(part_file.read_text())
+    entry = partial["result"]["functions"][0]
+    entry["values"] = tamper(entry["values"])
+    part_file.write_text(json.dumps(partial))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started before the carried values were read")
+
+    monkeypatch.setattr(cli.eigenfunctions, "search_min_support", no_search)
+    code, err = _usage_error(capsys, *AG32_SIZE4, "--resume", str(part_file))
+    assert code == 2
+    assert f"--resume {part_file}" in err and message in err
+
+
 def test_search_resume_repeated_key_exit_2(tmp_path, capsys):
     """A --resume file whose object repeats a key exits 2 naming the file
     and the key, before any search work; json used to keep the last value."""
@@ -1058,6 +1101,10 @@ PINNED_RESULTS = {
                          "05a237ed5586c92dee24bd44125b7905139094067eb8bf873a15f7fc25201876"),
     "enumerate-affine-reguli": (("enumerate-affine-reguli", "--q", "2"),
                                 "7b17b622b11ba84c89055a931f8722ebed447ab3bab22eb8f6c62065af33ce40"),
+    "enumerate-reguli-q3": (("enumerate-reguli", "--q", "3"),
+                            "d6a6db19348d21070ea3305d625d0292cbc9cb0c5492d44886bd9f0ee31f0d9c"),
+    "enumerate-affine-reguli-q3": (("enumerate-affine-reguli", "--q", "3"),
+                                   "32b09ca764d5e9553ad688fbb9a43d0205490fc88a876b6b904a07553736a190"),
     "enumerate-optimal-proj-3-2": (("enumerate-optimal", "--space", "proj", "--n", "3", "--q", "2"),
                                    "0989c5cfbac084d90db448387d7ed5eb6a2bb4861609d327be8f32cf19479d5e"),
     "enumerate-optimal-aff-3-2": (("enumerate-optimal", "--space", "aff", "--n", "3", "--q", "2"),
@@ -1096,10 +1143,11 @@ def test_certificate_is_canonical_json(capsys, name):
     assert cli.main([*argv, "--format", "json"]) == 0
     text = capsys.readouterr().out.rstrip("\n")
     canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
-    # a bool, so that a failure does not diff two long one-line texts
-    at = next((i for i, (a, b) in enumerate(zip(text, canonical)) if a != b), min(len(text), len(canonical)))
-    same = text == canonical
-    assert same, f"stdout leaves its canonical encoding at byte {at}: {text[max(at - 30, 0):at + 30]!r}"
+    # the first differing byte, not a diff of two long one-line texts,
+    # found only on a failure: the q = 3 listings run to 6 MB
+    if text != canonical:
+        at = next((i for i, (a, b) in enumerate(zip(text, canonical)) if a != b), min(len(text), len(canonical)))
+        pytest.fail(f"stdout leaves its canonical encoding at byte {at}: {text[max(at - 30, 0):at + 30]!r}")
 
 
 @pytest.mark.parametrize("space", ["proj", "aff"])
