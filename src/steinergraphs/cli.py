@@ -9,21 +9,23 @@ Conventions:
   * exit codes: 0 success, 1 a check failed, 2 usage error, 3 resource
     limit reached;
   * bad input fails at this boundary with exit code 2: malformed JSON,
-    a --function that is not an object, a --part that is not a list of
-    distinct line indices in range, a --lines or --vectors that is not three
-    lines (each of two basis rows of rank 2) or vectors, a --plane,
-    --hyperplane, --direction or --star that is not a list of field
-    elements of the space's length (--star also takes a point index in
-    range, and in a projective space any nonzero multiple of a point),
-    an option the command does not read (--jobs belongs to search-support,
-    --limit to it and the three enumerations, --theta to it, wdb and
-    verify-eigenfunction, and enumerate-reguli, enumerate-affine-reguli
-    and cameron-liebler, which work in dimension 3, take no --n), a
-    negative --limit, a --jobs below 1, a --resume file that cannot be
-    read, that carries an entry which is no function of the graph, or
-    that the search refuses to resume from (a done prefix it does not
-    have, a support it cannot have found), or an --out file that
-    cannot be written; past the parser each is a ValueError;
+    a --function that is no function of the graph (not an object, or zero
+    everywhere), a --part that is not a list of distinct line indices in
+    range, a --lines or --vectors that is not three lines (each of two
+    basis rows of rank 2) or vectors, a --plane, --hyperplane or
+    --direction that is not a nonzero list of field elements of the
+    space's length, a --star that is no point (by coordinates, any nonzero
+    multiple in a projective space, or index), an option the command does
+    not read (--jobs belongs to search-support, --limit to it and the
+    three enumerations, --theta to it, wdb and verify-eigenfunction, and
+    enumerate-reguli, enumerate-affine-reguli and cameron-liebler, which
+    work in dimension 3, take no --n), a negative --limit, a --jobs below
+    1, a --resume file that cannot be read, that carries an entry other
+    than, as canonical JSON, the one the search writes for the values it
+    holds, or that the search refuses to resume from (a done prefix it
+    does not have, a support it cannot have found, a function that does
+    not verify), all before any search work, or an --out file that cannot
+    be written; past the parser each is a ValueError;
   * every named check recomputes what its name claims, and a failed
     check carries a witness;
   * lines are encoded as integer arrays via their canonical forms: a
@@ -136,23 +138,25 @@ def _vector(data, what: str, space) -> tuple[int, ...]:
 
 
 def _vector_arg(text: str, flag: str, space, point: bool = False):
-    """A vector option; with ``point`` the option names a point, by its
-    coordinates or its index, and the point index is returned.  The
-    coordinates of a projective point may be any nonzero multiple of
-    its normalised ones."""
+    """A nonzero vector option; with ``point`` the option names a point
+    instead, by its coordinates or its index, and the point index is
+    returned.  The coordinates of a projective point may be any nonzero
+    multiple of its normalised ones."""
     data = _parse_json_arg(text, flag)
     if point and type(data) is int:
         if not 0 <= data < len(space.points):
             raise ValueError(f"{flag} point index {data} is not in range({len(space.points)})")
         return data
     vec = _vector(data, flag, space)
-    if point:
-        if isinstance(space, geometry.ProjSpace) and any(vec):
-            vec = space.field.normalize_row(vec)
-        if vec not in space.point_index:
-            raise ValueError(f"{flag} {list(vec)} is not a point of {space}")
-        return space.point_index[vec]
-    return vec
+    if not point:
+        if not any(vec):
+            raise ValueError(f"{flag} must be a nonzero vector, got {list(vec)}")
+        return vec
+    if isinstance(space, geometry.ProjSpace) and any(vec):
+        vec = space.field.normalize_row(vec)
+    if vec not in space.point_index:
+        raise ValueError(f"{flag} {list(vec)} is not a point of {space}")
+    return space.point_index[vec]
 
 
 def _regulus_arg(args):
@@ -174,13 +178,22 @@ def _regulus_arg(args):
     return space, reguli.regulus_through(space, *lines)
 
 
-def _rational(text: str, what: str) -> Fraction:
-    """A rational value given in ``what``; a malformed value or a zero
-    denominator is a usage error naming it."""
+def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as ex:
-        raise ValueError(f"{what}: {text!r} is not a rational number") from ex
+        raise ValueError(f"{text!r} is not a rational number") from ex
+
+
+def _function_arg(pairs, what: str, graph, theta: int) -> eigenfunctions.Eigenfunction:
+    """The function of ``graph`` at ``theta`` with the parsed (vertex,
+    value) pairs; pairs that give no such function (a malformed pair or
+    value, a vertex out of range, every value zero) are a ValueError
+    naming ``what``."""
+    try:
+        return eigenfunctions.Eigenfunction(graph, theta, {u: _rational(str(x)) for u, x in pairs})
+    except (TypeError, ValueError, SteinerError) as ex:
+        raise ValueError(f"{what}: {ex}") from ex
 
 
 def _function_json(f: eigenfunctions.Eigenfunction, structure: str | None = None) -> dict:
@@ -190,14 +203,8 @@ def _function_json(f: eigenfunctions.Eigenfunction, structure: str | None = None
     return entry
 
 
-def _family_json(basis) -> dict:
-    """A support family by its basis: its support is the union of the
-    basis supports and its dimension the size of the basis."""
-    return {
-        "support": sorted({u for f in basis for u in f.support}),
-        "dimension": len(basis),
-        "basis": [_function_json(f) for f in basis],
-    }
+def _family_json(fam: eigenfunctions.SupportFamily) -> dict:
+    return {"support": list(fam.support), "dimension": fam.dimension, "basis": list(map(_function_json, fam.basis))}
 
 
 class _Cert:
@@ -401,8 +408,7 @@ def _cmd_verify_eigenfunction(args, cert: _Cert) -> None:
     for u in data:
         if u not in vertices:
             raise ValueError(f"--function: vertex {u!r} is not an index in 0..{graph.v - 1}")
-    values = {vertices[u]: _rational(str(x), "--function") for u, x in data.items()}
-    f = eigenfunctions.Eigenfunction(graph, args.theta, values)
+    f = _function_arg(((vertices[u], x) for u, x in data.items()), "--function", graph, args.theta)
     res = eigenfunctions.verify_eigenfunction(f)
     cert.result = {"theta": args.theta, "support": list(f.support), "ok": res.ok}
     if res.witness is not None:
@@ -429,83 +435,63 @@ def _cmd_wdbplus2(args, cert: _Cert) -> None:
     cert.check("verifies", bool(eigenfunctions.verify_eigenfunction(f)))
 
 
+def _found_json(res: eigenfunctions.SearchResult) -> tuple[list, list]:
+    """The function and the family entries of a search result's certificate."""
+    return ([_function_json(f, eigenfunctions.support_structure(f)) for f in res.functions],
+            list(map(_family_json, res.families)))
+
+
 def _int_list(value) -> bool:
     return isinstance(value, list) and all(type(u) is int for u in value)
 
 
-def _valued(entry) -> bool:
-    """Whether a function entry holds a list of [index, string] values."""
-    values = entry.get("values") if isinstance(entry, dict) else None
-    return isinstance(values, list) and all(
-        isinstance(v, list) and len(v) == 2 and type(v[0]) is int and isinstance(v[1], str) for v in values
-    )
-
-
-def _resume_arg(path: str, cert: _Cert, graph) -> tuple[eigenfunctions.SearchResult, list]:
+def _resume_arg(path: str, cert: _Cert, graph) -> eigenfunctions.SearchResult:
     """The certificate of an interrupted run of the same search on
-    ``graph``, checked for its shape and rebuilt into the cut SearchResult
-    that search_min_support resumes (which checks its prefixes and
-    supports), with the carried function and family entries as read."""
+    ``graph``, rebuilt into the cut SearchResult that search_min_support
+    resumes (which checks its prefixes and what it carries); each carried
+    entry must be, as canonical JSON, the one its values give."""
+    what = f"--resume {path}"
     try:
         with open(path) as fh:
-            prev = _parse_json_arg(fh.read(), f"--resume {path}")
+            prev = _parse_json_arg(fh.read(), what)
     except OSError as ex:
-        raise ValueError(f"--resume {path}: {ex.strerror or ex}") from ex
+        raise ValueError(f"{what}: {ex.strerror or ex}") from ex
     result = prev.get("result") if isinstance(prev, dict) else None
     if not (isinstance(result, dict) and isinstance(prev.get("parameters"), dict)):
-        raise ValueError(f"--resume {path} is not the certificate of a search")
+        raise ValueError(f"{what} is not the certificate of a search")
     keys = ("space", "n", "q", "theta", "size", "mode")
-    if prev.get("command") != cert.command or any(
-        prev["parameters"].get(k) != cert.parameters.get(k) for k in keys
-    ):
-        raise ValueError(f"--resume {path} is a checkpoint of a different search")
+    if prev.get("command") != cert.command or any(prev["parameters"].get(k) != cert.parameters.get(k) for k in keys):
+        raise ValueError(f"{what} is a checkpoint of a different search")
     checkpoint, functions, families = (result.get(k) for k in ("checkpoint", "functions", "families"))
     done = checkpoint.get("done") if isinstance(checkpoint, dict) else None
-    entries = [e for part in (functions, families) if isinstance(part, list) for e in part]
-    if not (
-        isinstance(done, list) and all(map(_int_list, done))
-        and isinstance(functions, list) and isinstance(families, list)
-        and all(isinstance(e, dict) and _int_list(e.get("support")) for e in entries)
-        and all(isinstance(e.get("structure"), str) and _valued(e) for e in functions)
-        and all(type(e.get("dimension")) is int and isinstance(e.get("basis"), list) for e in families)
-        and all(_valued(b) for e in families for b in e["basis"])
-    ):
-        raise ValueError(f"--resume {path} holds no checkpoint of an interrupted search")
-
-    # a carried entry is rebuilt from its values, and must come back
-    # verbatim among the entries rendered from the search's result
-    def rebuild(entry):
-        values = {u: _rational(x, f"--resume {path}") for u, x in entry["values"]}
-        try:
-            return eigenfunctions.Eigenfunction(graph, cert.parameters["theta"], values)
-        except (ValueError, SteinerError) as ex:
-            raise ValueError(f"--resume {path}: {ex}") from ex
-
-    cut = eigenfunctions.SearchResult(tuple(map(rebuild, functions)), tuple(
-        eigenfunctions.SupportFamily(tuple(e["support"]), e["dimension"], tuple(map(rebuild, e["basis"])))
-        for e in families), 0, 0, False, {"done": done})
+    # the library would read a prefix [true, 2] as (1, 2) and write it back
+    if not (isinstance(done, list) and all(map(_int_list, done))
+            and isinstance(functions, list) and isinstance(families, list)):
+        raise ValueError(f"{what} holds no checkpoint of an interrupted search")
+    rebuild = lambda entry: _function_arg(entry["values"], "a carried function", graph, cert.parameters["theta"])
+    try:
+        fams = tuple(eigenfunctions.SupportFamily(tuple(map(rebuild, e["basis"]))) for e in families)
+        cut = eigenfunctions.SearchResult(tuple(map(rebuild, functions)), fams, 0, 0, False, {"done": done})
+    except (TypeError, KeyError, ValueError) as ex:
+        raise ValueError(f"{what}: {ex}") from ex
+    for entry, own in zip(chain(functions, families), chain(*_found_json(cut))):
+        if _dumps(entry) != _dumps(own):
+            raise ValueError(f"{what}: carried entry {_dumps(entry)} is not {_dumps(own)}, as its values give it")
     print(f"resuming from {path}: {len(done)} prefixes done", file=sys.stderr)
-    return cut, entries
+    return cut
 
 
 def _cmd_search_support(args, cert: _Cert) -> int:
     graph = _graph_of(args.space, args.n, args.q)
-    cut, carried = _resume_arg(args.resume, cert, graph) if args.resume else (None, [])
+    cut = _resume_arg(args.resume, cert, graph) if args.resume else None
     print(f"searching supports of size {args.size} at theta={args.theta} ({args.mode})", file=sys.stderr)
     try:
         res = eigenfunctions.search_min_support(graph, args.theta, args.size, args.mode, limit=args.limit,
                                                 resume=cut, jobs=args.jobs)
     except ValueError as ex:
         raise ValueError(f"--resume {args.resume}: {ex}") if cut else ex
-    fn_entries = [_function_json(f, eigenfunctions.support_structure(f)) for f in res.functions]
-    bases = [fam.basis for fam in res.families]
-    fam_entries = [_family_json(basis) for basis in bases]
-    rendered = {tuple(e["support"]): e for e in (*fn_entries, *fam_entries)}
-    verified = (
-        all(rendered.get(tuple(e["support"])) == e for e in carried)
-        and all(len(basis) >= 2 for basis in bases)
-        and all(map(eigenfunctions.verify_eigenfunction, chain(res.functions, *bases)))
-    )
+    fn_entries, fam_entries = _found_json(res)
+    verified = all(map(eigenfunctions.verify_eigenfunction, chain(res.functions, *(fam.basis for fam in res.families))))
     census: dict[str, int] = {}
     for entry in fn_entries:
         census[entry["structure"]] = census.get(entry["structure"], 0) + 1

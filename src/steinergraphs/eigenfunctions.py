@@ -356,13 +356,23 @@ def classify_optimal(f: Eigenfunction):
 
 @dataclass(frozen=True)
 class SupportFamily:
-    """A support carrying a kernel of dimension >= 2 whose basis supports
-    cover it: a positive-dimensional family of eigenfunctions, the
-    generic member having the full support."""
+    """A kernel of dimension >= 2 by its basis of two or more functions: a
+    family of eigenfunctions whose generic member has the whole support,
+    the union of the basis supports (the search skips a common zero)."""
 
-    support: tuple[int, ...]
-    dimension: int
     basis: tuple[Eigenfunction, ...]
+
+    def __post_init__(self):
+        if len(self.basis) < 2:
+            raise ValueError(f"a support family has a basis of at least two functions, not {len(self.basis)}")
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(sorted({u for f in self.basis for u in f.support}))
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
 
 @dataclass(frozen=True)
@@ -373,7 +383,9 @@ class SearchResult:
     columns) count the work of one call.  A search cut by its node budget
     is not ``complete``: it holds what its done prefixes found, and
     ``checkpoint``, {"done": [prefixes]}, lists them; ``resume`` takes the
-    cut result itself to search the rest."""
+    cut result itself to search the rest, and refuses one that carries a
+    function or family that does not verify or that this search cannot
+    have found."""
 
     functions: tuple[Eigenfunction, ...]
     families: tuple[SupportFamily, ...]
@@ -686,11 +698,11 @@ def search_min_support(
     refuses, with ValueError, a done prefix that search_prefixes does not
     have, and a carried function or family this search cannot have found:
     one not of the target size, not below a done prefix (search_prefix),
-    listed twice, or with a function of another graph or theta; ``nodes``
-    and ``kernel_calls`` count this call's work only.  ``jobs``
-    > 1 searches the prefixes of each first vertex in a pool of forked
-    workers, with the same results and checkpoints; after a cut the
-    running shards stop at their next prefix.
+    listed twice, or with a function of another graph or theta or that
+    does not verify; ``nodes`` and ``kernel_calls`` count this call's work
+    only.  ``jobs`` > 1 searches the prefixes of each first vertex in a
+    pool of forked workers, with the same results and checkpoints; after a
+    cut the running shards stop at their next prefix.
     """
     if mode not in ("exhaustive", "branch-and-prune"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -703,9 +715,10 @@ def search_min_support(
     for x in chain(functions, families):
         s = x.support
         if (len(s) != target or search_prefix(s) not in placed or s in seen
-                or any(f.graph is not graph or f.theta != theta for f in getattr(x, "basis", (x,)))):
-            raise ValueError(f"carried support {list(s)} is one this search cannot have found: it finds each"
-                             f" support of size {target} once, below a done prefix, on its graph at theta {theta}")
+                or any(f.graph is not graph or f.theta != theta or not verify_eigenfunction(f)
+                       for f in getattr(x, "basis", (x,)))):
+            raise ValueError(f"carried support {list(s)} is one this search cannot have found: it finds each support"
+                             f" of size {target} once, below a done prefix, verified on its graph at theta {theta}")
         seen.add(s)
     params = graph.design.params if graph.design is not None else srg_params_brute(graph)
     if theta not in (params.r, params.s) or theta == params.k:
@@ -733,8 +746,7 @@ def search_min_support(
                 exhausted = True
                 break
             functions += (from_kernel(supp, vec) for supp, vec in found)
-            families += (SupportFamily(supp, len(basis), tuple(from_kernel(supp, vec) for vec in basis))
-                         for supp, basis in fams)
+            families += (SupportFamily(tuple(from_kernel(supp, vec) for vec in basis)) for supp, basis in fams)
             done.append(prefix)
     finally:
         # no worker is killed: multiprocessing.Pool.terminate() could kill one

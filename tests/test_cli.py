@@ -250,6 +250,22 @@ def test_star_zero_vector_exit_2(capsys):
     assert "--star" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("equitable", "--q", "2", "--plane", "[0,0,0,0]"), "--plane"),
+    (("cameron-liebler", "--q", "2", "--plane", "[0,0,0,0]"), "--plane"),
+    (("balance", "--q", "2", "--lines", REGULUS_LINES, "--plane", "[0,0,0,0]"), "--plane"),
+    (("wdbplus2", "--q", "2", "--lines", REGULUS_LINES, "--hyperplane", "[0,0,0,0]"), "--hyperplane"),
+    (("equitable", "--space", "aff", "--q", "2", "--direction", "[0,0,0]"), "--direction"),
+], ids=["equitable-plane", "cameron-liebler-plane", "balance-plane", "wdbplus2-hyperplane", "direction"])
+def test_zero_vector_option_exit_2(capsys, argv, flag):
+    """The zero vector is no hyperplane normal and no direction.  Each of
+    these used to exit 2 with "cannot normalise the zero vector", naming
+    no option."""
+    code, err = _usage_error(capsys, *argv)
+    assert code == 2
+    assert flag in err and "nonzero" in err
+
+
 def test_equitable_direction_class(capsys):
     code, cert = _run(capsys, "equitable", "--space", "aff", "--n", "3", "--q", "2",
                       "--direction", "[1,0,0]")
@@ -457,6 +473,17 @@ def test_function_zero_denominator_exit_2(capsys):
                              "--function", '{"0": "1/0"}')
     assert code == 2
     assert "--function" in err and "1/0" in err
+
+
+@pytest.mark.parametrize("function", ["{}", '{"0": "0", "5": "0/3"}'])
+def test_zero_function_exit_2(capsys, function):
+    """A --function that is zero everywhere is no function of the graph to
+    verify: it exits 2 naming --function, as a carried --resume entry
+    does.  It used to print a certificate and exit 1 through the
+    catch-all no_errors check."""
+    code, err = _usage_error(capsys, "verify-eigenfunction", "--q", "2", "--theta", "3", "--function", function)
+    assert code == 2
+    assert "--function" in err and "zero function" in err
 
 
 def test_function_repeated_key_exit_2(capsys):
@@ -801,20 +828,14 @@ def test_search_resume_rejects_other_search(tmp_path, capsys):
     assert "different search" in captured.err
 
 
-def test_search_resume_reverifies_prior_functions(tmp_path, capsys):
-    part_file = tmp_path / "partial.json"
-    cli.main(["search-support", "--space", "aff", "--n", "3", "--q", "2",
-              "--theta", "-2", "--size", "4", "--limit", "2000",
-              "--out", str(part_file), "--format", "json"])
-    capsys.readouterr()
-    partial = json.loads(part_file.read_text())
-    partial["result"]["functions"][0]["values"][0][1] = "2"
-    part_file.write_text(json.dumps(partial))
-    code, cert = _run(capsys, "search-support", "--space", "aff", "--n", "3", "--q", "2",
-                      "--theta", "-2", "--size", "4", "--resume", str(part_file))
-    assert code == 1
-    verify = next(c for c in cert["checks"] if c["name"] == "all_new_functions_verify")
-    assert verify["passed"] is False
+def test_search_resume_reverifies_prior_functions(tmp_path, capsys, monkeypatch, search_certs):
+    """A carried function is verified again before any search work: one
+    with a value changed exits 2 naming --resume.  It used to run the
+    whole remaining search and then exit 1 with all_new_functions_verify
+    failing."""
+    prev = json.loads(json.dumps(search_certs["cut4"]))
+    prev["result"]["functions"][0]["values"][0][1] = "2"
+    _resume_refused(tmp_path, capsys, monkeypatch, prev)
 
 
 def test_search_resume_zero_denominator_exit_2_before_search(tmp_path, capsys, monkeypatch):
@@ -878,54 +899,63 @@ def test_search_resume_repeated_key_exit_2(tmp_path, capsys):
     assert str(part_file) in err and "'command'" in err
 
 
-def test_search_resume_rerenders_prior_functions(tmp_path, capsys):
-    """A carried function is rebuilt from its values and rendered again:
-    its support and structure are not taken from the file.  A function
-    with genuine values, support [0, 1, 2, 3] and structure "Nonsense"
-    used to resume with exit 0 and a census counting "Nonsense"."""
-    part_file = tmp_path / "partial.json"
-    code = cli.main([*AG32_SIZE4, "--limit", "2000", "--out", str(part_file), "--format", "json"])
-    capsys.readouterr()
-    assert code == 3
-    partial = json.loads(part_file.read_text())
-    genuine = partial["result"]["functions"][0]
-    partial["result"]["functions"][0] = genuine | {"support": [0, 1, 2, 3], "structure": "Nonsense"}
-    part_file.write_text(json.dumps(partial))
-    code, cert = _run(capsys, *AG32_SIZE4, "--resume", str(part_file))
-    assert code == 1
-    assert _check(cert, "all_new_functions_verify")["passed"] is False
-    assert cert["result"]["census"] == {"CompleteBipartite": 210}
-    assert genuine in cert["result"]["functions"]
+def test_search_resume_rerenders_prior_functions(tmp_path, capsys, monkeypatch, search_certs):
+    """A carried function is rebuilt from its values and rendered again,
+    and must come back as the file has it: a genuine function whose
+    support or structure is edited exits 2 naming --resume, before any
+    search work.  Support [0, 1, 2, 3] with structure "Nonsense" used to
+    resume with exit 0 and a census counting "Nonsense", and later to run
+    the whole remaining search and then exit 1."""
+    for edit in ({"support": [0, 1, 2, 3]}, {"structure": "Nonsense"}):
+        prev = json.loads(json.dumps(search_certs["cut4"]))
+        prev["result"]["functions"][0].update(edit)
+        assert "as its values give it" in _resume_refused(tmp_path, capsys, monkeypatch, prev)
 
 
-def test_search_resume_reverifies_prior_families(tmp_path, capsys):
-    """The families a --resume file carries over are checked again: each
-    basis function verifies, the dimension is the basis size and the
-    basis supports cover the support.  A family with a basis value
-    changed and its dimension set to 5 used to resume with every check
-    passing and exit 0."""
-    size6 = (*AG32_SIZE4[:-1], "6")
-    part_file = tmp_path / "partial.json"
-    code = cli.main([*size6, "--limit", "400000", "--out", str(part_file), "--format", "json"])
-    capsys.readouterr()
-    text = part_file.read_text()
-    assert code == 3 and json.loads(text)["result"]["families"]
-
-    def resume(**edit):
-        """Resume with the first family's fields replaced by ``edit``."""
-        partial = json.loads(text)
-        partial["result"]["families"][0].update(edit)
-        part_file.write_text(json.dumps(partial))
-        code, cert = _run(capsys, *size6, "--resume", str(part_file))
-        return code, next(c["passed"] for c in cert["checks"] if c["name"] == "all_new_functions_verify")
-
-    family = json.loads(text)["result"]["families"][0]
-    basis = family["basis"]
+def test_search_resume_reverifies_prior_families(tmp_path, capsys, monkeypatch, search_certs):
+    """The families a --resume file carries over are checked again before
+    any search work: a changed basis value, dimension or support, or a
+    basis of one function, exits 2 naming --resume.  A family with a basis
+    value changed and its dimension set to 5 used to resume with every
+    check passing and exit 0, and later to run the whole remaining search
+    and then exit 1."""
+    family = search_certs["cut6"]["result"]["families"][0]
+    basis = json.loads(json.dumps(family["basis"]))
     basis[0]["values"][0][1] = "7"
-    assert resume() == (0, True)
-    assert resume(basis=basis) == (1, False)
-    assert resume(dimension=5) == (1, False)
-    assert resume(support=family["support"][:-1] + [family["support"][-1] + 1]) == (1, False)
+    for edit in ({"basis": basis}, {"dimension": 5}, {"basis": family["basis"][:1]},
+                 {"support": family["support"][:-1] + [family["support"][-1] + 1]}):
+        prev = json.loads(json.dumps(search_certs["cut6"]))
+        prev["result"]["families"][0].update(edit)
+        _resume_refused(tmp_path, capsys, monkeypatch, prev, "6")
+
+
+@pytest.mark.parametrize("where", ["support", "values"])
+@pytest.mark.parametrize("number", [float, bool])
+def test_search_resume_refuses_non_canonical_numbers(tmp_path, capsys, monkeypatch, search_certs, where, number):
+    """A carried vertex written 1.0 or true for 1 is equal in Python but
+    not in canonical JSON, and exits 2 naming --resume."""
+    prev = json.loads(json.dumps(search_certs["cut4"]))
+    entry = next(e for e in prev["result"]["functions"] if 1 in e["support"])
+    i = entry["support"].index(1)
+    if where == "support":
+        entry["support"][i] = number(1)
+    else:
+        entry["values"][i][0] = number(1)
+    _resume_refused(tmp_path, capsys, monkeypatch, prev)
+
+
+@pytest.mark.parametrize("cut, full", [("cut4", "full4"), ("cut6", "full6")])
+def test_search_resume_round_trips(tmp_path, capsys, search_certs, cut, full):
+    """A cut search resumed from its certificate writes the uncut search's
+    result, byte for byte as canonical JSON: its functions and, at size
+    6, its families pass the --resume check as written."""
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(search_certs[cut]))
+    assert cut == "cut4" or search_certs[cut]["result"]["families"]
+    code, cert = _run(capsys, *AG32_SIZE4[:-1], full[-1], "--resume", str(path))
+    assert code == 0
+    canonical = lambda result: json.dumps(result, sort_keys=True, separators=(",", ":"))
+    assert canonical(cert["result"]) == canonical(search_certs[full]["result"])
 
 
 def _forbid_search(monkeypatch):
@@ -935,12 +965,25 @@ def _forbid_search(monkeypatch):
     monkeypatch.setattr(cli.eigenfunctions, "_Search", no_search)
 
 
+def _resume_refused(tmp_path, capsys, monkeypatch, prev, size="4") -> str:
+    """The stderr of a --resume of the certificate ``prev`` in the AG(3,2)
+    search of this --size, which must exit 2 naming the file, with nothing
+    on stdout and before the search is built."""
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(prev))
+    _forbid_search(monkeypatch)
+    code, err = _usage_error(capsys, *AG32_SIZE4[:-1], size, "--resume", str(path))
+    assert code == 2
+    assert f"--resume {path}" in err
+    return err
+
+
 @pytest.fixture(scope="module")
 def search_certs(tmp_path_factory):
-    """The certificates of the complete AG(3,2) size-4 search (theta -2)
-    and of its size-4 and size-6 searches cut by --limit."""
+    """The certificates of the complete AG(3,2) size-4 and size-6 searches
+    (theta -2), and of the two cut by --limit."""
     runs = {"full4": AG32_SIZE4, "cut4": (*AG32_SIZE4, "--limit", "2000"),
-            "cut6": (*AG32_SIZE4[:-1], "6", "--limit", "400000")}
+            "full6": (*AG32_SIZE4[:-1], "6"), "cut6": (*AG32_SIZE4[:-1], "6", "--limit", "400000")}
     certs = {}
     for name, argv in runs.items():
         path = tmp_path_factory.mktemp("search") / f"{name}.json"
@@ -973,17 +1016,15 @@ def test_search_resume_refuses_what_the_search_cannot_have_found(tmp_path, capsy
             e for e in search_certs["cut4"]["result"]["functions"] if tuple(e["support"][:2]) in done
         ))
     elif case == "family-other-size":
-        support = result["families"][0]["support"]
-        support.append(support[-1] + 1)
+        # the two first families as one, written as the search would write it
+        basis = result["families"][0]["basis"] + result["families"][1]["basis"]
+        support = sorted({u for e in basis for u in e["support"]})
+        result["families"][:2] = [{"support": support, "dimension": len(basis), "basis": basis}]
     else:
         entries = result["functions" if case == "repeated-function" else "families"]
         entries.append(entries[-1])
-    path = tmp_path / "partial.json"
-    path.write_text(json.dumps(prev))
-    _forbid_search(monkeypatch)
-    code, err = _usage_error(capsys, *AG32_SIZE4[:-1], "6" if size6 else "4", "--resume", str(path))
-    assert code == 2
-    assert f"--resume {path}" in err and "cannot have found" in err
+    err = _resume_refused(tmp_path, capsys, monkeypatch, prev, "6" if size6 else "4")
+    assert "cannot have found" in err
 
 
 @pytest.mark.parametrize("size, prefix", [
@@ -1005,12 +1046,7 @@ def test_search_resume_refuses_a_done_prefix_the_search_does_not_have(tmp_path, 
     else:
         prev = _search_cert({"checkpoint": {"done": [prefix]}, "functions": [], "families": []})
         prev["parameters"]["size"] = 1
-    path = tmp_path / "partial.json"
-    path.write_text(json.dumps(prev))
-    _forbid_search(monkeypatch)
-    code, err = _usage_error(capsys, *AG32_SIZE4[:-1], str(size), "--resume", str(path))
-    assert code == 2
-    assert f"--resume {path}" in err and "not a prefix of this search" in err
+    assert "not a prefix of this search" in _resume_refused(tmp_path, capsys, monkeypatch, prev, str(size))
 
 
 @pytest.mark.parametrize("size, done", [(4, [[0, 1], [24, 25]]), (1, [[0], [27]])], ids=["size4", "size1"])

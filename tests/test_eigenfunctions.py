@@ -613,6 +613,25 @@ def test_search_resume_refuses_bogus_entries_among_good_ones(g_x2):
         search_min_support(g_x2, -2, 4, resume=SearchResult((), (), 0, 0, False, {"done": done}))
 
 
+def _doubled_at_first(f: Eigenfunction) -> Eigenfunction:
+    """f with its value at its first support vertex doubled, which no
+    eigenfunction is."""
+    u = f.support[0]
+    return Eigenfunction(f.graph, f.theta, f.values | {u: 2 * f.values[u]})
+
+
+def test_support_family_is_its_basis(cut_searches):
+    """A family's support is the union of its basis supports, its
+    dimension the size of its basis, and a basis of fewer than two
+    functions is refused."""
+    fam = cut_searches["cut6"].families[0]
+    assert fam.support == tuple(sorted(set(fam.basis[0].support) | set(fam.basis[1].support)))
+    assert len(fam.support) == 6 and fam.dimension == len(fam.basis) == 2
+    for basis in ((), fam.basis[:1]):
+        with pytest.raises(ValueError, match="at least two functions"):
+            SupportFamily(basis)
+
+
 @pytest.fixture(scope="module")
 def cut_searches(g_x2):
     """The complete AG(3,2) size-4 search at theta -2, and its size-4 and
@@ -622,12 +641,15 @@ def cut_searches(g_x2):
 
 
 @pytest.mark.parametrize("case", ["undone-prefix", "other-size", "family-other-size", "repeated-function",
-                                  "repeated-family", "other-theta", "other-graph"])
+                                  "repeated-family", "other-theta", "other-graph", "function-not-verifying",
+                                  "family-basis-not-verifying"])
 def test_search_resume_refuses_what_the_search_cannot_have_found(g_x2, monkeypatch, cut_searches, case):
     """A search finds each support once, of its size, below a done prefix,
-    as functions of its graph at its theta; search_min_support refuses,
-    before any work, a cut result carrying any other function or family,
-    as the CLI's --resume does.  Only the CLI used to check them."""
+    as functions of its graph at its theta that verify; search_min_support
+    refuses, before any work, a cut result carrying any other function or
+    family, as the CLI's --resume does.  Only the CLI used to check them,
+    and it caught a carried function that does not verify only after the
+    whole search."""
     size6 = "family" in case or case == "other-size"
     cut = cut_searches["cut6" if size6 else "cut4"]
     done = set(cut.checkpoint["done"])
@@ -637,8 +659,12 @@ def test_search_resume_refuses_what_the_search_cannot_have_found(g_x2, monkeypat
     elif case == "other-size":
         functions += (next(f for f in cut_searches["cut4"].functions if search_prefix(f.support) in done),)
     elif case == "family-other-size":
+        families = (SupportFamily(families[0].basis + families[1].basis), *families[2:])
+    elif case == "function-not-verifying":
+        functions = (_doubled_at_first(functions[0]), *functions[1:])
+    elif case == "family-basis-not-verifying":
         fam = families[0]
-        families = (replace(fam, support=(*fam.support, fam.support[-1] + 1)), *families[1:])
+        families = (SupportFamily((_doubled_at_first(fam.basis[0]), *fam.basis[1:])), *families[1:])
     elif case == "repeated-function":
         functions += functions[-1:]
     elif case == "repeated-family":
